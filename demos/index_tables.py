@@ -2,8 +2,8 @@
 
 Walks through the single-queue machinery: the departure law, the
 balance gap whose root is the index, the incremental iteration against
-the bisection reference, and a full per-server table with the linear
-extrapolation used beyond the computed range.
+the bisection reference, and a full per-server table, solved in closed
+form, with the linear extrapolation used beyond the computed range.
 """
 
 import numpy as np
@@ -35,8 +35,9 @@ print(f"  incremental iteration: {lam:.6f}")
 print(f"  bisection reference:   {bisect_index(0, server, cfg.arrival_p, 100):.6f}")
 print(f"  residual at the root:  {index_residual(lam, 0, server, cfg.arrival_p, 100):.2e}\n")
 
-# A table covers states 0..x_max for every server; the iteration is
-# warm-started along each row because indices increase with x.
+# A table covers states 0..x_max for every server. Because the gap is
+# affine, each cell is its root -g(0)/slope from two back-solves,
+# checked to leave a gap within tol.
 table = build_index_table(cfg, x_max=40,
                           iter_cfg=IndexIterationConfig(tol=1e-6))
 print("index table, states 0..8:")

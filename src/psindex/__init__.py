@@ -10,7 +10,8 @@ mass, drift stability) that justify the index heuristic.
 from .model import (ConvergenceError, LyapunovCertificate, Pmf, ServerParams,
                     SystemConfig, ValidationReport, departure_pmf,
                     lyapunov_certificate, lyapunov_margin, next_state_pmf,
-                    stage_cost, transition_row, validate_config)
+                    stage_cost, transition_kernel, transition_row,
+                    validate_config)
 from .threshold import (RecurrentChain, cumulative_active_mass,
                         dominance_check, optimal_threshold_cost,
                         stationary_distribution, threshold_average_cost,
@@ -31,7 +32,7 @@ __all__ = [
     "ConvergenceError", "LyapunovCertificate", "Pmf", "ServerParams",
     "SystemConfig", "ValidationReport", "departure_pmf",
     "lyapunov_certificate", "lyapunov_margin", "next_state_pmf",
-    "stage_cost", "transition_row", "validate_config",
+    "stage_cost", "transition_kernel", "transition_row", "validate_config",
     "RecurrentChain", "cumulative_active_mass", "dominance_check",
     "optimal_threshold_cost", "stationary_distribution",
     "threshold_average_cost", "threshold_chain",

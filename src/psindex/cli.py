@@ -20,8 +20,7 @@ import numpy as np
 import yaml
 
 from . import checks, dp, sim, whittle
-from .model import ConvergenceError, ServerParams, SystemConfig, \
-    validate_config
+from .model import ServerParams, SystemConfig, validate_config
 from .policies import CmuPolicy, ExactPolicy, RandomPolicy, WhittlePolicy
 
 EXACT_STATE_LIMIT = 2500
@@ -66,6 +65,15 @@ def _section(raw: dict, key: str, allowed: set[str]) -> dict:
     return got
 
 
+def _number(kind, value, key: str):
+    """Convert a config value with float or int; ConfigError if it fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"'{key}' must be {what}, got {value!r}") from None
+
+
 def load_config(path: str | Path) -> LoadedConfig:
     """Parse a YAML configuration file into typed options."""
     try:
@@ -90,25 +98,32 @@ def load_config(path: str | Path) -> LoadedConfig:
     for i, entry in enumerate(raw["servers"]):
         if not isinstance(entry, dict) or set(entry) != {"q", "cost_c"}:
             raise ConfigError(f"servers[{i}] must have exactly keys q, cost_c")
-        servers.append(ServerParams(q=float(entry["q"]),
-                                    cost_c=float(entry["cost_c"])))
+        servers.append(ServerParams(
+            q=_number(float, entry["q"], f"servers[{i}].q"),
+            cost_c=_number(float, entry["cost_c"], f"servers[{i}].cost_c")))
+    strict = raw.get("strict_stability_mode", False)
+    if not isinstance(strict, bool):
+        raise ConfigError("'strict_stability_mode' must be true or false, "
+                          f"got {strict!r}")
     system = SystemConfig(
-        arrival_p=float(raw["arrival_p"]),
+        arrival_p=_number(float, raw["arrival_p"], "arrival_p"),
         servers=tuple(servers),
-        buffer=int(raw["buffer"]),
-        strict_stability_mode=bool(raw.get("strict_stability_mode", False)))
+        buffer=_number(int, raw["buffer"], "buffer"),
+        strict_stability_mode=strict)
     w = _section(raw, "whittle",
                  {"gamma", "tol", "max_iter", "x_max", "truncation_n"})
     wopts = WhittleOptions(
-        gamma=float(w.get("gamma", 0.1)),
-        tol=float(w.get("tol", 1e-6)),
-        max_iter=int(w.get("max_iter", 100_000)),
-        x_max=int(w.get("x_max", 40)),
-        truncation_n=int(w["truncation_n"]) if "truncation_n" in w else None)
+        gamma=_number(float, w.get("gamma", 0.1), "whittle.gamma"),
+        tol=_number(float, w.get("tol", 1e-6), "whittle.tol"),
+        max_iter=_number(int, w.get("max_iter", 100_000), "whittle.max_iter"),
+        x_max=_number(int, w.get("x_max", 40), "whittle.x_max"),
+        truncation_n=(_number(int, w["truncation_n"], "whittle.truncation_n")
+                      if "truncation_n" in w else None))
     s = _section(raw, "sim", {"horizon", "burn_in", "seeds"})
-    sopts = SimOptions(horizon=int(s.get("horizon", 1_000_000)),
-                       burn_in=int(s.get("burn_in", 10_000)),
-                       seeds=int(s.get("seeds", 10)))
+    sopts = SimOptions(
+        horizon=_number(int, s.get("horizon", 1_000_000), "sim.horizon"),
+        burn_in=_number(int, s.get("burn_in", 10_000), "sim.burn_in"),
+        seeds=_number(int, s.get("seeds", 10), "sim.seeds"))
     return LoadedConfig(system=system, whittle=wopts, sim=sopts)
 
 
@@ -385,10 +400,7 @@ def run_command(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[args.command](loaded, args, out_dir)
-    except ConvergenceError as e:
-        print(f"solver did not converge: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (RuntimeError, ValueError) as e:  # ConvergenceError included
         print(f"error: {e}", file=sys.stderr)
         return 1
 

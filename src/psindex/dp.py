@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConvergenceError, ServerParams, SystemConfig, \
-    departure_pmf, next_state_pmf, transition_row
+    departure_pmf, next_state_pmf, transition_kernel
 
 # ---------------------------------------------------------------- #
 # single queue                                                     #
@@ -52,11 +52,7 @@ def single_queue_rvi(lam: float, server: ServerParams, arrival_p: float,
         raise ValueError("n must be >= 1")
     q, p, c = server.q, arrival_p, server.cost_c
     m = n + 1
-    pa = np.zeros((m, m))
-    pb = np.zeros((m, m))
-    for x in range(m):
-        pa[x] = transition_row(x, q, p, True, n)
-        pb[x] = transition_row(x, q, p, False, n)
+    pa, pb = transition_kernel(q, p, n)
     xs = np.arange(m, dtype=np.float64)
     cost_a = c * xs
     cost_p = c * xs + lam
@@ -135,16 +131,8 @@ def _apply_along_axis(mat: np.ndarray, v: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _per_server_operators(cfg: SystemConfig):
-    b = cfg.buffer
-    ops = []
-    for s in cfg.servers:
-        pa = np.zeros((b + 1, b + 1))
-        pb = np.zeros((b + 1, b + 1))
-        for x in range(b + 1):
-            pa[x] = transition_row(x, s.q, cfg.arrival_p, True, b)
-            pb[x] = transition_row(x, s.q, cfg.arrival_p, False, b)
-        ops.append((pa, pb))
-    return ops
+    return [transition_kernel(s.q, cfg.arrival_p, cfg.buffer)
+            for s in cfg.servers]
 
 
 def _expected_values(v: np.ndarray, ops) -> list[np.ndarray]:

@@ -212,6 +212,32 @@ def transition_row(x: int, q: float, p: float, active: bool,
     return next_state_pmf(x, q, p, active, n).dense(n + 1)
 
 
+def transition_kernel(q: float, p: float,
+                      n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Active and passive transition matrices over states 0..n.
+
+    Row x of each equals transition_row(x, q, p, active, n), so the
+    buffer sits at n. Both come from one broadcast binomial evaluation
+    instead of n + 1 validated row laws.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not (0.0 < q < 1.0):
+        raise ValueError("q must lie in (0,1)")
+    if not (0.0 < p < 1.0):
+        raise ValueError("p must lie in (0,1)")
+    x = np.arange(n + 1)[:, None]
+    y = np.arange(n + 1)[None, :]
+    # Passive row x puts P(D = x - y) on y, D ~ Binomial(x, q/x); an
+    # empty server (x = 0) has the point mass Binomial(0, q) at zero.
+    passive = binom.pmf(x - y, x, q / np.maximum(x, 1))
+    active = (1.0 - p) * passive
+    active[:, 1:] += p * passive[:, :-1]
+    # An arrival to a full buffer with no departure is dropped.
+    active[n, n] += p * passive[n, n]
+    return active, passive
+
+
 def stage_cost(x: int, active: bool, lam: float, cost_c: float) -> float:
     """Per-slot cost: holding cost plus the passivity charge lam.
 

@@ -69,14 +69,18 @@ class WhittlePolicy:
 
     def selector(self, rng: np.random.Generator):
         rows = self._rows
+        table = self.table
         num = len(rows)
 
         def select(state):
-            best, best_val = 0, rows[0][state[0]]
-            for i in range(1, num):
-                val = rows[i][state[i]]
-                if val < best_val:
-                    best, best_val = i, val
+            try:
+                best, best_val = 0, rows[0][state[0]]
+                for i in range(1, num):
+                    val = rows[i][state[i]]
+                    if val < best_val:
+                        best, best_val = i, val
+            except IndexError:  # a state past the rows: extrapolate
+                return whittle_select(state, table)
             return best
 
         return select

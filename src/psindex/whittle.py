@@ -5,19 +5,21 @@ and resting the server are equally attractive, assuming states at and
 below x use the active dynamics and states above use the passive ones.
 With the threshold structure fixed, the relative values solve a linear
 system that is affine in lam, so the balance gap has a single root.
-Two independent routes find it: the incremental fixed-point scheme
-(compute_index) and a scan-and-bisect root finder (bisect_index) kept
-as the reference.
+Index tables take it in closed form from two back-solves on one LU.
+Two independent routes find it iteratively and serve as oracles: the
+paper's incremental fixed-point scheme (compute_index) and a
+scan-and-bisect root finder (bisect_index).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .model import ConvergenceError, ServerParams, SystemConfig, transition_row
+from .model import ConvergenceError, ServerParams, SystemConfig, \
+    transition_kernel
 
 VALUE_RESIDUAL_TOL = 1e-9
 
@@ -61,10 +63,13 @@ class _FixedThresholdSystem:
     depend on lam (only the right-hand side does), so it is factored
     once and re-solved per lam. States above n clamp there, which is
     harmless while the recurrent class sits well inside the truncation.
+    Rows 0..threshold_x come from the active kernel matrix and the rest
+    from the passive one; pass `kernel` to share one across thresholds.
     """
 
     def __init__(self, server: ServerParams, arrival_p: float,
-                 threshold_x: int, n: int):
+                 threshold_x: int, n: int,
+                 kernel: tuple[np.ndarray, np.ndarray] | None = None):
         if n < 1 or n < threshold_x + 1:
             raise ValueError("truncation n must be >= max(1, threshold_x+1)")
         if threshold_x < -1:
@@ -73,28 +78,28 @@ class _FixedThresholdSystem:
         self.arrival_p = arrival_p
         self.threshold_x = threshold_x
         self.n = n
-        q, p = server.q, arrival_p
+        if kernel is None:
+            kernel = transition_kernel(server.q, arrival_p, n)
+        active, passive = kernel
         m = n + 2
         a = np.zeros((m, m))
-        b0 = np.zeros(m)
-        b1 = np.zeros(m)
-        for y in range(n + 1):
-            active = y <= threshold_x
-            a[y, : n + 1] = -transition_row(y, q, p, active, n)
-            a[y, y] += 1.0
-            a[y, n + 1] = 1.0
-            b0[y] = server.cost_c * y
-            if not active:
-                b1[y] = 1.0
+        a[: n + 1, : n + 1] = -np.vstack((active[: threshold_x + 1],
+                                          passive[threshold_x + 1:]))
+        a[np.arange(n + 1), np.arange(n + 1)] += 1.0
+        a[: n + 1, n + 1] = 1.0
         a[n + 1, 0] = 1.0  # pins V(0) = 0
+        b0 = np.zeros(m)
+        b0[: n + 1] = server.cost_c * np.arange(n + 1)
+        b1 = np.zeros(m)
+        b1[threshold_x + 1: n + 1] = 1.0
         self._a = a
         self._b0 = b0
         self._b1 = b1
         self._lu = lu_factor(a)
         # Balance rows are evaluated at the threshold state itself.
         x = max(threshold_x, 0)
-        self.active_row = transition_row(x, q, p, True, n)
-        self.passive_row = transition_row(x, q, p, False, n)
+        self.active_row = active[x]
+        self.passive_row = passive[x]
 
     def solve(self, lam: float) -> ValueSolution:
         b = self._b0 + lam * self._b1
@@ -111,6 +116,19 @@ class _FixedThresholdSystem:
         """Active-minus-passive continuation gap at the threshold state."""
         v = self.solve(lam).v
         return float(self.active_row @ v - self.passive_row @ v) - lam
+
+    def gap_line(self) -> tuple[float, float]:
+        """Intercept and slope of the gap, which is affine in lam.
+
+        The values are v0 + lam * v1 with v0, v1 the solutions for the
+        right-hand sides b0 and b1, so two back-solves on the one LU
+        give the whole line.
+        """
+        d = self.active_row - self.passive_row
+        m = self.n + 1
+        v0 = lu_solve(self._lu, self._b0)[:m]
+        v1 = lu_solve(self._lu, self._b1)[:m]
+        return float(d @ v0), float(d @ v1) - 1.0
 
 
 def solve_value(lam: float, threshold_x: int, server: ServerParams,
@@ -236,30 +254,51 @@ def default_truncation(x_max: int, buffer: int) -> int:
     return max(2 * x_max, buffer)
 
 
+def _closed_form_index(system: _FixedThresholdSystem, tol: float) -> float:
+    """Root of the affine balance gap, verified by a guarded solve.
+
+    Raises ConvergenceError when the gap line has no unique root or the
+    root leaves a gap above tol; the residual guard of solve raises
+    RuntimeError as usual.
+    """
+    g0, slope = system.gap_line()
+    if slope == 0.0 or not (np.isfinite(slope) and np.isfinite(g0)):
+        raise ConvergenceError(f"balance gap line {g0!r} + lam * {slope!r} "
+                               "has no unique root")
+    lam = -g0 / slope
+    gap = system.gap(lam)
+    if not abs(gap) <= tol:
+        raise ConvergenceError(f"closed-form index {lam:.9g} leaves gap "
+                               f"{gap:.3e} above tol {tol:g}",
+                               iterate=lam, residual=gap)
+    return lam
+
+
 def build_index_table(cfg: SystemConfig, x_max: int,
                       iter_cfg: IndexIterationConfig | None = None,
                       n: int | None = None) -> IndexTable:
     """Compute the index of every state 0..x_max for every server.
 
-    Each state is solved by compute_index, warm-started at the previous
-    state's index since indices increase. A non-convergent cell aborts
-    the whole table and names the offending (server, state).
+    Each cell is the closed-form root of its affine balance gap, checked
+    against iter_cfg.tol; gamma, max_iter and lambda0 drive only
+    compute_index. One transition kernel per server serves all its
+    cells. A failed cell aborts the whole table with a ConvergenceError
+    naming the offending (server, state).
     """
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
-    base = iter_cfg or IndexIterationConfig()
+    tol = (iter_cfg or IndexIterationConfig()).tol
     n = default_truncation(x_max, cfg.buffer) if n is None else n
     entries = np.zeros((cfg.num_servers, x_max + 1))
     for i, server in enumerate(cfg.servers):
-        warm = base.lambda0
+        kernel = transition_kernel(server.q, cfg.arrival_p, n)
         for x in range(x_max + 1):
+            system = _FixedThresholdSystem(server, cfg.arrival_p, x, n,
+                                           kernel)
             try:
-                lam = compute_index(x, server, cfg.arrival_p, n,
-                                    replace(base, lambda0=warm))
-            except ConvergenceError as e:
+                entries[i, x] = _closed_form_index(system, tol)
+            except RuntimeError as e:  # ConvergenceError or the value guard
                 raise ConvergenceError(
-                    f"index table aborted at server {i}, state {x}: {e}",
-                    iterate=e.iterate, residual=e.residual) from e
-            entries[i, x] = lam
-            warm = lam
+                    f"index table aborted at server {i}, state {x}: {e}"
+                ) from e
     return IndexTable(entries=entries, x_max=x_max)

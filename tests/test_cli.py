@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from psindex import IndexTable, ServerParams, SystemConfig, simulate, CmuPolicy
+from psindex import whittle
 from psindex.cli import (ConfigError, fmt, load_config, main,
                          read_index_table, write_index_table)
 
@@ -76,6 +77,36 @@ def test_load_config_rejects_malformed_files(tmp_path, text, phrase):
     path.write_text(text)
     with pytest.raises(ConfigError, match=phrase):
         load_config(path)
+
+
+@pytest.mark.parametrize("text,phrase", [
+    ("arrival_p: abc\nbuffer: 5\nservers:\n  - {q: 0.5, cost_c: 1.0}\n",
+     "'arrival_p' must be a number"),
+    ("arrival_p: 0.4\nbuffer: 5\nservers:\n  - {q: [0.5], cost_c: 1.0}\n",
+     r"'servers\[0\].q' must be a number"),
+    ("arrival_p: 0.4\nbuffer: ten\nservers:\n  - {q: 0.5, cost_c: 1.0}\n",
+     "'buffer' must be an integer"),
+    ("arrival_p: 0.4\nbuffer: 5\nservers:\n  - {q: 0.5, cost_c: 1.0}\n"
+     "sim: {horizon: .inf}\n", "'sim.horizon' must be an integer"),
+])
+def test_load_config_rejects_malformed_values(tmp_path, capsys, text, phrase):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=phrase):
+        load_config(path)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_load_config_rejects_a_non_bool_strict_mode(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("arrival_p: 0.4\nbuffer: 5\nstrict_stability_mode: "
+                    "\"false\"\nservers:\n  - {q: 0.5, cost_c: 1.0}\n")
+    with pytest.raises(ConfigError, match="strict_stability_mode"):
+        load_config(path)
+    path.write_text("arrival_p: 0.4\nbuffer: 5\nstrict_stability_mode: "
+                    "false\nservers:\n  - {q: 0.5, cost_c: 1.0}\n")
+    assert load_config(path).system.strict_stability_mode is False
 
 
 def test_load_config_missing_file(tmp_path):
@@ -163,6 +194,17 @@ def test_indices_command_writes_monotone_table(config_path, tmp_path):
     table = read_index_table(out / "indices.csv")
     assert table.entries.shape == (2, 4)
     assert np.all(np.diff(table.entries, axis=1) >= -1e-7)
+
+
+def test_indices_command_reports_a_failed_cell_without_traceback(
+        config_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(whittle, "VALUE_RESIDUAL_TOL", -1.0)
+    code = main(["indices", "--config", str(config_path),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: index table aborted at server 0, state 0")
+    assert "Traceback" not in err
 
 
 def test_simulate_command_writes_report_and_series(config_path, tmp_path,

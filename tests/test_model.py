@@ -7,7 +7,8 @@ import pytest
 
 from psindex import (Pmf, ServerParams, SystemConfig, departure_pmf,
                      lyapunov_certificate, lyapunov_margin, next_state_pmf,
-                     stage_cost, transition_row, validate_config)
+                     stage_cost, transition_kernel, transition_row,
+                     validate_config)
 
 from conftest import enum_next_state, pmf_to_dict
 
@@ -115,6 +116,26 @@ def test_transition_row_is_dense_and_stochastic():
     sparse = pmf_to_dict(next_state_pmf(3, 0.5, 0.4, True, 10))
     for s, w in sparse.items():
         assert row[s] == pytest.approx(w, abs=1e-15)
+
+
+@pytest.mark.parametrize("q,p,n", [
+    (0.5, 0.4, 1), (0.55, 0.4, 100), (0.3, 0.9, 20), (0.95, 0.05, 2),
+    (0.45, 0.4, 150),
+])
+def test_transition_kernel_matches_rows(q, p, n):
+    active, passive = transition_kernel(q, p, n)
+    assert active.shape == passive.shape == (n + 1, n + 1)
+    for x in range(n + 1):
+        assert np.max(np.abs(active[x] - transition_row(x, q, p, True, n))) \
+            <= 1e-15
+        assert np.max(np.abs(passive[x] - transition_row(x, q, p, False, n))) \
+            <= 1e-15
+
+
+def test_transition_kernel_rejects_bad_arguments():
+    for q, p, n in ((0.0, 0.4, 5), (0.5, 1.0, 5), (0.5, 0.4, 0)):
+        with pytest.raises(ValueError):
+            transition_kernel(q, p, n)
 
 
 # ---------------------------------------------------------------- #

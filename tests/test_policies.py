@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from psindex import (CmuPolicy, ExactPolicy, IndexTable, RandomPolicy,
-                     ServerParams, WhittlePolicy, cmu_select, exact_select,
-                     joint_rvi, random_select, whittle_select)
+                     ServerParams, SystemConfig, WhittlePolicy,
+                     build_index_table, cmu_select, exact_select, joint_rvi,
+                     random_select, simulate, whittle_select)
 
 
 def _table():
@@ -68,6 +69,20 @@ def test_whittle_policy_wrapper_matches_free_function(cls, ref):
     for a in range(10):
         for b in range(10):
             assert select((a, b)) == ref((a, b), table)
+
+
+def test_whittle_policy_extrapolates_past_its_rows():
+    # Queues outgrow x_max = 1 at once; rows sized to x_max alone used to
+    # raise IndexError there.
+    cfg = SystemConfig(arrival_p=0.6,
+                       servers=(ServerParams(q=0.7, cost_c=1.0),
+                                ServerParams(q=0.65, cost_c=1.0)),
+                       buffer=60)
+    table = build_index_table(cfg, x_max=1)
+    short = simulate(cfg, WhittlePolicy(table), horizon=20_000, burn_in=1000)
+    dense = simulate(cfg, WhittlePolicy(table, max_state=cfg.buffer),
+                     horizon=20_000, burn_in=1000)
+    assert short == dense
 
 
 def test_cmu_policy_wrapper_matches_free_function():

@@ -7,6 +7,7 @@ from psindex import (ConvergenceError, IndexIterationConfig, IndexTable,
                      ServerParams, bisect_index, build_index_table,
                      compute_index, default_truncation, index_residual,
                      solve_value, threshold_average_cost, SystemConfig)
+from psindex import whittle
 
 UNIT = ServerParams(q=0.5, cost_c=1.0)
 HEAVY = ServerParams(q=0.55, cost_c=30.0)
@@ -152,3 +153,48 @@ def test_build_index_table_rejects_trivial_range():
     cfg = SystemConfig(arrival_p=0.4, servers=(UNIT,), buffer=10)
     with pytest.raises(ValueError):
         build_index_table(cfg, x_max=0)
+
+
+FIG3 = SystemConfig(arrival_p=0.4,
+                    servers=(ServerParams(q=0.55, cost_c=30.0),
+                             ServerParams(q=0.50, cost_c=29.0),
+                             ServerParams(q=0.45, cost_c=28.0)),
+                    buffer=100)
+
+
+def test_build_index_table_matches_bisection_on_fig3():
+    table = build_index_table(FIG3, x_max=40)
+    n = default_truncation(40, FIG3.buffer)
+    for i, server in enumerate(FIG3.servers):
+        for x in (0, 1, 7, 20, 40):
+            ref = bisect_index(x, server, FIG3.arrival_p, n)
+            assert table.entries[i, x] == pytest.approx(ref, abs=1e-6)
+
+
+def test_build_index_table_solves_an_overloaded_queue():
+    # p = 0.9 against q = 0.5: the gap's slope is close to zero here, so
+    # the damped iteration stalls at state 5; the closed form does not.
+    cfg = SystemConfig(arrival_p=0.9,
+                       servers=(ServerParams(q=0.5, cost_c=1.0),),
+                       buffer=20)
+    table = build_index_table(cfg, x_max=10)
+    ref = bisect_index(5, cfg.servers[0], 0.9, 20)
+    assert ref == pytest.approx(2050.1195, abs=1e-3)
+    assert table.entries[0, 5] == pytest.approx(ref, abs=1e-6)
+
+
+@pytest.mark.parametrize("slope", [0.0, float("nan"), float("inf")])
+def test_build_index_table_rejects_a_gap_without_a_root(monkeypatch, slope):
+    monkeypatch.setattr(whittle._FixedThresholdSystem, "gap_line",
+                        lambda self: (1.0, slope))
+    cfg = SystemConfig(arrival_p=0.4, servers=(UNIT,), buffer=10)
+    with pytest.raises(ConvergenceError, match="server 0, state 0"):
+        build_index_table(cfg, x_max=2)
+
+
+def test_build_index_table_names_the_cell_of_a_guard_failure(monkeypatch):
+    monkeypatch.setattr(whittle, "VALUE_RESIDUAL_TOL", -1.0)
+    cfg = SystemConfig(arrival_p=0.4, servers=(UNIT,), buffer=10)
+    with pytest.raises(ConvergenceError,
+                       match="server 0, state 0: value system residual"):
+        build_index_table(cfg, x_max=2)
