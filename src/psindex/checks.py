@@ -10,7 +10,7 @@ subcommand runs the whole list and reports pass/fail per item.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -193,16 +193,22 @@ def check_single_queue_structure(cfg: SystemConfig, n: int = 120,
                        f"{len(cfg.servers)} servers, {len(lams)} charges")
 
 
-def check_index_agreement(cfg: SystemConfig, x_max: int = 10) -> CheckResult:
-    """Incremental index iteration vs the bisection reference."""
+def check_index_agreement(
+        cfg: SystemConfig, x_max: int = 10,
+        iter_cfg: whittle.IndexIterationConfig | None = None) -> CheckResult:
+    """Incremental index iteration vs the bisection reference.
+
+    iter_cfg sets gamma, tol and max_iter of the iteration; each state
+    is warm-started at the previous state's index.
+    """
+    base = iter_cfg or whittle.IndexIterationConfig()
     n = whittle.default_truncation(x_max, cfg.buffer)
     worst = 0.0
     for s in cfg.servers:
-        warm = 0.0
+        warm = base.lambda0
         for x in range(0, x_max + 1):
-            lam = whittle.compute_index(
-                x, s, cfg.arrival_p, n,
-                whittle.IndexIterationConfig(lambda0=warm))
+            lam = whittle.compute_index(x, s, cfg.arrival_p, n,
+                                        replace(base, lambda0=warm))
             ref = whittle.bisect_index(x, s, cfg.arrival_p, n)
             worst = max(worst, abs(lam - ref))
             warm = lam
@@ -210,7 +216,10 @@ def check_index_agreement(cfg: SystemConfig, x_max: int = 10) -> CheckResult:
                        f"max |incremental - bisection| {worst:.3e}")
 
 
-def run_property_suite(cfg: SystemConfig) -> list[CheckResult]:
+def run_property_suite(
+        cfg: SystemConfig,
+        iter_cfg: whittle.IndexIterationConfig | None = None
+) -> list[CheckResult]:
     return [
         check_departure_law(),
         check_active_law_is_convolution(),
@@ -220,5 +229,5 @@ def run_property_suite(cfg: SystemConfig) -> list[CheckResult]:
         check_threshold_cost_curve(cfg),
         check_value_solver_consistency(cfg),
         check_single_queue_structure(cfg),
-        check_index_agreement(cfg),
+        check_index_agreement(cfg, iter_cfg=iter_cfg),
     ]

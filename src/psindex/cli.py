@@ -20,7 +20,8 @@ import numpy as np
 import yaml
 
 from . import checks, dp, sim, whittle
-from .model import ServerParams, SystemConfig, validate_config
+from .model import ConvergenceError, ServerParams, SystemConfig, \
+    validate_config
 from .policies import CmuPolicy, ExactPolicy, RandomPolicy, WhittlePolicy
 
 EXACT_STATE_LIMIT = 2500
@@ -238,14 +239,26 @@ def write_properties(results, path: str | Path) -> None:
 # ---------------------------------------------------------------- #
 
 
+def _iteration_config(loaded: LoadedConfig,
+                      args) -> whittle.IndexIterationConfig:
+    """The config's whittle knobs with the --gamma and --tol overrides.
+
+    Index tables read only tol; gamma and max_iter drive compute_index,
+    which the properties command's index_agreement check runs.
+    """
+    w = loaded.whittle
+    gamma = getattr(args, "gamma", None)  # only `properties` has --gamma
+    return whittle.IndexIterationConfig(
+        gamma=gamma if gamma is not None else w.gamma,
+        tol=args.tol if args.tol is not None else w.tol,
+        max_iter=w.max_iter)
+
+
 def _build_table(loaded: LoadedConfig, args) -> whittle.IndexTable:
     w = loaded.whittle
     x_max = args.x_max if args.x_max is not None else w.x_max
-    iter_cfg = whittle.IndexIterationConfig(
-        gamma=args.gamma if args.gamma is not None else w.gamma,
-        tol=args.tol if args.tol is not None else w.tol,
-        max_iter=w.max_iter)
-    return whittle.build_index_table(loaded.system, x_max, iter_cfg,
+    return whittle.build_index_table(loaded.system, x_max,
+                                     _iteration_config(loaded, args),
                                      w.truncation_n)
 
 
@@ -338,7 +351,8 @@ def cmd_exact(loaded: LoadedConfig, args, out_dir: Path) -> int:
 
 
 def cmd_properties(loaded: LoadedConfig, args, out_dir: Path) -> int:
-    results = checks.run_property_suite(loaded.system)
+    results = checks.run_property_suite(loaded.system,
+                                        _iteration_config(loaded, args))
     path = out_dir / "properties.csv"
     write_properties(results, path)
     failed = 0
@@ -372,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=".",
                          help="directory for output files")
         cmd.add_argument("--x-max", dest="x_max", type=int, default=None)
-        cmd.add_argument("--gamma", type=float, default=None)
         cmd.add_argument("--tol", type=float, default=None)
+        if name == "properties":
+            cmd.add_argument("--gamma", type=float, default=None)
         cmd.add_argument("--horizon", type=int, default=None)
         if name == "compare":
             cmd.add_argument("--seeds", type=int, default=None)
@@ -400,7 +415,7 @@ def run_command(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[args.command](loaded, args, out_dir)
-    except (RuntimeError, ValueError) as e:  # ConvergenceError included
+    except (ConvergenceError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -299,6 +299,7 @@ def build_index_table(cfg: SystemConfig, x_max: int,
                 entries[i, x] = _closed_form_index(system, tol)
             except RuntimeError as e:  # ConvergenceError or the value guard
                 raise ConvergenceError(
-                    f"index table aborted at server {i}, state {x}: {e}"
-                ) from e
+                    f"index table aborted at server {i}, state {x}: {e}",
+                    iterate=getattr(e, "iterate", None),
+                    residual=getattr(e, "residual", None)) from e
     return IndexTable(entries=entries, x_max=x_max)

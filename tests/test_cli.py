@@ -207,6 +207,16 @@ def test_indices_command_reports_a_failed_cell_without_traceback(
     assert "Traceback" not in err
 
 
+def test_indices_command_lets_a_plain_runtime_error_through(
+        config_path, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a solver failure")
+    monkeypatch.setattr(whittle, "build_index_table", broken)
+    with pytest.raises(RuntimeError, match="not a solver failure"):
+        main(["indices", "--config", str(config_path),
+              "--out", str(tmp_path)])
+
+
 def test_simulate_command_writes_report_and_series(config_path, tmp_path,
                                                    capsys):
     out = tmp_path / "artifacts"
@@ -284,6 +294,30 @@ def test_compare_command_runs_all_policies(tmp_path, capsys):
     assert len(agg_rows) == 4 * 2
     names = {r[0] for r in run_rows}
     assert names == {"whittle", "cmu", "random", "exact"}
+
+
+def test_properties_command_runs_the_iteration_with_the_config_knobs(
+        tmp_path, capsys):
+    path = tmp_path / "one.yaml"
+    path.write_text("arrival_p: 0.4\nbuffer: 5\n"
+                    "servers:\n  - {q: 0.55, cost_c: 30.0}\n"
+                    "whittle: {max_iter: 1}\n")
+    code = main(["properties", "--config", str(path),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: index iteration for state 0")
+    code = main(["properties", "--config", str(path), "--gamma", "0",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "gamma" in capsys.readouterr().err
+
+
+def test_gamma_is_a_properties_option_only(config_path, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["indices", "--config", str(config_path), "--gamma", "0.2",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_properties_command_reports_each_check(tmp_path, capsys):

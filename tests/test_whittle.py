@@ -192,6 +192,18 @@ def test_build_index_table_rejects_a_gap_without_a_root(monkeypatch, slope):
         build_index_table(cfg, x_max=2)
 
 
+def test_build_index_table_carries_the_root_of_a_gap_above_tol(monkeypatch):
+    # A wrong line puts the root at lam = 1, where the true gap is not 0.
+    monkeypatch.setattr(whittle._FixedThresholdSystem, "gap_line",
+                        lambda self: (1.0, -1.0))
+    cfg = SystemConfig(arrival_p=0.4, servers=(UNIT,), buffer=10)
+    with pytest.raises(ConvergenceError,
+                       match="server 0, state 0: closed-form index") as exc:
+        build_index_table(cfg, x_max=2)
+    assert exc.value.iterate == 1.0
+    assert abs(exc.value.residual) > 1e-6
+
+
 def test_build_index_table_names_the_cell_of_a_guard_failure(monkeypatch):
     monkeypatch.setattr(whittle, "VALUE_RESIDUAL_TOL", -1.0)
     cfg = SystemConfig(arrival_p=0.4, servers=(UNIT,), buffer=10)
