@@ -2,7 +2,8 @@
 
 single_queue_rvi solves the one-queue problem with a passivity charge
 and exposes the greedy policy, whose active set should be a downward
-closed interval (threshold structure). joint_rvi solves the full bank
+closed interval (threshold structure); it and the admission-gain
+profile read model.transition_kernel. joint_rvi solves the full bank
 on the product state space and is the exact benchmark the index policy
 is measured against; brute_force_policy_search cross-checks it by
 sheer enumeration on spaces small enough to afford that.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConvergenceError, ServerParams, SystemConfig, \
-    departure_pmf, next_state_pmf, transition_kernel
+    next_state_pmf, transition_kernel
 
 # ---------------------------------------------------------------- #
 # single queue                                                     #
@@ -96,14 +97,12 @@ def admission_gain_profile(v: np.ndarray, q: float, p: float) -> np.ndarray:
     Entry i is p * E[V(x+1-D) - V(x-D)] at x = i + 1, the quantity whose
     monotonicity in x makes the greedy active set an interval. Defined
     for x = 1..n-1 so the shifted argument stays inside the truncation.
+    Passive row x of the kernel is the law of x - D, so the profile is
+    one product with the increments of v.
     """
     n = len(v) - 1
-    out = np.empty(n - 1)
-    for i, x in enumerate(range(1, n)):
-        dep = departure_pmf(x, q)
-        keep = x - dep.states
-        out[i] = p * float(dep.probs @ (v[keep + 1] - v[keep]))
-    return out
+    _, passive = transition_kernel(q, p, n)
+    return p * (passive[1:n, :n] @ np.diff(v))
 
 
 # ---------------------------------------------------------------- #

@@ -6,6 +6,8 @@ queue and at most one Bernoulli arrival routed to the active queue,
 clamping at the buffer. One master seed expands into independent
 per-server departure streams, an arrival stream, and a policy stream,
 so different policies under the same seed face identical randomness.
+Departures are drawn by inverting per-length CDFs that are built once
+per run from one broadcast binomial evaluation.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import binom
 
-from .model import SystemConfig, departure_pmf
+from .model import SystemConfig
 
 _CHUNK = 1 << 16
 
@@ -24,14 +27,27 @@ class DepartureSampler:
     """Inverse-CDF sampling of the departure count at any queue length.
 
     One uniform is consumed per call regardless of the current length,
-    which keeps the departure streams aligned across policies.
+    which keeps the departure streams aligned across policies. All rows
+    come from one broadcast binomial evaluation; each is normalised the
+    way departure_pmf normalises, so the CDFs match it bit for bit.
     """
 
     def __init__(self, q: float, max_x: int):
+        if not (0.0 < q < 1.0):
+            raise ValueError("q must lie in (0,1)")
         self.q = q
+        xs = np.arange(max_x + 1)
+        # Row x is Binomial(x, q/x); an empty server has the point mass
+        # Binomial(0, q) at zero.
+        pmf = binom.pmf(xs[None, :], xs[:, None],
+                        q / np.maximum(xs, 1)[:, None])
         self._cdfs = []
         for x in range(max_x + 1):
-            cdf = np.cumsum(departure_pmf(x, q).dense(x + 1)).tolist()
+            row = pmf[x, : x + 1]
+            total = float(row.sum())
+            if total != 1.0:
+                row = row / total
+            cdf = np.cumsum(row).tolist()
             cdf[-1] = 1.0
             self._cdfs.append(cdf)
 

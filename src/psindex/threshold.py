@@ -4,7 +4,8 @@ A threshold policy with parameter k keeps the server active on states
 {0, ..., k} and passive above. Started empty, the queue then lives on
 {0, ..., k+1}: it can only climb by admitting arrivals, and admissions
 stop one step above the threshold. The convention k = -1 means never
-active, whose recurrent class is the single state {0}.
+active, whose recurrent class is the single state {0}. Every chain is a
+slice of model.transition_kernel.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import next_state_pmf
+from .model import transition_kernel
 
 STATIONARY_TOL = 1e-10
 
@@ -32,26 +33,34 @@ class RecurrentChain:
         m = self.matrix
         if m.shape != (self.k + 2, self.k + 2):
             raise ValueError("matrix must cover states 0..k+1")
-        if np.any(m < 0.0) or np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-10:
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix entries must be finite")
+        if (np.any(m < 0.0)
+                or not np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-10):
             raise ValueError("rows must be probability vectors")
         m.setflags(write=False)
+
+
+def _threshold_rows(active: np.ndarray, passive: np.ndarray,
+                    k: int) -> np.ndarray:
+    """Rows 0..k+1 of a kernel under threshold k: active iff s <= k."""
+    return np.vstack((active[: k + 1], passive[k + 1: k + 2]))
 
 
 def threshold_chain(k: int, q: float, p: float) -> RecurrentChain:
     """Build the chain on {0, ..., k+1} for threshold k >= 0.
 
-    Row s is the one-slot law with the server active iff s <= k. No
-    clamping occurs: from state k+1 the server is passive, so the chain
-    cannot leave the class upward.
+    Row s is the one-slot law with the server active iff s <= k, read
+    off transition_kernel(q, p, k+1). The slice is exact: active rows
+    s <= k never reach the buffer at k+1, and from state k+1 the server
+    is passive, so the chain cannot leave the class upward.
     """
     if k < 0:
         raise ValueError("threshold_chain needs k >= 0; k = -1 has the "
                          "trivial class {0}")
-    n = k + 2
-    mat = np.zeros((n, n))
-    for s in range(n):
-        mat[s, :] = next_state_pmf(s, q, p, s <= k, k + 1).dense(n)
-    return RecurrentChain(k=k, q=q, p=p, matrix=mat)
+    active, passive = transition_kernel(q, p, k + 1)
+    return RecurrentChain(k=k, q=q, p=p,
+                          matrix=_threshold_rows(active, passive, k))
 
 
 def stationary_distribution(chain: RecurrentChain) -> np.ndarray:
@@ -74,7 +83,7 @@ def stationary_distribution(chain: RecurrentChain) -> np.ndarray:
         raise ValueError("stationary solve produced negative mass")
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
-    if np.max(np.abs(pi @ P - pi)) > STATIONARY_TOL:
+    if not np.max(np.abs(pi @ P - pi)) <= STATIONARY_TOL:
         raise ValueError("stationary residual exceeds tolerance")
     return pi
 
@@ -138,12 +147,13 @@ def dominance_check(k: int, q: float, p: float) -> bool:
     compares cumulative transition mass through the lower-triangular
     all-ones matrix U: (P @ U)[x, j] is the probability of moving from
     x to a state >= j, so P1 U <= P2 U elementwise says the larger
-    threshold pushes every state upward at least as hard.
+    threshold pushes every state upward at least as hard. Both chains
+    are slices of one transition_kernel(q, p, k+2).
     """
-    p1 = threshold_chain(k, q, p).matrix
-    p2 = threshold_chain(k + 1, q, p).matrix
+    active, passive = transition_kernel(q, p, k + 2)
     m = k + 3
     p1_pad = np.zeros((m, m))
-    p1_pad[: k + 2, : k + 2] = p1
+    p1_pad[: k + 2] = _threshold_rows(active, passive, k)
+    p2 = _threshold_rows(active, passive, k + 1)
     u = np.tril(np.ones((m, m)))
     return bool(np.all(p1_pad @ u <= p2 @ u + 1e-12))

@@ -8,7 +8,8 @@ system that is affine in lam, so the balance gap has a single root.
 Index tables take it in closed form from two back-solves on one LU.
 Two independent routes find it iteratively and serve as oracles: the
 paper's incremental fixed-point scheme (compute_index) and a
-scan-and-bisect root finder (bisect_index).
+scan-and-bisect root finder (bisect_index), whose scans are
+multi-column solves on the same LU.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .model import ConvergenceError, ServerParams, SystemConfig, \
     transition_kernel
 
 VALUE_RESIDUAL_TOL = 1e-9
+_SCAN_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -101,14 +103,22 @@ class _FixedThresholdSystem:
         self.active_row = active[x]
         self.passive_row = passive[x]
 
-    def solve(self, lam: float) -> ValueSolution:
-        b = self._b0 + lam * self._b1
+    def _refined_solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve a u = b for one right-hand side or a column of them.
+
+        One refinement step follows the LU solve, and the residual guard
+        covers every column.
+        """
         u = lu_solve(self._lu, b)
         u += lu_solve(self._lu, b - self._a @ u)  # one refinement step
         resid = float(np.max(np.abs(self._a @ u - b)))
         if resid > VALUE_RESIDUAL_TOL:
             raise RuntimeError(f"value system residual {resid:.3e} exceeds "
                                f"{VALUE_RESIDUAL_TOL:g}")
+        return u
+
+    def solve(self, lam: float) -> ValueSolution:
+        u = self._refined_solve(self._b0 + lam * self._b1)
         return ValueSolution(lam=lam, threshold_x=self.threshold_x, n=self.n,
                              v=u[: self.n + 1], beta=float(u[self.n + 1]))
 
@@ -116,6 +126,22 @@ class _FixedThresholdSystem:
         """Active-minus-passive continuation gap at the threshold state."""
         v = self.solve(lam).v
         return float(self.active_row @ v - self.passive_row @ v) - lam
+
+    def gaps(self, lams: np.ndarray) -> np.ndarray:
+        """gap at every charge in lams, from multi-column solves.
+
+        The charges go in blocks of _SCAN_BLOCK columns: a threaded BLAS
+        parallelises a wider triangular solve, and on small machines
+        waking its threads costs more than the solve itself.
+        """
+        out = np.empty(lams.size)
+        for j in range(0, lams.size, _SCAN_BLOCK):
+            lam = lams[j: j + _SCAN_BLOCK]
+            b = self._b0[:, None] + lam[None, :] * self._b1[:, None]
+            v = self._refined_solve(b)[: self.n + 1]
+            out[j: j + _SCAN_BLOCK] = (self.active_row @ v
+                                       - self.passive_row @ v - lam)
+        return out
 
     def gap_line(self) -> tuple[float, float]:
         """Intercept and slope of the gap, which is affine in lam.
@@ -177,14 +203,16 @@ def bisect_index(x: int, server: ServerParams, arrival_p: float, n: int,
     """Reference root finder for the balance gap.
 
     Scans [lo, hi] for a sign change, doubling the window outward when
-    the scan misses (indices grow quickly with x), then bisects. The
-    gap is affine in lam for a fixed threshold, so the root is unique.
+    the scan misses (indices grow quickly with x), then bisects. Scans
+    solve many charges per LU back-solve (see gaps); the halvings stay
+    scalar. The gap is affine in lam for a fixed threshold, so the root
+    is unique.
     """
     system = _FixedThresholdSystem(server, arrival_p, x, n)
     span = hi - lo
     for _ in range(40):
         grid = np.linspace(lo, hi, 201)
-        vals = [system.gap(g) for g in grid]
+        vals = system.gaps(grid)
         bracket = None
         for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
             if fa == 0.0:

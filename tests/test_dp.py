@@ -85,6 +85,30 @@ def test_admission_gain_profile_matches_direct_expectation():
         assert gain[x - 1] == pytest.approx(want, abs=1e-12)
 
 
+def _gain_loop(v, q, p):
+    """Admission gain one departure_pmf at a time, for x = 1..n-1."""
+    n = len(v) - 1
+    out = np.empty(n - 1)
+    for i, x in enumerate(range(1, n)):
+        dep = departure_pmf(x, q)
+        keep = x - dep.states
+        out[i] = p * float(dep.probs @ (v[keep + 1] - v[keep]))
+    return out
+
+
+@pytest.mark.parametrize("q,p", [(0.5, 0.4), (0.55, 0.4), (0.45, 0.9),
+                                 (0.95, 0.1)])
+def test_admission_gain_profile_matches_the_per_state_loop(q, p):
+    server = ServerParams(q=q, cost_c=30.0)
+    rng = np.random.default_rng(3)
+    for v in (single_queue_rvi(5.0, server, p, 120, tol=1e-10).v,
+              np.cumsum(rng.random(61)) ** 2, np.zeros(3)):
+        got = admission_gain_profile(v, q, p)
+        want = _gain_loop(v, q, p)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
 # ---------------------------------------------------------------- #
 # joint bank                                                       #
 # ---------------------------------------------------------------- #

@@ -37,6 +37,24 @@ def test_departure_sampler_inverts_the_cdf_exactly():
         assert sampler.sample(x, 1.0 - 1e-15) <= x
 
 
+@pytest.mark.parametrize("q", [0.55, 0.50, 0.45, 0.95, 0.2])
+def test_departure_sampler_cdfs_equal_the_departure_pmf_cdfs(q):
+    # fig3 and heavy-traffic use q in {0.55, 0.50, 0.45}; common random
+    # numbers need every CDF entry bit for bit.
+    want = []
+    for x in range(101):
+        cdf = np.cumsum(departure_pmf(x, q).dense(x + 1)).tolist()
+        cdf[-1] = 1.0
+        want.append(cdf)
+    assert DepartureSampler(q, 100)._cdfs == want
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, -0.5])
+def test_departure_sampler_rejects_q_outside_the_unit_interval(q):
+    with pytest.raises(ValueError):
+        DepartureSampler(q, 5)
+
+
 def test_departure_sampler_mean_matches_q():
     """Sampled departures at a fixed backlog must average to q."""
     rng = np.random.default_rng(11)

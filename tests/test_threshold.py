@@ -4,20 +4,33 @@ import numpy as np
 import pytest
 
 from psindex import (RecurrentChain, cumulative_active_mass, dominance_check,
-                     optimal_threshold_cost, stationary_distribution,
-                     threshold_average_cost, threshold_chain)
+                     next_state_pmf, optimal_threshold_cost,
+                     stationary_distribution, threshold_average_cost,
+                     threshold_chain)
 
 from conftest import power_stationary
 
-GRID = [(k, q, p)
-        for k in (0, 1, 3, 7, 15)
-        for q, p in ((0.5, 0.4), (0.55, 0.4), (0.95, 0.4), (0.45, 0.3),
-                     (0.2, 0.1))]
+PAIRS = ((0.5, 0.4), (0.55, 0.4), (0.95, 0.4), (0.45, 0.3), (0.2, 0.1))
+GRID = [(k, q, p) for k in (0, 1, 3, 7, 15) for q, p in PAIRS]
+
+
+def _per_row_chain(k, q, p):
+    """Threshold-k chain assembled one next_state_pmf row at a time."""
+    n = k + 2
+    return np.vstack([next_state_pmf(s, q, p, s <= k, k + 1).dense(n)
+                      for s in range(n)])
 
 
 def test_threshold_chain_frozen_matrix():
     chain = threshold_chain(0, 0.5, 0.4)
     assert np.allclose(chain.matrix, [[0.6, 0.4], [0.5, 0.5]], atol=1e-15)
+
+
+@pytest.mark.parametrize("q,p", PAIRS + ((0.9, 0.5), (0.3, 0.8)))
+def test_threshold_chain_matches_the_per_row_assembly(q, p):
+    for k in range(0, 41):
+        chain = threshold_chain(k, q, p)
+        assert np.max(np.abs(chain.matrix - _per_row_chain(k, q, p))) <= 1e-15
 
 
 def test_threshold_chain_rejects_negative_k():
@@ -31,6 +44,22 @@ def test_recurrent_chain_validates_shape_and_rows():
     bad = np.array([[0.6, 0.3], [0.5, 0.5]])
     with pytest.raises(ValueError):
         RecurrentChain(k=0, q=0.5, p=0.4, matrix=bad)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_recurrent_chain_rejects_non_finite_entries(entry):
+    bad = np.array([[entry, entry], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        RecurrentChain(k=0, q=0.5, p=0.4, matrix=bad)
+
+
+def test_stationary_distribution_rejects_a_non_finite_solution():
+    chain = threshold_chain(0, 0.5, 0.4)
+    # Bypass the constructor's guard to reach the solver's own check.
+    object.__setattr__(chain, "matrix", np.array([[np.nan, np.nan],
+                                                  [0.5, 0.5]]))
+    with pytest.raises(ValueError):
+        stationary_distribution(chain)
 
 
 def test_stationary_distribution_frozen():
@@ -100,6 +129,17 @@ def test_negative_charge_prefers_staying_passive():
 @pytest.mark.parametrize("k,q,p", GRID)
 def test_dominance_check_holds_on_grid(k, q, p):
     assert dominance_check(k, q, p)
+
+
+@pytest.mark.parametrize("q,p", PAIRS)
+def test_dominance_check_matches_two_separate_chains(q, p):
+    for k in range(0, 20):
+        lo = np.zeros((k + 3, k + 3))
+        lo[: k + 2, : k + 2] = threshold_chain(k, q, p).matrix
+        hi = threshold_chain(k + 1, q, p).matrix
+        up = np.tril(np.ones((k + 3, k + 3)))
+        want = bool(np.all(lo @ up <= hi @ up + 1e-12))
+        assert dominance_check(k, q, p) == want
 
 
 @pytest.mark.parametrize("q,p", [(0.5, 0.4), (0.55, 0.4), (0.9, 0.5)])

@@ -104,6 +104,50 @@ def test_bisection_expands_its_bracket_when_needed():
     assert abs(index_residual(deep, 40, HEAVY, 0.4, 100)) <= 1e-6
 
 
+def _scalar_scan_bisect(x, server, arrival_p, n):
+    """bisect_index with every scan point solved on its own."""
+    system = whittle._FixedThresholdSystem(server, arrival_p, x, n)
+    lo, hi = -50.0, 50.0
+    span = hi - lo
+    bracket = None
+    while bracket is None:
+        grid = np.linspace(lo, hi, 201)
+        vals = [system.gap(g) for g in grid]
+        for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
+            if fa == 0.0:
+                return float(a)
+            if fa * fb < 0.0:
+                bracket = (a, b, fa)
+                break
+        span *= 2.0
+        lo -= span / 2.0
+        hi += span / 2.0
+    a, b, fa = bracket
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        fm = system.gap(mid)
+        if fm == 0.0:
+            return float(mid)
+        if fa * fm < 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+def test_gaps_agree_with_the_scalar_gap_across_blocks():
+    system = whittle._FixedThresholdSystem(HEAVY, 0.4, 7, 100)
+    lams = np.linspace(-80.0, 120.0, 201)  # spans several solve blocks
+    want = np.array([system.gap(lam) for lam in lams])
+    assert np.max(np.abs(system.gaps(lams) - want)) <= 1e-9
+
+
+def test_bisect_index_scan_keeps_the_residual_guard(monkeypatch):
+    monkeypatch.setattr(whittle, "VALUE_RESIDUAL_TOL", 0.0)
+    with pytest.raises(RuntimeError, match="residual"):
+        bisect_index(3, HEAVY, 0.4, 100)
+
+
 # ---------------------------------------------------------------- #
 # index tables                                                     #
 # ---------------------------------------------------------------- #
@@ -169,6 +213,14 @@ def test_build_index_table_matches_bisection_on_fig3():
         for x in (0, 1, 7, 20, 40):
             ref = bisect_index(x, server, FIG3.arrival_p, n)
             assert table.entries[i, x] == pytest.approx(ref, abs=1e-6)
+
+
+def test_bisect_index_matches_a_scalar_scan_on_fig3():
+    n = default_truncation(40, FIG3.buffer)
+    for server in FIG3.servers:
+        for x in range(0, 11):
+            want = _scalar_scan_bisect(x, server, FIG3.arrival_p, n)
+            assert bisect_index(x, server, FIG3.arrival_p, n) == want
 
 
 def test_build_index_table_solves_an_overloaded_queue():
