@@ -14,6 +14,10 @@ from .dp import JointSolution
 from .model import ServerParams
 from .whittle import IndexTable
 
+# Random selections drawn per generator call: a bounded block, so the
+# selector's memory does not grow with the horizon.
+_BLOCK = 4096
+
 
 def whittle_select(state, table: IndexTable) -> int:
     """Activate the server whose current-state index is smallest.
@@ -114,10 +118,21 @@ class RandomPolicy:
         self.num_servers = num_servers
 
     def selector(self, rng: np.random.Generator):
+        """One uniform draw per call, pre-drawn in blocks of _BLOCK.
+
+        rng.integers(num, size=k) yields the same values as k scalar
+        rng.integers(num) calls, so the stream matches random_select.
+        """
         num = self.num_servers
+        it = iter(())
 
         def select(state):
-            return int(rng.integers(num))
+            nonlocal it
+            try:
+                return next(it)
+            except StopIteration:
+                it = iter(rng.integers(num, size=_BLOCK).tolist())
+                return next(it)
 
         return select
 

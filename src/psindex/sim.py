@@ -6,14 +6,22 @@ queue and at most one Bernoulli arrival routed to the active queue,
 clamping at the buffer. One master seed expands into independent
 per-server departure streams, an arrival stream, and a policy stream,
 so different policies under the same seed face identical randomness.
-Departures are drawn by inverting per-length CDFs that are built once
-per run from one broadcast binomial evaluation.
+Departures are drawn by inverting per-length CDFs, built once per
+(q, buffer) from one broadcast binomial evaluation and cached.
+
+Every stream is drawn in blocks and each slot consumes its uniforms
+whether or not it uses them, so the fast paths below change no
+report. An empty queue always has zero departures, so it does no
+bisection, and a slot with every queue empty adds nothing to the
+cost or length sums and draws no departure at all; a count of busy
+queues tells the two apart. The policy is still asked once per slot.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import binom
@@ -23,33 +31,42 @@ from .model import SystemConfig
 _CHUNK = 1 << 16
 
 
+@lru_cache(maxsize=32)
+def _departure_cdfs(q: float, max_x: int) -> tuple[list[float], ...]:
+    """Departure-count CDFs at lengths 0..max_x, shared across calls.
+
+    All rows come from one broadcast binomial evaluation; each is
+    normalised the way departure_pmf normalises, so the CDFs match it
+    bit for bit. The rows are cached and shared: never mutate them.
+    """
+    if not (0.0 < q < 1.0):
+        raise ValueError("q must lie in (0,1)")
+    xs = np.arange(max_x + 1)
+    # Row x is Binomial(x, q/x); an empty server has the point mass
+    # Binomial(0, q) at zero.
+    pmf = binom.pmf(xs[None, :], xs[:, None], q / np.maximum(xs, 1)[:, None])
+    cdfs = []
+    for x in range(max_x + 1):
+        row = pmf[x, : x + 1]
+        total = float(row.sum())
+        if total != 1.0:
+            row = row / total
+        cdf = np.cumsum(row).tolist()
+        cdf[-1] = 1.0
+        cdfs.append(cdf)
+    return tuple(cdfs)
+
+
 class DepartureSampler:
     """Inverse-CDF sampling of the departure count at any queue length.
 
-    One uniform is consumed per call regardless of the current length,
-    which keeps the departure streams aligned across policies. All rows
-    come from one broadcast binomial evaluation; each is normalised the
-    way departure_pmf normalises, so the CDFs match it bit for bit.
+    One uniform is consumed per call regardless of the current length.
+    The CDF rows are the cached ones simulate bisects directly.
     """
 
     def __init__(self, q: float, max_x: int):
-        if not (0.0 < q < 1.0):
-            raise ValueError("q must lie in (0,1)")
         self.q = q
-        xs = np.arange(max_x + 1)
-        # Row x is Binomial(x, q/x); an empty server has the point mass
-        # Binomial(0, q) at zero.
-        pmf = binom.pmf(xs[None, :], xs[:, None],
-                        q / np.maximum(xs, 1)[:, None])
-        self._cdfs = []
-        for x in range(max_x + 1):
-            row = pmf[x, : x + 1]
-            total = float(row.sum())
-            if total != 1.0:
-                row = row / total
-            cdf = np.cumsum(row).tolist()
-            cdf[-1] = 1.0
-            self._cdfs.append(cdf)
+        self._cdfs = list(_departure_cdfs(q, max_x))
 
     def sample(self, x: int, u: float) -> int:
         return bisect_right(self._cdfs[x], u)
@@ -96,10 +113,11 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
     arr_rng = np.random.default_rng(children[num])
     pol_rng = np.random.default_rng(children[num + 1])
 
-    samplers = [DepartureSampler(s.q, buffer) for s in cfg.servers]
+    cdfs = [_departure_cdfs(s.q, buffer) for s in cfg.servers]
     select = policy.selector(pol_rng)
 
     x = [0] * num
+    busy = 0  # queues with x[i] > 0
     cost_acc = 0.0
     len_acc = [0.0] * num
     drops = 0
@@ -108,55 +126,80 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
     marks: list[tuple[int, float]] = []
     guard_until = min(horizon, 10_000) if debug_conservation else 0
 
+    # Blocks end at burn_in, where the sums restart from zero, and at
+    # guard_until, so neither needs a test per slot. How a generator's
+    # draws are split into blocks does not change its stream.
+    stops = sorted({s for s in (burn_in, guard_until) if s > 0} | {horizon})
     t = 0
-    while t < horizon:
-        block = min(_CHUNK, horizon - t)
-        dep_u = [rng.random(block).tolist() for rng in dep_rngs]
-        arr = (arr_rng.random(block) < cfg.arrival_p).tolist()
-        for j in range(block):
-            if t >= burn_in:
-                slot_cost = 0.0
-                for i in range(num):
-                    slot_cost += costs[i] * x[i]
-                    len_acc[i] += x[i]
-                cost_acc += slot_cost
-            a = select(x)
-            guard = t < guard_until
-            if guard:
-                before = list(x)
-                drawn = [0] * num
-            for i in range(num):
-                d = samplers[i].sample(x[i], dep_u[i][j])
+    for stop in stops:
+        guard = t < guard_until
+        marking = check_every and t >= burn_in
+        while t < stop:
+            block = min(_CHUNK, stop - t)
+            dep_u = [rng.random(block).tolist() for rng in dep_rngs]
+            arr = (arr_rng.random(block) < cfg.arrival_p).tolist()
+            lanes = list(zip(range(num), costs, cdfs, dep_u))
+            for j in range(block):
+                a = select(x)
                 if guard:
-                    drawn[i] = d
-                x[i] -= d
-            admitted = 0
-            if arr[j]:
-                if x[a] < buffer:
-                    x[a] += 1
-                    admitted = 1
-                else:
-                    drops += 1
-            if guard:
-                for i in range(num):
-                    gain = admitted if i == a else 0
-                    if x[i] != before[i] - drawn[i] + gain:
-                        raise AssertionError("flow conservation violated at "
-                                             f"slot {t}, server {i}")
-                    if not 0 <= drawn[i] <= before[i]:
-                        raise AssertionError("departures exceed queue length "
-                                             f"at slot {t}, server {i}")
-            if check_every and t >= burn_in:
-                done = t - burn_in + 1
-                if done % check_every == 0 or done == measured:
-                    marks.append((t + 1, cost_acc / done))
-            t += 1
+                    before = list(x)
+                if busy:
+                    slot_cost = 0.0
+                    for i, c, cdf, u in lanes:
+                        xi = x[i]
+                        if xi:
+                            slot_cost += c * xi
+                            len_acc[i] += xi
+                            d = bisect_right(cdf[xi], u[j])
+                            if d:
+                                x[i] = xi - d
+                                if d == xi:
+                                    busy -= 1
+                    cost_acc += slot_cost
+                if guard:
+                    mid = list(x)
+                if arr[j]:
+                    xa = x[a]
+                    if xa < buffer:
+                        x[a] = xa + 1
+                        if not xa:
+                            busy += 1
+                    else:
+                        drops += 1
+                if guard:
+                    _check_flow(t + j, before, mid, x,
+                                a if arr[j] else -1, buffer)
+                if marking:
+                    done = t + j + 1 - burn_in
+                    if done % check_every == 0 or done == measured:
+                        marks.append((t + j + 1, cost_acc / done))
+            t += block
+        if t == burn_in:
+            cost_acc = 0.0
+            len_acc = [0.0] * num
 
     return SimReport(policy=policy.name, seed=seed, horizon=horizon,
                      burn_in=burn_in, avg_cost=cost_acc / measured,
                      mean_lengths=tuple(v / measured for v in len_acc),
                      drop_count=drops,
                      cost_checkpoints=tuple(marks))
+
+
+def _check_flow(t: int, before, mid, after, arrived: int, buffer: int):
+    """Assert next = current - departures + admissions for one slot.
+
+    before, mid and after are the lengths at the slot's start, after
+    its departures and after its arrival; arrived is the queue the
+    slot's arrival went to, or -1 when there was none.
+    """
+    for i in range(len(after)):
+        gain = 1 if i == arrived and mid[i] < buffer else 0
+        if after[i] != mid[i] + gain:
+            raise AssertionError("flow conservation violated at "
+                                 f"slot {t}, server {i}")
+        if not 0 <= before[i] - mid[i] <= before[i]:
+            raise AssertionError("departures exceed queue length "
+                                 f"at slot {t}, server {i}")
 
 
 def compare(cfg: SystemConfig, policies, horizon: int, burn_in: int,

@@ -7,6 +7,7 @@ from psindex import (CmuPolicy, ExactPolicy, IndexTable, RandomPolicy,
                      ServerParams, SystemConfig, WhittlePolicy,
                      build_index_table, cmu_select, exact_select, joint_rvi,
                      random_select, simulate, whittle_select)
+from psindex.policies import _BLOCK
 
 
 def _table():
@@ -110,6 +111,19 @@ def test_random_policy_draws_from_its_own_stream():
     seq2 = [s2((0, 0, 0, 0)) for _ in range(50)]
     assert seq1 == seq2
     assert set(seq1) <= {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_random_policy_blocks_equal_scalar_draws(n):
+    # The selector pre-draws _BLOCK selections per generator call; the
+    # common random numbers need them to be the scalar stream.
+    count = 5 * _BLOCK // 2 + 7
+    select = RandomPolicy(n).selector(np.random.default_rng(40 + n))
+    blocked = [select((0,) * n) for _ in range(count)]
+    rng = np.random.default_rng(40 + n)
+    assert blocked == [int(rng.integers(n)) for _ in range(count)]
+    rng = np.random.default_rng(40 + n)
+    assert blocked == [random_select(rng, n) for _ in range(count)]
 
 
 def test_policy_names_are_distinct():

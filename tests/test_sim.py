@@ -1,11 +1,20 @@
 """Slotted simulator: sampling, accounting, reproducibility, comparison."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from psindex import (CmuPolicy, DepartureSampler, IndexTable, RandomPolicy,
-                     ServerParams, SystemConfig, WhittlePolicy, compare,
-                     departure_pmf, simulate)
+from psindex import (CmuPolicy, DepartureSampler, ExactPolicy,
+                     IndexIterationConfig, IndexTable, RandomPolicy,
+                     ServerParams, SystemConfig, WhittlePolicy,
+                     build_index_table, compare, departure_pmf, joint_rvi,
+                     random_select, simulate)
+from psindex.cli import load_config
+from psindex.sim import _CHUNK, _check_flow, _departure_cdfs
+
+ROOT = Path(__file__).resolve().parent.parent
 
 ONE = SystemConfig(arrival_p=0.4,
                    servers=(ServerParams(q=0.55, cost_c=30.0),),
@@ -55,6 +64,15 @@ def test_departure_sampler_rejects_q_outside_the_unit_interval(q):
         DepartureSampler(q, 5)
 
 
+def test_simulate_reuses_the_cached_departure_cdfs():
+    _departure_cdfs.cache_clear()
+    simulate(TWO, _cmu(TWO), horizon=100, burn_in=0, seed=0)
+    simulate(TWO, RandomPolicy(2), horizon=100, burn_in=0, seed=1)
+    info = _departure_cdfs.cache_info()
+    assert (info.misses, info.hits) == (2, 2)  # one build per q
+    assert DepartureSampler(0.55, 50)._cdfs[7] is _departure_cdfs(0.55, 50)[7]
+
+
 def test_departure_sampler_mean_matches_q():
     """Sampled departures at a fixed backlog must average to q."""
     rng = np.random.default_rng(11)
@@ -96,6 +114,21 @@ def test_flow_conservation_holds_under_debug_assertions():
     report = simulate(TWO, _cmu(TWO), horizon=12_000, burn_in=0, seed=3,
                       debug_conservation=True)
     assert report.avg_cost > 0.0
+
+
+def test_flow_check_rejects_inconsistent_slots():
+    # (before, after departures, after the arrival, arrival's queue)
+    _check_flow(4, [2, 0], [1, 0], [1, 1], 1, buffer=3)
+    _check_flow(4, [0, 3], [0, 3], [0, 3], 1, buffer=3)  # a drop
+    bad_flow = [([2, 0], [1, 0], [1, 0], 1),   # admission lost
+                ([0, 3], [0, 3], [0, 4], 1),   # admitted past the buffer
+                ([1, 1], [1, 1], [2, 1], -1)]  # work from nowhere
+    for before, mid, after, arrived in bad_flow:
+        with pytest.raises(AssertionError, match="flow conservation"):
+            _check_flow(4, before, mid, after, arrived, buffer=3)
+    for before, mid in [([1, 0], [-1, 0]), ([1, 0], [2, 0])]:
+        with pytest.raises(AssertionError, match="departures exceed"):
+            _check_flow(4, before, mid, mid, -1, buffer=3)
 
 
 def test_random_policy_runs_and_costs_more_than_cmu():
@@ -143,6 +176,114 @@ def test_burn_in_excludes_the_warmup_slots():
     cold = simulate(ONE, _cmu(ONE), horizon=50_000, burn_in=0, seed=4)
     warm = simulate(ONE, _cmu(ONE), horizon=50_000, burn_in=10_000, seed=4)
     assert warm.avg_cost > cold.avg_cost
+
+
+def _slot_by_slot(cfg, policy, horizon, burn_in, seed):
+    """The simulator as a plain loop, kept as the reference.
+
+    Every queue draws its departure through DepartureSampler in every
+    slot, empty or not, and the random rule makes one scalar draw per
+    slot. Returns (avg_cost, mean_lengths, drop_count).
+    """
+    num = cfg.num_servers
+    children = np.random.SeedSequence(seed).spawn(num + 2)
+    dep_u = [np.random.default_rng(c).random(horizon) for c in children[:num]]
+    arr_u = np.random.default_rng(children[num]).random(horizon)
+    pol_rng = np.random.default_rng(children[num + 1])
+    if isinstance(policy, RandomPolicy):
+        select = lambda state: random_select(pol_rng, num)  # noqa: E731
+    else:
+        select = policy.selector(pol_rng)
+    samplers = [DepartureSampler(s.q, cfg.buffer) for s in cfg.servers]
+    x = [0] * num
+    cost, lengths, drops = 0.0, [0.0] * num, 0
+    for t in range(horizon):
+        if t >= burn_in:
+            slot_cost = 0.0
+            for i in range(num):
+                slot_cost += cfg.servers[i].cost_c * x[i]
+                lengths[i] += x[i]
+            cost += slot_cost
+        a = select(x)
+        for i in range(num):
+            x[i] -= samplers[i].sample(x[i], dep_u[i][t])
+        if arr_u[t] < cfg.arrival_p:
+            if x[a] < cfg.buffer:
+                x[a] += 1
+            else:
+                drops += 1
+    measured = horizon - burn_in
+    return cost / measured, tuple(v / measured for v in lengths), drops
+
+
+THREE = SystemConfig(arrival_p=0.4,
+                     servers=(ServerParams(q=0.55, cost_c=30.0),
+                              ServerParams(q=0.50, cost_c=29.0),
+                              ServerParams(q=0.45, cost_c=28.0)),
+                     buffer=100)
+# Buffer 1 under heavy traffic: arrivals keep meeting full queues, so
+# the admit branch and the busy-queue count work at the buffer edge.
+EDGE = SystemConfig(arrival_p=0.8, servers=TWO.servers, buffer=1)
+
+
+@pytest.mark.parametrize("cfg", [ONE, TWO, THREE, EDGE],
+                         ids=["one", "two", "three", "buffer1"])
+@pytest.mark.parametrize("policy", ["cmu", "random"])
+def test_fast_paths_match_the_slot_by_slot_loop(cfg, policy):
+    rule = _cmu(cfg) if policy == "cmu" else RandomPolicy(cfg.num_servers)
+    report = simulate(cfg, rule, horizon=30_000, burn_in=1_000, seed=12)
+    want = _slot_by_slot(cfg, rule, 30_000, 1_000, 12)
+    assert (report.avg_cost, report.mean_lengths, report.drop_count) == want
+    if cfg is EDGE:
+        assert report.drop_count > 0
+
+
+@pytest.mark.parametrize("cfg", [TWO, EDGE], ids=["two", "buffer1"])
+def test_debug_and_checkpoints_leave_the_report_unchanged(cfg):
+    assert 70_000 > _CHUNK  # the run crosses a block of drawn uniforms
+    runs = [simulate(cfg, RandomPolicy(2), horizon=70_000, burn_in=10_000,
+                     seed=8, **kw)
+            for kw in ({}, {"debug_conservation": True}, {"checkpoints": 7})]
+    keys = {(r.avg_cost, r.mean_lengths, r.drop_count) for r in runs}
+    assert len(keys) == 1
+    assert len(runs[2].cost_checkpoints) == 8
+    assert (runs[0].drop_count > 0) == (cfg is EDGE)
+
+
+REFERENCE_CASES = [("configs/fig3.yaml", "whittle"),
+                   ("configs/fig3.yaml", "cmu"),
+                   ("configs/fig3.yaml", "random"),
+                   ("perfbench/heavy-traffic.yaml", "cmu"),
+                   ("perfbench/heavy-traffic.yaml", "random"),
+                   ("perfbench/heavy-traffic.yaml", "exact")]
+
+
+def _policy_as_compare_builds_it(loaded, name):
+    system = loaded.system
+    if name == "whittle":
+        w = loaded.whittle
+        table = build_index_table(
+            system, w.x_max,
+            IndexIterationConfig(gamma=w.gamma, tol=w.tol,
+                                 max_iter=w.max_iter), w.truncation_n)
+        return WhittlePolicy(table, max_state=system.buffer)
+    if name == "exact":
+        return ExactPolicy(joint_rvi(system))
+    return _cmu(system) if name == "cmu" else RandomPolicy(system.num_servers)
+
+
+@pytest.mark.parametrize("config,name", REFERENCE_CASES)
+def test_simulate_reproduces_the_benchmark_reference_reports(config, name):
+    """Common random numbers: each report is pinned bit for bit."""
+    ref = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    ref = ref["sim"][config]
+    assert (ref["horizon"], ref["burn_in"]) == (50_000, 10_000)
+    loaded = load_config(ROOT / config)
+    policy = _policy_as_compare_builds_it(loaded, name)
+    for seed in (0, 21, 42, 63):
+        r = simulate(loaded.system, policy, 50_000, 10_000, seed)
+        got = [r.avg_cost, list(r.mean_lengths), r.drop_count]
+        assert got == ref["reports"][name][str(seed)], (name, seed)
 
 
 # ---------------------------------------------------------------- #
