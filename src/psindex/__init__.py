@@ -10,8 +10,7 @@ mass, drift stability) that justify the index heuristic.
 from .model import (ConvergenceError, LyapunovCertificate, Pmf, ServerParams,
                     SystemConfig, ValidationReport, departure_pmf,
                     lyapunov_certificate, lyapunov_margin, next_state_pmf,
-                    stage_cost, transition_kernel, transition_row,
-                    validate_config)
+                    transition_kernel, transition_row, validate_config)
 from .threshold import (RecurrentChain, cumulative_active_mass,
                         dominance_check, optimal_threshold_cost,
                         stationary_distribution, threshold_average_cost,
@@ -23,16 +22,14 @@ from .dp import (BruteForceResult, JointSolution, SingleQueueSolution,
                  active_interval, admission_gain_profile,
                  brute_force_policy_search, joint_policy_average_cost,
                  joint_rvi, policy_reachable_states, single_queue_rvi)
-from .policies import (CmuPolicy, ExactPolicy, RandomPolicy, WhittlePolicy,
-                       cmu_select, exact_select, random_select,
-                       whittle_select)
+from .policies import CmuPolicy, ExactPolicy, RandomPolicy, WhittlePolicy
 from .sim import ComparisonTable, DepartureSampler, SimReport, compare, simulate
 
 __all__ = [
     "ConvergenceError", "LyapunovCertificate", "Pmf", "ServerParams",
     "SystemConfig", "ValidationReport", "departure_pmf",
     "lyapunov_certificate", "lyapunov_margin", "next_state_pmf",
-    "stage_cost", "transition_kernel", "transition_row", "validate_config",
+    "transition_kernel", "transition_row", "validate_config",
     "RecurrentChain", "cumulative_active_mass", "dominance_check",
     "optimal_threshold_cost", "stationary_distribution",
     "threshold_average_cost", "threshold_chain",
@@ -44,7 +41,6 @@ __all__ = [
     "brute_force_policy_search", "joint_policy_average_cost", "joint_rvi",
     "policy_reachable_states", "single_queue_rvi",
     "CmuPolicy", "ExactPolicy", "RandomPolicy", "WhittlePolicy",
-    "cmu_select", "exact_select", "random_select", "whittle_select",
     "ComparisonTable", "DepartureSampler", "SimReport", "compare",
     "simulate",
 ]

@@ -67,12 +67,19 @@ def _section(raw: dict, key: str, allowed: set[str]) -> dict:
 
 
 def _number(kind, value, key: str):
-    """Convert a config value with float or int; ConfigError if it fails."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"'{key}' must be {what}, got {value!r}") from None
+    """Convert a config value with float or int; ConfigError if it fails.
+
+    Booleans are refused for every key, and an int key refuses a float
+    with a fractional part instead of truncating it.
+    """
+    what = "an integer" if kind is int else "a number"
+    fractional = isinstance(value, float) and not value.is_integer()
+    if not (isinstance(value, bool) or (kind is int and fractional)):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"'{key}' must be {what}, got {value!r}")
 
 
 def load_config(path: str | Path) -> LoadedConfig:
@@ -155,6 +162,11 @@ def read_index_table(path: str | Path) -> whittle.IndexTable:
                          float(row["index"])))
     if not rows:
         raise ValueError("index table file has no rows")
+    cells = [(srv, x) for srv, x, _ in rows]
+    if min(min(cell) for cell in cells) < 0:
+        raise ValueError("index table file has a negative server or state")
+    if len(set(cells)) != len(cells):
+        raise ValueError("index table file repeats a (server, x) cell")
     num = max(r[0] for r in rows) + 1
     x_max = max(r[1] for r in rows)
     entries = np.full((num, x_max + 1), np.nan)

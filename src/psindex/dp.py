@@ -11,13 +11,14 @@ sheer enumeration on spaces small enough to afford that.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ConvergenceError, ServerParams, SystemConfig, \
-    next_state_pmf, transition_kernel
+    transition_kernel
 
 # ---------------------------------------------------------------- #
 # single queue                                                     #
@@ -196,19 +197,34 @@ class BruteForceResult:
     states: tuple
 
 
-def _joint_row(state: tuple[int, ...], active: int,
-               cfg: SystemConfig) -> dict:
-    """Joint one-slot law as {next_state: prob} via the product measure."""
-    laws = [next_state_pmf(x, s.q, cfg.arrival_p, i == active, cfg.buffer)
-            for i, (x, s) in enumerate(zip(state, cfg.servers))]
-    row: dict = {}
-    for combo in itertools.product(*[zip(l.states, l.probs) for l in laws]):
-        nxt = tuple(int(c[0]) for c in combo)
-        w = 1.0
-        for c in combo:
-            w *= float(c[1])
-        row[nxt] = row.get(nxt, 0.0) + w
-    return row
+def _policy_chain(cfg: SystemConfig, policy):
+    """Joint one-slot matrix of a fixed policy and its reachable class.
+
+    Returns the states in np.ndindex order, the matrix whose row s is
+    the product law under action policy[s], and the mask of states
+    reachable from all-empty (the first state). The matrix for action
+    i is the Kronecker product of the per-server operators, active at
+    i and passive elsewhere, whose row-major order is np.ndindex's.
+    """
+    ops = _per_server_operators(cfg)
+    states = list(np.ndindex(*(cfg.buffer + 1,) * cfg.num_servers))
+    action = np.array([policy[s] for s in states])
+    if not np.isin(action, np.arange(cfg.num_servers)).all():
+        raise ValueError("policy actions must be server indices "
+                         f"0..{cfg.num_servers - 1}")
+    pmat = np.empty((len(states), len(states)))
+    for i in range(cfg.num_servers):
+        rows = action == i
+        pmat[rows] = functools.reduce(
+            np.kron, [pa if j == i else pb
+                      for j, (pa, pb) in enumerate(ops)])[rows]
+    reach = np.zeros(len(states), dtype=bool)
+    reach[0] = True
+    while True:
+        grown = reach | (pmat[reach] > 0.0).any(axis=0)
+        if np.array_equal(grown, reach):
+            return states, pmat, reach
+        reach = grown
 
 
 def policy_reachable_states(cfg: SystemConfig, policy) -> tuple:
@@ -218,23 +234,8 @@ def policy_reachable_states(cfg: SystemConfig, policy) -> tuple:
     can always drain back to empty. Actions outside this set cannot
     influence the average cost.
     """
-    return tuple(sorted(_policy_rows(cfg, policy)))
-
-
-def _policy_rows(cfg: SystemConfig, policy) -> dict:
-    empty = tuple([0] * cfg.num_servers)
-    rows: dict = {}
-    frontier = [empty]
-    reach = {empty}
-    while frontier:
-        s = frontier.pop()
-        row = _joint_row(s, policy[s], cfg)
-        rows[s] = row
-        for nxt in row:
-            if nxt not in reach:
-                reach.add(nxt)
-                frontier.append(nxt)
-    return rows
+    states, _, reach = _policy_chain(cfg, policy)
+    return tuple(s for s, r in zip(states, reach) if r)
 
 
 def joint_policy_average_cost(cfg: SystemConfig, policy) -> float:
@@ -244,21 +245,15 @@ def joint_policy_average_cost(cfg: SystemConfig, policy) -> float:
     states reachable from all-empty matter; they form one recurrent
     class because every queue can always drain.
     """
-    rows = _policy_rows(cfg, policy)
-    states = sorted(rows)
-    idx = {s: i for i, s in enumerate(states)}
-    m = len(states)
-    pmat = np.zeros((m, m))
-    for s, row in rows.items():
-        for nxt, w in row.items():
-            pmat[idx[s], idx[nxt]] = w
-    a = pmat.T - np.eye(m)
+    states, pmat, reach = _policy_chain(cfg, policy)
+    m = int(reach.sum())
+    a = pmat[np.ix_(reach, reach)].T - np.eye(m)
     a[-1, :] = 1.0
     b = np.zeros(m)
     b[-1] = 1.0
     pi = np.linalg.solve(a, b)
     holding = np.array([sum(s.cost_c * x for s, x in zip(cfg.servers, st))
-                        for st in states])
+                        for st, r in zip(states, reach) if r])
     return float(pi @ holding)
 
 

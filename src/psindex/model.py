@@ -238,14 +238,6 @@ def transition_kernel(q: float, p: float,
     return active, passive
 
 
-def stage_cost(x: int, active: bool, lam: float, cost_c: float) -> float:
-    """Per-slot cost: holding cost plus the passivity charge lam.
-
-    lam may be negative, in which case staying passive is subsidised.
-    """
-    return cost_c * x + (0.0 if active else lam)
-
-
 def lyapunov_margin(p: float, q_min: float, a: float) -> float:
     """Margin b of the drift inequality at candidate parameter a."""
     return 0.5 * q_min * (1.0 - math.exp(-a)) - p * (math.exp(a) - 1.0)

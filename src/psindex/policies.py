@@ -1,9 +1,9 @@
 """Server-selection rules: which queue gets the arrival opportunity.
 
 All rules pick exactly one active server per slot, empty system
-included. Selection functions are pure; the policy classes wrap them
-behind a uniform factory interface so the simulator can hand the
-random rule its own generator stream.
+included, and ties go to the lowest server index. Each rule is one
+class whose selector(rng) returns the per-slot choice function, so the
+simulator can hand the random rule its own generator stream.
 """
 
 from __future__ import annotations
@@ -19,48 +19,8 @@ from .whittle import IndexTable
 _BLOCK = 4096
 
 
-def whittle_select(state, table: IndexTable) -> int:
-    """Activate the server whose current-state index is smallest.
-
-    The index approximates the marginal cost of admitting work there,
-    so the cheapest queue takes the arrival. Ties go to the lowest
-    server index.
-    """
-    best, best_val = 0, table.lookup(0, state[0])
-    for i in range(1, len(state)):
-        val = table.lookup(i, state[i])
-        if val < best_val:
-            best, best_val = i, val
-    return best
-
-
-def cmu_select(state, servers: tuple[ServerParams, ...]) -> int:
-    """Activate the server with the smallest cost_c * x / q score.
-
-    A myopic rule: the score is the holding cost weighted by how long
-    the backlog takes to clear, so new work goes where it congests the
-    least. Ties go to the lowest server index.
-    """
-    best, best_val = 0, servers[0].cost_c * state[0] / servers[0].q
-    for i in range(1, len(state)):
-        val = servers[i].cost_c * state[i] / servers[i].q
-        if val < best_val:
-            best, best_val = i, val
-    return best
-
-
-def random_select(rng: np.random.Generator, num_servers: int) -> int:
-    """Uniform choice among all servers, ignoring the state."""
-    return int(rng.integers(num_servers))
-
-
-def exact_select(state, solution: JointSolution) -> int:
-    """Look up the optimal action computed by joint value iteration."""
-    return int(solution.policy[tuple(state)])
-
-
 class WhittlePolicy:
-    """Index policy over precomputed (and extrapolated) index tables."""
+    """Activates the server whose (extrapolated) table index is smallest."""
 
     name = "whittle"
 
@@ -84,13 +44,15 @@ class WhittlePolicy:
                     if val < best_val:
                         best, best_val = i, val
             except IndexError:  # a state past the rows: extrapolate
-                return whittle_select(state, table)
+                return min(range(num), key=lambda i: table.lookup(i, state[i]))
             return best
 
         return select
 
 
 class CmuPolicy:
+    """Activates the server with the smallest cost_c * x / q score."""
+
     name = "cmu"
 
     def __init__(self, servers: tuple[ServerParams, ...]):
@@ -112,6 +74,8 @@ class CmuPolicy:
 
 
 class RandomPolicy:
+    """Uniform choice among all servers, ignoring the state."""
+
     name = "random"
 
     def __init__(self, num_servers: int):
@@ -121,7 +85,7 @@ class RandomPolicy:
         """One uniform draw per call, pre-drawn in blocks of _BLOCK.
 
         rng.integers(num, size=k) yields the same values as k scalar
-        rng.integers(num) calls, so the stream matches random_select.
+        rng.integers(num) calls, so the stream is one scalar draw per slot.
         """
         num = self.num_servers
         it = iter(())
@@ -138,6 +102,8 @@ class RandomPolicy:
 
 
 class ExactPolicy:
+    """Looks up the optimal action computed by joint value iteration."""
+
     name = "exact"
 
     def __init__(self, solution: JointSolution):

@@ -253,6 +253,8 @@ class IndexTable:
     x_max: int
 
     def __post_init__(self):
+        if self.x_max < 1:  # extrapolation needs two computed points
+            raise ValueError("x_max must be >= 1")
         if self.entries.ndim != 2 or self.entries.shape[1] != self.x_max + 1:
             raise ValueError("entries must be (num_servers, x_max + 1)")
         if np.any(np.diff(self.entries, axis=1) < -1e-7):

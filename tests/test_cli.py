@@ -88,6 +88,14 @@ def test_load_config_rejects_malformed_files(tmp_path, text, phrase):
      "'buffer' must be an integer"),
     ("arrival_p: 0.4\nbuffer: 5\nservers:\n  - {q: 0.5, cost_c: 1.0}\n"
      "sim: {horizon: .inf}\n", "'sim.horizon' must be an integer"),
+    ("arrival_p: 0.4\nbuffer: 2.7\nservers:\n  - {q: 0.5, cost_c: 1.0}\n",
+     "'buffer' must be an integer, got 2.7"),
+    ("arrival_p: 0.4\nbuffer: true\nservers:\n  - {q: 0.5, cost_c: 1.0}\n",
+     "'buffer' must be an integer, got True"),
+    ("arrival_p: 0.4\nbuffer: 5\nservers:\n  - {q: 0.5, cost_c: true}\n",
+     r"'servers\[0\].cost_c' must be a number, got True"),
+    ("arrival_p: 0.4\nbuffer: 5\nservers:\n  - {q: 0.5, cost_c: 1.0}\n"
+     "sim: {seeds: 2.9}\n", "'sim.seeds' must be an integer, got 2.9"),
 ])
 def test_load_config_rejects_malformed_values(tmp_path, capsys, text, phrase):
     path = tmp_path / "bad.yaml"
@@ -149,6 +157,26 @@ def test_read_index_table_rejects_gaps(tmp_path):
     empty.write_text("server,x,index\n")
     with pytest.raises(ValueError, match="no rows"):
         read_index_table(empty)
+
+
+def test_read_index_table_rejects_negative_cells(tmp_path):
+    # A server of -1 used to wrap onto the last row.
+    path = tmp_path / "negative.csv"
+    path.write_text("server,x,index\n0,0,1.0\n0,1,2.0\n"
+                    "-1,0,0.5\n-1,1,0.7\n")
+    with pytest.raises(ValueError, match="negative server or state"):
+        read_index_table(path)
+    path.write_text("server,x,index\n0,-1,1.0\n0,0,1.0\n0,1,2.0\n")
+    with pytest.raises(ValueError, match="negative server or state"):
+        read_index_table(path)
+
+
+def test_read_index_table_rejects_repeated_cells(tmp_path):
+    # A later duplicate used to overwrite the earlier cell.
+    path = tmp_path / "repeated.csv"
+    path.write_text("server,x,index\n0,0,1.0\n0,1,2.0\n0,1,3.0\n")
+    with pytest.raises(ValueError, match="repeats a"):
+        read_index_table(path)
 
 
 # ---------------------------------------------------------------- #

@@ -1,5 +1,8 @@
 """Dynamic programming: single-queue RVI, joint bank RVI, brute force."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from psindex import (ConvergenceError, ServerParams, SystemConfig,
                      optimal_threshold_cost, policy_reachable_states,
                      single_queue_rvi, transition_row)
 
-from conftest import power_stationary
+from conftest import enum_next_state, power_stationary
 
 UNIT = ServerParams(q=0.5, cost_c=1.0)
 
@@ -172,6 +175,14 @@ def test_policy_reachable_states_excludes_starved_queue(two_server_tiny):
     assert reach == ((0, 0), (1, 0))
 
 
+def test_fixed_policy_cost_rejects_actions_outside_the_bank(two_server_tiny):
+    states = [(a, b) for a in (0, 1) for b in (0, 1)]
+    for bad in (2, -1, 0.5):
+        policy = dict.fromkeys(states, 0) | {(1, 1): bad}
+        with pytest.raises(ValueError, match="server indices 0..1"):
+            joint_policy_average_cost(two_server_tiny, policy)
+
+
 def test_brute_force_refuses_oversized_policy_spaces(two_server_tiny):
     with pytest.raises(ValueError, match="refusing to enumerate"):
         brute_force_policy_search(two_server_tiny, max_policies=10)
@@ -182,3 +193,84 @@ def test_brute_force_records_every_assignment(two_server_tiny):
     assert len(bf.evaluations) == 2 ** 4
     best = min(beta for _, beta in bf.evaluations)
     assert bf.best_beta == pytest.approx(best, abs=0.0)
+
+
+def _enumerated_policy_chain(cfg, policy):
+    """Reachable states and average cost of a fixed policy, the joint law
+    enumerated one state at a time as {next_state: prob} products of the
+    per-queue enumerated laws, and the stationary law solved on them."""
+    rows = {}
+    frontier = [(0,) * cfg.num_servers]
+    while frontier:
+        s = frontier.pop()
+        if s in rows:
+            continue
+        laws = [enum_next_state(x, srv.q, cfg.arrival_p, i == policy[s],
+                                cfg.buffer)
+                for i, (x, srv) in enumerate(zip(s, cfg.servers))]
+        row = {}
+        for combo in itertools.product(*[law.items() for law in laws]):
+            nxt = tuple(y for y, _ in combo)
+            row[nxt] = row.get(nxt, 0.0) + math.prod(w for _, w in combo)
+        rows[s] = row
+        frontier.extend(t for t in row if t not in rows)
+    states = sorted(rows)
+    idx = {s: k for k, s in enumerate(states)}
+    pmat = np.zeros((len(states), len(states)))
+    for s, row in rows.items():
+        for nxt, w in row.items():
+            pmat[idx[s], idx[nxt]] = w
+    a = pmat.T - np.eye(len(states))
+    a[-1, :] = 1.0
+    b = np.zeros(len(states))
+    b[-1] = 1.0
+    pi = np.linalg.solve(a, b)
+    holding = [sum(srv.cost_c * x for srv, x in zip(cfg.servers, st))
+               for st in states]
+    return tuple(states), float(pi @ holding)
+
+
+CRITERION_9_SECOND = SystemConfig(arrival_p=0.25, buffer=1, servers=(
+    ServerParams(q=0.70, cost_c=3.0), ServerParams(q=0.45, cost_c=1.0)))
+
+
+@pytest.mark.parametrize("cfg,sample", [
+    (None, None),
+    (CRITERION_9_SECOND, None),
+    (SystemConfig(arrival_p=0.35, buffer=2, servers=(
+        ServerParams(q=0.6, cost_c=2.0), ServerParams(q=0.55, cost_c=1.5))),
+     None),
+    (SystemConfig(arrival_p=0.3, buffer=1, servers=(
+        ServerParams(q=0.6, cost_c=2.0), ServerParams(q=0.5, cost_c=1.0),
+        ServerParams(q=0.45, cost_c=1.2))), 300),
+], ids=["tiny", "criterion9", "nine_states", "three_servers"])
+def test_fixed_policy_chain_matches_enumeration(two_server_tiny, cfg, sample):
+    # Every assignment (or a seeded sample of them): the Kronecker-built
+    # chain reaches the same states and costs the same as the enumerated one.
+    cfg = cfg or two_server_tiny
+    states = list(itertools.product(range(cfg.buffer + 1),
+                                    repeat=cfg.num_servers))
+    if sample is None:
+        assigns = itertools.product(range(cfg.num_servers),
+                                    repeat=len(states))
+    else:
+        assigns = np.random.default_rng(5).integers(
+            cfg.num_servers, size=(sample, len(states))).tolist()
+    for assign in assigns:
+        policy = dict(zip(states, assign))
+        reach, beta = _enumerated_policy_chain(cfg, policy)
+        assert policy_reachable_states(cfg, policy) == reach
+        assert abs(joint_policy_average_cost(cfg, policy) - beta) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg", [None, CRITERION_9_SECOND],
+                         ids=["tiny", "criterion9"])
+def test_brute_force_best_matches_enumerated_costs(two_server_tiny, cfg):
+    cfg = cfg or two_server_tiny
+    bf = brute_force_policy_search(cfg)
+    betas = [_enumerated_policy_chain(cfg, dict(zip(bf.states, assign)))[1]
+             for assign, _ in bf.evaluations]
+    first_best = min(range(len(betas)), key=betas.__getitem__)
+    assert bf.best_policy == dict(zip(bf.states,
+                                      bf.evaluations[first_best][0]))
+    assert bf.best_beta == pytest.approx(betas[first_best], abs=1e-12)

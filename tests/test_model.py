@@ -1,4 +1,4 @@
-"""Single-queue primitives: laws, costs, validation, drift certificate."""
+"""Single-queue primitives: laws, validation, drift certificate."""
 
 import math
 
@@ -7,8 +7,7 @@ import pytest
 
 from psindex import (Pmf, ServerParams, SystemConfig, departure_pmf,
                      lyapunov_certificate, lyapunov_margin, next_state_pmf,
-                     stage_cost, transition_kernel, transition_row,
-                     validate_config)
+                     transition_kernel, transition_row, validate_config)
 
 from conftest import enum_next_state, pmf_to_dict
 
@@ -136,18 +135,6 @@ def test_transition_kernel_rejects_bad_arguments():
     for q, p, n in ((0.0, 0.4, 5), (0.5, 1.0, 5), (0.5, 0.4, 0)):
         with pytest.raises(ValueError):
             transition_kernel(q, p, n)
-
-
-# ---------------------------------------------------------------- #
-# stage cost                                                       #
-# ---------------------------------------------------------------- #
-
-
-def test_stage_cost_frozen_values():
-    assert stage_cost(3, False, 2.0, 30.0) == 92.0
-    assert stage_cost(1, False, -5.0, 1.0) == -4.0
-    assert stage_cost(3, True, 2.0, 30.0) == 90.0
-    assert stage_cost(0, True, 7.0, 5.0) == 0.0
 
 
 # ---------------------------------------------------------------- #

@@ -1,12 +1,11 @@
-"""Selection rules and their simulator-facing policy wrappers."""
+"""Selection rules, one selector class per rule."""
 
 import numpy as np
 import pytest
 
 from psindex import (CmuPolicy, ExactPolicy, IndexTable, RandomPolicy,
                      ServerParams, SystemConfig, WhittlePolicy,
-                     build_index_table, cmu_select, exact_select, joint_rvi,
-                     random_select, simulate, whittle_select)
+                     build_index_table, joint_rvi, simulate)
 from psindex.policies import _BLOCK
 
 
@@ -16,38 +15,45 @@ def _table():
     return IndexTable(entries=entries, x_max=2)
 
 
+def _select(policy):
+    return policy.selector(np.random.default_rng(0))
+
+
 def test_whittle_select_picks_smallest_index():
-    table = _table()
-    assert whittle_select((0, 0), table) == 0   # 1.0 < 2.0
-    assert whittle_select((1, 0), table) == 1   # 4.0 > 2.0
-    assert whittle_select((2, 2), table) == 1   # 9.0 > 5.0
+    select = _select(WhittlePolicy(_table()))
+    assert select((0, 0)) == 0   # 1.0 < 2.0
+    assert select((1, 0)) == 1   # 4.0 > 2.0
+    assert select((2, 2)) == 1   # 9.0 > 5.0
 
 
 def test_whittle_select_breaks_ties_low():
     entries = np.array([[1.0, 2.0], [1.0, 2.0]])
-    table = IndexTable(entries=entries, x_max=1)
-    assert whittle_select((0, 0), table) == 0
-    assert whittle_select((1, 1), table) == 0
+    select = _select(WhittlePolicy(IndexTable(entries=entries, x_max=1)))
+    assert select((0, 0)) == 0
+    assert select((1, 1)) == 0
+    # Past the rows the extrapolating fallback breaks ties low too.
+    assert select((5, 5)) == 0
 
 
 def test_whittle_select_uses_extrapolation_beyond_the_table():
-    table = _table()
+    select = _select(WhittlePolicy(_table()))
     # Row 0 grows faster, so deep states send work to row 1.
-    assert whittle_select((7, 7), table) == 1
+    assert select((7, 7)) == 1
 
 
 def test_cmu_select_frozen_example():
     servers = (ServerParams(q=0.55, cost_c=30.0),
                ServerParams(q=0.50, cost_c=29.0))
+    select = _select(CmuPolicy(servers))
     # Scores 30*2/0.55 = 109.09 and 29*1/0.50 = 58.
-    assert cmu_select((2, 1), servers) == 1
-    assert cmu_select((0, 0), servers) == 0
-    assert cmu_select((1, 2), servers) == 0
+    assert select((2, 1)) == 1
+    assert select((0, 0)) == 0
+    assert select((1, 2)) == 0
 
 
 def test_random_select_is_uniform_and_in_range():
-    rng = np.random.default_rng(7)
-    draws = [random_select(rng, 3) for _ in range(3000)]
+    select = RandomPolicy(3).selector(np.random.default_rng(7))
+    draws = [select((0, 0, 0)) for _ in range(3000)]
     assert set(draws) == {0, 1, 2}
     counts = np.bincount(draws)
     assert np.all(np.abs(counts / 3000 - 1 / 3) < 0.05)
@@ -55,21 +61,21 @@ def test_random_select_is_uniform_and_in_range():
 
 def test_exact_select_reads_the_joint_policy(two_server_tiny):
     sol = joint_rvi(two_server_tiny)
+    select = _select(ExactPolicy(sol))
     for a in range(2):
         for b in range(2):
-            assert exact_select((a, b), sol) == int(sol.policy[a, b])
+            assert select((a, b)) == int(sol.policy[a, b])
 
 
-@pytest.mark.parametrize("cls,ref", [
-    (WhittlePolicy, whittle_select),
-])
-def test_whittle_policy_wrapper_matches_free_function(cls, ref):
+def test_whittle_policy_fallback_matches_dense_rows():
+    # Rows sized to x_max = 2 send most of the grid through the
+    # extrapolating fallback; rows dense to 9 never use it.
     table = _table()
-    policy = cls(table, max_state=9)
-    select = policy.selector(np.random.default_rng(0))
+    short = _select(WhittlePolicy(table))
+    dense = _select(WhittlePolicy(table, max_state=9))
     for a in range(10):
         for b in range(10):
-            assert select((a, b)) == ref((a, b), table)
+            assert short((a, b)) == dense((a, b))
 
 
 def test_whittle_policy_extrapolates_past_its_rows():
@@ -86,21 +92,14 @@ def test_whittle_policy_extrapolates_past_its_rows():
     assert short == dense
 
 
-def test_cmu_policy_wrapper_matches_free_function():
+def test_cmu_policy_matches_score_argmin():
     servers = (ServerParams(q=0.55, cost_c=30.0),
                ServerParams(q=0.50, cost_c=29.0))
-    select = CmuPolicy(servers).selector(np.random.default_rng(0))
+    select = _select(CmuPolicy(servers))
     for a in range(6):
         for b in range(6):
-            assert select((a, b)) == cmu_select((a, b), servers)
-
-
-def test_exact_policy_wrapper_matches_free_function(two_server_tiny):
-    sol = joint_rvi(two_server_tiny)
-    select = ExactPolicy(sol).selector(np.random.default_rng(0))
-    for a in range(2):
-        for b in range(2):
-            assert select((a, b)) == exact_select((a, b), sol)
+            scores = [s.cost_c * x / s.q for s, x in zip(servers, (a, b))]
+            assert select((a, b)) == scores.index(min(scores))
 
 
 def test_random_policy_draws_from_its_own_stream():
@@ -122,8 +121,6 @@ def test_random_policy_blocks_equal_scalar_draws(n):
     blocked = [select((0,) * n) for _ in range(count)]
     rng = np.random.default_rng(40 + n)
     assert blocked == [int(rng.integers(n)) for _ in range(count)]
-    rng = np.random.default_rng(40 + n)
-    assert blocked == [random_select(rng, n) for _ in range(count)]
 
 
 def test_policy_names_are_distinct():

@@ -10,7 +10,7 @@ from psindex import (CmuPolicy, DepartureSampler, ExactPolicy,
                      IndexIterationConfig, IndexTable, RandomPolicy,
                      ServerParams, SystemConfig, WhittlePolicy,
                      build_index_table, compare, departure_pmf, joint_rvi,
-                     random_select, simulate)
+                     simulate)
 from psindex.cli import load_config
 from psindex.sim import _CHUNK, _check_flow, _departure_cdfs
 
@@ -191,7 +191,7 @@ def _slot_by_slot(cfg, policy, horizon, burn_in, seed):
     arr_u = np.random.default_rng(children[num]).random(horizon)
     pol_rng = np.random.default_rng(children[num + 1])
     if isinstance(policy, RandomPolicy):
-        select = lambda state: random_select(pol_rng, num)  # noqa: E731
+        select = lambda state: int(pol_rng.integers(num))  # noqa: E731
     else:
         select = policy.selector(pol_rng)
     samplers = [DepartureSampler(s.q, cfg.buffer) for s in cfg.servers]

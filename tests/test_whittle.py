@@ -160,6 +160,12 @@ def test_index_table_requires_monotone_rows():
         IndexTable(entries=np.array([[1.0, 2.0]]), x_max=2)
 
 
+def test_index_table_requires_two_points_to_extrapolate():
+    # With x_max = 0 the slope would read row[-1], going silently flat.
+    with pytest.raises(ValueError, match="x_max must be >= 1"):
+        IndexTable(entries=np.array([[1.0]]), x_max=0)
+
+
 def test_index_table_lookup_and_linear_extrapolation():
     row = np.array([0.0, 1.0, 3.0, 6.0, 10.0])
     table = IndexTable(entries=row[None, :], x_max=4)
