@@ -25,6 +25,7 @@ from .model import ConvergenceError, ServerParams, SystemConfig, \
 from .policies import CmuPolicy, ExactPolicy, RandomPolicy, WhittlePolicy
 
 EXACT_STATE_LIMIT = 2500
+INDEX_COLUMNS = ("server", "x", "index")
 
 USAGE_ERROR = 2
 
@@ -147,7 +148,7 @@ def fmt(value: float) -> str:
 def write_index_table(table: whittle.IndexTable, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(["server", "x", "index"])
+        out.writerow(INDEX_COLUMNS)
         for i in range(table.num_servers):
             for x in range(table.x_max + 1):
                 out.writerow([i, x, fmt(table.entries[i, x])])
@@ -157,6 +158,11 @@ def read_index_table(path: str | Path) -> whittle.IndexTable:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in INDEX_COLUMNS
+                   if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError("index table file lacks column(s) "
+                             + ", ".join(missing))
         for row in reader:
             rows.append((int(row["server"]), int(row["x"]),
                          float(row["index"])))

@@ -4,22 +4,90 @@ All rules pick exactly one active server per slot, empty system
 included, and ties go to the lowest server index. Each rule is one
 class whose selector(rng) returns the per-slot choice function, so the
 simulator can hand the random rule its own generator stream.
+
+The deterministic rules (Whittle, Cmu, exact) are pure functions of
+the joint state, so each also gives its whole decision table:
+decisions(cfg) holds one byte per joint state, the server the selector
+picks there, which the simulator reads in place of calling the
+selector.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain
+
 import numpy as np
 
 from .dp import JointSolution
-from .model import ServerParams
+from .model import ServerParams, SystemConfig
 from .whittle import IndexTable
 
 # Random selections drawn per generator call: a bounded block, so the
 # selector's memory does not grow with the horizon.
 _BLOCK = 4096
 
+# Joint grids up to this many states get a decision table (one byte per
+# state, 4 MiB at the limit); larger ones keep the per-slot selector.
+DECISION_STATE_LIMIT = 1 << 22
 
-class WhittlePolicy:
+
+def _argmin_table(rows) -> bytes:
+    """The lowest-server argmin of per-server scores over the joint grid.
+
+    rows[i][x] is server i's score at queue length x. Byte k of the
+    result is the choice in the state whose mixed-radix code is k
+    (C order, server 0 most significant). Scores are compared with a
+    strict < in server order, as the selectors compare them, so ties
+    and NaNs resolve the same way. The servers after the first give
+    the same argmin in every x0-slice, so it is computed once and each
+    slice only compares it with server 0's score: no full-grid float
+    array is ever built.
+    """
+    rows = [np.asarray(r, dtype=float) for r in rows]
+    num, size = len(rows), len(rows[0])
+    shape = (size,) * (num - 1)
+    rest = np.zeros(shape, dtype=np.uint8)
+    rest_val = np.full(shape, np.inf)
+    for i in range(1, num):
+        axis = [1] * (num - 1)
+        axis[i - 1] = size
+        val = np.broadcast_to(rows[i].reshape(axis), shape)
+        better = val < rest_val
+        rest[better] = i
+        rest_val = np.where(better, val, rest_val)
+    step = rest.size
+    out = bytearray(size * step)
+    for x0, score in enumerate(rows[0]):
+        out[x0 * step:(x0 + 1) * step] = np.where(rest_val < score, rest,
+                                                  0).tobytes()
+    return bytes(out)
+
+
+class _DecisionTable:
+    """decisions(cfg), built once per grid and cached on the instance."""
+
+    _decision_cache: tuple | None = None
+
+    def decisions(self, cfg: SystemConfig) -> bytes | None:
+        """The choice in every joint state of cfg's grid, or None.
+
+        Byte k is the server picked in the state whose mixed-radix code
+        is k: (buffer+1)**servers bytes in C order, server 0 most
+        significant. None for a grid above DECISION_STATE_LIMIT or one
+        the rule does not fit; the caller then uses the selector.
+        """
+        key = (cfg.num_servers, cfg.buffer)
+        if self._decision_cache is None or self._decision_cache[0] != key:
+            # One byte names the server, so at most 256 of them.
+            fits = (cfg.num_servers <= 256 and (cfg.buffer + 1)
+                    ** cfg.num_servers <= DECISION_STATE_LIMIT)
+            table = self._build_decisions(cfg) if fits else None
+            self._decision_cache = (key, table)
+        return self._decision_cache[1]
+
+
+class WhittlePolicy(_DecisionTable):
     """Activates the server whose (extrapolated) table index is smallest."""
 
     name = "whittle"
@@ -49,8 +117,15 @@ class WhittlePolicy:
 
         return select
 
+    def _build_decisions(self, cfg: SystemConfig) -> bytes | None:
+        if self.table.num_servers != cfg.num_servers:
+            return None
+        size = cfg.buffer + 1
+        return _argmin_table([self.table.dense_row(i, size)
+                              for i in range(cfg.num_servers)])
 
-class CmuPolicy:
+
+class CmuPolicy(_DecisionTable):
     """Activates the server with the smallest cost_c * x / q score."""
 
     name = "cmu"
@@ -72,6 +147,12 @@ class CmuPolicy:
 
         return select
 
+    def _build_decisions(self, cfg: SystemConfig) -> bytes | None:
+        if len(self._weights) != cfg.num_servers:
+            return None
+        xs = np.arange(cfg.buffer + 1)
+        return _argmin_table([w * xs for w in self._weights])
+
 
 class RandomPolicy:
     """Uniform choice among all servers, ignoring the state."""
@@ -86,31 +167,26 @@ class RandomPolicy:
 
         rng.integers(num, size=k) yields the same values as k scalar
         rng.integers(num) calls, so the stream is one scalar draw per slot.
+        The selector is next() on the endless chain of blocks, drawn when
+        reached; the state it is called with lands in next's default,
+        which an endless iterator never returns. No Python frame runs
+        per call.
         """
         num = self.num_servers
-        it = iter(())
-
-        def select(state):
-            nonlocal it
-            try:
-                return next(it)
-            except StopIteration:
-                it = iter(rng.integers(num, size=_BLOCK).tolist())
-                return next(it)
-
-        return select
+        blocks = iter(lambda: rng.integers(num, size=_BLOCK).tolist(), None)
+        return partial(next, chain.from_iterable(blocks))
 
 
-class ExactPolicy:
+class ExactPolicy(_DecisionTable):
     """Looks up the optimal action computed by joint value iteration."""
 
     name = "exact"
 
     def __init__(self, solution: JointSolution):
-        self._policy = solution.policy.tolist()
+        self._policy = solution.policy
 
     def selector(self, rng: np.random.Generator):
-        pol = self._policy
+        pol = self._policy.tolist()
 
         def select(state):
             node = pol
@@ -119,3 +195,8 @@ class ExactPolicy:
             return node
 
         return select
+
+    def _build_decisions(self, cfg: SystemConfig) -> bytes | None:
+        if self._policy.shape != (cfg.buffer + 1,) * cfg.num_servers:
+            return None
+        return self._policy.astype(np.uint8).tobytes()

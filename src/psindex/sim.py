@@ -13,8 +13,14 @@ Every stream is drawn in blocks and each slot consumes its uniforms
 whether or not it uses them, so the fast paths below change no
 report. An empty queue always has zero departures, so it does no
 bisection, and a slot with every queue empty adds nothing to the
-cost or length sums and draws no departure at all; a count of busy
-queues tells the two apart. The policy is still asked once per slot.
+cost or length sums and draws no departure at all.
+
+The loop keeps the state's mixed-radix code (server 0 most
+significant) next to the lengths; it is zero exactly in the all-empty
+state. A policy whose decisions(cfg) gives a table is read there by
+that code; any other policy (the random rule, a wrapper, a grid too
+large for a table) is asked through its selector once per slot, empty
+slots included.
 """
 
 from __future__ import annotations
@@ -114,10 +120,13 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
     pol_rng = np.random.default_rng(children[num + 1])
 
     cdfs = [_departure_cdfs(s.q, buffer) for s in cfg.servers]
-    select = policy.selector(pol_rng)
+    table_of = getattr(policy, "decisions", None)
+    dec = table_of(cfg) if table_of is not None else None
+    select = policy.selector(pol_rng) if dec is None else None
+    stride = [(buffer + 1) ** (num - 1 - i) for i in range(num)]
 
     x = [0] * num
-    busy = 0  # queues with x[i] > 0
+    code = 0  # sum of x[i] * stride[i]
     cost_acc = 0.0
     len_acc = [0.0] * num
     drops = 0
@@ -138,14 +147,14 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
             block = min(_CHUNK, stop - t)
             dep_u = [rng.random(block).tolist() for rng in dep_rngs]
             arr = (arr_rng.random(block) < cfg.arrival_p).tolist()
-            lanes = list(zip(range(num), costs, cdfs, dep_u))
+            lanes = list(zip(range(num), costs, cdfs, dep_u, stride))
             for j in range(block):
-                a = select(x)
+                a = dec[code] if dec is not None else select(x)
                 if guard:
                     before = list(x)
-                if busy:
+                if code:
                     slot_cost = 0.0
-                    for i, c, cdf, u in lanes:
+                    for i, c, cdf, u, st in lanes:
                         xi = x[i]
                         if xi:
                             slot_cost += c * xi
@@ -153,8 +162,7 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
                             d = bisect_right(cdf[xi], u[j])
                             if d:
                                 x[i] = xi - d
-                                if d == xi:
-                                    busy -= 1
+                                code -= d * st
                     cost_acc += slot_cost
                 if guard:
                     mid = list(x)
@@ -162,13 +170,15 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
                     xa = x[a]
                     if xa < buffer:
                         x[a] = xa + 1
-                        if not xa:
-                            busy += 1
+                        code += stride[a]
                     else:
                         drops += 1
                 if guard:
                     _check_flow(t + j, before, mid, x,
                                 a if arr[j] else -1, buffer)
+                    if code != sum(map(int.__mul__, x, stride)):
+                        raise AssertionError("state code out of step "
+                                             f"at slot {t + j}")
                 if marking:
                     done = t + j + 1 - burn_in
                     if done % check_every == 0 or done == measured:

@@ -106,6 +106,38 @@ def test_load_config_rejects_malformed_values(tmp_path, capsys, text, phrase):
     assert "config error" in capsys.readouterr().err
 
 
+def test_load_config_reads_numbers_written_as_strings(tmp_path):
+    # PyYAML reads an unquoted 1e-6 as the string '1e-6' (YAML 1.1 wants
+    # a dot in the mantissa), so strings that parse as numbers load.
+    import yaml
+    assert yaml.safe_load("tol: 1e-6") == {"tol": "1e-6"}
+    path = tmp_path / "strings.yaml"
+    path.write_text("arrival_p: 0.4\nbuffer: \"2\"\n"
+                    "servers:\n  - {q: 0.5, cost_c: 1.0}\n"
+                    "whittle: {x_max: 2, tol: 1e-6}\n")
+    loaded = load_config(path)
+    assert loaded.whittle.tol == 1e-6
+    assert loaded.system.buffer == 2
+    assert type(loaded.system.buffer) is int
+
+
+@pytest.mark.parametrize("line,phrase", [
+    ("buffer: \"two\"", "'buffer' must be an integer, got 'two'"),
+    ("arrival_p: \"0.3x\"", "'arrival_p' must be a number, got '0.3x'"),
+])
+def test_load_config_rejects_strings_that_are_not_numbers(tmp_path, capsys,
+                                                          line, phrase):
+    keys = {"arrival_p": "arrival_p: 0.4", "buffer": "buffer: 5"}
+    keys[line.split(":")[0]] = line
+    path = tmp_path / "bad.yaml"
+    path.write_text("\n".join(keys.values())
+                    + "\nservers:\n  - {q: 0.5, cost_c: 1.0}\n")
+    with pytest.raises(ConfigError, match=phrase):
+        load_config(path)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_load_config_rejects_a_non_bool_strict_mode(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("arrival_p: 0.4\nbuffer: 5\nstrict_stability_mode: "
@@ -157,6 +189,20 @@ def test_read_index_table_rejects_gaps(tmp_path):
     empty.write_text("server,x,index\n")
     with pytest.raises(ValueError, match="no rows"):
         read_index_table(empty)
+
+
+def test_read_index_table_names_missing_columns(tmp_path):
+    # A header without the index column used to raise KeyError: 'index'.
+    path = tmp_path / "no_index.csv"
+    path.write_text("server,x\n0,0\n0,1\n")
+    with pytest.raises(ValueError, match="lacks column.*index"):
+        read_index_table(path)
+    path.write_text("srv,state,index\n0,0,1.0\n")
+    with pytest.raises(ValueError, match="server, x$"):
+        read_index_table(path)
+    path.write_text("")
+    with pytest.raises(ValueError, match="server, x, index"):
+        read_index_table(path)
 
 
 def test_read_index_table_rejects_negative_cells(tmp_path):

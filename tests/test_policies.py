@@ -1,4 +1,8 @@
-"""Selection rules, one selector class per rule."""
+"""Selection rules, one selector class per rule, and their decision tables."""
+
+import itertools
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,11 @@ import pytest
 from psindex import (CmuPolicy, ExactPolicy, IndexTable, RandomPolicy,
                      ServerParams, SystemConfig, WhittlePolicy,
                      build_index_table, joint_rvi, simulate)
+from psindex import policies
+from psindex.cli import load_config
 from psindex.policies import _BLOCK
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _table():
@@ -127,3 +135,147 @@ def test_policy_names_are_distinct():
     names = {WhittlePolicy.name, CmuPolicy.name, RandomPolicy.name,
              ExactPolicy.name}
     assert names == {"whittle", "cmu", "random", "exact"}
+
+
+# ---------------------------------------------------------------- #
+# decision tables                                                  #
+# ---------------------------------------------------------------- #
+
+
+def _bank(num, buffer, weights=(30.0, 29.0, 28.0), qs=(0.55, 0.5, 0.45)):
+    return SystemConfig(arrival_p=0.4,
+                        servers=tuple(ServerParams(q=q, cost_c=c)
+                                      for q, c in zip(qs[:num],
+                                                      weights[:num])),
+                        buffer=buffer)
+
+
+def _assert_table_is_the_selector(policy, cfg):
+    """Byte k equals the selector in the k-th state of C-order enumeration."""
+    dec = policy.decisions(cfg)
+    assert isinstance(dec, bytes)
+    assert len(dec) == (cfg.buffer + 1) ** cfg.num_servers
+    select = _select(policy)
+    states = itertools.product(range(cfg.buffer + 1), repeat=cfg.num_servers)
+    got = list(dec)
+    want = [select(list(state)) for state in states]
+    assert got == want
+
+
+def _table_cases():
+    two = _bank(2, 6)
+    three = _bank(3, 4)
+    # Row 0 climbs fastest, so states past x_max = 2 flip to the others.
+    steep = IndexTable(entries=np.array([[0.0, 2.0, 7.0],
+                                         [0.5, 1.5, 3.0],
+                                         [0.5, 2.5, 3.5]]), x_max=2)
+    # Equal rows and rows equal in places: every tie goes low.
+    tied = IndexTable(entries=np.array([[1.0, 2.0, 3.0],
+                                        [1.0, 2.0, 3.0],
+                                        [0.5, 2.0, 4.0]]), x_max=2)
+    built = build_index_table(three, x_max=3)
+    cases = []
+    for cfg in (two, three):
+        n = cfg.num_servers
+        for table in (steep, tied, built):
+            sub = IndexTable(entries=table.entries[:n].copy(),
+                             x_max=table.x_max)
+            cases.append((WhittlePolicy(sub), cfg))
+            cases.append((WhittlePolicy(sub, max_state=cfg.buffer), cfg))
+        cases.append((CmuPolicy(cfg.servers), cfg))
+        # Equal c/q on every server: the score ties whenever lengths do.
+        equal = _bank(n, cfg.buffer, weights=(5.5, 5.0, 4.5))
+        cases.append((CmuPolicy(equal.servers), equal))
+        cases.append((ExactPolicy(joint_rvi(cfg)), cfg))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_table_cases())))
+def test_decisions_equal_the_selector_on_every_state(case):
+    policy, cfg = _table_cases()[case]
+    _assert_table_is_the_selector(policy, cfg)
+
+
+def test_tied_tables_send_ties_to_the_lowest_server():
+    table = IndexTable(entries=np.array([[1.0, 2.0], [1.0, 2.0]]), x_max=1)
+    dec = WhittlePolicy(table).decisions(_bank(2, 3))
+    assert dec[0] == 0                 # (0, 0)
+    assert dec[1 * 4 + 1] == 0         # (1, 1)
+    assert dec[3 * 4 + 3] == 0         # (3, 3), past x_max
+    assert dec[1 * 4 + 0] == 1         # (1, 0)
+    assert dec[0 * 4 + 1] == 0         # (0, 1)
+    cmu = CmuPolicy(_bank(2, 3, weights=(5.5, 5.0)).servers)
+    assert cmu.decisions(_bank(2, 3)) == bytes(
+        0 if a <= b else 1 for a in range(4) for b in range(4))
+
+
+def test_decisions_equal_the_selector_on_sampled_fig3_states():
+    loaded = load_config(ROOT / "configs" / "fig3.yaml")
+    cfg = loaded.system
+    table = build_index_table(cfg, loaded.whittle.x_max)
+    rng = np.random.default_rng(2017)
+    # Uniform states, plus short queues where ties and x_max sit.
+    states = np.vstack([rng.integers(cfg.buffer + 1, size=(10_000, 3)),
+                        rng.integers(12, size=(10_000, 3))])
+    codes = np.ravel_multi_index(states.T, (cfg.buffer + 1,) * 3)
+    for policy in (WhittlePolicy(table, max_state=cfg.buffer),
+                   WhittlePolicy(table), CmuPolicy(cfg.servers)):
+        dec = policy.decisions(cfg)
+        select = _select(policy)
+        got = [dec[k] for k in codes.tolist()]
+        assert got == [select(s) for s in states.tolist()]
+
+
+def test_decisions_are_built_once_per_grid():
+    cfg = _bank(2, 6)
+    policy = CmuPolicy(cfg.servers)
+    first = policy.decisions(cfg)
+    assert policy.decisions(cfg) is first
+    wider = policy.decisions(_bank(2, 7))
+    assert len(wider) == 64
+    assert policy.decisions(cfg) == first
+
+
+def test_random_policy_has_no_decision_table():
+    assert not hasattr(RandomPolicy(2), "decisions")
+
+
+def test_grids_above_the_state_limit_get_no_table(monkeypatch):
+    # 7**2 = 49 states; a limit of 48 leaves the selector in charge.
+    cfg = _bank(2, 6)
+    monkeypatch.setattr(policies, "DECISION_STATE_LIMIT", 48)
+    assert CmuPolicy(cfg.servers).decisions(cfg) is None
+    assert ExactPolicy(joint_rvi(cfg)).decisions(cfg) is None
+    monkeypatch.setattr(policies, "DECISION_STATE_LIMIT", 49)
+    assert CmuPolicy(cfg.servers).decisions(cfg) is not None
+    monkeypatch.undo()
+    # The real limit: 2049**2 states is above 1 << 22 = 2048**2.
+    big = _bank(2, 2048)
+    assert CmuPolicy(big.servers).decisions(big) is None
+    assert len(CmuPolicy(big.servers).decisions(_bank(2, 2047))) == 1 << 22
+
+
+def test_decisions_need_a_policy_that_fits_the_grid():
+    cfg = _bank(2, 4)
+    solution = joint_rvi(cfg)
+    assert ExactPolicy(solution).decisions(_bank(2, 5)) is None
+    assert CmuPolicy(cfg.servers).decisions(_bank(3, 4)) is None
+    table = IndexTable(entries=np.array([[1.0, 2.0]]), x_max=1)
+    assert WhittlePolicy(table).decisions(cfg) is None
+
+
+def test_fig3_whittle_table_build_stays_small():
+    # One byte per state (1 MiB at 101**3), built without a full-grid
+    # float array: a 3 x 101**3 float64 stack alone would be 24 MiB.
+    loaded = load_config(ROOT / "configs" / "fig3.yaml")
+    cfg = loaded.system
+    policy = WhittlePolicy(build_index_table(cfg, loaded.whittle.x_max),
+                           max_state=cfg.buffer)
+    tracemalloc.start()
+    try:
+        dec = policy.decisions(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dec) == 101 ** 3
+    assert peak < 4 * 2 ** 20

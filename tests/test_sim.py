@@ -250,6 +250,74 @@ def test_debug_and_checkpoints_leave_the_report_unchanged(cfg):
     assert (runs[0].drop_count > 0) == (cfg is EDGE)
 
 
+class _SelectorOnly:
+    """A policy seen through its selector alone, as a duck-typed rule."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.selectors = 0
+
+    def selector(self, rng):
+        self.selectors += 1
+        return self.inner.selector(rng)
+
+
+def _deterministic_rules(cfg):
+    table = build_index_table(cfg, x_max=3)
+    return [WhittlePolicy(table), WhittlePolicy(table, max_state=cfg.buffer),
+            _cmu(cfg), ExactPolicy(joint_rvi(cfg))]
+
+
+# Buffer 6, so joint RVI stays small; p = 0.7 keeps the queues busy.
+SIX = SystemConfig(arrival_p=0.7, servers=THREE.servers, buffer=6)
+
+
+@pytest.mark.parametrize("cfg", [TWO, SIX, EDGE],
+                         ids=["two", "three", "buffer1"])
+@pytest.mark.parametrize("kw", [{}, {"debug_conservation": True},
+                                {"checkpoints": 7}],
+                         ids=["plain", "debug", "checkpoints"])
+def test_decision_tables_give_the_selector_reports(cfg, kw):
+    assert 70_000 > _CHUNK  # the run crosses a block of drawn uniforms
+    for policy in _deterministic_rules(cfg):
+        assert policy.decisions(cfg) is not None
+        via_table = simulate(cfg, policy, horizon=70_000, burn_in=10_000,
+                             seed=8, **kw)
+        wrapped = _SelectorOnly(policy)
+        via_selector = simulate(cfg, wrapped, horizon=70_000, burn_in=10_000,
+                                seed=8, **kw)
+        assert wrapped.selectors == 1
+        assert via_table == via_selector, policy.name
+        if cfg is EDGE:
+            assert via_table.drop_count > 0
+
+
+def test_simulate_falls_back_to_the_selector_above_the_state_limit(
+        monkeypatch):
+    from psindex import policies
+    calls = []
+
+    class Counted(CmuPolicy):
+        def selector(self, rng):
+            select = super().selector(rng)
+
+            def counted(state):
+                calls.append(1)
+                return select(state)
+
+            return counted
+
+    rule = Counted(TWO.servers)
+    with_table = simulate(TWO, rule, horizon=5_000, burn_in=100, seed=3)
+    assert calls == []
+    monkeypatch.setattr(policies, "DECISION_STATE_LIMIT", 51 ** 2 - 1)
+    fallback = simulate(TWO, Counted(TWO.servers), horizon=5_000,
+                        burn_in=100, seed=3)
+    assert len(calls) == 5_000
+    assert fallback == with_table
+
+
 REFERENCE_CASES = [("configs/fig3.yaml", "whittle"),
                    ("configs/fig3.yaml", "cmu"),
                    ("configs/fig3.yaml", "random"),
