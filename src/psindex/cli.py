@@ -5,7 +5,7 @@ one policy, compare all policies (exact included when the joint state
 space is small enough), solve the exact joint problem, and run the
 structural property suite. All artifacts are comma-delimited text with
 a header row; floats carry 12 significant digits, which makes reruns
-byte-identical and written tables reparse to the values written.
+byte-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .model import ConvergenceError, ServerParams, SystemConfig, \
 from .policies import CmuPolicy, ExactPolicy, RandomPolicy, WhittlePolicy
 
 EXACT_STATE_LIMIT = 2500
-INDEX_COLUMNS = ("server", "x", "index")
 
 USAGE_ERROR = 2
 
@@ -145,42 +144,18 @@ def fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def write_index_table(table: whittle.IndexTable, path: str | Path) -> None:
+def _write_csv(path: str | Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(INDEX_COLUMNS)
-        for i in range(table.num_servers):
-            for x in range(table.x_max + 1):
-                out.writerow([i, x, fmt(table.entries[i, x])])
+        out.writerow(header)
+        out.writerows(rows)
 
 
-def read_index_table(path: str | Path) -> whittle.IndexTable:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in INDEX_COLUMNS
-                   if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError("index table file lacks column(s) "
-                             + ", ".join(missing))
-        for row in reader:
-            rows.append((int(row["server"]), int(row["x"]),
-                         float(row["index"])))
-    if not rows:
-        raise ValueError("index table file has no rows")
-    cells = [(srv, x) for srv, x, _ in rows]
-    if min(min(cell) for cell in cells) < 0:
-        raise ValueError("index table file has a negative server or state")
-    if len(set(cells)) != len(cells):
-        raise ValueError("index table file repeats a (server, x) cell")
-    num = max(r[0] for r in rows) + 1
-    x_max = max(r[1] for r in rows)
-    entries = np.full((num, x_max + 1), np.nan)
-    for srv, x, val in rows:
-        entries[srv, x] = val
-    if np.any(np.isnan(entries)):
-        raise ValueError("index table file is missing cells")
-    return whittle.IndexTable(entries=entries, x_max=x_max)
+def write_index_table(table: whittle.IndexTable, path: str | Path) -> None:
+    _write_csv(path, ["server", "x", "index"],
+               ([i, x, fmt(table.entries[i, x])]
+                for i in range(table.num_servers)
+                for x in range(table.x_max + 1)))
 
 
 def _report_header(num_servers: int) -> list[str]:
@@ -197,59 +172,41 @@ def _report_row(r: sim.SimReport) -> list[str]:
 
 
 def write_reports(reports, num_servers: int, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(_report_header(num_servers))
-        for r in reports:
-            out.writerow(_report_row(r))
+    _write_csv(path, _report_header(num_servers), map(_report_row, reports))
 
 
 def write_comparison(table: sim.ComparisonTable, num_servers: int,
                      path: str | Path) -> None:
     """Per-run rows followed by per-policy mean and half-width rows."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(_report_header(num_servers))
-        for r in table.reports:
-            out.writerow(_report_row(r))
-        blank = [""] * num_servers
-        for name, (mean, hw) in table.aggregates.items():
-            out.writerow([name, "mean", "", "", fmt(mean)] + blank + [""])
-            out.writerow([name, "ci95_halfwidth", "", "", fmt(hw)]
-                         + blank + [""])
+    blank = [""] * num_servers
+    rows = [_report_row(r) for r in table.reports]
+    for name, (mean, hw) in table.aggregates.items():
+        rows.append([name, "mean", "", "", fmt(mean)] + blank + [""])
+        rows.append([name, "ci95_halfwidth", "", "", fmt(hw)] + blank + [""])
+    _write_csv(path, _report_header(num_servers), rows)
 
 
 def write_series(report: sim.SimReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["slots_elapsed", "running_avg_cost"])
-        for slot, value in report.cost_checkpoints:
-            out.writerow([str(slot), fmt(value)])
+    _write_csv(path, ["slots_elapsed", "running_avg_cost"],
+               ([str(slot), fmt(value)]
+                for slot, value in report.cost_checkpoints))
 
 
 def write_exact(solution: dp.JointSolution, cfg: SystemConfig,
                 policy_path: str | Path, summary_path: str | Path) -> None:
-    num = cfg.num_servers
-    with open(policy_path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow([f"x_{i + 1}" for i in range(num)] + ["server"])
-        for state in np.ndindex(*solution.policy.shape):
-            out.writerow([str(v) for v in state]
-                         + [str(int(solution.policy[state]))])
-    with open(summary_path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["beta", "sweeps", "span", "reference"])
-        out.writerow([fmt(solution.beta), str(solution.sweeps),
-                      fmt(solution.span),
-                      " ".join(str(v) for v in solution.reference)])
+    _write_csv(policy_path,
+               [f"x_{i + 1}" for i in range(cfg.num_servers)] + ["server"],
+               ([str(v) for v in state] + [str(int(solution.policy[state]))]
+                for state in np.ndindex(*solution.policy.shape)))
+    _write_csv(summary_path, ["beta", "sweeps", "span", "reference"],
+               [[fmt(solution.beta), str(solution.sweeps), fmt(solution.span),
+                 " ".join(str(v) for v in solution.reference)]])
 
 
 def write_properties(results, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["check", "passed", "detail"])
-        for r in results:
-            out.writerow([r.name, "pass" if r.passed else "FAIL", r.detail])
+    _write_csv(path, ["check", "passed", "detail"],
+               ([r.name, "pass" if r.passed else "FAIL", r.detail]
+                for r in results))
 
 
 # ---------------------------------------------------------------- #
@@ -278,10 +235,6 @@ def _build_table(loaded: LoadedConfig, args) -> whittle.IndexTable:
     return whittle.build_index_table(loaded.system, x_max,
                                      _iteration_config(loaded, args),
                                      w.truncation_n)
-
-
-def _validated(loaded: LoadedConfig) -> list[str]:
-    return list(validate_config(loaded.system).violations)
 
 
 def cmd_validate(loaded: LoadedConfig, args, out_dir: Path) -> int:
@@ -403,11 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="YAML system configuration")
         cmd.add_argument("--out", default=".",
                          help="directory for output files")
-        cmd.add_argument("--x-max", dest="x_max", type=int, default=None)
-        cmd.add_argument("--tol", type=float, default=None)
+        if name in ("indices", "simulate", "compare"):
+            cmd.add_argument("--x-max", dest="x_max", type=int, default=None)
+        if name not in ("validate", "exact"):
+            cmd.add_argument("--tol", type=float, default=None)
         if name == "properties":
             cmd.add_argument("--gamma", type=float, default=None)
-        cmd.add_argument("--horizon", type=int, default=None)
+        if name in ("simulate", "compare"):
+            cmd.add_argument("--horizon", type=int, default=None)
         if name == "compare":
             cmd.add_argument("--seeds", type=int, default=None)
         if name == "simulate":
@@ -424,7 +380,7 @@ def run_command(args: argparse.Namespace) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return USAGE_ERROR
     if args.command != "validate":
-        violations = _validated(loaded)
+        violations = validate_config(loaded.system).violations
         if violations:
             for item in violations:
                 print(f"violation: {item}", file=sys.stderr)

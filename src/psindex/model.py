@@ -212,25 +212,34 @@ def transition_row(x: int, q: float, p: float, active: bool,
     return next_state_pmf(x, q, p, active, n).dense(n + 1)
 
 
+def passive_kernel(q: float, n: int) -> np.ndarray:
+    """Passive transition matrix over states 0..n, free of p.
+
+    Row x puts P(D = x - y) on y, D ~ Binomial(x, q/x), all rows from
+    one broadcast binomial evaluation; an empty server (x = 0) has the
+    point mass Binomial(0, q) at zero. Reversed, row x is the departure
+    law: passive[x, x::-1][d] = P(D = d).
+    """
+    if not (0.0 < q < 1.0):
+        raise ValueError("q must lie in (0,1)")
+    x = np.arange(n + 1)[:, None]
+    y = np.arange(n + 1)[None, :]
+    return binom.pmf(x - y, x, q / np.maximum(x, 1))
+
+
 def transition_kernel(q: float, p: float,
                       n: int) -> tuple[np.ndarray, np.ndarray]:
     """Active and passive transition matrices over states 0..n.
 
     Row x of each equals transition_row(x, q, p, active, n), so the
-    buffer sits at n. Both come from one broadcast binomial evaluation
-    instead of n + 1 validated row laws.
+    buffer sits at n. The active matrix is the passive one shifted by
+    the admitted arrival.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie in (0,1)")
+    passive = passive_kernel(q, n)
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie in (0,1)")
-    x = np.arange(n + 1)[:, None]
-    y = np.arange(n + 1)[None, :]
-    # Passive row x puts P(D = x - y) on y, D ~ Binomial(x, q/x); an
-    # empty server (x = 0) has the point mass Binomial(0, q) at zero.
-    passive = binom.pmf(x - y, x, q / np.maximum(x, 1))
     active = (1.0 - p) * passive
     active[:, 1:] += p * passive[:, :-1]
     # An arrival to a full buffer with no departure is dropped.
@@ -244,31 +253,19 @@ def lyapunov_margin(p: float, q_min: float, a: float) -> float:
 
 
 def lyapunov_certificate(p: float, q_min: float) -> LyapunovCertificate | None:
-    """Find the drift parameter a in (0, 5] maximising the margin.
+    """The drift parameter a in (0, 5] maximising the margin.
 
-    The margin is strictly concave in a with positive slope at 0 iff
-    q_min > 2p, so bisection on its derivative locates the maximiser to
-    1e-10. Returns None when no positive-margin parameter exists.
+    The margin is strictly concave in a, and its slope
+    q_min/2 * exp(-a) - p * exp(a) vanishes at a = ln(q_min / (2p)) / 2,
+    which is positive iff q_min > 2p; the maximiser on (0, 5] is that
+    root capped at 5. Returns None when no positive-margin parameter
+    exists.
     """
     if not (0.0 < p < 1.0) or not (0.0 < q_min < 1.0):
         raise ValueError("p and q_min must lie in (0,1)")
     if q_min <= 2.0 * p:
         return None
-
-    def slope(a: float) -> float:
-        return 0.5 * q_min * math.exp(-a) - p * math.exp(a)
-
-    lo, hi = 0.0, 5.0
-    if slope(hi) > 0.0:
-        a = hi
-    else:
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            if slope(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        a = 0.5 * (lo + hi)
+    a = min(5.0, 0.5 * math.log(q_min / (2.0 * p)))
     b = lyapunov_margin(p, q_min, a)
     if b <= 0.0:
         return None

@@ -6,8 +6,8 @@ queue and at most one Bernoulli arrival routed to the active queue,
 clamping at the buffer. One master seed expands into independent
 per-server departure streams, an arrival stream, and a policy stream,
 so different policies under the same seed face identical randomness.
-Departures are drawn by inverting per-length CDFs, built once per
-(q, buffer) from one broadcast binomial evaluation and cached.
+Departures are drawn by inverting per-length CDFs, read once per
+(q, buffer) from the reversed rows of model.passive_kernel and cached.
 
 Every stream is drawn in blocks and each slot consumes its uniforms
 whether or not it uses them, so the fast paths below change no
@@ -30,9 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import binom
 
-from .model import SystemConfig
+from .model import SystemConfig, passive_kernel
 
 _CHUNK = 1 << 16
 
@@ -41,19 +40,14 @@ _CHUNK = 1 << 16
 def _departure_cdfs(q: float, max_x: int) -> tuple[list[float], ...]:
     """Departure-count CDFs at lengths 0..max_x, shared across calls.
 
-    All rows come from one broadcast binomial evaluation; each is
-    normalised the way departure_pmf normalises, so the CDFs match it
-    bit for bit. The rows are cached and shared: never mutate them.
+    Row x is the reversed row x of passive_kernel(q, max_x), normalised
+    the way departure_pmf normalises, so the CDFs match it bit for bit.
+    The rows are cached and shared: never mutate them.
     """
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie in (0,1)")
-    xs = np.arange(max_x + 1)
-    # Row x is Binomial(x, q/x); an empty server has the point mass
-    # Binomial(0, q) at zero.
-    pmf = binom.pmf(xs[None, :], xs[:, None], q / np.maximum(xs, 1)[:, None])
+    passive = passive_kernel(q, max_x)
     cdfs = []
     for x in range(max_x + 1):
-        row = pmf[x, : x + 1]
+        row = passive[x, x::-1]
         total = float(row.sum())
         if total != 1.0:
             row = row / total

@@ -5,10 +5,13 @@ import csv
 import numpy as np
 import pytest
 
-from psindex import IndexTable, ServerParams, SystemConfig, simulate, CmuPolicy
+from psindex import (CmuPolicy, ComparisonTable, IndexTable, JointSolution,
+                     ServerParams, SimReport, SystemConfig, simulate)
 from psindex import whittle
+from psindex.checks import CheckResult
 from psindex.cli import (ConfigError, fmt, load_config, main,
-                         read_index_table, write_index_table)
+                         write_comparison, write_exact, write_index_table,
+                         write_properties, write_reports, write_series)
 
 GOOD = """\
 arrival_p: 0.4
@@ -161,68 +164,66 @@ def test_fmt_keeps_twelve_significant_digits():
 
 
 # ---------------------------------------------------------------- #
-# artifact round trips                                             #
+# artifact files                                                   #
 # ---------------------------------------------------------------- #
 
 
-def test_index_table_file_round_trip(tmp_path):
-    entries = np.array([[0.8, 1.622857, 3.9697],
-                        [0.5, 1.1, 2.2]])
-    table = IndexTable(entries=entries, x_max=2)
-    path = tmp_path / "indices.csv"
-    write_index_table(table, path)
-    back = read_index_table(path)
-    assert back.x_max == 2
-    assert back.num_servers == 2
-    assert np.allclose(back.entries, entries, rtol=1e-11, atol=1e-12)
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh))
-    assert header == ["server", "x", "index"]
+def _bytes_written(tmp_path, write, *args) -> bytes:
+    path = tmp_path / "artifact.csv"
+    write(*args, path)
+    return path.read_bytes()
 
 
-def test_read_index_table_rejects_gaps(tmp_path):
-    path = tmp_path / "holey.csv"
-    path.write_text("server,x,index\n0,0,1.0\n0,2,2.0\n")
-    with pytest.raises(ValueError, match="missing cells"):
-        read_index_table(path)
-    empty = tmp_path / "empty.csv"
-    empty.write_text("server,x,index\n")
-    with pytest.raises(ValueError, match="no rows"):
-        read_index_table(empty)
+def test_artifact_writers_pin_their_bytes(tmp_path):
+    table = IndexTable(entries=np.array([[1e-13, 4.0 / 9.0], [0.5, 0.8]]),
+                       x_max=1)
+    assert _bytes_written(tmp_path, write_index_table, table) == (
+        b"server,x,index\r\n0,0,1e-13\r\n0,1,0.444444444444\r\n"
+        b"1,0,0.5\r\n1,1,0.8\r\n")
 
+    a = SimReport(policy="cmu", seed=3, horizon=10, burn_in=2,
+                  avg_cost=2.0 / 3.0, mean_lengths=(0.25, 1.5), drop_count=1,
+                  cost_checkpoints=((6, 1.0 / 7.0), (10, 2.0 / 3.0)))
+    b = SimReport(policy="random", seed=3, horizon=10, burn_in=2,
+                  avg_cost=12.5, mean_lengths=(3.0, 0.0), drop_count=0)
+    header = b"policy,seed,horizon,burn_in,avg_cost,mean_len_1,mean_len_2,drops"
+    row_a = b"cmu,3,10,2,0.666666666667,0.25,1.5,1\r\n"
+    row_b = b"random,3,10,2,12.5,3,0,0\r\n"
+    assert _bytes_written(tmp_path, write_reports, [a, b], 2) == (
+        header + b"\r\n" + row_a + row_b)
 
-def test_read_index_table_names_missing_columns(tmp_path):
-    # A header without the index column used to raise KeyError: 'index'.
-    path = tmp_path / "no_index.csv"
-    path.write_text("server,x\n0,0\n0,1\n")
-    with pytest.raises(ValueError, match="lacks column.*index"):
-        read_index_table(path)
-    path.write_text("srv,state,index\n0,0,1.0\n")
-    with pytest.raises(ValueError, match="server, x$"):
-        read_index_table(path)
-    path.write_text("")
-    with pytest.raises(ValueError, match="server, x, index"):
-        read_index_table(path)
+    comparison = ComparisonTable(reports=(a, b), aggregates={
+        "cmu": (2.0 / 3.0, 0.0), "random": (12.5, 1.0 / 3.0)})
+    assert _bytes_written(tmp_path, write_comparison, comparison, 2) == (
+        header + b"\r\n" + row_a + row_b
+        + b"cmu,mean,,,0.666666666667,,,\r\n"
+        b"cmu,ci95_halfwidth,,,0,,,\r\n"
+        b"random,mean,,,12.5,,,\r\n"
+        b"random,ci95_halfwidth,,,0.333333333333,,,\r\n")
 
+    assert _bytes_written(tmp_path, write_series, a) == (
+        b"slots_elapsed,running_avg_cost\r\n6,0.142857142857\r\n"
+        b"10,0.666666666667\r\n")
 
-def test_read_index_table_rejects_negative_cells(tmp_path):
-    # A server of -1 used to wrap onto the last row.
-    path = tmp_path / "negative.csv"
-    path.write_text("server,x,index\n0,0,1.0\n0,1,2.0\n"
-                    "-1,0,0.5\n-1,1,0.7\n")
-    with pytest.raises(ValueError, match="negative server or state"):
-        read_index_table(path)
-    path.write_text("server,x,index\n0,-1,1.0\n0,0,1.0\n0,1,2.0\n")
-    with pytest.raises(ValueError, match="negative server or state"):
-        read_index_table(path)
+    solution = JointSolution(v=np.zeros((2, 2)), beta=1.0 / 3.0,
+                             policy=np.array([[0, 1], [0, 0]]),
+                             reference=(0, 1), sweeps=7, span=2.5e-10)
+    cfg = SystemConfig(arrival_p=0.3, buffer=1,
+                       servers=(ServerParams(q=0.6, cost_c=2.0),
+                                ServerParams(q=0.5, cost_c=1.0)))
+    policy_path = tmp_path / "exact_policy.csv"
+    summary_path = tmp_path / "exact_summary.csv"
+    write_exact(solution, cfg, policy_path, summary_path)
+    assert policy_path.read_bytes() == (
+        b"x_1,x_2,server\r\n0,0,0\r\n0,1,1\r\n1,0,0\r\n1,1,0\r\n")
+    assert summary_path.read_bytes() == (
+        b"beta,sweeps,span,reference\r\n0.333333333333,7,2.5e-10,0 1\r\n")
 
-
-def test_read_index_table_rejects_repeated_cells(tmp_path):
-    # A later duplicate used to overwrite the earlier cell.
-    path = tmp_path / "repeated.csv"
-    path.write_text("server,x,index\n0,0,1.0\n0,1,2.0\n0,1,3.0\n")
-    with pytest.raises(ValueError, match="repeats a"):
-        read_index_table(path)
+    results = [CheckResult("departure_law", True, "max error 1e-16"),
+               CheckResult("chain_dominance", False, "k=3, gap -0.5")]
+    assert _bytes_written(tmp_path, write_properties, results) == (
+        b"check,passed,detail\r\ndeparture_law,pass,max error 1e-16\r\n"
+        b'chain_dominance,FAIL,"k=3, gap -0.5"\r\n')
 
 
 # ---------------------------------------------------------------- #
@@ -265,9 +266,12 @@ def test_indices_command_writes_monotone_table(config_path, tmp_path):
     code = main(["indices", "--config", str(config_path),
                  "--out", str(out), "--x-max", "3"])
     assert code == 0
-    table = read_index_table(out / "indices.csv")
-    assert table.entries.shape == (2, 4)
-    assert np.all(np.diff(table.entries, axis=1) >= -1e-7)
+    with open(out / "indices.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["server"], r["x"]) for r in rows] == [
+        (str(i), str(x)) for i in range(2) for x in range(4)]
+    entries = np.array([float(r["index"]) for r in rows]).reshape(2, 4)
+    assert np.all(np.diff(entries, axis=1) >= -1e-7)
 
 
 def test_indices_command_reports_a_failed_cell_without_traceback(
@@ -390,6 +394,20 @@ def test_properties_command_runs_the_iteration_with_the_config_knobs(
 def test_gamma_is_a_properties_option_only(config_path, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["indices", "--config", str(config_path), "--gamma", "0.2",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("validate", "--x-max"), ("validate", "--tol"), ("validate", "--horizon"),
+    ("exact", "--x-max"), ("exact", "--tol"), ("exact", "--horizon"),
+    ("indices", "--horizon"),
+    ("properties", "--x-max"), ("properties", "--horizon"),
+])
+def test_overrides_are_options_only_of_the_commands_that_read_them(
+        config_path, tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config_path), flag, "3",
               "--out", str(tmp_path)])
     assert exc.value.code == 2
 

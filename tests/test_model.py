@@ -243,6 +243,21 @@ def test_lyapunov_certificate_maximises_the_margin():
         assert lyapunov_margin(0.1, 0.45, float(a)) <= cert.b + 1e-9
 
 
+@pytest.mark.parametrize("p,q_min", [(0.1, 0.45), (0.2, 0.55), (0.01, 0.05),
+                                     (0.24, 0.5), (1e-5, 0.99)])
+def test_lyapunov_certificate_takes_the_closed_form_maximiser(p, q_min):
+    cert = lyapunov_certificate(p, q_min)
+    root = 0.5 * math.log(q_min / (2.0 * p))
+    slope = 0.5 * q_min * math.exp(-cert.a) - p * math.exp(cert.a)
+    if root > 5.0:  # p = 1e-5, q_min = 0.99: root 5.41, capped
+        assert cert.a == 5.0
+        assert slope > 0.0
+    else:
+        assert cert.a == pytest.approx(root, rel=1e-15)
+        assert abs(slope) <= 1e-15
+    assert cert.b == lyapunov_margin(p, q_min, cert.a)
+
+
 def test_lyapunov_certificate_requires_q_min_above_2p():
     assert lyapunov_certificate(0.4, 0.55) is None
     assert lyapunov_certificate(0.25, 0.5) is None
