@@ -10,7 +10,7 @@ import numpy as np
 
 from psindex import (IndexIterationConfig, ServerParams, SystemConfig,
                      bisect_index, build_index_table, compute_index,
-                     departure_pmf, index_residual)
+                     index_residual, passive_kernel)
 
 cfg = SystemConfig(arrival_p=0.4, buffer=100, servers=(
     ServerParams(q=0.55, cost_c=30.0),
@@ -19,11 +19,12 @@ cfg = SystemConfig(arrival_p=0.4, buffer=100, servers=(
 
 # Each of x resident jobs finishes with probability q/x, so the mean
 # departure count stays q no matter how crowded the server is.
+# Row x of the passive kernel, read backwards, is that law.
 print("departure law at x=4, q=0.55:")
-pmf = departure_pmf(4, 0.55)
-for d, w in pmf.as_dict().items():
+law = passive_kernel(0.55, 4)[4, ::-1]
+for d, w in enumerate(law):
     print(f"  P(D={d}) = {w:.6f}")
-print(f"  mean = {pmf.mean():.12f}\n")
+print(f"  mean = {law @ np.arange(5):.12f}\n")
 
 # The index of state x is the passivity charge at which activating and
 # resting the queue cost the same. The gap is affine in the charge, so

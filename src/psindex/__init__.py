@@ -7,10 +7,10 @@ properties (threshold optimality, indexability, monotone stationary
 mass, drift stability) that justify the index heuristic.
 """
 
-from .model import (ConvergenceError, LyapunovCertificate, Pmf, ServerParams,
-                    SystemConfig, ValidationReport, departure_pmf,
-                    lyapunov_certificate, lyapunov_margin, next_state_pmf,
-                    transition_kernel, transition_row, validate_config)
+from .model import (ConvergenceError, LyapunovCertificate, ServerParams,
+                    SystemConfig, ValidationReport, lyapunov_certificate,
+                    lyapunov_margin, passive_kernel, transition_kernel,
+                    validate_config)
 from .threshold import (RecurrentChain, cumulative_active_mass,
                         dominance_check, optimal_threshold_cost,
                         stationary_distribution, threshold_average_cost,
@@ -26,10 +26,10 @@ from .policies import CmuPolicy, ExactPolicy, RandomPolicy, WhittlePolicy
 from .sim import ComparisonTable, DepartureSampler, SimReport, compare, simulate
 
 __all__ = [
-    "ConvergenceError", "LyapunovCertificate", "Pmf", "ServerParams",
-    "SystemConfig", "ValidationReport", "departure_pmf",
-    "lyapunov_certificate", "lyapunov_margin", "next_state_pmf",
-    "transition_kernel", "transition_row", "validate_config",
+    "ConvergenceError", "LyapunovCertificate", "ServerParams",
+    "SystemConfig", "ValidationReport", "lyapunov_certificate",
+    "lyapunov_margin", "passive_kernel", "transition_kernel",
+    "validate_config",
     "RecurrentChain", "cumulative_active_mass", "dominance_check",
     "optimal_threshold_cost", "stationary_distribution",
     "threshold_average_cost", "threshold_chain",

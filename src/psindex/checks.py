@@ -1,11 +1,13 @@
 """Numerical certification of the model's structural properties.
 
 Each check re-verifies one claim the index policy leans on: exactness
-of the departure law, stationary-mass monotonicity and stochastic
-dominance of threshold chains, the shape of the optimal threshold cost
-curve, threshold structure and indexability of the single-queue
-problem, and monotone convex relative values. The CLI `properties`
-subcommand runs the whole list and reports pass/fail per item.
+of the departure law and of the active law built on it (both read from
+the transition kernel that the solvers and the simulator use),
+stationary-mass monotonicity and stochastic dominance of threshold
+chains, the shape of the optimal threshold cost curve, threshold
+structure and indexability of the single-queue problem, and monotone
+convex relative values. The CLI `properties` subcommand runs the whole
+list and reports pass/fail per item.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dp, threshold, whittle
-from .model import SystemConfig, departure_pmf, next_state_pmf
+from .model import SystemConfig, passive_kernel, transition_kernel
 
 STRUCT_SLACK = 1e-9
 
@@ -28,34 +30,40 @@ class CheckResult:
 
 
 def check_departure_law(x_max: int = 200) -> CheckResult:
+    """Each passive row has mass 1, and x - y has mean q when x >= 1."""
+    states = np.arange(x_max + 1)
+    shift = np.subtract.outer(states, states)  # departures x - y
     worst = 0.0
     for q in np.arange(0.05, 1.0, 0.1):
-        for x in range(0, x_max + 1):
-            pmf = departure_pmf(x, float(q))
-            worst = max(worst, abs(float(pmf.probs.sum()) - 1.0))
-            if x >= 1:
-                worst = max(worst, abs(pmf.mean() - float(q)))
+        passive = passive_kernel(float(q), x_max)
+        mass = passive.sum(axis=1)
+        mean = (passive * shift).sum(axis=1)[1:]
+        worst = max(worst, float(np.max(np.abs(mass - 1.0))),
+                    float(np.max(np.abs(mean - q), initial=0.0)))
     return CheckResult("departure_law_mean_and_mass", worst <= 1e-12,
                        f"max deviation {worst:.3e}")
 
 
 def check_active_law_is_convolution(x_max: int = 30) -> CheckResult:
-    """Active law must equal departure law convolved with the arrival."""
+    """Active rows must be passive rows convolved with the arrival.
+
+    The kernel's buffer sits at x_max + 1, so the last row checks the
+    clamp as well; the passive matrix must be lower-triangular, since
+    a passive server only loses jobs.
+    """
+    n = x_max + 1
     worst = 0.0
     for q, p in ((0.5, 0.4), (0.9, 0.2), (0.3, 0.25)):
-        for x in range(0, x_max + 1):
-            buffer = x_max + 1
-            active = next_state_pmf(x, q, p, True, buffer).dense(buffer + 1)
-            dep = departure_pmf(x, q)
-            manual = np.zeros(buffer + 1)
-            for d, w in zip(dep.states, dep.probs):
-                manual[x - int(d)] += w * (1.0 - p)
-                manual[min(x - int(d) + 1, buffer)] += w * p
-            worst = max(worst, float(np.max(np.abs(active - manual))))
-            passive = next_state_pmf(x, q, p, False, buffer)
-            if passive.states.min() < 0 or passive.states.max() > x:
-                return CheckResult("active_law_convolution", False,
-                                   f"passive support escapes [0,{x}]")
+        active, passive = transition_kernel(q, p, n)
+        escapes = np.flatnonzero(np.triu(passive, 1).any(axis=1))
+        if escapes.size:
+            return CheckResult("active_law_convolution", False,
+                               f"passive support escapes [0,{escapes[0]}]")
+        for x in range(n + 1):
+            conv = np.convolve(passive[x], (1.0 - p, p))
+            conv[n] += conv[n + 1]  # clamp at the buffer
+            worst = max(worst, float(np.max(np.abs(active[x]
+                                                   - conv[:n + 1]))))
     return CheckResult("active_law_convolution", worst <= 1e-12,
                        f"max gap {worst:.3e}")
 
@@ -65,19 +73,15 @@ def check_passive_shift_monotone(x_max: int = 60) -> CheckResult:
 
     The departure counts themselves cannot be stochastically ordered
     across x (they share the mean q), but the post-departure length
-    x - D is: its CDF falls pointwise as x grows. This row monotonicity
-    is what the chain-dominance argument rests on.
+    x - D is: its CDF, the cumulative sum of passive row x, falls
+    pointwise as x grows. This row monotonicity is what the
+    chain-dominance argument rests on.
     """
     worst = 0.0
     for q in (0.2, 0.5, 0.8, 0.95):
-        prev = None
-        for x in range(0, x_max + 1):
-            dep = departure_pmf(x, q).dense(x + 1)
-            # Entry j is P(x - D <= j) = P(D >= x - j).
-            cdf = np.cumsum(dep[::-1])
-            if prev is not None:
-                worst = max(worst, float(np.max(cdf[: len(prev)] - prev)))
-            prev = cdf
+        # Entry [x, j] is P(x - D <= j).
+        cdf = np.cumsum(passive_kernel(q, x_max), axis=1)
+        worst = max(worst, float(np.max(np.diff(cdf, axis=0), initial=0.0)))
     return CheckResult("passive_shift_monotone", worst <= 1e-12,
                        f"max CDF increase {worst:.3e}")
 

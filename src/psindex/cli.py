@@ -395,7 +395,14 @@ def run_command(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "simulate" and args.policy != "whittle":
+        # Only the Whittle policy builds an index table.
+        for flag, value in (("--x-max", args.x_max), ("--tol", args.tol)):
+            if value is not None:
+                parser.error(f"simulate: {flag} applies to --policy "
+                             f"whittle only, not {args.policy}")
     return run_command(args)
 
 

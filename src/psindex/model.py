@@ -4,8 +4,9 @@ A server holding x jobs completes each of them independently with
 probability q/x during one slot, so the departure count is
 Binomial(x, q/x) and its mean is exactly q whenever x >= 1. An active
 server may additionally admit one Bernoulli(p) arrival. These laws,
-the per-slot holding cost, and a drift certificate for the stability
-region are the vocabulary every other module builds on.
+stated once as transition matrices over a buffered state space, and a
+drift certificate for the stability region are the vocabulary every
+other module builds on.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import binom
-
-PMF_SUM_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -87,51 +86,6 @@ class LyapunovCertificate:
     b: float
 
 
-class Pmf:
-    """Probability mass function on a finite set of integer states."""
-
-    __slots__ = ("states", "probs")
-
-    def __init__(self, states, probs):
-        states = np.asarray(states, dtype=np.int64)
-        probs = np.asarray(probs, dtype=np.float64)
-        if states.ndim != 1 or states.shape != probs.shape:
-            raise ValueError("states and probs must be 1-d and same length")
-        if states.size == 0:
-            raise ValueError("empty pmf")
-        if np.any(np.diff(states) <= 0):
-            raise ValueError("states must be distinct and ascending")
-        if np.any(probs < 0.0) or np.any(probs > 1.0 + PMF_SUM_TOL):
-            raise ValueError("probabilities outside [0, 1]")
-        total = float(probs.sum())
-        if abs(total - 1.0) >= PMF_SUM_TOL:
-            raise ValueError(f"pmf sums to {total!r}, deviation too large "
-                             "to be float roundoff")
-        if total != 1.0:
-            probs = probs / total
-        states.setflags(write=False)
-        probs.setflags(write=False)
-        self.states = states
-        self.probs = probs
-
-    def mean(self) -> float:
-        return float(self.states @ self.probs)
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(s): float(w) for s, w in zip(self.states, self.probs)}
-
-    def dense(self, size: int) -> np.ndarray:
-        """Probability vector over states 0..size-1."""
-        if int(self.states[-1]) >= size:
-            raise ValueError("pmf support exceeds requested vector size")
-        out = np.zeros(size)
-        out[self.states] = self.probs
-        return out
-
-    def __repr__(self):
-        return f"Pmf({self.as_dict()})"
-
-
 def validate_config(cfg: SystemConfig) -> ValidationReport:
     """Check a SystemConfig against its domain constraints.
 
@@ -162,56 +116,6 @@ def validate_config(cfg: SystemConfig) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
-def departure_pmf(x: int, q: float) -> Pmf:
-    """Law of the departure count from a server holding x jobs.
-
-    Binomial(x, q/x) for x >= 1; a point mass at zero for an empty
-    server. The mean equals q exactly, independent of x.
-    """
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie in (0,1)")
-    if x == 0:
-        return Pmf([0], [1.0])
-    d = np.arange(x + 1)
-    return Pmf(d, binom.pmf(d, x, q / x))
-
-
-def next_state_pmf(x: int, q: float, p: float, active: bool,
-                   buffer: int) -> Pmf:
-    """One-slot transition law for a single queue.
-
-    The new length is x minus the departures, plus one admitted arrival
-    when the server is active and the Bernoulli(p) arrival occurs,
-    clamped at the buffer. A passive server admits nothing.
-    """
-    if buffer < 1:
-        raise ValueError("buffer must be >= 1")
-    if not 0 <= x <= buffer:
-        raise ValueError(f"state x={x} outside [0, buffer={buffer}]")
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie in (0,1)")
-    dep = departure_pmf(x, q)
-    out = np.zeros(min(x + 1, buffer) + 1)
-    if active:
-        for d, w in zip(dep.states, dep.probs):
-            y = x - int(d)
-            out[y] += w * (1.0 - p)
-            out[min(y + 1, buffer)] += w * p
-    else:
-        for d, w in zip(dep.states, dep.probs):
-            out[x - int(d)] += w
-    keep = out > 0.0
-    return Pmf(np.flatnonzero(keep), out[keep])
-
-
-def transition_row(x: int, q: float, p: float, active: bool,
-                   n: int) -> np.ndarray:
-    """Dense transition vector over states 0..n, with the buffer at n."""
-    return next_state_pmf(x, q, p, active, n).dense(n + 1)
-
-
 def passive_kernel(q: float, n: int) -> np.ndarray:
     """Passive transition matrix over states 0..n, free of p.
 
@@ -220,6 +124,8 @@ def passive_kernel(q: float, n: int) -> np.ndarray:
     point mass Binomial(0, q) at zero. Reversed, row x is the departure
     law: passive[x, x::-1][d] = P(D = d).
     """
+    if n < 0:
+        raise ValueError(f"n={n} must be >= 0")
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0,1)")
     x = np.arange(n + 1)[:, None]
@@ -231,9 +137,9 @@ def transition_kernel(q: float, p: float,
                       n: int) -> tuple[np.ndarray, np.ndarray]:
     """Active and passive transition matrices over states 0..n.
 
-    Row x of each equals transition_row(x, q, p, active, n), so the
-    buffer sits at n. The active matrix is the passive one shifted by
-    the admitted arrival.
+    The buffer sits at n. Row x of the active matrix is passive row x
+    convolved with the Bernoulli(p) arrival, the arrival dropped when
+    it would pass the buffer.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -40,9 +40,9 @@ _CHUNK = 1 << 16
 def _departure_cdfs(q: float, max_x: int) -> tuple[list[float], ...]:
     """Departure-count CDFs at lengths 0..max_x, shared across calls.
 
-    Row x is the reversed row x of passive_kernel(q, max_x), normalised
-    the way departure_pmf normalises, so the CDFs match it bit for bit.
-    The rows are cached and shared: never mutate them.
+    Row x is the reversed row x of passive_kernel(q, max_x), divided by
+    its sum when roundoff leaves that off 1, with the last entry pinned
+    to 1. The rows are cached and shared: never mutate them.
     """
     passive = passive_kernel(q, max_x)
     cdfs = []

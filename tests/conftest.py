@@ -2,7 +2,9 @@
 
 These helpers re-derive quantities the library computes, through
 deliberately different routes (explicit enumeration, power iteration),
-so agreement is evidence rather than tautology.
+so agreement is evidence rather than tautology. Comparisons at 1e-15
+or bit for bit read a per-row scipy binom.pmf law instead, since
+enumeration's roundoff is a few times larger.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from psindex import ServerParams, SystemConfig
 
@@ -54,8 +57,45 @@ def power_stationary(pmat: np.ndarray, iters: int = 500_000,
     raise AssertionError("power iteration did not settle")
 
 
-def pmf_to_dict(pmf) -> dict[int, float]:
-    return {int(s): float(w) for s, w in zip(pmf.states, pmf.probs)}
+def enum_departures(x: int, q: float) -> np.ndarray:
+    """P(D = d) for d = 0..x, read off the passive enumeration.
+
+    A passive server admits nothing, so p and the buffer do not enter.
+    """
+    law = enum_next_state(x, q, 0.5, False, x)
+    return np.array([law.get(x - d, 0.0) for d in range(x + 1)])
+
+
+def enum_row(x: int, q: float, p: float, active: bool,
+             n: int) -> np.ndarray:
+    """enum_next_state as a dense vector over 0..n."""
+    out = np.zeros(n + 1)
+    for y, w in enum_next_state(x, q, p, active, n).items():
+        out[y] = w
+    return out
+
+
+def binom_departures(x: int, q: float) -> np.ndarray:
+    """P(D = d) for d = 0..x from one scipy binom.pmf call.
+
+    The per-row reference for comparisons at 1e-15 or bit for bit,
+    where enumeration's roundoff (up to about 5e-15) is too coarse.
+    """
+    return binom.pmf(np.arange(x + 1), x, q / max(x, 1))
+
+
+def binom_row(x: int, q: float, p: float, active: bool,
+              n: int) -> np.ndarray:
+    """Dense next-state law over 0..n built on binom_departures."""
+    dep = binom_departures(x, q)
+    y = x - np.arange(x + 1)
+    out = np.zeros(n + 1)
+    if not active:
+        out[y] = dep
+        return out
+    np.add.at(out, y, dep * (1.0 - p))
+    np.add.at(out, np.minimum(y + 1, n), dep * p)
+    return out
 
 
 # One line per acceptance criterion, replayed after the test summary so

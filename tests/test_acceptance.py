@@ -14,12 +14,12 @@ from psindex import (CmuPolicy, IndexIterationConfig, RandomPolicy,
                      ServerParams, SystemConfig, WhittlePolicy,
                      active_interval, admission_gain_profile, bisect_index,
                      brute_force_policy_search, build_index_table, compare,
-                     compute_index, cumulative_active_mass, departure_pmf,
+                     compute_index, cumulative_active_mass,
                      DepartureSampler, dominance_check, default_truncation,
                      joint_policy_average_cost, joint_rvi,
-                     optimal_threshold_cost, policy_reachable_states,
-                     simulate, single_queue_rvi, solve_value,
-                     threshold_average_cost)
+                     optimal_threshold_cost, passive_kernel,
+                     policy_reachable_states, simulate, single_queue_rvi,
+                     solve_value, threshold_average_cost)
 
 HORIZON = 1_000_000
 BURN_IN = 10_000
@@ -319,9 +319,10 @@ def test_criterion_09_solver_cross_consistency(two_server_tiny):
 def test_criterion_10_departure_fidelity():
     worst = 0.0
     for q in np.linspace(0.05, 0.95, 20):
+        passive = passive_kernel(float(q), 200)
         for x in range(1, 201):
-            worst = max(worst, abs(departure_pmf(x, float(q)).mean()
-                                   - float(q)))
+            mean = passive[x, x::-1] @ np.arange(x + 1)
+            worst = max(worst, abs(mean - float(q)))
     analytic_ok = worst <= 1e-12
 
     rng = np.random.default_rng(1234)

@@ -1,8 +1,9 @@
 """Property-suite wrappers: each certifier passes on a reference setup."""
 
+import numpy as np
 import pytest
 
-from psindex import ServerParams, SystemConfig
+from psindex import ServerParams, SystemConfig, passive_kernel
 from psindex import checks
 
 CFG = SystemConfig(arrival_p=0.4,
@@ -29,12 +30,57 @@ def test_departure_counts_are_not_stochastically_ordered():
     """Sanity guard for the corrected property: the raw departure
     counts share the mean q across x, so neither CDF direction can
     hold pointwise and the ordering only exists for x - D."""
-    import numpy as np
-    from psindex import departure_pmf
-    cdf1 = np.cumsum(departure_pmf(1, 0.5).dense(3))
-    cdf2 = np.cumsum(departure_pmf(2, 0.5).dense(3))
+    passive = passive_kernel(0.5, 2)
+    cdf1 = np.cumsum(passive[1, 1::-1])
+    cdf2 = np.cumsum(passive[2, ::-1])
     assert cdf2[0] > cdf1[0]
     assert cdf2[1] < cdf1[1]
+
+
+def _lose_mass(passive):
+    passive[3, 1] += 1e-9
+
+
+def _shift_mean(passive):
+    passive[3, 3] += 1e-9  # one departure fewer, same mass
+    passive[3, 2] -= 1e-9
+
+
+def _break_active_row(kernels):
+    kernels[0][3, 1] += 1e-9
+
+
+def _admit_while_passive(kernels):
+    kernels[1][2, 3] = 1e-9
+
+
+def _empty_five_jobs_at_once(passive):
+    passive[5] = 0.0
+    passive[5, 0] = 1.0  # CDF above row 4's at y = 0
+
+
+@pytest.mark.parametrize("check,kernel,edit", [
+    (checks.check_departure_law, "passive_kernel", _lose_mass),
+    (checks.check_departure_law, "passive_kernel", _shift_mean),
+    (checks.check_active_law_is_convolution, "transition_kernel",
+     _break_active_row),
+    (checks.check_active_law_is_convolution, "transition_kernel",
+     _admit_while_passive),
+    (checks.check_passive_shift_monotone, "passive_kernel",
+     _empty_five_jobs_at_once),
+], ids=["mass", "mean", "active_row", "passive_support", "cdf"])
+def test_model_checks_fail_on_a_perturbed_kernel(monkeypatch, check, kernel,
+                                                 edit):
+    """The model checks read the kernel the solvers use, so a defect in
+    it must show; unperturbed, each passes (tests above)."""
+    real = getattr(checks, kernel)
+
+    def perturbed(*args):
+        out = real(*args)
+        edit(out)
+        return out
+    monkeypatch.setattr(checks, kernel, perturbed)
+    assert not check().passed
 
 
 def test_stationary_mass_monotone_check():

@@ -412,6 +412,26 @@ def test_overrides_are_options_only_of_the_commands_that_read_them(
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("policy", ["cmu", "random"])
+@pytest.mark.parametrize("flag", ["--x-max", "--tol"])
+def test_simulate_refuses_table_options_without_a_table(
+        config_path, tmp_path, capsys, policy, flag):
+    """Only the Whittle policy builds an index table."""
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(config_path), "--policy", policy,
+              flag, "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_simulate_whittle_reads_the_table_options(config_path, tmp_path):
+    assert main(["simulate", "--config", str(config_path), "--policy",
+                 "whittle", "--x-max", "3", "--tol", "1e-5",
+                 "--horizon", "1000", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "report.csv").exists()
+
+
 def test_properties_command_reports_each_check(tmp_path, capsys):
     path = tmp_path / "one.yaml"
     path.write_text("arrival_p: 0.4\nbuffer: 5\n"

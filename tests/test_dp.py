@@ -8,12 +8,12 @@ import pytest
 
 from psindex import (ConvergenceError, ServerParams, SystemConfig,
                      active_interval, admission_gain_profile, bisect_index,
-                     brute_force_policy_search, departure_pmf,
-                     joint_policy_average_cost, joint_rvi,
-                     optimal_threshold_cost, policy_reachable_states,
-                     single_queue_rvi, transition_row)
+                     brute_force_policy_search, joint_policy_average_cost,
+                     joint_rvi, optimal_threshold_cost,
+                     policy_reachable_states, single_queue_rvi)
 
-from conftest import enum_next_state, power_stationary
+from conftest import (enum_departures, enum_next_state, enum_row,
+                      power_stationary)
 
 UNIT = ServerParams(q=0.5, cost_c=1.0)
 
@@ -82,20 +82,20 @@ def test_admission_gain_profile_matches_direct_expectation():
     gain = admission_gain_profile(sol.v, 0.5, 0.4)
     assert gain.shape == (39,)
     for i, x in enumerate([1, 5, 20]):
-        dep = departure_pmf(x, 0.5)
-        want = 0.4 * sum(w * (sol.v[x - int(d) + 1] - sol.v[x - int(d)])
-                         for d, w in zip(dep.states, dep.probs))
+        dep = enum_departures(x, 0.5)
+        want = 0.4 * sum(w * (sol.v[x - d + 1] - sol.v[x - d])
+                         for d, w in enumerate(dep))
         assert gain[x - 1] == pytest.approx(want, abs=1e-12)
 
 
 def _gain_loop(v, q, p):
-    """Admission gain one departure_pmf at a time, for x = 1..n-1."""
+    """Admission gain one enumerated law at a time, for x = 1..n-1."""
     n = len(v) - 1
     out = np.empty(n - 1)
     for i, x in enumerate(range(1, n)):
-        dep = departure_pmf(x, q)
-        keep = x - dep.states
-        out[i] = p * float(dep.probs @ (v[keep + 1] - v[keep]))
+        dep = enum_departures(x, q)
+        keep = x - np.arange(x + 1)
+        out[i] = p * float(dep @ (v[keep + 1] - v[keep]))
     return out
 
 
@@ -124,7 +124,7 @@ def test_joint_rvi_single_server_reduces_to_always_active_chain():
                        servers=(ServerParams(q=0.6, cost_c=2.0),),
                        buffer=1)
     sol = joint_rvi(cfg)
-    rows = np.vstack([transition_row(x, 0.6, 0.3, True, 1) for x in (0, 1)])
+    rows = np.vstack([enum_row(x, 0.6, 0.3, True, 1) for x in (0, 1)])
     pi = power_stationary(rows)
     want = 2.0 * float(pi @ np.arange(2))
     assert sol.beta == pytest.approx(want, abs=1e-8)

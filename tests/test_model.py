@@ -5,11 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from psindex import (Pmf, ServerParams, SystemConfig, departure_pmf,
-                     lyapunov_certificate, lyapunov_margin, next_state_pmf,
-                     transition_kernel, transition_row, validate_config)
+from psindex import (ServerParams, SystemConfig, lyapunov_certificate,
+                     lyapunov_margin, passive_kernel, transition_kernel,
+                     validate_config)
 
-from conftest import enum_next_state, pmf_to_dict
+from conftest import binom_row, enum_next_state, enum_row
+
+
+def _support(row) -> dict[int, float]:
+    """Nonzero entries of a dense law, keyed by state."""
+    return {int(y): float(row[y]) for y in np.flatnonzero(row)}
 
 
 # ---------------------------------------------------------------- #
@@ -19,29 +24,32 @@ from conftest import enum_next_state, pmf_to_dict
 
 def test_departure_pmf_two_jobs_frozen():
     # Binomial(2, 0.25): each of two jobs finishes w.p. q/x = 0.25.
-    got = pmf_to_dict(departure_pmf(2, 0.5))
-    assert got == pytest.approx({0: 0.5625, 1: 0.375, 2: 0.0625}, abs=1e-15)
+    law = passive_kernel(0.5, 2)[2, ::-1]
+    assert law.tolist() == pytest.approx([0.5625, 0.375, 0.0625], abs=1e-15)
 
 
 def test_departure_pmf_empty_server_is_point_mass():
-    got = pmf_to_dict(departure_pmf(0, 0.7))
-    assert got == {0: 1.0}
+    assert passive_kernel(0.7, 3)[0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.55, 0.95])
 def test_departure_mean_is_q_for_any_backlog(q):
     """E[D] = x * (q/x) = q regardless of how jobs share the server."""
+    passive = passive_kernel(q, 200)
     for x in range(1, 201):
-        assert abs(departure_pmf(x, q).mean() - q) <= 1e-12
+        assert abs(passive[x, x::-1] @ np.arange(x + 1) - q) <= 1e-12
 
 
 def test_departure_pmf_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        departure_pmf(-1, 0.5)
+        passive_kernel(0.0, 3)
     with pytest.raises(ValueError):
-        departure_pmf(3, 0.0)
-    with pytest.raises(ValueError):
-        departure_pmf(3, 1.0)
+        passive_kernel(1.0, 3)
+
+
+def test_passive_kernel_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="n=-1"):
+        passive_kernel(0.5, -1)
 
 
 # ---------------------------------------------------------------- #
@@ -50,21 +58,22 @@ def test_departure_pmf_rejects_bad_arguments():
 
 
 def test_next_state_pmf_active_frozen():
-    got = pmf_to_dict(next_state_pmf(1, 0.5, 0.4, True, buffer=10))
-    assert got == pytest.approx({0: 0.3, 1: 0.5, 2: 0.2}, abs=1e-15)
+    active, _ = transition_kernel(0.5, 0.4, 10)
+    assert _support(active[1]) == pytest.approx({0: 0.3, 1: 0.5, 2: 0.2},
+                                                abs=1e-15)
 
 
 def test_next_state_pmf_empty_active_frozen():
-    got = pmf_to_dict(next_state_pmf(0, 0.5, 0.4, True, buffer=10))
-    assert got == pytest.approx({0: 0.6, 1: 0.4}, abs=1e-15)
+    active, _ = transition_kernel(0.5, 0.4, 10)
+    assert _support(active[0]) == pytest.approx({0: 0.6, 1: 0.4}, abs=1e-15)
 
 
 def test_next_state_pmf_passive_admits_nothing():
-    got = pmf_to_dict(next_state_pmf(0, 0.5, 0.4, False, buffer=10))
-    assert got == {0: 1.0}
-    dep = pmf_to_dict(departure_pmf(3, 0.5))
-    passive = pmf_to_dict(next_state_pmf(3, 0.5, 0.4, False, buffer=10))
-    assert passive == pytest.approx({3 - d: w for d, w in dep.items()})
+    _, passive = transition_kernel(0.5, 0.4, 10)
+    assert _support(passive[0]) == {0: 1.0}
+    assert not np.triu(passive, 1).any()
+    assert _support(passive[3]) == pytest.approx(
+        enum_next_state(3, 0.5, 0.4, False, 10))
 
 
 @pytest.mark.parametrize("active", [True, False])
@@ -73,7 +82,8 @@ def test_next_state_pmf_passive_admits_nothing():
     (5, 0.55, 0.4, 5), (7, 0.95, 0.1, 12), (12, 0.2, 0.15, 12),
 ])
 def test_next_state_pmf_matches_enumeration(x, q, p, buffer, active):
-    got = pmf_to_dict(next_state_pmf(x, q, p, active, buffer))
+    kernel = transition_kernel(q, p, buffer)[0 if active else 1]
+    got = _support(kernel[x])
     want = enum_next_state(x, q, p, active, buffer)
     assert set(got) == set(want)
     for s in want:
@@ -81,40 +91,37 @@ def test_next_state_pmf_matches_enumeration(x, q, p, buffer, active):
 
 
 def test_next_state_pmf_clamps_at_buffer():
-    got = pmf_to_dict(next_state_pmf(4, 0.5, 0.4, True, buffer=4))
-    assert max(got) == 4
+    active, _ = transition_kernel(0.5, 0.4, 4)
     # The clamped arrival folds into staying at the buffer.
-    stay = sum(w for d, w in pmf_to_dict(departure_pmf(4, 0.5)).items()
-               if d == 0)
-    assert got[4] == pytest.approx(stay * 0.6 + stay * 0.4
-                                   + pmf_to_dict(departure_pmf(4, 0.5))[1]
-                                   * 0.4, abs=1e-14)
+    passive = enum_next_state(4, 0.5, 0.4, False, 4)
+    stay = passive[4]  # no departure
+    assert active[4, 4] == pytest.approx(stay * 0.6 + stay * 0.4
+                                         + passive[3] * 0.4, abs=1e-14)
 
 
 def test_active_law_is_passive_convolved_with_arrival():
     buffer = 40
+    active, _ = transition_kernel(0.55, 0.4, buffer)
     for x in range(0, 31):
-        passive = next_state_pmf(x, 0.55, 0.4, False, buffer).dense(buffer + 1)
-        active = next_state_pmf(x, 0.55, 0.4, True, buffer).dense(buffer + 1)
+        passive = enum_row(x, 0.55, 0.4, False, buffer)
         conv = 0.6 * passive + 0.4 * np.roll(passive, 1)
         conv[0] = 0.6 * passive[0]
-        assert np.allclose(active, conv, atol=1e-14)
+        assert np.allclose(active[x], conv, atol=1e-14)
 
 
 def test_next_state_pmf_rejects_state_outside_buffer():
+    # The kernel's states are 0..buffer, and a buffer must hold a job.
+    active, passive = transition_kernel(0.5, 0.4, 4)
+    assert active.shape == passive.shape == (5, 5)
     with pytest.raises(ValueError):
-        next_state_pmf(5, 0.5, 0.4, True, buffer=4)
-    with pytest.raises(ValueError):
-        next_state_pmf(1, 0.5, 0.4, True, buffer=0)
+        transition_kernel(0.5, 0.4, 0)
 
 
 def test_transition_row_is_dense_and_stochastic():
-    row = transition_row(3, 0.5, 0.4, True, 10)
+    row = transition_kernel(0.5, 0.4, 10)[0][3]
     assert row.shape == (11,)
     assert row.sum() == pytest.approx(1.0, abs=1e-12)
-    sparse = pmf_to_dict(next_state_pmf(3, 0.5, 0.4, True, 10))
-    for s, w in sparse.items():
-        assert row[s] == pytest.approx(w, abs=1e-15)
+    assert np.max(np.abs(row - binom_row(3, 0.5, 0.4, True, 10))) <= 1e-15
 
 
 @pytest.mark.parametrize("q,p,n", [
@@ -125,9 +132,9 @@ def test_transition_kernel_matches_rows(q, p, n):
     active, passive = transition_kernel(q, p, n)
     assert active.shape == passive.shape == (n + 1, n + 1)
     for x in range(n + 1):
-        assert np.max(np.abs(active[x] - transition_row(x, q, p, True, n))) \
+        assert np.max(np.abs(active[x] - binom_row(x, q, p, True, n))) \
             <= 1e-15
-        assert np.max(np.abs(passive[x] - transition_row(x, q, p, False, n))) \
+        assert np.max(np.abs(passive[x] - binom_row(x, q, p, False, n))) \
             <= 1e-15
 
 
@@ -135,45 +142,6 @@ def test_transition_kernel_rejects_bad_arguments():
     for q, p, n in ((0.0, 0.4, 5), (0.5, 1.0, 5), (0.5, 0.4, 0)):
         with pytest.raises(ValueError):
             transition_kernel(q, p, n)
-
-
-# ---------------------------------------------------------------- #
-# Pmf container                                                    #
-# ---------------------------------------------------------------- #
-
-
-def test_pmf_validates_support_and_mass():
-    with pytest.raises(ValueError):
-        Pmf([1, 0], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        Pmf([0, 0], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        Pmf([0, 1], [-0.1, 1.1])
-    with pytest.raises(ValueError):
-        Pmf([0, 1], [0.5, 0.4])
-    with pytest.raises(ValueError):
-        Pmf([], [])
-
-
-def test_pmf_renormalises_float_roundoff_only():
-    eps = 1e-13
-    pm = Pmf([0, 1], [0.5, 0.5 + eps])
-    assert pm.probs.sum() == pytest.approx(1.0, abs=1e-16)
-    assert pm.mean() == pytest.approx(0.5, abs=1e-12)
-
-
-def test_pmf_dense_and_dict():
-    pm = Pmf([1, 3], [0.25, 0.75])
-    assert pm.as_dict() == {1: 0.25, 3: 0.75}
-    assert np.array_equal(pm.dense(5), [0.0, 0.25, 0.0, 0.75, 0.0])
-    with pytest.raises(ValueError):
-        pm.dense(3)
-
-
-def test_pmf_arrays_are_read_only():
-    pm = Pmf([0, 1], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        pm.probs[0] = 1.0
 
 
 # ---------------------------------------------------------------- #

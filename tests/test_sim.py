@@ -9,10 +9,11 @@ import pytest
 from psindex import (CmuPolicy, DepartureSampler, ExactPolicy,
                      IndexIterationConfig, IndexTable, RandomPolicy,
                      ServerParams, SystemConfig, WhittlePolicy,
-                     build_index_table, compare, departure_pmf, joint_rvi,
-                     simulate)
+                     build_index_table, compare, joint_rvi, simulate)
 from psindex.cli import load_config
 from psindex.sim import _CHUNK, _check_flow, _departure_cdfs
+
+from conftest import binom_departures, enum_departures
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,7 +38,7 @@ def _cmu(cfg):
 def test_departure_sampler_inverts_the_cdf_exactly():
     sampler = DepartureSampler(0.5, 6)
     for x in range(7):
-        cdf = np.cumsum(departure_pmf(x, 0.5).dense(x + 1))
+        cdf = np.cumsum(enum_departures(x, 0.5))
         for d in range(x + 1):
             if d < x:
                 assert sampler.sample(x, cdf[d] - 1e-12) == d
@@ -52,7 +53,11 @@ def test_departure_sampler_cdfs_equal_the_departure_pmf_cdfs(q):
     # numbers need every CDF entry bit for bit.
     want = []
     for x in range(101):
-        cdf = np.cumsum(departure_pmf(x, q).dense(x + 1)).tolist()
+        law = binom_departures(x, q)
+        total = float(law.sum())
+        if total != 1.0:
+            law = law / total
+        cdf = np.cumsum(law).tolist()
         cdf[-1] = 1.0
         want.append(cdf)
     assert DepartureSampler(q, 100)._cdfs == want
@@ -62,6 +67,12 @@ def test_departure_sampler_cdfs_equal_the_departure_pmf_cdfs(q):
 def test_departure_sampler_rejects_q_outside_the_unit_interval(q):
     with pytest.raises(ValueError):
         DepartureSampler(q, 5)
+
+
+def test_departure_sampler_rejects_a_negative_max_x():
+    # Refused when built, not at the first sample with an IndexError.
+    with pytest.raises(ValueError, match="n=-1"):
+        DepartureSampler(0.5, -1)
 
 
 def test_simulate_reuses_the_cached_departure_cdfs():

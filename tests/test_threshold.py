@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 
 from psindex import (RecurrentChain, cumulative_active_mass, dominance_check,
-                     next_state_pmf, optimal_threshold_cost,
-                     stationary_distribution, threshold_average_cost,
-                     threshold_chain)
+                     optimal_threshold_cost, stationary_distribution,
+                     threshold_average_cost, threshold_chain)
 
-from conftest import power_stationary
+from conftest import binom_row, power_stationary
 
 PAIRS = ((0.5, 0.4), (0.55, 0.4), (0.95, 0.4), (0.45, 0.3), (0.2, 0.1))
 GRID = [(k, q, p) for k in (0, 1, 3, 7, 15) for q, p in PAIRS]
 
 
 def _per_row_chain(k, q, p):
-    """Threshold-k chain assembled one next_state_pmf row at a time."""
-    n = k + 2
-    return np.vstack([next_state_pmf(s, q, p, s <= k, k + 1).dense(n)
-                      for s in range(n)])
+    """Threshold-k chain assembled one binom_row at a time."""
+    return np.vstack([binom_row(s, q, p, s <= k, k + 1)
+                      for s in range(k + 2)])
 
 
 def test_threshold_chain_frozen_matrix():
