@@ -2,11 +2,12 @@
 
 single_queue_rvi solves the one-queue problem with a passivity charge
 and exposes the greedy policy, whose active set should be a downward
-closed interval (threshold structure); it and the admission-gain
-profile read model.transition_kernel. joint_rvi solves the full bank
-on the product state space and is the exact benchmark the index policy
-is measured against; brute_force_policy_search cross-checks it by
-sheer enumeration on spaces small enough to afford that.
+closed interval (threshold structure); it reads
+model.transition_kernel, and the admission-gain profile its passive
+half. joint_rvi solves the full bank on the product state space and is
+the exact benchmark the index policy is measured against;
+brute_force_policy_search cross-checks it by sheer enumeration on
+spaces small enough to afford that.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConvergenceError, ServerParams, SystemConfig, \
-    transition_kernel
+    passive_kernel, transition_kernel
 
 # ---------------------------------------------------------------- #
 # single queue                                                     #
@@ -101,9 +102,10 @@ def admission_gain_profile(v: np.ndarray, q: float, p: float) -> np.ndarray:
     Passive row x of the kernel is the law of x - D, so the profile is
     one product with the increments of v.
     """
+    if not (0.0 < p < 1.0):
+        raise ValueError("p must lie in (0,1)")
     n = len(v) - 1
-    _, passive = transition_kernel(q, p, n)
-    return p * (passive[1:n, :n] @ np.diff(v))
+    return p * (passive_kernel(q, n)[1:n, :n] @ np.diff(v))
 
 
 # ---------------------------------------------------------------- #

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import binom
@@ -116,21 +117,41 @@ def validate_config(cfg: SystemConfig) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
+_BLOCK = 64  # passive blocks are cached in multiples of this many states
+
+
+@lru_cache(maxsize=2)
+def _passive_block(q: float, size: int) -> np.ndarray:
+    """Read-only passive matrix over states 0..size-1.
+
+    binom.pmf is evaluated elementwise, so the top-left corner of a
+    block is bit-identical to a direct build at the smaller size, whose
+    entries above the diagonal are the pmf's zeros at negative counts.
+    Sweeps loop over q outermost, so two blocks serve every consumer in
+    turn, and a sweep over large sizes keeps little memory alive.
+    """
+    x, y = np.tril_indices(size)  # a passive server only loses jobs
+    block = np.zeros((size, size))
+    block[x, y] = binom.pmf(x - y, x, q / np.maximum(x, 1))
+    block.setflags(write=False)
+    return block
+
+
 def passive_kernel(q: float, n: int) -> np.ndarray:
     """Passive transition matrix over states 0..n, free of p.
 
     Row x puts P(D = x - y) on y, D ~ Binomial(x, q/x), all rows from
-    one broadcast binomial evaluation; an empty server (x = 0) has the
-    point mass Binomial(0, q) at zero. Reversed, row x is the departure
-    law: passive[x, x::-1][d] = P(D = d).
+    one binomial evaluation over the lower triangle; an empty server
+    (x = 0) has the point mass Binomial(0, q) at zero. Reversed, row x
+    is the departure law: passive[x, x::-1][d] = P(D = d). The result
+    is a writable copy of a cached block, so callers may edit it.
     """
     if n < 0:
         raise ValueError(f"n={n} must be >= 0")
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0,1)")
-    x = np.arange(n + 1)[:, None]
-    y = np.arange(n + 1)[None, :]
-    return binom.pmf(x - y, x, q / np.maximum(x, 1))
+    size = -(-(n + 1) // _BLOCK) * _BLOCK
+    return _passive_block(float(q), size)[: n + 1, : n + 1].copy()
 
 
 def transition_kernel(q: float, p: float,

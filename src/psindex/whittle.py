@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from .model import ConvergenceError, ServerParams, SystemConfig, \
     transition_kernel
@@ -103,16 +104,24 @@ class _FixedThresholdSystem:
         self.active_row = active[x]
         self.passive_row = passive[x]
 
+    def _lu_solve(self, b: np.ndarray) -> np.ndarray:
+        """LAPACK getrs on the stored LU, as scipy's lu_solve calls it.
+
+        No finiteness check: a non-finite right-hand side fails the
+        residual guard of _refined_solve instead.
+        """
+        return dgetrs(*self._lu, b)[0]  # info != 0 only for a bad argument
+
     def _refined_solve(self, b: np.ndarray) -> np.ndarray:
         """Solve a u = b for one right-hand side or a column of them.
 
         One refinement step follows the LU solve, and the residual guard
-        covers every column.
+        covers every column; a NaN residual fails it too.
         """
-        u = lu_solve(self._lu, b)
-        u += lu_solve(self._lu, b - self._a @ u)  # one refinement step
+        u = self._lu_solve(b)
+        u += self._lu_solve(b - self._a @ u)  # one refinement step
         resid = float(np.max(np.abs(self._a @ u - b)))
-        if resid > VALUE_RESIDUAL_TOL:
+        if not resid <= VALUE_RESIDUAL_TOL:
             raise RuntimeError(f"value system residual {resid:.3e} exceeds "
                                f"{VALUE_RESIDUAL_TOL:g}")
         return u
@@ -152,8 +161,8 @@ class _FixedThresholdSystem:
         """
         d = self.active_row - self.passive_row
         m = self.n + 1
-        v0 = lu_solve(self._lu, self._b0)[:m]
-        v1 = lu_solve(self._lu, self._b1)[:m]
+        v0 = self._lu_solve(self._b0)[:m]
+        v1 = self._lu_solve(self._b1)[:m]
         return float(d @ v0), float(d @ v1) - 1.0
 
 

@@ -112,6 +112,13 @@ def test_admission_gain_profile_matches_the_per_state_loop(q, p):
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
+def test_admission_gain_profile_rejects_bad_arguments():
+    v = np.arange(5.0)
+    for q, p in ((0.0, 0.4), (1.0, 0.4), (0.5, 0.0), (0.5, 1.0)):
+        with pytest.raises(ValueError):
+            admission_gain_profile(v, q, p)
+
+
 # ---------------------------------------------------------------- #
 # joint bank                                                       #
 # ---------------------------------------------------------------- #

@@ -9,7 +9,7 @@ from psindex import (ServerParams, SystemConfig, lyapunov_certificate,
                      lyapunov_margin, passive_kernel, transition_kernel,
                      validate_config)
 
-from conftest import binom_row, enum_next_state, enum_row
+from conftest import binom_departures, binom_row, enum_next_state, enum_row
 
 
 def _support(row) -> dict[int, float]:
@@ -50,6 +50,28 @@ def test_departure_pmf_rejects_bad_arguments():
 def test_passive_kernel_rejects_a_negative_size():
     with pytest.raises(ValueError, match="n=-1"):
         passive_kernel(0.5, -1)
+
+
+def test_passive_kernel_returns_a_copy_the_cache_ignores():
+    """Callers may edit the kernel in place; the next call is unchanged."""
+    want = passive_kernel(0.55, 70)
+    got = passive_kernel(0.55, 70)
+    got[:] = -1.0
+    passive_kernel(0.55, 40)[3, 1] = 7.0  # a smaller slice of one block
+    assert passive_kernel(0.55, 70).tobytes() == want.tobytes()
+    assert passive_kernel(0.55, 70).flags.writeable
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 128, 200])
+@pytest.mark.parametrize("q", [0.45, 0.55, 0.95])
+def test_passive_kernel_equals_the_per_row_oracle_bit_for_bit(q, n):
+    """Sizes straddle the cached block edges at multiples of 64 states."""
+    passive = passive_kernel(q, n)
+    assert passive.shape == (n + 1, n + 1)
+    want = np.zeros((n + 1, n + 1))
+    for x in range(n + 1):
+        want[x, x::-1] = binom_departures(x, q)
+    assert passive.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- #

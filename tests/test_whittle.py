@@ -148,6 +148,20 @@ def test_bisect_index_scan_keeps_the_residual_guard(monkeypatch):
         bisect_index(3, HEAVY, 0.4, 100)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda system: system.solve(np.nan),
+    lambda system: system.solve(np.inf),
+    lambda system: system.gaps(np.array([0.0, np.nan])),
+], ids=["solve_nan", "solve_inf", "gaps_nan"])
+def test_non_finite_charges_fail_the_residual_guard(solve):
+    """The solves skip scipy's finiteness check, so the guard must catch
+    a NaN residual as well as a large one."""
+    system = whittle._FixedThresholdSystem(HEAVY, 0.4, 3, 40)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(RuntimeError, match="value system residual nan"):
+        solve(system)
+
+
 # ---------------------------------------------------------------- #
 # index tables                                                     #
 # ---------------------------------------------------------------- #
