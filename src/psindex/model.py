@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special._ufuncs import _binom_pmf
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver ran out of iterations.
+    """A solver ran out of iterations or failed its residual check.
 
     Carries the trailing iterate and residual so callers can report
     exactly where the iteration stalled.
@@ -120,19 +120,32 @@ def validate_config(cfg: SystemConfig) -> ValidationReport:
 _BLOCK = 64  # passive blocks are cached in multiples of this many states
 
 
-@lru_cache(maxsize=2)
-def _passive_block(q: float, size: int) -> np.ndarray:
-    """Read-only passive matrix over states 0..size-1.
+def _binomial_block(q: float, size: int) -> np.ndarray:
+    """Passive matrix over states 0..size-1, built afresh.
 
-    binom.pmf is evaluated elementwise, so the top-left corner of a
+    The pmf is evaluated elementwise, so the top-left corner of a
     block is bit-identical to a direct build at the smaller size, whose
     entries above the diagonal are the pmf's zeros at negative counts.
-    Sweeps loop over q outermost, so two blocks serve every consumer in
-    turn, and a sweep over large sizes keeps little memory alive.
+    Every lower-triangle entry lies in the binomial's support, where
+    scipy.stats.binom.pmf returns exactly the clipped _binom_pmf ufunc
+    it dispatches to; calling the ufunc spares every process the
+    import of scipy.stats, most of the package's cold start.
     """
     x, y = np.tril_indices(size)  # a passive server only loses jobs
     block = np.zeros((size, size))
-    block[x, y] = binom.pmf(x - y, x, q / np.maximum(x, 1))
+    block[x, y] = np.clip(_binom_pmf(x - y, x, q / np.maximum(x, 1)),
+                          0.0, 1.0)
+    return block
+
+
+@lru_cache(maxsize=2)
+def _passive_block(q: float, size: int) -> np.ndarray:
+    """Read-only _binomial_block, shared by every passive_kernel call.
+
+    Sweeps loop over q outermost, so two blocks serve every consumer in
+    turn, and a sweep over large sizes keeps little memory alive.
+    """
+    block = _binomial_block(q, size)
     block.setflags(write=False)
     return block
 

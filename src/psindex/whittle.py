@@ -116,14 +116,16 @@ class _FixedThresholdSystem:
         """Solve a u = b for one right-hand side or a column of them.
 
         One refinement step follows the LU solve, and the residual guard
-        covers every column; a NaN residual fails it too.
+        covers every column; a NaN residual fails it too. A failed guard
+        raises ConvergenceError carrying the residual.
         """
         u = self._lu_solve(b)
         u += self._lu_solve(b - self._a @ u)  # one refinement step
         resid = float(np.max(np.abs(self._a @ u - b)))
         if not resid <= VALUE_RESIDUAL_TOL:
-            raise RuntimeError(f"value system residual {resid:.3e} exceeds "
-                               f"{VALUE_RESIDUAL_TOL:g}")
+            raise ConvergenceError(f"value system residual {resid:.3e} "
+                                   f"exceeds {VALUE_RESIDUAL_TOL:g}",
+                                   residual=resid)
         return u
 
     def solve(self, lam: float) -> ValueSolution:
@@ -298,7 +300,7 @@ def _closed_form_index(system: _FixedThresholdSystem, tol: float) -> float:
 
     Raises ConvergenceError when the gap line has no unique root or the
     root leaves a gap above tol; the residual guard of solve raises
-    RuntimeError as usual.
+    one as usual.
     """
     g0, slope = system.gap_line()
     if slope == 0.0 or not (np.isfinite(slope) and np.isfinite(g0)):
@@ -336,9 +338,8 @@ def build_index_table(cfg: SystemConfig, x_max: int,
                                            kernel)
             try:
                 entries[i, x] = _closed_form_index(system, tol)
-            except RuntimeError as e:  # ConvergenceError or the value guard
+            except ConvergenceError as e:
                 raise ConvergenceError(
                     f"index table aborted at server {i}, state {x}: {e}",
-                    iterate=getattr(e, "iterate", None),
-                    residual=getattr(e, "residual", None)) from e
+                    iterate=e.iterate, residual=e.residual) from e
     return IndexTable(entries=entries, x_max=x_max)

@@ -60,8 +60,8 @@ def _empty_five_jobs_at_once(passive):
 
 
 @pytest.mark.parametrize("check,kernel,edit", [
-    (checks.check_departure_law, "passive_kernel", _lose_mass),
-    (checks.check_departure_law, "passive_kernel", _shift_mean),
+    (checks.check_departure_law, "_binomial_block", _lose_mass),
+    (checks.check_departure_law, "_binomial_block", _shift_mean),
     (checks.check_active_law_is_convolution, "transition_kernel",
      _break_active_row),
     (checks.check_active_law_is_convolution, "transition_kernel",

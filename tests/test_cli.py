@@ -1,6 +1,10 @@
 """Command-line surface: config parsing, artifact files, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from psindex.checks import CheckResult
 from psindex.cli import (ConfigError, fmt, load_config, main,
                          write_comparison, write_exact, write_index_table,
                          write_properties, write_reports, write_series)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 GOOD = """\
 arrival_p: 0.4
@@ -293,6 +299,30 @@ def test_indices_command_lets_a_plain_runtime_error_through(
     with pytest.raises(RuntimeError, match="not a solver failure"):
         main(["indices", "--config", str(config_path),
               "--out", str(tmp_path)])
+
+
+def test_properties_command_reports_a_failed_value_guard_without_traceback(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "one.yaml"
+    path.write_text("arrival_p: 0.4\nbuffer: 5\n"
+                    "servers:\n  - {q: 0.55, cost_c: 30.0}\n")
+    monkeypatch.setattr(whittle, "VALUE_RESIDUAL_TOL", -1.0)
+    code = main(["properties", "--config", str(path),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: value system residual")
+    assert "Traceback" not in err
+
+
+def test_cold_import_of_the_cli_leaves_scipy_stats_out():
+    """scipy.stats takes most of a cold start; the kernel calls the
+    binomial ufunc directly, so no psindex module may import it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = "import sys, psindex.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_simulate_command_writes_report_and_series(config_path, tmp_path,

@@ -62,10 +62,15 @@ def test_passive_kernel_returns_a_copy_the_cache_ignores():
     assert passive_kernel(0.55, 70).flags.writeable
 
 
-@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 128, 200])
-@pytest.mark.parametrize("q", [0.45, 0.55, 0.95])
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 128, 200, 255, 256])
+@pytest.mark.parametrize("q", [1e-9, 0.05, 0.45, 0.55, 0.95, 1 - 1e-9])
 def test_passive_kernel_equals_the_per_row_oracle_bit_for_bit(q, n):
-    """Sizes straddle the cached block edges at multiples of 64 states."""
+    """Sizes straddle the cached block edges at multiples of 64 states.
+
+    The kernel calls scipy's private binomial pmf ufunc, so this
+    comparison with the public scipy.stats.binom.pmf pins it, at
+    extreme q as well.
+    """
     passive = passive_kernel(q, n)
     assert passive.shape == (n + 1, n + 1)
     want = np.zeros((n + 1, n + 1))

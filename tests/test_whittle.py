@@ -162,6 +162,16 @@ def test_non_finite_charges_fail_the_residual_guard(solve):
         solve(system)
 
 
+def test_the_residual_guard_fails_with_a_convergence_error(monkeypatch):
+    """Every solver's guard failure is a ConvergenceError, which the CLI
+    reports as `error: ...`, and it carries the residual."""
+    monkeypatch.setattr(whittle, "VALUE_RESIDUAL_TOL", -1.0)
+    with pytest.raises(ConvergenceError,
+                       match="value system residual") as exc:
+        compute_index(3, HEAVY, 0.4, 40)
+    assert exc.value.residual >= 0.0
+
+
 # ---------------------------------------------------------------- #
 # index tables                                                     #
 # ---------------------------------------------------------------- #
