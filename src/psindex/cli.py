@@ -41,12 +41,35 @@ class WhittleOptions:
     x_max: int = 40
     truncation_n: int | None = None
 
+    def __post_init__(self):
+        try:
+            whittle.IndexIterationConfig(gamma=self.gamma, tol=self.tol,
+                                         max_iter=self.max_iter)
+        except ValueError as e:
+            raise ConfigError(f"whittle.{e}")
+        if self.x_max < 1:
+            raise ConfigError("whittle.x_max must be >= 1")
+        if self.truncation_n is not None and \
+                self.truncation_n < self.x_max + 1:
+            raise ConfigError("whittle.truncation_n must be >= x_max + 1")
+
 
 @dataclass(frozen=True)
 class SimOptions:
     horizon: int = 1_000_000
     burn_in: int = 10_000
     seeds: int = 10
+
+    def __post_init__(self):
+        if not 0 <= self.burn_in < self.horizon:
+            raise ConfigError("need 0 <= sim.burn_in < sim.horizon")
+
+
+# The value type of every key of the optional sections; their defaults
+# are the option classes' own.
+_WHITTLE_KEYS = {"gamma": float, "tol": float, "max_iter": int,
+                 "x_max": int, "truncation_n": int}
+_SIM_KEYS = {"horizon": int, "burn_in": int, "seeds": int}
 
 
 @dataclass(frozen=True)
@@ -56,14 +79,15 @@ class LoadedConfig:
     sim: SimOptions
 
 
-def _section(raw: dict, key: str, allowed: set[str]) -> dict:
+def _section(raw: dict, key: str, kinds: dict) -> dict:
+    """The keys given in an optional section, each converted to its kind."""
     got = raw.get(key) or {}
     if not isinstance(got, dict):
         raise ConfigError(f"section '{key}' must be a mapping")
-    unknown = set(got) - allowed
+    unknown = set(got) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown keys in '{key}': {sorted(unknown)}")
-    return got
+    return {k: _number(kinds[k], v, f"{key}.{k}") for k, v in got.items()}
 
 
 def _number(kind, value, key: str):
@@ -118,20 +142,8 @@ def load_config(path: str | Path) -> LoadedConfig:
         servers=tuple(servers),
         buffer=_number(int, raw["buffer"], "buffer"),
         strict_stability_mode=strict)
-    w = _section(raw, "whittle",
-                 {"gamma", "tol", "max_iter", "x_max", "truncation_n"})
-    wopts = WhittleOptions(
-        gamma=_number(float, w.get("gamma", 0.1), "whittle.gamma"),
-        tol=_number(float, w.get("tol", 1e-6), "whittle.tol"),
-        max_iter=_number(int, w.get("max_iter", 100_000), "whittle.max_iter"),
-        x_max=_number(int, w.get("x_max", 40), "whittle.x_max"),
-        truncation_n=(_number(int, w["truncation_n"], "whittle.truncation_n")
-                      if "truncation_n" in w else None))
-    s = _section(raw, "sim", {"horizon", "burn_in", "seeds"})
-    sopts = SimOptions(
-        horizon=_number(int, s.get("horizon", 1_000_000), "sim.horizon"),
-        burn_in=_number(int, s.get("burn_in", 10_000), "sim.burn_in"),
-        seeds=_number(int, s.get("seeds", 10), "sim.seeds"))
+    wopts = WhittleOptions(**_section(raw, "whittle", _WHITTLE_KEYS))
+    sopts = SimOptions(**_section(raw, "sim", _SIM_KEYS))
     return LoadedConfig(system=system, whittle=wopts, sim=sopts)
 
 

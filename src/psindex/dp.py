@@ -150,17 +150,16 @@ def _expected_values(v: np.ndarray, ops) -> list[np.ndarray]:
 
 
 def joint_rvi(cfg: SystemConfig, tol: float = 1e-9,
-              max_sweeps: int = 200_000,
-              reference: tuple[int, ...] | None = None) -> JointSolution:
+              max_sweeps: int = 200_000) -> JointSolution:
     """Optimal average cost for the whole bank by relative value iteration.
 
     Synchronous sweeps of V <- cost + min_i E^i[V] - V[reference];
-    at the fixed point the value at the reference state equals the
-    optimal average cost. Ties in the minimising server go to the
+    at the fixed point the value at the reference state, the all-empty
+    one, equals the optimal average cost. Ties in the minimising server go to the
     lowest index. Exponential in the number of servers, intended for
     benchmark-sized instances.
     """
-    ref = tuple([0] * cfg.num_servers) if reference is None else tuple(reference)
+    ref = (0,) * cfg.num_servers
     shape = (cfg.buffer + 1,) * cfg.num_servers
     grids = np.meshgrid(*[np.arange(cfg.buffer + 1)] * cfg.num_servers,
                         indexing="ij")

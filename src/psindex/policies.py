@@ -80,7 +80,8 @@ class _DecisionTable:
         key = (cfg.num_servers, cfg.buffer)
         if self._decision_cache is None or self._decision_cache[0] != key:
             # One byte names the server, so at most 256 of them.
-            fits = (cfg.num_servers <= 256 and (cfg.buffer + 1)
+            fits = (cfg.num_servers == self.num_servers
+                    and cfg.num_servers <= 256 and (cfg.buffer + 1)
                     ** cfg.num_servers <= DECISION_STATE_LIMIT)
             table = self._build_decisions(cfg) if fits else None
             self._decision_cache = (key, table)
@@ -94,6 +95,7 @@ class WhittlePolicy(_DecisionTable):
 
     def __init__(self, table: IndexTable, max_state: int | None = None):
         self.table = table
+        self.num_servers = table.num_servers
         # Dense per-server rows make the per-slot lookup a list index.
         size = (max_state if max_state is not None else table.x_max) + 1
         self._rows = [table.dense_row(i, size).tolist()
@@ -117,9 +119,7 @@ class WhittlePolicy(_DecisionTable):
 
         return select
 
-    def _build_decisions(self, cfg: SystemConfig) -> bytes | None:
-        if self.table.num_servers != cfg.num_servers:
-            return None
+    def _build_decisions(self, cfg: SystemConfig) -> bytes:
         size = cfg.buffer + 1
         return _argmin_table([self.table.dense_row(i, size)
                               for i in range(cfg.num_servers)])
@@ -132,6 +132,7 @@ class CmuPolicy(_DecisionTable):
 
     def __init__(self, servers: tuple[ServerParams, ...]):
         self._weights = [s.cost_c / s.q for s in servers]
+        self.num_servers = len(servers)
 
     def selector(self, rng: np.random.Generator):
         w = self._weights
@@ -147,9 +148,7 @@ class CmuPolicy(_DecisionTable):
 
         return select
 
-    def _build_decisions(self, cfg: SystemConfig) -> bytes | None:
-        if len(self._weights) != cfg.num_servers:
-            return None
+    def _build_decisions(self, cfg: SystemConfig) -> bytes:
         xs = np.arange(cfg.buffer + 1)
         return _argmin_table([w * xs for w in self._weights])
 
@@ -184,6 +183,7 @@ class ExactPolicy(_DecisionTable):
 
     def __init__(self, solution: JointSolution):
         self._policy = solution.policy
+        self.num_servers = solution.policy.ndim
 
     def selector(self, rng: np.random.Generator):
         pol = self._policy.tolist()

@@ -99,11 +99,15 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
     drops are counted over the whole run. With debug_conservation the
     flow identity next = current - departures + admissions is asserted
     on the first ten thousand slots. checkpoints > 0 additionally
-    records that many evenly spaced running cost averages.
+    records that many evenly spaced running cost averages. A policy
+    with a num_servers must be built for cfg's number of servers.
     """
     if not 0 <= burn_in < horizon:
         raise ValueError("need 0 <= burn_in < horizon")
     num = cfg.num_servers
+    if getattr(policy, "num_servers", num) != num:
+        raise ValueError(f"policy {policy.name} is for {policy.num_servers} "
+                         f"servers, the bank has {num}")
     buffer = cfg.buffer
     costs = [s.cost_c for s in cfg.servers]
 

@@ -7,9 +7,9 @@ With the threshold structure fixed, the relative values solve a linear
 system that is affine in lam, so the balance gap has a single root.
 Index tables take it in closed form from two back-solves on one LU.
 Two independent routes find it iteratively and serve as oracles: the
-paper's incremental fixed-point scheme (compute_index) and a
-scan-and-bisect root finder (bisect_index), whose scans are
-multi-column solves on the same LU.
+paper's incremental fixed-point scheme (compute_index) and a bisection
+(bisect_index) that brackets the root by the gap's signs at the two
+ends of a growing window.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .model import ConvergenceError, ServerParams, SystemConfig, \
     transition_kernel
 
 VALUE_RESIDUAL_TOL = 1e-9
-_SCAN_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -113,10 +112,10 @@ class _FixedThresholdSystem:
         return dgetrs(*self._lu, b)[0]  # info != 0 only for a bad argument
 
     def _refined_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve a u = b for one right-hand side or a column of them.
+        """Solve a u = b for one right-hand side.
 
         One refinement step follows the LU solve, and the residual guard
-        covers every column; a NaN residual fails it too. A failed guard
+        covers the result; a NaN residual fails it too. A failed guard
         raises ConvergenceError carrying the residual.
         """
         u = self._lu_solve(b)
@@ -137,22 +136,6 @@ class _FixedThresholdSystem:
         """Active-minus-passive continuation gap at the threshold state."""
         v = self.solve(lam).v
         return float(self.active_row @ v - self.passive_row @ v) - lam
-
-    def gaps(self, lams: np.ndarray) -> np.ndarray:
-        """gap at every charge in lams, from multi-column solves.
-
-        The charges go in blocks of _SCAN_BLOCK columns: a threaded BLAS
-        parallelises a wider triangular solve, and on small machines
-        waking its threads costs more than the solve itself.
-        """
-        out = np.empty(lams.size)
-        for j in range(0, lams.size, _SCAN_BLOCK):
-            lam = lams[j: j + _SCAN_BLOCK]
-            b = self._b0[:, None] + lam[None, :] * self._b1[:, None]
-            v = self._refined_solve(b)[: self.n + 1]
-            out[j: j + _SCAN_BLOCK] = (self.active_row @ v
-                                       - self.passive_row @ v - lam)
-        return out
 
     def gap_line(self) -> tuple[float, float]:
         """Intercept and slope of the gap, which is affine in lam.
@@ -208,42 +191,37 @@ def compute_index(x: int, server: ServerParams, arrival_p: float, n: int,
         iterate=lam, residual=gap)
 
 
-def bisect_index(x: int, server: ServerParams, arrival_p: float, n: int,
-                 lo: float = -50.0, hi: float = 50.0,
-                 halvings: int = 60) -> float:
+def bisect_index(x: int, server: ServerParams, arrival_p: float,
+                 n: int) -> float:
     """Reference root finder for the balance gap.
 
-    Scans [lo, hi] for a sign change, doubling the window outward when
-    the scan misses (indices grow quickly with x), then bisects. Scans
-    solve many charges per LU back-solve (see gaps); the halvings stay
-    scalar. The gap is affine in lam for a fixed threshold, so the root
-    is unique.
+    Brackets the root by the gap's signs at the two ends of [-50, 50],
+    doubling the window outward until they differ (indices grow quickly
+    with x), then halves the bracket 60 times. The gap is affine in lam
+    for a fixed threshold, so it changes sign inside a window exactly
+    when it does between the ends, and the root is unique; bisection
+    stays valid for any continuous gap. A root on a window end is
+    returned as that end.
     """
     system = _FixedThresholdSystem(server, arrival_p, x, n)
-    span = hi - lo
+    a, b, span = -50.0, 50.0, 100.0
     for _ in range(40):
-        grid = np.linspace(lo, hi, 201)
-        vals = system.gaps(grid)
-        bracket = None
-        for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
-            if fa == 0.0:
-                return float(a)
-            if fa * fb < 0.0:
-                bracket = (a, b, fa)
-                break
-        if bracket is not None:
+        fa, fb = system.gap(a), system.gap(b)
+        if fa == 0.0:
+            return a
+        if fb == 0.0:
+            return b
+        if fa * fb < 0.0:
             break
         span *= 2.0
-        lo -= span / 2.0
-        hi += span / 2.0
+        a, b = a - span / 2.0, b + span / 2.0
     else:
         raise ConvergenceError("no sign change found for the balance gap")
-    a, b, fa = bracket
-    for _ in range(halvings):
+    for _ in range(60):
         mid = 0.5 * (a + b)
         fm = system.gap(mid)
         if fm == 0.0:
-            return float(mid)
+            return mid
         if fa * fm < 0.0:
             b = mid
         else:

@@ -258,6 +258,27 @@ def test_config_errors_use_the_usage_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "indices"])
+@pytest.mark.parametrize("section,phrase", [
+    ("whittle: {gamma: 5}", r"whittle.gamma must lie in \(0, 1\]"),
+    ("whittle: {tol: -1}", "whittle.tol must be positive"),
+    ("whittle: {max_iter: 0}", "whittle.max_iter must be >= 1"),
+    ("whittle: {x_max: 0}", "whittle.x_max must be >= 1"),
+    ("whittle: {truncation_n: 1}", r"whittle.truncation_n must be >= x_max"),
+    ("sim: {horizon: 100, burn_in: 200}", "0 <= sim.burn_in < sim.horizon"),
+])
+def test_option_values_no_command_accepts_are_config_errors(
+        tmp_path, capsys, command, section, phrase):
+    path = tmp_path / "bad.yaml"
+    path.write_text("arrival_p: 0.4\nbuffer: 5\n"
+                    f"servers:\n  - {{q: 0.5, cost_c: 1.0}}\n{section}\n")
+    with pytest.raises(ConfigError, match=phrase):
+        load_config(path)
+    code = main([command, "--config", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_invalid_system_blocks_other_commands(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("arrival_p: 1.4\nbuffer: 5\n"

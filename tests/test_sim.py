@@ -113,6 +113,28 @@ def test_simulate_rejects_bad_burn_in():
         simulate(ONE, _cmu(ONE), horizon=10, burn_in=-1)
 
 
+def _bank(num):
+    servers = (ServerParams(q=0.55, cost_c=30.0),
+               ServerParams(q=0.50, cost_c=29.0),
+               ServerParams(q=0.45, cost_c=28.0))
+    return SystemConfig(arrival_p=0.4, servers=servers[:num], buffer=4)
+
+
+def _policies_for(cfg):
+    table = build_index_table(cfg, x_max=2)
+    return [WhittlePolicy(table, max_state=cfg.buffer), CmuPolicy(cfg.servers),
+            RandomPolicy(cfg.num_servers), ExactPolicy(joint_rvi(cfg))]
+
+
+@pytest.mark.parametrize("built,run", [(2, 3), (3, 2)])
+def test_simulate_refuses_a_policy_for_another_bank_size(built, run):
+    """Neither a missing server nor a surplus one passes silently."""
+    for policy in _policies_for(_bank(built)):
+        with pytest.raises(ValueError, match=f"policy {policy.name} is for "
+                           f"{built} servers, the bank has {run}"):
+            simulate(_bank(run), policy, horizon=100, burn_in=0)
+
+
 def test_same_seed_reproduces_the_run_exactly():
     a = simulate(TWO, _cmu(TWO), horizon=20_000, burn_in=100, seed=5)
     b = simulate(TWO, _cmu(TWO), horizon=20_000, burn_in=100, seed=5)

@@ -104,42 +104,27 @@ def test_bisection_expands_its_bracket_when_needed():
     assert abs(index_residual(deep, 40, HEAVY, 0.4, 100)) <= 1e-6
 
 
-def _scalar_scan_bisect(x, server, arrival_p, n):
-    """bisect_index with every scan point solved on its own."""
-    system = whittle._FixedThresholdSystem(server, arrival_p, x, n)
-    lo, hi = -50.0, 50.0
-    span = hi - lo
-    bracket = None
-    while bracket is None:
-        grid = np.linspace(lo, hi, 201)
-        vals = [system.gap(g) for g in grid]
-        for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
-            if fa == 0.0:
-                return float(a)
-            if fa * fb < 0.0:
-                bracket = (a, b, fa)
-                break
-        span *= 2.0
-        lo -= span / 2.0
-        hi += span / 2.0
-    a, b, fa = bracket
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        fm = system.gap(mid)
-        if fm == 0.0:
-            return float(mid)
-        if fa * fm < 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+def test_bisection_without_a_sign_change_fails(monkeypatch):
+    """A gap of one sign over all 40 windows has no bracket to bisect."""
+    calls = []
+
+    def gap(self, lam):
+        calls.append(lam)
+        return 1.0
+
+    monkeypatch.setattr(whittle._FixedThresholdSystem, "gap", gap)
+    with pytest.raises(ConvergenceError, match="no sign change"):
+        bisect_index(3, HEAVY, 0.4, 40)
+    assert len(calls) == 80  # both ends of each of the 40 windows
 
 
-def test_gaps_agree_with_the_scalar_gap_across_blocks():
-    system = whittle._FixedThresholdSystem(HEAVY, 0.4, 7, 100)
-    lams = np.linspace(-80.0, 120.0, 201)  # spans several solve blocks
-    want = np.array([system.gap(lam) for lam in lams])
-    assert np.max(np.abs(system.gaps(lams) - want)) <= 1e-9
+@pytest.mark.parametrize("root", [-50.0, 50.0, -150.0, 150.0])
+def test_bisection_returns_a_root_on_a_window_end(monkeypatch, root):
+    """Windows are [-50, 50], [-150, 150], ...: a root on an end of one
+    is returned exactly, not approached by halving."""
+    monkeypatch.setattr(whittle._FixedThresholdSystem, "gap",
+                        lambda self, lam: lam - root)
+    assert bisect_index(3, HEAVY, 0.4, 40) == root
 
 
 def test_bisect_index_scan_keeps_the_residual_guard(monkeypatch):
@@ -151,8 +136,7 @@ def test_bisect_index_scan_keeps_the_residual_guard(monkeypatch):
 @pytest.mark.parametrize("solve", [
     lambda system: system.solve(np.nan),
     lambda system: system.solve(np.inf),
-    lambda system: system.gaps(np.array([0.0, np.nan])),
-], ids=["solve_nan", "solve_inf", "gaps_nan"])
+], ids=["solve_nan", "solve_inf"])
 def test_non_finite_charges_fail_the_residual_guard(solve):
     """The solves skip scipy's finiteness check, so the guard must catch
     a NaN residual as well as a large one."""
@@ -243,14 +227,6 @@ def test_build_index_table_matches_bisection_on_fig3():
         for x in (0, 1, 7, 20, 40):
             ref = bisect_index(x, server, FIG3.arrival_p, n)
             assert table.entries[i, x] == pytest.approx(ref, abs=1e-6)
-
-
-def test_bisect_index_matches_a_scalar_scan_on_fig3():
-    n = default_truncation(40, FIG3.buffer)
-    for server in FIG3.servers:
-        for x in range(0, 11):
-            want = _scalar_scan_bisect(x, server, FIG3.arrival_p, n)
-            assert bisect_index(x, server, FIG3.arrival_p, n) == want
 
 
 def test_build_index_table_solves_an_overloaded_queue():
