@@ -81,6 +81,7 @@ class _DecisionTable:
         if self._decision_cache is None or self._decision_cache[0] != key:
             # One byte names the server, so at most 256 of them.
             fits = (cfg.num_servers == self.num_servers
+                    and getattr(self, "buffer", cfg.buffer) == cfg.buffer
                     and cfg.num_servers <= 256 and (cfg.buffer + 1)
                     ** cfg.num_servers <= DECISION_STATE_LIMIT)
             table = self._build_decisions(cfg) if fits else None
@@ -161,18 +162,27 @@ class RandomPolicy:
     def __init__(self, num_servers: int):
         self.num_servers = num_servers
 
-    def selector(self, rng: np.random.Generator):
-        """One uniform draw per call, pre-drawn in blocks of _BLOCK.
+    def choices(self, rng: np.random.Generator):
+        """draw(k) -> the next k choices, as rng.integers(num, size=k).
 
         rng.integers(num, size=k) yields the same values as k scalar
-        rng.integers(num) calls, so the stream is one scalar draw per slot.
+        rng.integers(num) calls, so however the draws are split into
+        blocks, the stream is one scalar draw per slot. The compiled
+        slot loop takes one block per block of slots.
+        """
+        num = self.num_servers
+        return lambda k: rng.integers(num, size=k)
+
+    def selector(self, rng: np.random.Generator):
+        """One choice per call, drawn in blocks of _BLOCK by choices(rng).
+
         The selector is next() on the endless chain of blocks, drawn when
         reached; the state it is called with lands in next's default,
         which an endless iterator never returns. No Python frame runs
         per call.
         """
-        num = self.num_servers
-        blocks = iter(lambda: rng.integers(num, size=_BLOCK).tolist(), None)
+        draw = self.choices(rng)
+        blocks = iter(lambda: draw(_BLOCK).tolist(), None)
         return partial(next, chain.from_iterable(blocks))
 
 
@@ -184,6 +194,7 @@ class ExactPolicy(_DecisionTable):
     def __init__(self, solution: JointSolution):
         self._policy = solution.policy
         self.num_servers = solution.policy.ndim
+        self.buffer = solution.policy.shape[0] - 1
 
     def selector(self, rng: np.random.Generator):
         pol = self._policy.tolist()
@@ -196,7 +207,5 @@ class ExactPolicy(_DecisionTable):
 
         return select
 
-    def _build_decisions(self, cfg: SystemConfig) -> bytes | None:
-        if self._policy.shape != (cfg.buffer + 1,) * cfg.num_servers:
-            return None
+    def _build_decisions(self, cfg: SystemConfig) -> bytes:
         return self._policy.astype(np.uint8).tobytes()

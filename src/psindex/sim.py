@@ -15,19 +15,24 @@ report. An empty queue always has zero departures, so it does no
 bisection, and a slot with every queue empty adds nothing to the
 cost or length sums and draws no departure at all.
 
-The loop keeps the state's mixed-radix code (server 0 most
-significant) next to the lengths; it is zero exactly in the all-empty
-state. A policy whose decisions(cfg) gives a table is read there by
-that code; any other policy (the random rule, a wrapper, a grid too
-large for a table) is asked through its selector once per slot, empty
-slots included.
+A policy whose decisions(cfg) gives a table is read there by the
+state's mixed-radix code (server 0 most significant); the random rule
+hands over its choices a block at a time through choices(rng). Either
+one runs on the compiled slot loop of _slotloop.c, which the system C
+compiler builds on the first call, at most once per process. The
+Python loop below is its reference and the fallback: it runs when no
+compiler built the loop, for any other policy (a wrapper, a grid too
+large for a table), which it asks through its selector once per slot,
+empty slots included, and under debug_conservation. Both loops give
+bit-identical reports.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -36,8 +41,14 @@ from .model import SystemConfig, passive_kernel
 _CHUNK = 1 << 16
 
 
+class _CdfRows(tuple):
+    """CDF rows as lists; flat holds the same doubles back to back."""
+
+    flat: np.ndarray
+
+
 @lru_cache(maxsize=32)
-def _departure_cdfs(q: float, max_x: int) -> tuple[list[float], ...]:
+def _departure_cdfs(q: float, max_x: int) -> _CdfRows:
     """Departure-count CDFs at lengths 0..max_x, shared across calls.
 
     Row x is the reversed row x of passive_kernel(q, max_x), divided by
@@ -45,16 +56,51 @@ def _departure_cdfs(q: float, max_x: int) -> tuple[list[float], ...]:
     to 1. The rows are cached and shared: never mutate them.
     """
     passive = passive_kernel(q, max_x)
-    cdfs = []
+    rows = []
     for x in range(max_x + 1):
         row = passive[x, x::-1]
         total = float(row.sum())
         if total != 1.0:
             row = row / total
-        cdf = np.cumsum(row).tolist()
+        cdf = np.cumsum(row)
         cdf[-1] = 1.0
-        cdfs.append(cdf)
-    return tuple(cdfs)
+        rows.append(cdf)
+    out = _CdfRows(cdf.tolist() for cdf in rows)
+    out.flat = np.concatenate(rows)
+    out.flat.flags.writeable = False
+    return out
+
+
+@cache
+def _slot_loop():
+    """advance() of _slotloop.c, compiled and loaded; None if it cannot be.
+
+    Built at most once per process: `cc` compiles the shipped source
+    into a temporary directory and ctypes loads the result. Without a
+    compiler, or when the build or the load fails, the result is None
+    and the compiler's output is swallowed.
+    """
+    import shutil
+    import subprocess
+    import tempfile
+
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    source = Path(__file__).with_name("_slotloop.c")
+    with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
+        lib = str(Path(tmp) / "_slotloop.so")
+        try:
+            import ctypes
+            subprocess.run([cc, "-O2", "-ffp-contract=off", "-shared",
+                            "-fPIC", "-o", lib, str(source)],
+                           capture_output=True, check=True, timeout=120)
+            advance = ctypes.CDLL(lib).advance
+        except (ImportError, OSError, subprocess.SubprocessError):
+            return None
+    advance.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 10
+    advance.restype = None
+    return advance
 
 
 class DepartureSampler:
@@ -90,6 +136,129 @@ class ComparisonTable:
     aggregates: dict  # policy name -> (mean avg_cost, 95% half-width)
 
 
+def _strides(num: int, buffer: int) -> list[int]:
+    """Place values of the mixed-radix state code, server 0 first."""
+    return [(buffer + 1) ** (num - 1 - i) for i in range(num)]
+
+
+class _PythonLoop:
+    """The slot loop in the interpreter: the reference and the fallback.
+
+    Exactly one of dec (the decision table) and select (the policy's
+    selector) is given. It keeps the state code next to the lengths;
+    the code is zero exactly in the all-empty state. Slots before
+    guard_until assert the flow identity and the code.
+    """
+
+    def __init__(self, cfg: SystemConfig, cdfs, dec, select,
+                 guard_until: int):
+        num = cfg.num_servers
+        self.buffer = cfg.buffer
+        self.costs = [s.cost_c for s in cfg.servers]
+        self.cdfs = cdfs
+        self.stride = _strides(num, cfg.buffer)
+        self.dec, self.select = dec, select
+        self.guard_until = guard_until
+        self.x = [0] * num
+        self.code = 0  # sum of x[i] * stride[i]
+        self.drops = 0
+        self.restart()
+
+    def restart(self) -> None:
+        self.cost = 0.0
+        self.lengths = [0.0] * len(self.x)
+
+    def advance(self, t: int, dep_u: np.ndarray, arr: np.ndarray) -> None:
+        """Run slots t, t+1, ... on one block of uniforms and flags."""
+        x, stride, buffer = self.x, self.stride, self.buffer
+        dec, select, len_acc = self.dec, self.select, self.lengths
+        code, cost_acc, drops = self.code, self.cost, self.drops
+        guard = t < self.guard_until
+        arr = arr.tolist()
+        lanes = list(zip(range(len(x)), self.costs, self.cdfs,
+                         (row.tolist() for row in dep_u), stride))
+        for j in range(len(arr)):
+            a = dec[code] if dec is not None else select(x)
+            if guard:
+                before = list(x)
+            if code:
+                slot_cost = 0.0
+                for i, c, cdf, u, st in lanes:
+                    xi = x[i]
+                    if xi:
+                        slot_cost += c * xi
+                        len_acc[i] += xi
+                        d = bisect_right(cdf[xi], u[j])
+                        if d:
+                            x[i] = xi - d
+                            code -= d * st
+                cost_acc += slot_cost
+            if guard:
+                mid = list(x)
+            if arr[j]:
+                xa = x[a]
+                if xa < buffer:
+                    x[a] = xa + 1
+                    code += stride[a]
+                else:
+                    drops += 1
+            if guard:
+                _check_flow(t + j, before, mid, x, a if arr[j] else -1,
+                            buffer)
+                if code != sum(map(int.__mul__, x, stride)):
+                    raise AssertionError("state code out of step "
+                                         f"at slot {t + j}")
+        self.code, self.cost, self.drops = code, cost_acc, drops
+
+
+class _CompiledLoop:
+    """The same slot loop, one advance() call of _slotloop.c per block.
+
+    dec is the decision table, or None with draw(k) giving the next k
+    choices of the random rule. The state lives in int64 and float64
+    arrays that the C function updates in place.
+    """
+
+    def __init__(self, advance, cfg: SystemConfig, cdfs, dec, draw):
+        num, buffer = cfg.num_servers, cfg.buffer
+        self._advance, self._draw = advance, draw
+        self._x = np.zeros(num, np.int64)
+        self._counts = np.zeros(3, np.int64)  # state code, busy queues, drops
+        self._acc = np.zeros(num + 1)  # cost sum, then each length sum
+        self._costs = np.array([s.cost_c for s in cfg.servers], float)
+        self._cdfs = np.concatenate([c.flat for c in cdfs])
+        # The code is read only with a table, whose grid fits 2**22.
+        self._stride = np.array(_strides(num, buffer) if dec is not None
+                                else [0] * num, np.int64)
+        self._dec = None if dec is None else np.frombuffer(dec, np.uint8)
+        self._args = (num, buffer, *(a.ctypes.data for a in (
+            self._x, self._counts, self._acc, self._costs, self._cdfs,
+            self._stride)))
+        self._dec_at = None if dec is None else self._dec.ctypes.data
+
+    def restart(self) -> None:
+        self._acc[:] = 0.0
+
+    def advance(self, t: int, dep_u: np.ndarray, arr: np.ndarray) -> None:
+        block = arr.size
+        choice = self._draw(block) if self._draw is not None else None
+        self._advance(block, *self._args, dep_u.ctypes.data,
+                      arr.ctypes.data, self._dec_at,
+                      None if choice is None else choice.ctypes.data)
+
+    @property
+    def cost(self) -> float:
+        return float(self._acc[0])
+
+    @property
+    def lengths(self) -> list[float]:
+        return self._acc[1:].tolist()
+
+    @property
+    def drops(self) -> int:
+        return int(self._counts[2])
+
+
 def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
              seed: int = 0, debug_conservation: bool = False,
              checkpoints: int = 0) -> SimReport:
@@ -100,7 +269,7 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
     flow identity next = current - departures + admissions is asserted
     on the first ten thousand slots. checkpoints > 0 additionally
     records that many evenly spaced running cost averages. A policy
-    with a num_servers must be built for cfg's number of servers.
+    with a num_servers or a buffer must be built for cfg's.
     """
     if not 0 <= burn_in < horizon:
         raise ValueError("need 0 <= burn_in < horizon")
@@ -108,8 +277,9 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
     if getattr(policy, "num_servers", num) != num:
         raise ValueError(f"policy {policy.name} is for {policy.num_servers} "
                          f"servers, the bank has {num}")
-    buffer = cfg.buffer
-    costs = [s.cost_c for s in cfg.servers]
+    if getattr(policy, "buffer", cfg.buffer) != cfg.buffer:
+        raise ValueError(f"policy {policy.name} is for buffer "
+                         f"{policy.buffer}, the bank has {cfg.buffer}")
 
     seq = np.random.SeedSequence(seed)
     children = seq.spawn(num + 2)
@@ -117,79 +287,50 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
     arr_rng = np.random.default_rng(children[num])
     pol_rng = np.random.default_rng(children[num + 1])
 
-    cdfs = [_departure_cdfs(s.q, buffer) for s in cfg.servers]
+    cdfs = [_departure_cdfs(s.q, cfg.buffer) for s in cfg.servers]
     table_of = getattr(policy, "decisions", None)
     dec = table_of(cfg) if table_of is not None else None
-    select = policy.selector(pol_rng) if dec is None else None
-    stride = [(buffer + 1) ** (num - 1 - i) for i in range(num)]
-
-    x = [0] * num
-    code = 0  # sum of x[i] * stride[i]
-    cost_acc = 0.0
-    len_acc = [0.0] * num
-    drops = 0
-    measured = horizon - burn_in
-    check_every = max(1, measured // checkpoints) if checkpoints > 0 else 0
-    marks: list[tuple[int, float]] = []
+    choices = getattr(policy, "choices", None) if dec is None else None
     guard_until = min(horizon, 10_000) if debug_conservation else 0
+    advance = (_slot_loop() if not debug_conservation
+               and (dec is not None or choices is not None) else None)
+    if advance is not None:
+        loop = _CompiledLoop(advance, cfg, cdfs, dec,
+                             choices(pol_rng) if choices is not None else None)
+    else:
+        loop = _PythonLoop(cfg, cdfs, dec, policy.selector(pol_rng)
+                           if dec is None else None, guard_until)
 
-    # Blocks end at burn_in, where the sums restart from zero, and at
-    # guard_until, so neither needs a test per slot. How a generator's
-    # draws are split into blocks does not change its stream.
-    stops = sorted({s for s in (burn_in, guard_until) if s > 0} | {horizon})
+    measured = horizon - burn_in
+    marks_at: set[int] = set()
+    if checkpoints > 0:
+        every = max(1, measured // checkpoints)
+        marks_at = set(range(burn_in + every, horizon, every)) | {horizon}
+    marks: list[tuple[int, float]] = []
+
+    # Blocks end at burn_in, where the sums restart from zero, at
+    # guard_until and at each checkpoint, so no slot tests for any of
+    # them. How a generator's draws are split into blocks does not
+    # change its stream.
+    stops = sorted({burn_in, guard_until, horizon} - {0} | marks_at)
     t = 0
     for stop in stops:
-        guard = t < guard_until
-        marking = check_every and t >= burn_in
         while t < stop:
             block = min(_CHUNK, stop - t)
-            dep_u = [rng.random(block).tolist() for rng in dep_rngs]
-            arr = (arr_rng.random(block) < cfg.arrival_p).tolist()
-            lanes = list(zip(range(num), costs, cdfs, dep_u, stride))
-            for j in range(block):
-                a = dec[code] if dec is not None else select(x)
-                if guard:
-                    before = list(x)
-                if code:
-                    slot_cost = 0.0
-                    for i, c, cdf, u, st in lanes:
-                        xi = x[i]
-                        if xi:
-                            slot_cost += c * xi
-                            len_acc[i] += xi
-                            d = bisect_right(cdf[xi], u[j])
-                            if d:
-                                x[i] = xi - d
-                                code -= d * st
-                    cost_acc += slot_cost
-                if guard:
-                    mid = list(x)
-                if arr[j]:
-                    xa = x[a]
-                    if xa < buffer:
-                        x[a] = xa + 1
-                        code += stride[a]
-                    else:
-                        drops += 1
-                if guard:
-                    _check_flow(t + j, before, mid, x,
-                                a if arr[j] else -1, buffer)
-                    if code != sum(map(int.__mul__, x, stride)):
-                        raise AssertionError("state code out of step "
-                                             f"at slot {t + j}")
-                if marking:
-                    done = t + j + 1 - burn_in
-                    if done % check_every == 0 or done == measured:
-                        marks.append((t + j + 1, cost_acc / done))
+            dep_u = np.empty((num, block))
+            for rng, row in zip(dep_rngs, dep_u):
+                rng.random(out=row)
+            loop.advance(t, dep_u, arr_rng.random(block) < cfg.arrival_p)
             t += block
         if t == burn_in:
-            cost_acc = 0.0
-            len_acc = [0.0] * num
+            loop.restart()
+        if t in marks_at:
+            marks.append((t, loop.cost / (t - burn_in)))
 
     return SimReport(policy=policy.name, seed=seed, horizon=horizon,
-                     burn_in=burn_in, avg_cost=cost_acc / measured,
-                     mean_lengths=tuple(v / measured for v in len_acc),
-                     drop_count=drops,
+                     burn_in=burn_in, avg_cost=loop.cost / measured,
+                     mean_lengths=tuple(v / measured for v in loop.lengths),
+                     drop_count=loop.drops,
                      cost_checkpoints=tuple(marks))
 
 

@@ -10,12 +10,13 @@ enumeration's roundoff is a few times larger.
 from __future__ import annotations
 
 import math
+import shutil
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from psindex import ServerParams, SystemConfig
+from psindex import ServerParams, SystemConfig, sim
 
 
 def enum_next_state(x: int, q: float, p: float, active: bool,
@@ -121,3 +122,20 @@ def two_server_tiny() -> SystemConfig:
                         servers=(ServerParams(q=0.6, cost_c=2.0),
                                  ServerParams(q=0.5, cost_c=1.0)),
                         buffer=1)
+
+
+@pytest.fixture(params=["compiled", "python"])
+def slot_loop(request, monkeypatch):
+    """Run a simulator test on each slot loop in turn.
+
+    "python" patches the loader to find nothing, as on a machine with
+    no C compiler. "compiled" skips only when no `cc` is on the path;
+    with one, the loop must build.
+    """
+    if request.param == "python":
+        monkeypatch.setattr(sim, "_slot_loop", lambda: None)
+    elif shutil.which("cc") is None:
+        pytest.skip("no C compiler on the path")
+    else:
+        assert sim._slot_loop() is not None, "cc did not build the slot loop"
+    return request.param

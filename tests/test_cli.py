@@ -1,6 +1,7 @@
 """Command-line surface: config parsing, artifact files, exit codes."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -344,6 +345,44 @@ def test_cold_import_of_the_cli_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+# The top-level modules psindex's own code asks for while psindex.cli
+# loads, and the modules that import adds beyond those already loaded at
+# start-up or by psindex's dependencies.
+_IMPORT_PROBE = """
+import builtins, json, sys
+real = builtins.__import__
+asked = set()
+
+def spy(name, globals=None, locals=None, fromlist=(), level=0):
+    if level == 0 and (globals or {}).get("__name__", "").startswith(
+            "psindex"):
+        asked.add(name.partition(".")[0])
+    return real(name, globals, locals, fromlist, level)
+
+builtins.__import__ = spy
+import numpy, scipy.linalg, scipy.special, yaml
+deps = set(sys.modules)
+import psindex.cli
+print(json.dumps({"asked": sorted(asked),
+                  "added": sorted(set(sys.modules) - deps)}))
+"""
+
+
+def test_cold_import_of_the_cli_leaves_the_slot_loop_builder_out():
+    """ctypes, subprocess and tempfile serve only the compiled slot
+    loop's builder, which imports them on the first simulation, so
+    `import psindex.cli` asks for none of them. numpy itself loads
+    ctypes and subprocess, so sys.modules alone cannot show this."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    seen = json.loads(out.splitlines()[-1])
+    builder = {"ctypes", "subprocess", "tempfile"}
+    assert "numpy" in seen["asked"]  # the spy sees psindex's imports
+    assert builder.isdisjoint(seen["asked"])
+    assert builder.isdisjoint(seen["added"])
 
 
 def test_simulate_command_writes_report_and_series(config_path, tmp_path,

@@ -1,6 +1,10 @@
 """Slotted simulator: sampling, accounting, reproducibility, comparison."""
 
+import functools
 import json
+import os
+import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,7 @@ from psindex import (CmuPolicy, DepartureSampler, ExactPolicy,
                      IndexIterationConfig, IndexTable, RandomPolicy,
                      ServerParams, SystemConfig, WhittlePolicy,
                      build_index_table, compare, joint_rvi, simulate)
+from psindex import sim
 from psindex.cli import load_config
 from psindex.sim import _CHUNK, _check_flow, _departure_cdfs
 
@@ -135,6 +140,19 @@ def test_simulate_refuses_a_policy_for_another_bank_size(built, run):
             simulate(_bank(run), policy, horizon=100, burn_in=0)
 
 
+@pytest.mark.parametrize("built,run", [(3, 6), (6, 3)])
+def test_simulate_refuses_an_exact_policy_for_another_buffer(built, run):
+    """A table solved at one buffer is not read at another."""
+    solved = replace(TWO, buffer=built)
+    policy = ExactPolicy(joint_rvi(solved))
+    bank = replace(TWO, buffer=run)
+    assert policy.decisions(bank) is None
+    with pytest.raises(ValueError, match=f"policy exact is for buffer "
+                       f"{built}, the bank has {run}"):
+        simulate(bank, policy, horizon=100, burn_in=0)
+    assert simulate(solved, policy, horizon=100, burn_in=0).horizon == 100
+
+
 def test_same_seed_reproduces_the_run_exactly():
     a = simulate(TWO, _cmu(TWO), horizon=20_000, burn_in=100, seed=5)
     b = simulate(TWO, _cmu(TWO), horizon=20_000, burn_in=100, seed=5)
@@ -192,7 +210,7 @@ def test_policies_share_departure_and_arrival_randomness():
     assert a.drop_count == b.drop_count
 
 
-def test_checkpoints_trace_the_running_average():
+def test_checkpoints_trace_the_running_average(slot_loop):
     report = simulate(ONE, _cmu(ONE), horizon=1_000, burn_in=0, seed=0,
                       checkpoints=5)
     marks = report.cost_checkpoints
@@ -262,7 +280,7 @@ EDGE = SystemConfig(arrival_p=0.8, servers=TWO.servers, buffer=1)
 @pytest.mark.parametrize("cfg", [ONE, TWO, THREE, EDGE],
                          ids=["one", "two", "three", "buffer1"])
 @pytest.mark.parametrize("policy", ["cmu", "random"])
-def test_fast_paths_match_the_slot_by_slot_loop(cfg, policy):
+def test_fast_paths_match_the_slot_by_slot_loop(cfg, policy, slot_loop):
     rule = _cmu(cfg) if policy == "cmu" else RandomPolicy(cfg.num_servers)
     report = simulate(cfg, rule, horizon=30_000, burn_in=1_000, seed=12)
     want = _slot_by_slot(cfg, rule, 30_000, 1_000, 12)
@@ -271,8 +289,77 @@ def test_fast_paths_match_the_slot_by_slot_loop(cfg, policy):
         assert report.drop_count > 0
 
 
+# Nine servers at buffer 255: the state code reaches 256**9 = 2**72,
+# past any 64-bit integer, so a loop must tell an empty bank by its
+# busy queues. Heavy arrivals keep several queues busy at once.
+WIDE = SystemConfig(arrival_p=0.9, buffer=255, servers=tuple(
+    ServerParams(q=q, cost_c=c) for q, c in zip(
+        [0.3, 0.35, 0.4] * 3, [9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0])))
+
+
+def test_random_rule_on_a_grid_whose_code_overflows_64_bits(slot_loop):
+    assert (WIDE.buffer + 1) ** WIDE.num_servers >= 2 ** 72
+    rule = RandomPolicy(WIDE.num_servers)
+    report = simulate(WIDE, rule, horizon=20_000, burn_in=1_000, seed=5)
+    want = _slot_by_slot(WIDE, rule, 20_000, 1_000, 5)
+    assert (report.avg_cost, report.mean_lengths, report.drop_count) == want
+    assert max(report.mean_lengths) > 0.1
+
+
+@pytest.mark.parametrize("compiler", ["absent", "failing"])
+def test_simulate_falls_back_silently_when_no_loop_builds(
+        compiler, monkeypatch, capfd, tmp_path):
+    """No `cc` on the path, or one that fails loudly: the Python loop
+    gives the same reports and nothing reaches stdout or stderr."""
+    found = None
+    if compiler == "failing":
+        if os.name != "posix":
+            pytest.skip("the failing compiler is a shell script")
+        script = tmp_path / "cc"
+        script.write_text("#!/bin/sh\necho 'cc: internal error' >&2\n"
+                          "exit 1\n")
+        script.chmod(0o755)
+        found = str(script)
+    rules = [_cmu(TWO), RandomPolicy(2)]
+    want = [simulate(TWO, r, horizon=5_000, burn_in=100, seed=3)
+            for r in rules]
+    monkeypatch.setattr(sim, "_slot_loop",
+                        functools.cache(sim._slot_loop.__wrapped__))
+    monkeypatch.setattr(shutil, "which", lambda *args, **kw: found)
+    capfd.readouterr()
+    assert [simulate(TWO, r, horizon=5_000, burn_in=100, seed=3)
+            for r in rules] == want
+    assert sim._slot_loop() is None
+    assert capfd.readouterr() == ("", "")
+
+
+def test_the_compiled_loop_runs_for_tables_and_the_random_rule(
+        monkeypatch):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on the path")
+    blocks = []
+    built = sim._slot_loop()
+
+    def counted(*args):
+        blocks.append(args[0])
+        return built(*args)
+
+    monkeypatch.setattr(sim, "_slot_loop", lambda: counted)
+    runs = {"table": (_cmu(TWO), {}), "random": (RandomPolicy(2), {}),
+            "checkpoints": (_cmu(TWO), {"checkpoints": 4}),
+            "selector": (_SelectorOnly(_cmu(TWO)), {}),
+            "debug": (_cmu(TWO), {"debug_conservation": True})}
+    slots = {}
+    for name, (policy, kw) in runs.items():
+        blocks.clear()
+        simulate(TWO, policy, horizon=5_000, burn_in=1_000, seed=2, **kw)
+        slots[name] = sum(blocks)
+    assert slots == {"table": 5_000, "random": 5_000, "checkpoints": 5_000,
+                     "selector": 0, "debug": 0}
+
+
 @pytest.mark.parametrize("cfg", [TWO, EDGE], ids=["two", "buffer1"])
-def test_debug_and_checkpoints_leave_the_report_unchanged(cfg):
+def test_debug_and_checkpoints_leave_the_report_unchanged(cfg, slot_loop):
     assert 70_000 > _CHUNK  # the run crosses a block of drawn uniforms
     runs = [simulate(cfg, RandomPolicy(2), horizon=70_000, burn_in=10_000,
                      seed=8, **kw)
@@ -311,7 +398,7 @@ SIX = SystemConfig(arrival_p=0.7, servers=THREE.servers, buffer=6)
 @pytest.mark.parametrize("kw", [{}, {"debug_conservation": True},
                                 {"checkpoints": 7}],
                          ids=["plain", "debug", "checkpoints"])
-def test_decision_tables_give_the_selector_reports(cfg, kw):
+def test_decision_tables_give_the_selector_reports(cfg, kw, slot_loop):
     assert 70_000 > _CHUNK  # the run crosses a block of drawn uniforms
     for policy in _deterministic_rules(cfg):
         assert policy.decisions(cfg) is not None
@@ -374,7 +461,8 @@ def _policy_as_compare_builds_it(loaded, name):
 
 
 @pytest.mark.parametrize("config,name", REFERENCE_CASES)
-def test_simulate_reproduces_the_benchmark_reference_reports(config, name):
+def test_simulate_reproduces_the_benchmark_reference_reports(config, name,
+                                                             slot_loop):
     """Common random numbers: each report is pinned bit for bit."""
     ref = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     ref = ref["sim"][config]
