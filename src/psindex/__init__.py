@@ -17,7 +17,7 @@ from .threshold import (RecurrentChain, cumulative_active_mass,
                         threshold_chain)
 from .whittle import (IndexIterationConfig, IndexTable, ValueSolution,
                       bisect_index, build_index_table, compute_index,
-                      default_truncation, index_residual, solve_value)
+                      index_residual, solve_value)
 from .dp import (BruteForceResult, JointSolution, SingleQueueSolution,
                  active_interval, admission_gain_profile,
                  brute_force_policy_search, joint_policy_average_cost,
@@ -34,8 +34,7 @@ __all__ = [
     "optimal_threshold_cost", "stationary_distribution",
     "threshold_average_cost", "threshold_chain",
     "IndexIterationConfig", "IndexTable", "ValueSolution", "bisect_index",
-    "build_index_table", "compute_index", "default_truncation",
-    "index_residual", "solve_value",
+    "build_index_table", "compute_index", "index_residual", "solve_value",
     "BruteForceResult", "JointSolution", "SingleQueueSolution",
     "active_interval", "admission_gain_profile",
     "brute_force_policy_search", "joint_policy_average_cost", "joint_rvi",

@@ -148,8 +148,7 @@ def check_value_solver_consistency(cfg: SystemConfig) -> CheckResult:
         for lam in (-5.0, 0.0, 2.5, 10.0):
             beta_min, k = threshold.optimal_threshold_cost(
                 lam, s.cost_c, s.q, cfg.arrival_p, 60)
-            n = max(2 * max(k, 1), 40)
-            sol = whittle.solve_value(lam, k, s, cfg.arrival_p, n)
+            sol = whittle.solve_value(lam, k, s, cfg.arrival_p, max(k + 1, 1))
             worst = max(worst, abs(sol.beta - beta_min))
     return CheckResult("value_solver_consistency", worst <= 1e-6,
                        f"max |beta gap| {worst:.3e}")
@@ -206,17 +205,17 @@ def check_index_agreement(
     """Incremental index iteration vs the bisection reference.
 
     iter_cfg sets gamma, tol and max_iter of the iteration; each state
-    is warm-started at the previous state's index.
+    is warm-started at the previous state's index. Both solve state x on
+    states 0..x+1, as the index table does.
     """
     base = iter_cfg or whittle.IndexIterationConfig()
-    n = whittle.default_truncation(x_max, cfg.buffer)
     worst = 0.0
     for s in cfg.servers:
         warm = base.lambda0
         for x in range(0, x_max + 1):
-            lam = whittle.compute_index(x, s, cfg.arrival_p, n,
+            lam = whittle.compute_index(x, s, cfg.arrival_p, x + 1,
                                         replace(base, lambda0=warm))
-            ref = whittle.bisect_index(x, s, cfg.arrival_p, n)
+            ref = whittle.bisect_index(x, s, cfg.arrival_p, x + 1)
             worst = max(worst, abs(lam - ref))
             warm = lam
     return CheckResult("index_agreement", worst <= 1e-4,

@@ -39,7 +39,8 @@ class WhittleOptions:
     tol: float = 1e-6
     max_iter: int = 100_000
     x_max: int = 40
-    truncation_n: int | None = None
+    # Not an option: read by perfbench/workloads.py, always None.
+    truncation_n = None
 
     def __post_init__(self):
         try:
@@ -49,9 +50,6 @@ class WhittleOptions:
             raise ConfigError(f"whittle.{e}")
         if self.x_max < 1:
             raise ConfigError("whittle.x_max must be >= 1")
-        if self.truncation_n is not None and \
-                self.truncation_n < self.x_max + 1:
-            raise ConfigError("whittle.truncation_n must be >= x_max + 1")
 
 
 @dataclass(frozen=True)
@@ -67,8 +65,7 @@ class SimOptions:
 
 # The value type of every key of the optional sections; their defaults
 # are the option classes' own.
-_WHITTLE_KEYS = {"gamma": float, "tol": float, "max_iter": int,
-                 "x_max": int, "truncation_n": int}
+_WHITTLE_KEYS = {"gamma": float, "tol": float, "max_iter": int, "x_max": int}
 _SIM_KEYS = {"horizon": int, "burn_in": int, "seeds": int}
 
 
@@ -84,6 +81,9 @@ def _section(raw: dict, key: str, kinds: dict) -> dict:
     got = raw.get(key) or {}
     if not isinstance(got, dict):
         raise ConfigError(f"section '{key}' must be a mapping")
+    if key == "whittle" and "truncation_n" in got:
+        raise ConfigError("whittle.truncation_n is retired: every index "
+                          "cell is solved exactly on states 0..x+1")
     unknown = set(got) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown keys in '{key}': {sorted(unknown)}")
@@ -242,11 +242,9 @@ def _iteration_config(loaded: LoadedConfig,
 
 
 def _build_table(loaded: LoadedConfig, args) -> whittle.IndexTable:
-    w = loaded.whittle
-    x_max = args.x_max if args.x_max is not None else w.x_max
+    x_max = args.x_max if args.x_max is not None else loaded.whittle.x_max
     return whittle.build_index_table(loaded.system, x_max,
-                                     _iteration_config(loaded, args),
-                                     w.truncation_n)
+                                     _iteration_config(loaded, args))
 
 
 def cmd_validate(loaded: LoadedConfig, args, out_dir: Path) -> int:

@@ -64,14 +64,14 @@ class _FixedThresholdSystem:
     Unknowns are V(0..n) and beta; the coefficient matrix does not
     depend on lam (only the right-hand side does), so it is factored
     once and re-solved per lam. States above n clamp there, which is
-    harmless while the recurrent class sits well inside the truncation.
+    exact for every n >= threshold_x + 1: started empty, the policy
+    never leaves 0..threshold_x+1, and states above it are transient.
     Rows 0..threshold_x come from the active kernel matrix and the rest
-    from the passive one; pass `kernel` to share one across thresholds.
+    from the passive one.
     """
 
     def __init__(self, server: ServerParams, arrival_p: float,
-                 threshold_x: int, n: int,
-                 kernel: tuple[np.ndarray, np.ndarray] | None = None):
+                 threshold_x: int, n: int):
         if n < 1 or n < threshold_x + 1:
             raise ValueError("truncation n must be >= max(1, threshold_x+1)")
         if threshold_x < -1:
@@ -80,9 +80,7 @@ class _FixedThresholdSystem:
         self.arrival_p = arrival_p
         self.threshold_x = threshold_x
         self.n = n
-        if kernel is None:
-            kernel = transition_kernel(server.q, arrival_p, n)
-        active, passive = kernel
+        active, passive = transition_kernel(server.q, arrival_p, n)
         m = n + 2
         a = np.zeros((m, m))
         a[: n + 1, : n + 1] = -np.vstack((active[: threshold_x + 1],
@@ -246,6 +244,8 @@ class IndexTable:
             raise ValueError("x_max must be >= 1")
         if self.entries.ndim != 2 or self.entries.shape[1] != self.x_max + 1:
             raise ValueError("entries must be (num_servers, x_max + 1)")
+        if not np.all(np.isfinite(self.entries)):  # NaN passes the test below
+            raise ValueError("indices must be finite")
         if np.any(np.diff(self.entries, axis=1) < -1e-7):
             raise ValueError("indices must be non-decreasing in x")
         self.entries.setflags(write=False)
@@ -269,7 +269,7 @@ class IndexTable:
 
 
 def default_truncation(x_max: int, buffer: int) -> int:
-    """State-space cut for index computation: max(2 * x_max, buffer)."""
+    """max(2 * x_max, buffer): perfbench's bisection cut, read nowhere else."""
     return max(2 * x_max, buffer)
 
 
@@ -300,20 +300,21 @@ def build_index_table(cfg: SystemConfig, x_max: int,
 
     Each cell is the closed-form root of its affine balance gap, checked
     against iter_cfg.tol; gamma, max_iter and lambda0 drive only
-    compute_index. One transition kernel per server serves all its
-    cells. A failed cell aborts the whole table with a ConvergenceError
-    naming the offending (server, state).
+    compute_index. Cell x is solved on states 0..x+1, the states the
+    threshold-x policy visits from empty, which is exact for any
+    truncation, so the table does not depend on the buffer. n is a
+    retired truncation and must be None. A failed cell aborts the whole
+    table with a ConvergenceError naming the offending (server, state).
     """
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
+    if n is not None:
+        raise ValueError("n is retired: cell x is solved on states 0..x+1")
     tol = (iter_cfg or IndexIterationConfig()).tol
-    n = default_truncation(x_max, cfg.buffer) if n is None else n
     entries = np.zeros((cfg.num_servers, x_max + 1))
     for i, server in enumerate(cfg.servers):
-        kernel = transition_kernel(server.q, cfg.arrival_p, n)
         for x in range(x_max + 1):
-            system = _FixedThresholdSystem(server, cfg.arrival_p, x, n,
-                                           kernel)
+            system = _FixedThresholdSystem(server, cfg.arrival_p, x, x + 1)
             try:
                 entries[i, x] = _closed_form_index(system, tol)
             except ConvergenceError as e:

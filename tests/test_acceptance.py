@@ -15,7 +15,7 @@ from psindex import (CmuPolicy, IndexIterationConfig, RandomPolicy,
                      active_interval, admission_gain_profile, bisect_index,
                      brute_force_policy_search, build_index_table, compare,
                      compute_index, cumulative_active_mass,
-                     DepartureSampler, dominance_check, default_truncation,
+                     DepartureSampler, dominance_check,
                      joint_policy_average_cost, joint_rvi,
                      optimal_threshold_cost, passive_kernel,
                      policy_reachable_states, simulate, single_queue_rvi,

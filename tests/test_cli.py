@@ -265,7 +265,8 @@ def test_config_errors_use_the_usage_exit_code(tmp_path, capsys):
     ("whittle: {tol: -1}", "whittle.tol must be positive"),
     ("whittle: {max_iter: 0}", "whittle.max_iter must be >= 1"),
     ("whittle: {x_max: 0}", "whittle.x_max must be >= 1"),
-    ("whittle: {truncation_n: 1}", r"whittle.truncation_n must be >= x_max"),
+    ("whittle: {truncation_n: 50}", r"whittle.truncation_n is retired: "
+     r"every index cell is solved exactly on states 0\.\.x\+1"),
     ("sim: {horizon: 100, burn_in: 200}", "0 <= sim.burn_in < sim.horizon"),
 ])
 def test_option_values_no_command_accepts_are_config_errors(
@@ -300,6 +301,21 @@ def test_indices_command_writes_monotone_table(config_path, tmp_path):
         (str(i), str(x)) for i in range(2) for x in range(4)]
     entries = np.array([float(r["index"]) for r in rows]).reshape(2, 4)
     assert np.all(np.diff(entries, axis=1) >= -1e-7)
+
+
+def test_indices_command_writes_the_same_table_at_any_buffer(tmp_path):
+    text = (SRC.parent / "configs" / "fig3.yaml").read_text()
+    assert "\nbuffer: 100\n" in text
+    written = []
+    for buffer in (100, 800):
+        path = tmp_path / f"fig3-{buffer}.yaml"
+        path.write_text(text.replace("\nbuffer: 100\n",
+                                     f"\nbuffer: {buffer}\n"))
+        out = tmp_path / str(buffer)
+        assert main(["indices", "--config", str(path),
+                     "--out", str(out)]) == 0
+        written.append((out / "indices.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_indices_command_reports_a_failed_cell_without_traceback(

@@ -453,7 +453,7 @@ def _policy_as_compare_builds_it(loaded, name):
         table = build_index_table(
             system, w.x_max,
             IndexIterationConfig(gamma=w.gamma, tol=w.tol,
-                                 max_iter=w.max_iter), w.truncation_n)
+                                 max_iter=w.max_iter))
         return WhittlePolicy(table, max_state=system.buffer)
     if name == "exact":
         return ExactPolicy(joint_rvi(system))

@@ -1,13 +1,16 @@
 """Fixed-threshold value solve, balance gap, index computation, tables."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from psindex import (ConvergenceError, IndexIterationConfig, IndexTable,
                      ServerParams, bisect_index, build_index_table,
-                     compute_index, default_truncation, index_residual,
-                     solve_value, threshold_average_cost, SystemConfig)
+                     compute_index, index_residual, solve_value,
+                     threshold_average_cost, SystemConfig)
 from psindex import whittle
+from psindex.whittle import default_truncation
 
 UNIT = ServerParams(q=0.5, cost_c=1.0)
 HEAVY = ServerParams(q=0.55, cost_c=30.0)
@@ -168,6 +171,13 @@ def test_index_table_requires_monotone_rows():
         IndexTable(entries=np.array([[1.0, 2.0]]), x_max=2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_index_table_rejects_non_finite_entries(bad):
+    # NaN fails every comparison, so the monotonicity test alone lets it by.
+    with pytest.raises(ValueError, match="indices must be finite"):
+        IndexTable(entries=np.array([[1.0, bad]]), x_max=1)
+
+
 def test_index_table_requires_two_points_to_extrapolate():
     # With x_max = 0 the slope would read row[-1], going silently flat.
     with pytest.raises(ValueError, match="x_max must be >= 1"):
@@ -199,10 +209,9 @@ def test_build_index_table_matches_per_state_solves():
                        buffer=10)
     table = build_index_table(cfg, x_max=4)
     assert table.entries.shape == (2, 5)
-    n = default_truncation(4, cfg.buffer)
     for i, server in enumerate(cfg.servers):
         for x in range(5):
-            solo = compute_index(x, server, 0.4, n)
+            solo = compute_index(x, server, 0.4, cfg.buffer)
             assert table.lookup(i, x) == pytest.approx(solo, abs=1e-4)
         assert np.all(np.diff(table.entries[i]) >= -1e-7)
 
@@ -222,11 +231,26 @@ FIG3 = SystemConfig(arrival_p=0.4,
 
 def test_build_index_table_matches_bisection_on_fig3():
     table = build_index_table(FIG3, x_max=40)
-    n = default_truncation(40, FIG3.buffer)
     for i, server in enumerate(FIG3.servers):
         for x in (0, 1, 7, 20, 40):
-            ref = bisect_index(x, server, FIG3.arrival_p, n)
+            ref = bisect_index(x, server, FIG3.arrival_p, FIG3.buffer)
             assert table.entries[i, x] == pytest.approx(ref, abs=1e-6)
+
+
+def test_build_index_table_does_not_read_the_buffer():
+    """Cell x is solved on states 0..x+1, the states the threshold-x
+    policy visits from empty, so no buffer can change it."""
+    want = build_index_table(FIG3, x_max=40).entries
+    for buffer in (400, 800):
+        got = build_index_table(replace(FIG3, buffer=buffer), x_max=40)
+        assert np.array_equal(got.entries, want)
+
+
+def test_build_index_table_refuses_a_truncation():
+    cfg = SystemConfig(arrival_p=0.4, servers=(UNIT,), buffer=10)
+    assert build_index_table(cfg, 4, None, None).entries.shape == (1, 5)
+    with pytest.raises(ValueError, match="n is retired"):
+        build_index_table(cfg, 4, None, 10)
 
 
 def test_build_index_table_solves_an_overloaded_queue():
