@@ -1,7 +1,9 @@
 """Dynamic programming: single-queue RVI, joint bank RVI, brute force."""
 
+import functools
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,13 @@ from psindex import (ConvergenceError, ServerParams, SystemConfig,
                      brute_force_policy_search, joint_policy_average_cost,
                      joint_rvi, optimal_threshold_cost,
                      policy_reachable_states, single_queue_rvi)
+from psindex import dp
+from psindex.cli import load_config
 
 from conftest import (enum_departures, enum_next_state, enum_row,
                       power_stationary)
 
+ROOT = Path(__file__).resolve().parent.parent
 UNIT = ServerParams(q=0.5, cost_c=1.0)
 
 
@@ -65,6 +70,11 @@ def test_rvi_normalises_values_at_zero_and_warm_starts():
 def test_rvi_reports_nonconvergence():
     with pytest.raises(ConvergenceError):
         single_queue_rvi(2.0, UNIT, 0.4, 40, tol=1e-12, max_sweeps=3)
+
+
+def test_rvi_refuses_zero_sweeps():
+    with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
+        single_queue_rvi(2.0, UNIT, 0.4, 40, max_sweeps=0)
 
 
 def test_active_interval_classification():
@@ -164,6 +174,54 @@ def test_joint_rvi_reference_state_is_zero(two_server_tiny):
 def test_joint_rvi_reports_nonconvergence(two_server_tiny):
     with pytest.raises(ConvergenceError):
         joint_rvi(two_server_tiny, tol=1e-12, max_sweeps=2)
+
+
+def test_joint_rvi_refuses_zero_sweeps(two_server_tiny):
+    with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
+        joint_rvi(two_server_tiny, max_sweeps=0)
+
+
+THREE_Q = (ServerParams(q=0.6, cost_c=2.0), ServerParams(q=0.5, cost_c=1.0),
+           ServerParams(q=0.45, cost_c=1.2))
+
+
+@pytest.mark.parametrize("num,buffer", [(1, 20), (2, 12), (3, 5)])
+def test_expected_values_match_the_dense_kronecker_products(num, buffer):
+    """Each candidate's reshaped matmuls against the dense product
+    operator the fixed-policy chain builds, on a random value table."""
+    cfg = SystemConfig(arrival_p=0.35, servers=THREE_Q[:num], buffer=buffer)
+    ops = dp._per_server_operators(cfg)
+    v = np.random.default_rng(7).random((buffer + 1,) * num) * 1e3
+    got = dp._expected_values(v, ops)
+    assert len(got) == num
+    for i, w in enumerate(got):
+        dense = functools.reduce(np.kron, [pa if j == i else pb
+                                           for j, (pa, pb) in enumerate(ops)])
+        want = dense @ v.ravel()
+        assert w.shape == v.shape
+        assert np.allclose(w.ravel(), want, rtol=1e-13, atol=0.0)
+
+
+def _tensordot_expected_values(v, ops):
+    """The product operator as first written: tensordot, then moveaxis."""
+    outs = []
+    for i in range(len(ops)):
+        w = v
+        for j, (pa, pb) in enumerate(ops):
+            k = pa if j == i else pb
+            w = np.moveaxis(np.tensordot(k, w, axes=(1, j)), 0, j)
+        outs.append(w)
+    return outs
+
+
+@pytest.mark.parametrize("config", ["configs/tiny.yaml", "configs/gap.yaml"])
+def test_joint_rvi_policy_matches_the_tensordot_operator(config, monkeypatch):
+    cfg = load_config(ROOT / config).system
+    got = joint_rvi(cfg)
+    monkeypatch.setattr(dp, "_expected_values", _tensordot_expected_values)
+    want = joint_rvi(cfg)
+    assert np.array_equal(got.policy, want.policy)
+    assert got.beta == pytest.approx(want.beta, abs=1e-12)
 
 
 def test_joint_policy_average_cost_frozen_single_route(two_server_tiny):

@@ -446,7 +446,15 @@ REFERENCE_CASES = [("configs/fig3.yaml", "whittle"),
                    ("perfbench/heavy-traffic.yaml", "exact")]
 
 
-def _policy_as_compare_builds_it(loaded, name):
+@functools.cache
+def _joint_solution(config):
+    return joint_rvi(load_config(ROOT / config).system)
+
+
+@functools.cache
+def _policy_as_compare_builds_it(config, name):
+    """Built once per (config, name): the slot_loop parameters share it."""
+    loaded = load_config(ROOT / config)
     system = loaded.system
     if name == "whittle":
         w = loaded.whittle
@@ -456,7 +464,7 @@ def _policy_as_compare_builds_it(loaded, name):
                                  max_iter=w.max_iter))
         return WhittlePolicy(table, max_state=system.buffer)
     if name == "exact":
-        return ExactPolicy(joint_rvi(system))
+        return ExactPolicy(_joint_solution(config))
     return _cmu(system) if name == "cmu" else RandomPolicy(system.num_servers)
 
 
@@ -468,11 +476,18 @@ def test_simulate_reproduces_the_benchmark_reference_reports(config, name,
     ref = ref["sim"][config]
     assert (ref["horizon"], ref["burn_in"]) == (50_000, 10_000)
     loaded = load_config(ROOT / config)
-    policy = _policy_as_compare_builds_it(loaded, name)
+    policy = _policy_as_compare_builds_it(config, name)
     for seed in (0, 21, 42, 63):
         r = simulate(loaded.system, policy, 50_000, 10_000, seed)
         got = [r.avg_cost, list(r.mean_lengths), r.drop_count]
         assert got == ref["reports"][name][str(seed)], (name, seed)
+
+
+def test_heavy_traffic_optimum_matches_the_benchmark_reference_beta():
+    config = "perfbench/heavy-traffic.yaml"
+    ref = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    beta = _joint_solution(config).beta
+    assert abs(beta - ref["joint_rvi_beta"][config]) <= 1e-6
 
 
 # ---------------------------------------------------------------- #
