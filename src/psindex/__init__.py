@@ -11,10 +11,9 @@ from .model import (ConvergenceError, LyapunovCertificate, ServerParams,
                     SystemConfig, ValidationReport, lyapunov_certificate,
                     lyapunov_margin, passive_kernel, transition_kernel,
                     validate_config)
-from .threshold import (RecurrentChain, cumulative_active_mass,
-                        dominance_check, optimal_threshold_cost,
-                        stationary_distribution, threshold_average_cost,
-                        threshold_chain)
+from .threshold import (cumulative_active_mass, dominance_check,
+                        optimal_threshold_cost, stationary_distribution,
+                        threshold_average_cost, threshold_chain)
 from .whittle import (IndexIterationConfig, IndexTable, ValueSolution,
                       bisect_index, build_index_table, compute_index,
                       index_residual, solve_value)
@@ -30,9 +29,8 @@ __all__ = [
     "SystemConfig", "ValidationReport", "lyapunov_certificate",
     "lyapunov_margin", "passive_kernel", "transition_kernel",
     "validate_config",
-    "RecurrentChain", "cumulative_active_mass", "dominance_check",
-    "optimal_threshold_cost", "stationary_distribution",
-    "threshold_average_cost", "threshold_chain",
+    "cumulative_active_mass", "dominance_check", "optimal_threshold_cost",
+    "stationary_distribution", "threshold_average_cost", "threshold_chain",
     "IndexIterationConfig", "IndexTable", "ValueSolution", "bisect_index",
     "build_index_table", "compute_index", "index_residual", "solve_value",
     "BruteForceResult", "JointSolution", "SingleQueueSolution",

@@ -22,6 +22,10 @@ from .model import SystemConfig, _binomial_block, passive_kernel, \
 
 STRUCT_SLACK = 1e-9
 
+# The (q, p) tenths with q > p on which the threshold-chain checks run.
+CHAIN_GRID = [(float(q), float(p)) for q in np.arange(0.1, 1.0, 0.1)
+              for p in np.arange(0.1, 1.0, 0.1) if q > p]
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -91,30 +95,20 @@ def check_passive_shift_monotone(x_max: int = 60) -> CheckResult:
 
 def check_stationary_mass_monotone(k_max: int = 40) -> CheckResult:
     worst = 0.0
-    for q in np.arange(0.1, 1.0, 0.1):
-        for p in np.arange(0.1, 1.0, 0.1):
-            if q <= p:
-                continue
-            prev = None
-            for k in range(0, k_max + 1):
-                mass = threshold.cumulative_active_mass(k, float(q), float(p))
-                if prev is not None:
-                    worst = min(worst, mass - prev)
-                prev = mass
+    for q, p in CHAIN_GRID:
+        mass = [threshold.cumulative_active_mass(k, q, p)
+                for k in range(0, k_max + 1)]
+        worst = min(worst, float(np.min(np.diff(mass), initial=0.0)))
     return CheckResult("stationary_mass_monotone", worst >= -1e-12,
                        f"min mass increment {worst:.3e}")
 
 
 def check_chain_dominance(k_max: int = 40) -> CheckResult:
-    for q in np.arange(0.1, 1.0, 0.1):
-        for p in np.arange(0.1, 1.0, 0.1):
-            if q <= p:
-                continue
-            for k in range(0, k_max + 1):
-                if not threshold.dominance_check(k, float(q), float(p)):
-                    return CheckResult(
-                        "chain_dominance", False,
-                        f"failed at k={k}, q={q:.1f}, p={p:.1f}")
+    for q, p in CHAIN_GRID:
+        for k in range(0, k_max + 1):
+            if not threshold.dominance_check(k, q, p):
+                return CheckResult("chain_dominance", False,
+                                   f"failed at k={k}, q={q:.1f}, p={p:.1f}")
     return CheckResult("chain_dominance", True, "all grid points dominated")
 
 

@@ -402,6 +402,9 @@ def run_command(args: argparse.Namespace) -> int:
     except (ConvergenceError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
 
 
 def main(argv=None) -> int:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .model import ConvergenceError, ServerParams, SystemConfig, \
     passive_kernel, transition_kernel
+from .threshold import stationary_distribution
 
 # ---------------------------------------------------------------- #
 # single queue                                                     #
@@ -244,15 +245,11 @@ def joint_policy_average_cost(cfg: SystemConfig, policy) -> float:
 
     `policy` maps each joint state tuple to the active server. Only the
     states reachable from all-empty matter; they form one recurrent
-    class because every queue can always drain.
+    class because every queue can always drain, and
+    threshold.stationary_distribution solves it under its guards.
     """
     states, pmat, reach = _policy_chain(cfg, policy)
-    m = int(reach.sum())
-    a = pmat[np.ix_(reach, reach)].T - np.eye(m)
-    a[-1, :] = 1.0
-    b = np.zeros(m)
-    b[-1] = 1.0
-    pi = np.linalg.solve(a, b)
+    pi = stationary_distribution(pmat[np.ix_(reach, reach)])
     holding = np.array([sum(s.cost_c * x for s, x in zip(cfg.servers, st))
                         for st, r in zip(states, reach) if r])
     return float(pi @ holding)

@@ -105,6 +105,8 @@ def validate_config(cfg: SystemConfig) -> ValidationReport:
             v.append(f"servers[{i}].q={s.q:g} outside (0,1)")
         if not s.cost_c > 0.0:
             v.append(f"servers[{i}].cost_c={s.cost_c:g} not > 0")
+        elif not math.isfinite(s.cost_c):
+            v.append(f"servers[{i}].cost_c={s.cost_c:g} not finite")
     if cfg.buffer < 1:
         v.append(f"buffer={cfg.buffer} not >= 1")
     if cfg.strict_stability_mode and cfg.servers:

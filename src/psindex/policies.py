@@ -89,7 +89,40 @@ class _DecisionTable:
         return self._decision_cache[1]
 
 
-class WhittlePolicy(_DecisionTable):
+class _IndexRule(_DecisionTable):
+    """Activates the server whose score at its queue length is smallest.
+
+    scores(size) gives each server's scores at lengths 0..size-1; ties
+    go to the lowest server by a strict < in server order. The selector
+    reads rows of _size scores and widens them for a longer queue.
+    """
+
+    _size = 1
+
+    def selector(self, rng: np.random.Generator):
+        rows = [r.tolist() for r in self.scores(self._size)]
+        num = len(rows)
+
+        def select(state):
+            nonlocal rows
+            try:
+                best, best_val = 0, rows[0][state[0]]
+                for i in range(1, num):
+                    val = rows[i][state[i]]
+                    if val < best_val:
+                        best, best_val = i, val
+            except IndexError:  # a state past the rows: widen them
+                rows = [r.tolist() for r in self.scores(2 * max(state) + 1)]
+                return select(state)
+            return best
+
+        return select
+
+    def _build_decisions(self, cfg: SystemConfig) -> bytes:
+        return _argmin_table(self.scores(cfg.buffer + 1))
+
+
+class WhittlePolicy(_IndexRule):
     """Activates the server whose (extrapolated) table index is smallest."""
 
     name = "whittle"
@@ -97,36 +130,14 @@ class WhittlePolicy(_DecisionTable):
     def __init__(self, table: IndexTable, max_state: int | None = None):
         self.table = table
         self.num_servers = table.num_servers
-        # Dense per-server rows make the per-slot lookup a list index.
-        size = (max_state if max_state is not None else table.x_max) + 1
-        self._rows = [table.dense_row(i, size).tolist()
-                      for i in range(table.num_servers)]
+        self._size = (max_state if max_state is not None else table.x_max) + 1
 
-    def selector(self, rng: np.random.Generator):
-        rows = self._rows
-        table = self.table
-        num = len(rows)
-
-        def select(state):
-            try:
-                best, best_val = 0, rows[0][state[0]]
-                for i in range(1, num):
-                    val = rows[i][state[i]]
-                    if val < best_val:
-                        best, best_val = i, val
-            except IndexError:  # a state past the rows: extrapolate
-                return min(range(num), key=lambda i: table.lookup(i, state[i]))
-            return best
-
-        return select
-
-    def _build_decisions(self, cfg: SystemConfig) -> bytes:
-        size = cfg.buffer + 1
-        return _argmin_table([self.table.dense_row(i, size)
-                              for i in range(cfg.num_servers)])
+    def scores(self, size: int) -> list[np.ndarray]:
+        return [self.table.dense_row(i, size)
+                for i in range(self.num_servers)]
 
 
-class CmuPolicy(_DecisionTable):
+class CmuPolicy(_IndexRule):
     """Activates the server with the smallest cost_c * x / q score."""
 
     name = "cmu"
@@ -135,23 +146,9 @@ class CmuPolicy(_DecisionTable):
         self._weights = [s.cost_c / s.q for s in servers]
         self.num_servers = len(servers)
 
-    def selector(self, rng: np.random.Generator):
-        w = self._weights
-        num = len(w)
-
-        def select(state):
-            best, best_val = 0, w[0] * state[0]
-            for i in range(1, num):
-                val = w[i] * state[i]
-                if val < best_val:
-                    best, best_val = i, val
-            return best
-
-        return select
-
-    def _build_decisions(self, cfg: SystemConfig) -> bytes:
-        xs = np.arange(cfg.buffer + 1)
-        return _argmin_table([w * xs for w in self._weights])
+    def scores(self, size: int) -> list[np.ndarray]:
+        xs = np.arange(size)
+        return [w * xs for w in self._weights]
 
 
 class RandomPolicy:

@@ -4,13 +4,13 @@ A threshold policy with parameter k keeps the server active on states
 {0, ..., k} and passive above. Started empty, the queue then lives on
 {0, ..., k+1}: it can only climb by admitting arrivals, and admissions
 stop one step above the threshold. The convention k = -1 means never
-active, whose recurrent class is the single state {0}. Every chain is a
-slice of model.transition_kernel.
+active, whose recurrent class is the single state {0}. Every chain is
+threshold_rows of model.transition_kernel, and stationary_distribution
+is the stationary solve of every chain, dp's joint policy chains too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,35 +20,14 @@ from .model import transition_kernel
 STATIONARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class RecurrentChain:
-    """Transition matrix of a threshold policy on its recurrent class."""
-
-    k: int
-    q: float
-    p: float
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.shape != (self.k + 2, self.k + 2):
-            raise ValueError("matrix must cover states 0..k+1")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        if (np.any(m < 0.0)
-                or not np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-10):
-            raise ValueError("rows must be probability vectors")
-        m.setflags(write=False)
+def threshold_rows(active: np.ndarray, passive: np.ndarray,
+                   k: int) -> np.ndarray:
+    """Every row of a kernel under threshold k: active iff s <= k."""
+    return np.vstack((active[: k + 1], passive[k + 1:]))
 
 
-def _threshold_rows(active: np.ndarray, passive: np.ndarray,
-                    k: int) -> np.ndarray:
-    """Rows 0..k+1 of a kernel under threshold k: active iff s <= k."""
-    return np.vstack((active[: k + 1], passive[k + 1: k + 2]))
-
-
-def threshold_chain(k: int, q: float, p: float) -> RecurrentChain:
-    """Build the chain on {0, ..., k+1} for threshold k >= 0.
+def threshold_chain(k: int, q: float, p: float) -> np.ndarray:
+    """The read-only chain on {0, ..., k+1} for threshold k >= 0.
 
     Row s is the one-slot law with the server active iff s <= k, read
     off transition_kernel(q, p, k+1). The slice is exact: active rows
@@ -58,19 +37,25 @@ def threshold_chain(k: int, q: float, p: float) -> RecurrentChain:
     if k < 0:
         raise ValueError("threshold_chain needs k >= 0; k = -1 has the "
                          "trivial class {0}")
-    active, passive = transition_kernel(q, p, k + 1)
-    return RecurrentChain(k=k, q=q, p=p,
-                          matrix=_threshold_rows(active, passive, k))
+    chain = threshold_rows(*transition_kernel(q, p, k + 1), k)
+    chain.setflags(write=False)
+    return chain
 
 
-def stationary_distribution(chain: RecurrentChain) -> np.ndarray:
-    """Solve pi P = pi, sum(pi) = 1 directly.
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
+    """Solve pi P = pi, sum(pi) = 1 directly for a stochastic matrix P.
 
-    The class is irreducible and aperiodic for q, p in (0,1), so the
-    linear system has a unique solution.
+    P must be irreducible on its states, as a threshold chain is for
+    q, p in (0,1) and a joint policy chain on its reachable class; the
+    linear system then has a unique solution.
     """
-    P = chain.matrix
-    n = P.shape[0]
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise ValueError("transition matrix must be square")
+    if not np.all(np.isfinite(P)):
+        raise ValueError("matrix entries must be finite")
+    if np.any(P < 0.0) or not np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-10:
+        raise ValueError("rows must be probability vectors")
+    n = len(P)
     A = P.T - np.eye(n)
     A[-1, :] = 1.0
     b = np.zeros(n)
@@ -93,8 +78,7 @@ def _chain_stats(k: int, q: float, p: float) -> tuple[float, float]:
     """(mean queue length, mass of the top state k+1) under threshold k."""
     if k == -1:
         return 0.0, 0.0
-    chain = threshold_chain(k, q, p)
-    pi = stationary_distribution(chain)
+    pi = stationary_distribution(threshold_chain(k, q, p))
     mean_len = float(np.arange(k + 2) @ pi)
     return mean_len, float(pi[k + 1])
 
@@ -153,7 +137,7 @@ def dominance_check(k: int, q: float, p: float) -> bool:
     active, passive = transition_kernel(q, p, k + 2)
     m = k + 3
     p1_pad = np.zeros((m, m))
-    p1_pad[: k + 2] = _threshold_rows(active, passive, k)
-    p2 = _threshold_rows(active, passive, k + 1)
+    p1_pad[: k + 2] = threshold_rows(active, passive, k)[: k + 2]
+    p2 = threshold_rows(active, passive, k + 1)
     u = np.tril(np.ones((m, m)))
     return bool(np.all(p1_pad @ u <= p2 @ u + 1e-12))

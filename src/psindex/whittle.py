@@ -22,6 +22,7 @@ from scipy.linalg.lapack import dgetrs
 
 from .model import ConvergenceError, ServerParams, SystemConfig, \
     transition_kernel
+from .threshold import threshold_rows
 
 VALUE_RESIDUAL_TOL = 1e-9
 
@@ -38,8 +39,8 @@ class IndexIterationConfig:
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not (0.0 < self.tol < np.inf):
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -66,8 +67,7 @@ class _FixedThresholdSystem:
     once and re-solved per lam. States above n clamp there, which is
     exact for every n >= threshold_x + 1: started empty, the policy
     never leaves 0..threshold_x+1, and states above it are transient.
-    Rows 0..threshold_x come from the active kernel matrix and the rest
-    from the passive one.
+    Its transition rows are threshold.threshold_rows of the kernel.
     """
 
     def __init__(self, server: ServerParams, arrival_p: float,
@@ -83,8 +83,7 @@ class _FixedThresholdSystem:
         active, passive = transition_kernel(server.q, arrival_p, n)
         m = n + 2
         a = np.zeros((m, m))
-        a[: n + 1, : n + 1] = -np.vstack((active[: threshold_x + 1],
-                                          passive[threshold_x + 1:]))
+        a[: n + 1, : n + 1] = -threshold_rows(active, passive, threshold_x)
         a[np.arange(n + 1), np.arange(n + 1)] += 1.0
         a[: n + 1, n + 1] = 1.0
         a[n + 1, 0] = 1.0  # pins V(0) = 0

@@ -12,7 +12,7 @@ import pytest
 
 from psindex import (CmuPolicy, ComparisonTable, IndexTable, JointSolution,
                      ServerParams, SimReport, SystemConfig, simulate)
-from psindex import whittle
+from psindex import sim, whittle
 from psindex.checks import CheckResult
 from psindex.cli import (ConfigError, fmt, load_config, main,
                          write_comparison, write_exact, write_index_table,
@@ -263,6 +263,8 @@ def test_config_errors_use_the_usage_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("section,phrase", [
     ("whittle: {gamma: 5}", r"whittle.gamma must lie in \(0, 1\]"),
     ("whittle: {tol: -1}", "whittle.tol must be positive"),
+    ("whittle: {tol: .nan}", "whittle.tol must be positive"),
+    ("whittle: {tol: .inf}", "whittle.tol must be positive"),
     ("whittle: {max_iter: 0}", "whittle.max_iter must be >= 1"),
     ("whittle: {x_max: 0}", "whittle.x_max must be >= 1"),
     ("whittle: {truncation_n: 50}", r"whittle.truncation_n is retired: "
@@ -351,6 +353,28 @@ def test_properties_command_reports_a_failed_value_guard_without_traceback(
     err = capsys.readouterr().err
     assert err.startswith("error: value system residual")
     assert "Traceback" not in err
+
+
+def test_simulate_reports_running_out_of_memory_without_traceback(
+        config_path, tmp_path, capsys, monkeypatch):
+    def exhausted(q, buffer):
+        raise MemoryError("Unable to allocate 1.49 GiB")
+    monkeypatch.setattr(sim, "_departure_cdfs", exhausted)
+    code = main(["simulate", "--config", str(config_path), "--policy", "cmu",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_a_non_finite_tol_override_exits_1(config_path, tmp_path, capsys,
+                                           tol):
+    code = main(["indices", "--config", str(config_path), "--tol", tol,
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: tol must be positive")
 
 
 def test_cold_import_of_the_cli_leaves_scipy_stats_out():

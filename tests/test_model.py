@@ -199,6 +199,8 @@ def test_validate_config_flags_each_violation():
     assert "servers[0].q=0 outside (0,1)" in text
     assert "servers[0].cost_c=-1 not > 0" in text
     assert "buffer=0 not >= 1" in text
+    inf = validate_config(_cfg(servers=(ServerParams(q=0.5, cost_c=np.inf),)))
+    assert "servers[0].cost_c=inf not finite" in inf.violations
 
 
 def test_validate_config_strict_mode_extras():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from psindex import (RecurrentChain, cumulative_active_mass, dominance_check,
+from psindex import (ServerParams, cumulative_active_mass, dominance_check,
                      optimal_threshold_cost, stationary_distribution,
                      threshold_average_cost, threshold_chain)
+from psindex.whittle import _FixedThresholdSystem
 
 from conftest import binom_row, power_stationary
 
@@ -21,14 +22,15 @@ def _per_row_chain(k, q, p):
 
 def test_threshold_chain_frozen_matrix():
     chain = threshold_chain(0, 0.5, 0.4)
-    assert np.allclose(chain.matrix, [[0.6, 0.4], [0.5, 0.5]], atol=1e-15)
+    assert np.allclose(chain, [[0.6, 0.4], [0.5, 0.5]], atol=1e-15)
+    assert not chain.flags.writeable
 
 
 @pytest.mark.parametrize("q,p", PAIRS + ((0.9, 0.5), (0.3, 0.8)))
 def test_threshold_chain_matches_the_per_row_assembly(q, p):
     for k in range(0, 41):
         chain = threshold_chain(k, q, p)
-        assert np.max(np.abs(chain.matrix - _per_row_chain(k, q, p))) <= 1e-15
+        assert np.max(np.abs(chain - _per_row_chain(k, q, p))) <= 1e-15
 
 
 def test_threshold_chain_rejects_negative_k():
@@ -36,28 +38,26 @@ def test_threshold_chain_rejects_negative_k():
         threshold_chain(-1, 0.5, 0.4)
 
 
-def test_recurrent_chain_validates_shape_and_rows():
-    with pytest.raises(ValueError):
-        RecurrentChain(k=0, q=0.5, p=0.4, matrix=np.eye(3))
-    bad = np.array([[0.6, 0.3], [0.5, 0.5]])
-    with pytest.raises(ValueError):
-        RecurrentChain(k=0, q=0.5, p=0.4, matrix=bad)
+@pytest.mark.parametrize("matrix,phrase", [
+    (np.full((2, 3), 1.0 / 3.0), "square"),
+    (np.array([[0.6, 0.3], [0.5, 0.5]]), "probability vectors"),
+    (np.array([[np.nan, np.nan], [0.5, 0.5]]), "finite"),
+    (np.array([[np.inf, np.inf], [0.5, 0.5]]), "finite"),
+    (np.eye(2), "stationary solve failed"),  # reducible: a singular system
+], ids=["non-square", "row-sum", "nan", "inf", "reducible"])
+def test_stationary_distribution_rejects_a_malformed_matrix(matrix, phrase):
+    with pytest.raises(ValueError, match=phrase):
+        stationary_distribution(matrix)
 
 
-@pytest.mark.parametrize("entry", [np.nan, np.inf])
-def test_recurrent_chain_rejects_non_finite_entries(entry):
-    bad = np.array([[entry, entry], [0.5, 0.5]])
-    with pytest.raises(ValueError, match="finite"):
-        RecurrentChain(k=0, q=0.5, p=0.4, matrix=bad)
-
-
-def test_stationary_distribution_rejects_a_non_finite_solution():
-    chain = threshold_chain(0, 0.5, 0.4)
-    # Bypass the constructor's guard to reach the solver's own check.
-    object.__setattr__(chain, "matrix", np.array([[np.nan, np.nan],
-                                                  [0.5, 0.5]]))
-    with pytest.raises(ValueError):
-        stationary_distribution(chain)
+@pytest.mark.parametrize("x", [0, 5, 40])
+def test_value_system_reads_the_threshold_chain(x):
+    """The value system's transition block is threshold_chain(x), bit
+    for bit: a holds I - P there."""
+    q, p = 0.55, 0.4
+    system = _FixedThresholdSystem(ServerParams(q=q, cost_c=1.0), p, x, x + 1)
+    block = system._a[: x + 2, : x + 2]
+    assert np.array_equal(block, np.eye(x + 2) - threshold_chain(x, q, p))
 
 
 def test_stationary_distribution_frozen():
@@ -69,7 +69,7 @@ def test_stationary_distribution_frozen():
 def test_stationary_distribution_matches_power_iteration(k, q, p):
     chain = threshold_chain(k, q, p)
     pi = stationary_distribution(chain)
-    ref = power_stationary(chain.matrix)
+    ref = power_stationary(chain)
     assert np.allclose(pi, ref, atol=1e-10)
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -98,7 +98,7 @@ def test_threshold_average_cost_frozen():
 def test_threshold_average_cost_matches_direct_expectation(k, q, p):
     """Cross-check against an explicitly assembled stationary expectation."""
     lam, cost_c = 1.7, 3.0
-    pi = power_stationary(threshold_chain(k, q, p).matrix)
+    pi = power_stationary(threshold_chain(k, q, p))
     states = np.arange(k + 2)
     want = cost_c * float(states @ pi) + lam * float(pi[k + 1])
     got = threshold_average_cost(k, lam, cost_c, q, p)
@@ -133,8 +133,8 @@ def test_dominance_check_holds_on_grid(k, q, p):
 def test_dominance_check_matches_two_separate_chains(q, p):
     for k in range(0, 20):
         lo = np.zeros((k + 3, k + 3))
-        lo[: k + 2, : k + 2] = threshold_chain(k, q, p).matrix
-        hi = threshold_chain(k + 1, q, p).matrix
+        lo[: k + 2, : k + 2] = threshold_chain(k, q, p)
+        hi = threshold_chain(k + 1, q, p)
         up = np.tril(np.ones((k + 3, k + 3)))
         want = bool(np.all(lo @ up <= hi @ up + 1e-12))
         assert dominance_check(k, q, p) == want
