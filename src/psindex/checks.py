@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dp, threshold, whittle
-from .model import SystemConfig, _binomial_block, passive_kernel, \
-    transition_kernel
+from .model import ConvergenceError, SystemConfig, _binomial_block, \
+    passive_kernel, transition_kernel
 
 STRUCT_SLACK = 1e-9
 
@@ -94,19 +94,29 @@ def check_passive_shift_monotone(x_max: int = 60) -> CheckResult:
 
 
 def check_stationary_mass_monotone(k_max: int = 40) -> CheckResult:
+    """The active mass 1 - pi(k+1) must not fall as k grows to k_max.
+
+    It is threshold.cumulative_active_mass over CHAIN_GRID, with every
+    chain sliced from one kernel per (q, p).
+    """
     worst = 0.0
     for q, p in CHAIN_GRID:
-        mass = [threshold.cumulative_active_mass(k, q, p)
-                for k in range(0, k_max + 1)]
+        kernel = transition_kernel(q, p, k_max + 1)
+        mass = [1.0 - threshold.stationary_distribution(
+            threshold._chain_block(*kernel, k))[k + 1]
+            for k in range(0, k_max + 1)]
         worst = min(worst, float(np.min(np.diff(mass), initial=0.0)))
     return CheckResult("stationary_mass_monotone", worst >= -1e-12,
                        f"min mass increment {worst:.3e}")
 
 
 def check_chain_dominance(k_max: int = 40) -> CheckResult:
+    """threshold.dominance_check over CHAIN_GRID and k = 0..k_max."""
+    uppers = [np.tril(np.ones((k + 3, k + 3))) for k in range(k_max + 1)]
     for q, p in CHAIN_GRID:
-        for k in range(0, k_max + 1):
-            if not threshold.dominance_check(k, q, p):
+        kernel = transition_kernel(q, p, k_max + 2)
+        for k, u in enumerate(uppers):
+            if not threshold._dominated(*kernel, k, u):
                 return CheckResult("chain_dominance", False,
                                    f"failed at k={k}, q={q:.1f}, p={p:.1f}")
     return CheckResult("chain_dominance", True, "all grid points dominated")
@@ -200,16 +210,21 @@ def check_index_agreement(
 
     iter_cfg sets gamma, tol and max_iter of the iteration; each state
     is warm-started at the previous state's index. Both solve state x on
-    states 0..x+1, as the index table does.
+    states 0..x+1, as the index table does. A solver that fails fails
+    the check, naming the server and state with the solver's message.
     """
     base = iter_cfg or whittle.IndexIterationConfig()
     worst = 0.0
-    for s in cfg.servers:
+    for i, s in enumerate(cfg.servers):
         warm = base.lambda0
         for x in range(0, x_max + 1):
-            lam = whittle.compute_index(x, s, cfg.arrival_p, x + 1,
-                                        replace(base, lambda0=warm))
-            ref = whittle.bisect_index(x, s, cfg.arrival_p, x + 1)
+            try:
+                lam = whittle.compute_index(x, s, cfg.arrival_p, x + 1,
+                                            replace(base, lambda0=warm))
+                ref = whittle.bisect_index(x, s, cfg.arrival_p, x + 1)
+            except ConvergenceError as e:
+                return CheckResult("index_agreement", False,
+                                   f"server {i}, state {x}: {e}")
             worst = max(worst, abs(lam - ref))
             warm = lam
     return CheckResult("index_agreement", worst <= 1e-4,

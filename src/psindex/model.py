@@ -169,23 +169,42 @@ def passive_kernel(q: float, n: int) -> np.ndarray:
     return _passive_block(float(q), size)[: n + 1, : n + 1].copy()
 
 
+@lru_cache(maxsize=2)
+def _active_block(q: float, p: float, size: int) -> np.ndarray:
+    """Read-only active matrix over a passive block, one column wider.
+
+    Row x is passive row x convolved with the Bernoulli(p) arrival and
+    nothing dropped, so column y + 1 carries p * passive[x, y]. Every
+    transition_kernel call slices it; the extra column holds the mass
+    an arrival to the last state of the block would carry past it.
+    """
+    passive = _passive_block(q, size)
+    block = np.zeros((size, size + 1))
+    block[:, :size] = (1.0 - p) * passive
+    block[:, 1:] += p * passive
+    block.setflags(write=False)
+    return block
+
+
 def transition_kernel(q: float, p: float,
                       n: int) -> tuple[np.ndarray, np.ndarray]:
     """Active and passive transition matrices over states 0..n.
 
     The buffer sits at n. Row x of the active matrix is passive row x
     convolved with the Bernoulli(p) arrival, the arrival dropped when
-    it would pass the buffer.
+    it would pass the buffer. Both are writable copies of slices of
+    cached blocks; the active block's entry [n, n+1] is exactly
+    p * passive[n, n], the mass the clamp returns to the buffer.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     passive = passive_kernel(q, n)
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie in (0,1)")
-    active = (1.0 - p) * passive
-    active[:, 1:] += p * passive[:, :-1]
+    big = _active_block(float(q), float(p), -(-(n + 1) // _BLOCK) * _BLOCK)
+    active = big[: n + 1, : n + 1].copy()
     # An arrival to a full buffer with no departure is dropped.
-    active[n, n] += p * passive[n, n]
+    active[n, n] += big[n, n + 1]
     return active, passive
 
 

@@ -26,18 +26,29 @@ def threshold_rows(active: np.ndarray, passive: np.ndarray,
     return np.vstack((active[: k + 1], passive[k + 1:]))
 
 
+def _chain_block(active: np.ndarray, passive: np.ndarray,
+                 k: int) -> np.ndarray:
+    """The threshold-k chain on {0, ..., k+1} from a kernel over 0..n.
+
+    Exact for every n >= k+1: active rows s <= k never reach a state
+    above k+1, the clamp at n touches active row n only, and from state
+    k+1 the server is passive, so the chain cannot leave the class
+    upward. A sweep over k can thus slice one kernel per (q, p).
+    """
+    return threshold_rows(active[: k + 2, : k + 2],
+                          passive[: k + 2, : k + 2], k)
+
+
 def threshold_chain(k: int, q: float, p: float) -> np.ndarray:
     """The read-only chain on {0, ..., k+1} for threshold k >= 0.
 
     Row s is the one-slot law with the server active iff s <= k, read
-    off transition_kernel(q, p, k+1). The slice is exact: active rows
-    s <= k never reach the buffer at k+1, and from state k+1 the server
-    is passive, so the chain cannot leave the class upward.
+    off transition_kernel(q, p, k+1) by _chain_block.
     """
     if k < 0:
         raise ValueError("threshold_chain needs k >= 0; k = -1 has the "
                          "trivial class {0}")
-    chain = threshold_rows(*transition_kernel(q, p, k + 1), k)
+    chain = _chain_block(*transition_kernel(q, p, k + 1), k)
     chain.setflags(write=False)
     return chain
 
@@ -51,12 +62,13 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("transition matrix must be square")
-    if not np.all(np.isfinite(P)):
+    if not np.isfinite(P).all():
         raise ValueError("matrix entries must be finite")
-    if np.any(P < 0.0) or not np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-10:
+    if (P < 0.0).any() or not np.abs(P.sum(axis=1) - 1.0).max() <= 1e-10:
         raise ValueError("rows must be probability vectors")
     n = len(P)
-    A = P.T - np.eye(n)
+    A = P.T.copy()
+    A.ravel()[:: n + 1] -= 1.0  # P^T - I
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
@@ -64,11 +76,11 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
         pi = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as e:
         raise ValueError(f"malformed chain, stationary solve failed: {e}")
-    if np.any(pi < -STATIONARY_TOL):
+    if (pi < -STATIONARY_TOL).any():
         raise ValueError("stationary solve produced negative mass")
-    pi = np.clip(pi, 0.0, None)
+    pi = pi.clip(0.0, None)
     pi /= pi.sum()
-    if not np.max(np.abs(pi @ P - pi)) <= STATIONARY_TOL:
+    if not np.abs(pi @ P - pi).max() <= STATIONARY_TOL:
         raise ValueError("stationary residual exceeds tolerance")
     return pi
 
@@ -134,10 +146,20 @@ def dominance_check(k: int, q: float, p: float) -> bool:
     threshold pushes every state upward at least as hard. Both chains
     are slices of one transition_kernel(q, p, k+2).
     """
-    active, passive = transition_kernel(q, p, k + 2)
+    m = k + 3
+    return _dominated(*transition_kernel(q, p, k + 2), k,
+                      np.tril(np.ones((m, m))))
+
+
+def _dominated(active: np.ndarray, passive: np.ndarray, k: int,
+               u: np.ndarray) -> bool:
+    """dominance_check's comparison on a kernel over 0..n, n >= k+2.
+
+    u is the (k+3) x (k+3) matrix U, so a sweep over k can build each
+    kernel and each U once.
+    """
     m = k + 3
     p1_pad = np.zeros((m, m))
-    p1_pad[: k + 2] = threshold_rows(active, passive, k)[: k + 2]
-    p2 = threshold_rows(active, passive, k + 1)
-    u = np.tril(np.ones((m, m)))
-    return bool(np.all(p1_pad @ u <= p2 @ u + 1e-12))
+    p1_pad[: k + 2, : k + 2] = _chain_block(active, passive, k)
+    p2 = _chain_block(active, passive, k + 1)
+    return bool((p1_pad @ u <= p2 @ u + 1e-12).all())

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .model import ConvergenceError, ServerParams, SystemConfig, \
     transition_kernel
@@ -64,10 +63,11 @@ class _FixedThresholdSystem:
 
     Unknowns are V(0..n) and beta; the coefficient matrix does not
     depend on lam (only the right-hand side does), so it is factored
-    once and re-solved per lam. States above n clamp there, which is
-    exact for every n >= threshold_x + 1: started empty, the policy
-    never leaves 0..threshold_x+1, and states above it are transient.
-    Its transition rows are threshold.threshold_rows of the kernel.
+    once by LAPACK getrf and re-solved per lam by getrs. States above n
+    clamp there, which is exact for every n >= threshold_x + 1: started
+    empty, the policy never leaves 0..threshold_x+1, and states above
+    it are transient. Its transition rows are threshold.threshold_rows
+    of the kernel.
     """
 
     def __init__(self, server: ServerParams, arrival_p: float,
@@ -87,6 +87,8 @@ class _FixedThresholdSystem:
         a[np.arange(n + 1), np.arange(n + 1)] += 1.0
         a[: n + 1, n + 1] = 1.0
         a[n + 1, 0] = 1.0  # pins V(0) = 0
+        if not np.all(np.isfinite(a)):
+            raise ValueError("array must not contain infs or NaNs")
         b0 = np.zeros(m)
         b0[: n + 1] = server.cost_c * np.arange(n + 1)
         b1 = np.zeros(m)
@@ -94,30 +96,37 @@ class _FixedThresholdSystem:
         self._a = a
         self._b0 = b0
         self._b1 = b1
-        self._lu = lu_factor(a)
+        self._lu, self._piv, info = dgetrf(a)
+        if info > 0:  # info < 0 only for a bad argument
+            raise ConvergenceError(f"value system is singular: pivot {info} "
+                                   "is exactly zero")
+        # Right-hand side, solution and residual of _refined_solve.
+        self._b, self._u, self._r = np.empty(m), np.empty(m), np.empty(m)
         # Balance rows are evaluated at the threshold state itself.
         x = max(threshold_x, 0)
         self.active_row = active[x]
         self.passive_row = passive[x]
 
-    def _lu_solve(self, b: np.ndarray) -> np.ndarray:
-        """LAPACK getrs on the stored LU, as scipy's lu_solve calls it.
-
-        No finiteness check: a non-finite right-hand side fails the
-        residual guard of _refined_solve instead.
-        """
-        return dgetrs(*self._lu, b)[0]  # info != 0 only for a bad argument
-
-    def _refined_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve a u = b for one right-hand side.
+    def _refined_solve(self, lam: float) -> np.ndarray:
+        """Solve a u = b0 + lam * b1 in buffers the next call reuses.
 
         One refinement step follows the LU solve, and the residual guard
-        covers the result; a NaN residual fails it too. A failed guard
-        raises ConvergenceError carrying the residual.
+        covers the result; a NaN residual fails it too, so getrs needs
+        no finiteness check. A failed guard raises ConvergenceError
+        carrying the residual.
         """
-        u = self._lu_solve(b)
-        u += self._lu_solve(b - self._a @ u)  # one refinement step
-        resid = float(np.max(np.abs(self._a @ u - b)))
+        b, u, r = self._b, self._u, self._r
+        np.multiply(self._b1, lam, out=b)
+        b += self._b0
+        u[:] = b
+        dgetrs(self._lu, self._piv, u, overwrite_b=1)
+        np.matmul(self._a, u, out=r)
+        np.subtract(b, r, out=r)
+        dgetrs(self._lu, self._piv, r, overwrite_b=1)  # one refinement step
+        u += r
+        np.matmul(self._a, u, out=r)
+        r -= b
+        resid = float(np.abs(r, out=r).max())
         if not resid <= VALUE_RESIDUAL_TOL:
             raise ConvergenceError(f"value system residual {resid:.3e} "
                                    f"exceeds {VALUE_RESIDUAL_TOL:g}",
@@ -125,13 +134,13 @@ class _FixedThresholdSystem:
         return u
 
     def solve(self, lam: float) -> ValueSolution:
-        u = self._refined_solve(self._b0 + lam * self._b1)
+        u = self._refined_solve(lam).copy()
         return ValueSolution(lam=lam, threshold_x=self.threshold_x, n=self.n,
                              v=u[: self.n + 1], beta=float(u[self.n + 1]))
 
     def gap(self, lam: float) -> float:
         """Active-minus-passive continuation gap at the threshold state."""
-        v = self.solve(lam).v
+        v = self._refined_solve(lam)[: self.n + 1]
         return float(self.active_row @ v - self.passive_row @ v) - lam
 
     def gap_line(self) -> tuple[float, float]:
@@ -143,8 +152,8 @@ class _FixedThresholdSystem:
         """
         d = self.active_row - self.passive_row
         m = self.n + 1
-        v0 = self._lu_solve(self._b0)[:m]
-        v1 = self._lu_solve(self._b1)[:m]
+        v0 = dgetrs(self._lu, self._piv, self._b0)[0][:m]
+        v1 = dgetrs(self._lu, self._piv, self._b1)[0][:m]
         return float(d @ v0), float(d @ v1) - 1.0
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from psindex import ServerParams, SystemConfig, passive_kernel
-from psindex import checks
+from psindex import checks, whittle
 
 CFG = SystemConfig(arrival_p=0.4,
                    servers=(ServerParams(q=0.55, cost_c=30.0),
@@ -109,6 +109,22 @@ def test_single_queue_structure_check():
 def test_index_agreement_check():
     res = checks.check_index_agreement(CFG, x_max=6)
     assert res.passed
+
+
+def test_index_agreement_fails_instead_of_raising_when_the_iteration_stalls():
+    """The heavy-traffic bank's first server (p > q): the iteration runs
+    out of steps, and the check names the server, the state, the
+    iterate and the residual instead of aborting the suite."""
+    heavy = SystemConfig(arrival_p=0.9,
+                         servers=(ServerParams(q=0.55, cost_c=30.0),),
+                         buffer=100)
+    res = checks.check_index_agreement(
+        heavy, iter_cfg=whittle.IndexIterationConfig(max_iter=50))
+    assert not res.passed
+    assert res.name == "index_agreement"
+    assert res.detail == ("server 0, state 0: index iteration for state 0 "
+                          "stopped at lam=41.9900427 with residual "
+                          "2.693e+00 after 50 iterations")
 
 
 def test_run_property_suite_names_are_unique():

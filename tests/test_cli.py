@@ -513,8 +513,15 @@ def test_properties_command_runs_the_iteration_with_the_config_knobs(
     code = main(["properties", "--config", str(path),
                  "--out", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().err.startswith(
-        "error: index iteration for state 0")
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert ("FAIL  index_agreement: server 0, state 0: index iteration for "
+            "state 0 stopped at lam=") in captured.out
+    with open(tmp_path / "properties.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9
+    assert [r["check"] for r in rows if r["passed"] == "FAIL"] == [
+        "index_agreement"]
     code = main(["properties", "--config", str(path), "--gamma", "0",
                  "--out", str(tmp_path)])
     assert code == 1

@@ -165,6 +165,32 @@ def test_transition_kernel_matches_rows(q, p, n):
             <= 1e-15
 
 
+@pytest.mark.parametrize("n", [1, 62, 63, 64, 65, 127, 128])
+@pytest.mark.parametrize("p", [0.1, 0.4, 0.9])
+def test_transition_kernel_equals_the_direct_formula_bit_for_bit(p, n):
+    """The cached active block, sliced at n with its column n+1 added back
+    to the buffer cell, is (1-p) passive + p shift with the clamp at n."""
+    for q in (0.05, 0.55, 0.95):
+        passive = passive_kernel(q, n)
+        want = (1.0 - p) * passive
+        want[:, 1:] += p * passive[:, :-1]
+        want[n, n] += p * passive[n, n]
+        active, got = transition_kernel(q, p, n)
+        assert active.tobytes() == want.tobytes()
+        assert got.tobytes() == passive.tobytes()
+
+
+def test_transition_kernel_returns_copies_the_cache_ignores():
+    """Callers may edit both matrices in place; the next call is unchanged."""
+    want = [m.copy() for m in transition_kernel(0.55, 0.4, 70)]
+    for m in transition_kernel(0.55, 0.4, 70):
+        m[:] = -1.0
+    transition_kernel(0.55, 0.4, 40)[0][40, 40] = 7.0  # the clamped cell
+    got = transition_kernel(0.55, 0.4, 70)
+    assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+    assert all(m.flags.writeable for m in got)
+
+
 def test_transition_kernel_rejects_bad_arguments():
     for q, p, n in ((0.0, 0.4, 5), (0.5, 1.0, 5), (0.5, 0.4, 0)):
         with pytest.raises(ValueError):

@@ -1,16 +1,23 @@
 """Fixed-threshold value solve, balance gap, index computation, tables."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from psindex import (ConvergenceError, IndexIterationConfig, IndexTable,
                      ServerParams, bisect_index, build_index_table,
                      compute_index, index_residual, solve_value,
                      threshold_average_cost, SystemConfig)
 from psindex import whittle
+from psindex.cli import load_config
+from psindex.model import transition_kernel
+from psindex.threshold import threshold_rows
 from psindex.whittle import default_truncation
+
+ROOT = Path(__file__).resolve().parent.parent
 
 UNIT = ServerParams(q=0.5, cost_c=1.0)
 HEAVY = ServerParams(q=0.55, cost_c=30.0)
@@ -157,6 +164,103 @@ def test_the_residual_guard_fails_with_a_convergence_error(monkeypatch):
                        match="value system residual") as exc:
         compute_index(3, HEAVY, 0.4, 40)
     assert exc.value.residual >= 0.0
+
+
+class _ScipyValueSystem:
+    """The value system stated with scipy.linalg.lu_factor and lu_solve.
+
+    An independent statement of _FixedThresholdSystem's arithmetic: the
+    same matrix and right-hand sides, each solve allocating afresh, the
+    guard taken as np.max(np.abs(...)). The lean solves must match it
+    bit for bit.
+    """
+
+    def __init__(self, server, p, x, n):
+        active, passive = transition_kernel(server.q, p, n)
+        m = n + 2
+        self.a = np.zeros((m, m))
+        self.a[: n + 1, : n + 1] = -threshold_rows(active, passive, x)
+        self.a[np.arange(n + 1), np.arange(n + 1)] += 1.0
+        self.a[: n + 1, n + 1] = 1.0
+        self.a[n + 1, 0] = 1.0
+        self.b0 = np.zeros(m)
+        self.b0[: n + 1] = server.cost_c * np.arange(n + 1)
+        self.b1 = np.zeros(m)
+        self.b1[x + 1: n + 1] = 1.0
+        self.lu = lu_factor(self.a)
+        self.rows = active[max(x, 0)], passive[max(x, 0)]
+        self.n = n
+
+    def solve(self, lam):
+        b = self.b0 + lam * self.b1
+        u = lu_solve(self.lu, b)
+        u += lu_solve(self.lu, b - self.a @ u)
+        assert float(np.max(np.abs(self.a @ u - b))) <= 1e-9
+        return u
+
+    def gap(self, lam):
+        v = self.solve(lam)[: self.n + 1]
+        return float(self.rows[0] @ v - self.rows[1] @ v) - lam
+
+    def gap_line(self):
+        d = self.rows[0] - self.rows[1]
+        v0 = lu_solve(self.lu, self.b0)[: self.n + 1]
+        v1 = lu_solve(self.lu, self.b1)[: self.n + 1]
+        return float(d @ v0), float(d @ v1) - 1.0
+
+
+def _same(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("q,p", [(0.3, 0.1), (0.55, 0.4), (0.9, 0.8)])
+def test_lean_solves_match_the_scipy_formulation_bit_for_bit(q, p):
+    server = ServerParams(q=q, cost_c=3.5)
+    for x, n in ((-1, 1), (0, 1), (0, 6), (3, 4), (12, 13), (12, 30)):
+        system = whittle._FixedThresholdSystem(server, p, x, n)
+        ref = _ScipyValueSystem(server, p, x, n)
+        assert _same(system.gap_line(), ref.gap_line())
+        for lam in (-7.5, 0.0, 2.5, 31.0):
+            want = ref.solve(lam)
+            sol = system.solve(lam)
+            assert _same(sol.v, want[: n + 1])
+            assert _same(sol.beta, want[n + 1])
+            assert _same(system.gap(lam + 1.0), ref.gap(lam + 1.0))
+            assert _same(sol.v, want[: n + 1])  # gap reused no buffer of v
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "gap", "tiny"])
+def test_index_table_matches_the_scipy_formulation_bit_for_bit(name):
+    cfg = load_config(ROOT / "configs" / f"{name}.yaml").system
+    table = build_index_table(cfg, x_max=100)
+    for i, server in enumerate(cfg.servers):
+        for x in range(101):
+            ref = _ScipyValueSystem(server, cfg.arrival_p, x, x + 1)
+            g0, slope = ref.gap_line()
+            lam = -g0 / slope
+            assert abs(ref.gap(lam)) <= 1e-6
+            assert _same(table.entries[i, x], lam)
+
+
+def test_a_singular_pivot_raises_a_convergence_error(monkeypatch):
+    factor = whittle.dgetrf
+
+    def singular(a):
+        lu, piv, _ = factor(a)
+        return lu, piv, 2
+    monkeypatch.setattr(whittle, "dgetrf", singular)
+    with pytest.raises(ConvergenceError, match="singular: pivot 2"):
+        whittle._FixedThresholdSystem(HEAVY, 0.4, 3, 4)
+
+
+def test_a_non_finite_value_system_is_refused(monkeypatch):
+    def poisoned(q, p, n):
+        active, passive = transition_kernel(q, p, n)
+        active[0, 0] = np.nan
+        return active, passive
+    monkeypatch.setattr(whittle, "transition_kernel", poisoned)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        whittle._FixedThresholdSystem(HEAVY, 0.4, 3, 4)
 
 
 # ---------------------------------------------------------------- #
