@@ -212,23 +212,46 @@ def check_index_agreement(
     is warm-started at the previous state's index. Both solve state x on
     states 0..x+1, as the index table does. A solver that fails fails
     the check, naming the server and state with the solver's message.
+    When the iteration stalls, the detail also gives the closed-form
+    and bisection roots at that state, so a slow iteration reads apart
+    from a broken closed form.
     """
     base = iter_cfg or whittle.IndexIterationConfig()
     worst = 0.0
     for i, s in enumerate(cfg.servers):
         warm = base.lambda0
         for x in range(0, x_max + 1):
+            where = f"server {i}, state {x}"
             try:
                 lam = whittle.compute_index(x, s, cfg.arrival_p, x + 1,
                                             replace(base, lambda0=warm))
+            except ConvergenceError as e:
+                roots = _reference_roots(x, s, cfg.arrival_p, base.tol)
+                return CheckResult("index_agreement", False,
+                                   f"{where}: {e}; {roots}")
+            try:
                 ref = whittle.bisect_index(x, s, cfg.arrival_p, x + 1)
             except ConvergenceError as e:
-                return CheckResult("index_agreement", False,
-                                   f"server {i}, state {x}: {e}")
+                return CheckResult("index_agreement", False, f"{where}: {e}")
             worst = max(worst, abs(lam - ref))
             warm = lam
     return CheckResult("index_agreement", worst <= 1e-4,
                        f"max |incremental - bisection| {worst:.3e}")
+
+
+def _reference_roots(x: int, server, arrival_p: float, tol: float) -> str:
+    """The closed-form and bisection roots at state x, or their errors."""
+    system = whittle._FixedThresholdSystem(server, arrival_p, x, x + 1)
+    found = []
+    for name, root in (
+            ("closed form", lambda: whittle._closed_form_index(system, tol)),
+            ("bisection", lambda: whittle.bisect_index(x, server, arrival_p,
+                                                       x + 1))):
+        try:
+            found.append(f"{name} {root():.13g}")
+        except ConvergenceError as e:
+            found.append(f"{name} failed: {e}")
+    return ", ".join(found)
 
 
 def run_property_suite(

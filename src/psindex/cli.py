@@ -61,6 +61,8 @@ class SimOptions:
     def __post_init__(self):
         if not 0 <= self.burn_in < self.horizon:
             raise ConfigError("need 0 <= sim.burn_in < sim.horizon")
+        if self.seeds < 2:  # compare's confidence intervals need two
+            raise ConfigError("sim.seeds must be >= 2")
 
 
 # The value type of every key of the optional sections; their defaults

@@ -10,10 +10,12 @@ Departures are drawn by inverting per-length CDFs, read once per
 (q, buffer) from the reversed rows of model.passive_kernel and cached.
 
 Every stream is drawn in blocks and each slot consumes its uniforms
-whether or not it uses them, so the fast paths below change no
-report. An empty queue always has zero departures, so it does no
-bisection, and a slot with every queue empty adds nothing to the
-cost or length sums and draws no departure at all.
+whether or not it uses them, so how a loop skips idle work changes
+no report. An empty queue always has zero departures: the Python
+loop does no bisection for it, and a slot with every queue empty
+adds nothing to the cost or length sums and draws no departure at
+all. The compiled loop takes every queue through the same
+branch-free steps instead, which leave those sums as they are.
 
 A policy whose decisions(cfg) gives a table is read there by the
 state's mixed-radix code (server 0 most significant); the random rule
@@ -42,7 +44,8 @@ _CHUNK = 1 << 16
 
 
 class _CdfRows(tuple):
-    """CDF rows as lists; flat holds the same doubles back to back."""
+    """CDF rows as lists; flat holds the same doubles back to back,
+    each row followed by a sentinel 1.0, so row x starts at x(x+3)/2."""
 
     flat: np.ndarray
 
@@ -66,7 +69,7 @@ def _departure_cdfs(q: float, max_x: int) -> _CdfRows:
         cdf[-1] = 1.0
         rows.append(cdf)
     out = _CdfRows(cdf.tolist() for cdf in rows)
-    out.flat = np.concatenate(rows)
+    out.flat = np.concatenate([np.append(cdf, 1.0) for cdf in rows])
     out.flat.flags.writeable = False
     return out
 
@@ -223,7 +226,7 @@ class _CompiledLoop:
         num, buffer = cfg.num_servers, cfg.buffer
         self._advance, self._draw = advance, draw
         self._x = np.zeros(num, np.int64)
-        self._counts = np.zeros(3, np.int64)  # state code, busy queues, drops
+        self._counts = np.zeros(2, np.int64)  # state code, drops
         self._acc = np.zeros(num + 1)  # cost sum, then each length sum
         self._costs = np.array([s.cost_c for s in cfg.servers], float)
         self._cdfs = np.concatenate([c.flat for c in cdfs])
@@ -256,7 +259,7 @@ class _CompiledLoop:
 
     @property
     def drops(self) -> int:
-        return int(self._counts[2])
+        return int(self._counts[1])
 
 
 def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
@@ -273,6 +276,8 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
     """
     if not 0 <= burn_in < horizon:
         raise ValueError("need 0 <= burn_in < horizon")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     num = cfg.num_servers
     if getattr(policy, "num_servers", num) != num:
         raise ValueError(f"policy {policy.name} is for {policy.num_servers} "

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from psindex import ServerParams, SystemConfig, passive_kernel
+from psindex import (ConvergenceError, ServerParams, SystemConfig,
+                     passive_kernel)
 from psindex import checks, whittle
 
 CFG = SystemConfig(arrival_p=0.4,
@@ -111,20 +112,40 @@ def test_index_agreement_check():
     assert res.passed
 
 
+# The heavy-traffic bank's first server: p = 0.9 > q = 0.55.
+HEAVY = SystemConfig(arrival_p=0.9,
+                     servers=(ServerParams(q=0.55, cost_c=30.0),),
+                     buffer=100)
+
+
 def test_index_agreement_fails_instead_of_raising_when_the_iteration_stalls():
     """The heavy-traffic bank's first server (p > q): the iteration runs
     out of steps, and the check names the server, the state, the
-    iterate and the residual instead of aborting the suite."""
-    heavy = SystemConfig(arrival_p=0.9,
-                         servers=(ServerParams(q=0.55, cost_c=30.0),),
-                         buffer=100)
+    iterate, the residual and the two reference roots at that state
+    instead of aborting the suite."""
     res = checks.check_index_agreement(
-        heavy, iter_cfg=whittle.IndexIterationConfig(max_iter=50))
+        HEAVY, iter_cfg=whittle.IndexIterationConfig(max_iter=50))
     assert not res.passed
     assert res.name == "index_agreement"
     assert res.detail == ("server 0, state 0: index iteration for state 0 "
                           "stopped at lam=41.9900427 with residual "
-                          "2.693e+00 after 50 iterations")
+                          "2.693e+00 after 50 iterations; closed form "
+                          "49.09090909091, bisection 49.09090909091")
+
+
+def test_a_stalled_iteration_reports_a_failing_reference_root(monkeypatch):
+    """Where a reference root cannot be found, its error takes its place
+    and the other root is still given."""
+    def no_bracket(*args):
+        raise ConvergenceError("no sign change found for the balance gap")
+
+    monkeypatch.setattr(whittle, "bisect_index", no_bracket)
+    res = checks.check_index_agreement(
+        HEAVY, iter_cfg=whittle.IndexIterationConfig(max_iter=50))
+    assert not res.passed
+    assert res.detail.endswith(
+        "after 50 iterations; closed form 49.09090909091, bisection "
+        "failed: no sign change found for the balance gap")
 
 
 def test_run_property_suite_names_are_unique():

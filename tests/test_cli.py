@@ -270,6 +270,8 @@ def test_config_errors_use_the_usage_exit_code(tmp_path, capsys):
     ("whittle: {truncation_n: 50}", r"whittle.truncation_n is retired: "
      r"every index cell is solved exactly on states 0\.\.x\+1"),
     ("sim: {horizon: 100, burn_in: 200}", "0 <= sim.burn_in < sim.horizon"),
+    ("sim: {seeds: -3}", "sim.seeds must be >= 2"),
+    ("sim: {seeds: 1}", "sim.seeds must be >= 2"),
 ])
 def test_option_values_no_command_accepts_are_config_errors(
         tmp_path, capsys, command, section, phrase):
@@ -451,6 +453,15 @@ def test_simulate_command_writes_report_and_series(config_path, tmp_path,
                      seed=4)
     assert float(rows[0]["avg_cost"]) == pytest.approx(rerun.avg_cost,
                                                        rel=1e-11)
+
+
+def test_simulate_command_refuses_a_negative_seed(config_path, tmp_path,
+                                                  capsys):
+    code = main(["simulate", "--config", str(config_path),
+                 "--out", str(tmp_path), "--policy", "cmu", "--seed", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_exact_command_writes_policy_and_summary(tmp_path):

@@ -4,6 +4,7 @@ import functools
 import json
 import os
 import shutil
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,6 +81,19 @@ def test_departure_sampler_rejects_a_negative_max_x():
         DepartureSampler(0.5, -1)
 
 
+@pytest.mark.parametrize("q,max_x", [(0.55, 100), (0.05, 100), (0.95, 7),
+                                     (0.5, 0)])
+def test_flat_cdfs_pad_each_row_with_a_sentinel(q, max_x):
+    """The compiled loop's layout: row x at x(x+3)/2, then a 1.0."""
+    rows = _departure_cdfs(q, max_x)
+    flat = rows.flat.tolist()
+    assert len(flat) == (max_x + 1) * (max_x + 4) // 2
+    for x, row in enumerate(rows):
+        at = x * (x + 3) // 2
+        assert flat[at:at + x + 1] == row
+        assert flat[at + x + 1] == 1.0
+
+
 def test_simulate_reuses_the_cached_departure_cdfs():
     _departure_cdfs.cache_clear()
     simulate(TWO, _cmu(TWO), horizon=100, burn_in=0, seed=0)
@@ -116,6 +130,11 @@ def test_simulate_rejects_bad_burn_in():
         simulate(ONE, _cmu(ONE), horizon=10, burn_in=10)
     with pytest.raises(ValueError):
         simulate(ONE, _cmu(ONE), horizon=10, burn_in=-1)
+
+
+def test_simulate_refuses_a_negative_seed_by_name():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        simulate(ONE, _cmu(ONE), horizon=10, burn_in=0, seed=-1)
 
 
 def _bank(num):
@@ -229,12 +248,13 @@ def test_burn_in_excludes_the_warmup_slots():
     assert warm.avg_cost > cold.avg_cost
 
 
-def _slot_by_slot(cfg, policy, horizon, burn_in, seed):
+def _slot_by_slot(cfg, policy, horizon, burn_in, seed, departures=None):
     """The simulator as a plain loop, kept as the reference.
 
     Every queue draws its departure through DepartureSampler in every
     slot, empty or not, and the random rule makes one scalar draw per
-    slot. Returns (avg_cost, mean_lengths, drop_count).
+    slot. A given departures Counter tallies the drawn counts. Returns
+    (avg_cost, mean_lengths, drop_count).
     """
     num = cfg.num_servers
     children = np.random.SeedSequence(seed).spawn(num + 2)
@@ -257,7 +277,10 @@ def _slot_by_slot(cfg, policy, horizon, burn_in, seed):
             cost += slot_cost
         a = select(x)
         for i in range(num):
-            x[i] -= samplers[i].sample(x[i], dep_u[i][t])
+            d = samplers[i].sample(x[i], dep_u[i][t])
+            x[i] -= d
+            if departures is not None:
+                departures[d] += 1
         if arr_u[t] < cfg.arrival_p:
             if x[a] < cfg.buffer:
                 x[a] += 1
@@ -273,7 +296,7 @@ THREE = SystemConfig(arrival_p=0.4,
                               ServerParams(q=0.45, cost_c=28.0)),
                      buffer=100)
 # Buffer 1 under heavy traffic: arrivals keep meeting full queues, so
-# the admit branch and the busy-queue count work at the buffer edge.
+# admissions and drops alternate at the buffer edge.
 EDGE = SystemConfig(arrival_p=0.8, servers=TWO.servers, buffer=1)
 
 
@@ -290,8 +313,8 @@ def test_fast_paths_match_the_slot_by_slot_loop(cfg, policy, slot_loop):
 
 
 # Nine servers at buffer 255: the state code reaches 256**9 = 2**72,
-# past any 64-bit integer, so a loop must tell an empty bank by its
-# busy queues. Heavy arrivals keep several queues busy at once.
+# past any 64-bit integer, so a loop without a table must never read
+# the code. Heavy arrivals keep several queues busy at once.
 WIDE = SystemConfig(arrival_p=0.9, buffer=255, servers=tuple(
     ServerParams(q=q, cost_c=c) for q, c in zip(
         [0.3, 0.35, 0.4] * 3, [9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0])))
@@ -304,6 +327,39 @@ def test_random_rule_on_a_grid_whose_code_overflows_64_bits(slot_loop):
     want = _slot_by_slot(WIDE, rule, 20_000, 1_000, 5)
     assert (report.avg_cost, report.mean_lengths, report.drop_count) == want
     assert max(report.mean_lengths) > 0.1
+
+
+# p = 0.95 against q = 0.6 and 0.5 keeps queues of several jobs, so
+# 4-6% of queue-slots clear two jobs or more, past the compiled loop's
+# two comparisons.
+FAST = SystemConfig(arrival_p=0.95, buffer=100, servers=(
+    ServerParams(q=0.6, cost_c=2.0), ServerParams(q=0.5, cost_c=1.0)))
+# p > q: the lone queue sits at the buffer, so arrivals read the last
+# CDF row and its sentinel, and most of them are dropped.
+FULL = SystemConfig(arrival_p=0.3, buffer=100,
+                    servers=(ServerParams(q=0.05, cost_c=1.0),))
+
+
+@pytest.mark.parametrize("policy", ["cmu", "random"])
+def test_multiple_departures_match_the_slot_by_slot_loop(policy, slot_loop):
+    rule = _cmu(FAST) if policy == "cmu" else RandomPolicy(2)
+    report = simulate(FAST, rule, horizon=30_000, burn_in=1_000, seed=12)
+    seen = Counter()
+    want = _slot_by_slot(FAST, rule, 30_000, 1_000, 12, seen)
+    assert (report.avg_cost, report.mean_lengths, report.drop_count) == want
+    assert sum(n for d, n in seen.items() if d >= 2) > 2_000
+    assert sum(n for d, n in seen.items() if d >= 4) > 0
+
+
+@pytest.mark.parametrize("policy", ["cmu", "random"])
+def test_a_queue_at_the_buffer_matches_the_slot_by_slot_loop(policy,
+                                                             slot_loop):
+    rule = _cmu(FULL) if policy == "cmu" else RandomPolicy(1)
+    report = simulate(FULL, rule, horizon=30_000, burn_in=1_000, seed=12)
+    want = _slot_by_slot(FULL, rule, 30_000, 1_000, 12)
+    assert (report.avg_cost, report.mean_lengths, report.drop_count) == want
+    assert report.mean_lengths[0] > 99.0
+    assert report.drop_count > 5_000
 
 
 @pytest.mark.parametrize("compiler", ["absent", "failing"])
