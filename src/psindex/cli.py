@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -270,7 +270,6 @@ def cmd_indices(loaded: LoadedConfig, args, out_dir: Path) -> int:
 
 def cmd_simulate(loaded: LoadedConfig, args, out_dir: Path) -> int:
     system = loaded.system
-    horizon = args.horizon if args.horizon is not None else loaded.sim.horizon
     if args.policy == "whittle":
         policy = WhittlePolicy(_build_table(loaded, args),
                                max_state=system.buffer)
@@ -278,7 +277,7 @@ def cmd_simulate(loaded: LoadedConfig, args, out_dir: Path) -> int:
         policy = CmuPolicy(system.servers)
     else:
         policy = RandomPolicy(system.num_servers)
-    report = sim.simulate(system, policy, horizon=horizon,
+    report = sim.simulate(system, policy, horizon=loaded.sim.horizon,
                           burn_in=loaded.sim.burn_in, seed=args.seed,
                           checkpoints=100)
     report_path = out_dir / "report.csv"
@@ -292,11 +291,6 @@ def cmd_simulate(loaded: LoadedConfig, args, out_dir: Path) -> int:
 
 def cmd_compare(loaded: LoadedConfig, args, out_dir: Path) -> int:
     system = loaded.system
-    n_seeds = args.seeds if args.seeds is not None else loaded.sim.seeds
-    if n_seeds < 2:
-        print("compare needs at least two seeds", file=sys.stderr)
-        return USAGE_ERROR
-    horizon = args.horizon if args.horizon is not None else loaded.sim.horizon
     policies = [WhittlePolicy(_build_table(loaded, args),
                               max_state=system.buffer),
                 CmuPolicy(system.servers),
@@ -307,8 +301,9 @@ def cmd_compare(loaded: LoadedConfig, args, out_dir: Path) -> int:
     else:
         print(f"exact policy skipped: {states} joint states exceed "
               f"{EXACT_STATE_LIMIT}")
-    table = sim.compare(system, policies, horizon=horizon,
-                        burn_in=loaded.sim.burn_in, seeds=range(n_seeds))
+    table = sim.compare(system, policies, horizon=loaded.sim.horizon,
+                        burn_in=loaded.sim.burn_in,
+                        seeds=range(loaded.sim.seeds))
     path = out_dir / "comparison.csv"
     write_comparison(table, system.num_servers, path)
     for name, (mean, hw) in table.aggregates.items():
@@ -397,6 +392,14 @@ def run_command(args: argparse.Namespace) -> int:
             for item in violations:
                 print(f"violation: {item}", file=sys.stderr)
             return 1
+    # --horizon and --seeds get the config's range checks before any work.
+    overrides = {key: getattr(args, key) for key in ("horizon", "seeds")
+                 if getattr(args, key, None) is not None}
+    try:
+        loaded = replace(loaded, sim=replace(loaded.sim, **overrides))
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:

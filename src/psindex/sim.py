@@ -10,22 +10,24 @@ Departures are drawn by inverting per-length CDFs, read once per
 (q, buffer) from the reversed rows of model.passive_kernel and cached.
 
 Every stream is drawn in blocks and each slot consumes its uniforms
-whether or not it uses them, so how a loop skips idle work changes
+whether or not it uses them, so how a kernel skips idle work changes
 no report. An empty queue always has zero departures: the Python
-loop does no bisection for it, and a slot with every queue empty
+kernel does no bisection for it, and a slot with every queue empty
 adds nothing to the cost or length sums and draws no departure at
-all. The compiled loop takes every queue through the same
+all. The compiled kernel takes every queue through the same
 branch-free steps instead, which leave those sums as they are.
 
 A policy whose decisions(cfg) gives a table is read there by the
 state's mixed-radix code (server 0 most significant); the random rule
-hands over its choices a block at a time through choices(rng). Either
-one runs on the compiled slot loop of _slotloop.c, which the system C
-compiler builds on the first call, at most once per process. The
-Python loop below is its reference and the fallback: it runs when no
-compiler built the loop, for any other policy (a wrapper, a grid too
-large for a table), which it asks through its selector once per slot,
-empty slots included, and under debug_conservation. Both loops give
+hands over its choices a block at a time through choices(rng). One
+loop object holds the state in the arrays that advance() of
+_slotloop.c updates in place, and picks its kernel once. A table or
+the random rule runs compiled; the system C compiler builds that
+kernel on the first call, at most once per process. The Python
+kernel is its reference and the fallback: it runs when no compiler
+built the loop, for any other policy (a wrapper, a grid too large for
+a table), which it asks through its selector once per slot, empty
+slots included, and under debug_conservation. Both kernels give
 bit-identical reports.
 """
 
@@ -107,7 +109,7 @@ def _slot_loop():
 
 
 class DepartureSampler:
-    """Inverse-CDF sampling of the departure count at any queue length.
+    """Inverse-CDF sampling of the departure count at lengths 0..max_x.
 
     One uniform is consumed per call regardless of the current length.
     The CDF rows are the cached ones simulate bisects directly.
@@ -118,6 +120,9 @@ class DepartureSampler:
         self._cdfs = list(_departure_cdfs(q, max_x))
 
     def sample(self, x: int, u: float) -> int:
+        if not 0 <= x < len(self._cdfs):
+            raise ValueError(f"x must be in 0..{len(self._cdfs) - 1}, "
+                             f"got {x}")
         return bisect_right(self._cdfs[x], u)
 
 
@@ -139,43 +144,68 @@ class ComparisonTable:
     aggregates: dict  # policy name -> (mean avg_cost, 95% half-width)
 
 
-def _strides(num: int, buffer: int) -> list[int]:
-    """Place values of the mixed-radix state code, server 0 first."""
-    return [(buffer + 1) ** (num - 1 - i) for i in range(num)]
+class _SlotLoop:
+    """The slot loop's state and the kernel that advances it a block at a time.
 
-
-class _PythonLoop:
-    """The slot loop in the interpreter: the reference and the fallback.
-
-    Exactly one of dec (the decision table) and select (the policy's
-    selector) is given. It keeps the state code next to the lengths;
-    the code is zero exactly in the all-empty state. Slots before
-    guard_until assert the flow identity and the code.
+    The state is the three arrays advance() of _slotloop.c updates in
+    place: x, the queue lengths; counts, the state code and the drops;
+    acc, the cost sum and then one length sum per server. The kernel is
+    picked once: a decision table, or the random rule's choices, runs
+    compiled when the loop was built and no guard is asked for. Every
+    other policy runs on the Python kernel, the reference and the
+    fallback, which asks the policy's selector once per slot; slots
+    before guard_until assert the flow identity and the state code.
     """
 
-    def __init__(self, cfg: SystemConfig, cdfs, dec, select,
+    def __init__(self, cfg: SystemConfig, policy, pol_rng,
                  guard_until: int):
-        num = cfg.num_servers
-        self.buffer = cfg.buffer
+        num, buffer = cfg.num_servers, cfg.buffer
+        self.x = np.zeros(num, np.int64)
+        self.counts = np.zeros(2, np.int64)
+        self.acc = np.zeros(num + 1)
+        self.buffer, self.guard_until = buffer, guard_until
         self.costs = [s.cost_c for s in cfg.servers]
-        self.cdfs = cdfs
-        self.stride = _strides(num, cfg.buffer)
-        self.dec, self.select = dec, select
-        self.guard_until = guard_until
-        self.x = [0] * num
-        self.code = 0  # sum of x[i] * stride[i]
-        self.drops = 0
-        self.restart()
-
-    def restart(self) -> None:
-        self.cost = 0.0
-        self.lengths = [0.0] * len(self.x)
+        self.cdfs = [_departure_cdfs(s.q, buffer) for s in cfg.servers]
+        # Place values of the state code, server 0 first: 0 iff all empty.
+        self.stride = [(buffer + 1) ** (num - 1 - i) for i in range(num)]
+        table_of = getattr(policy, "decisions", None)
+        self.dec = dec = table_of(cfg) if table_of is not None else None
+        choices = getattr(policy, "choices", None) if dec is None else None
+        self.compiled = (_slot_loop() if not guard_until
+                         and (dec is not None or choices is not None)
+                         else None)
+        if self.compiled is None:
+            self.select = policy.selector(pol_rng) if dec is None else None
+            return
+        self.draw = choices(pol_rng) if choices is not None else None
+        # args points into pinned. The code is read only with a table,
+        # whose grid fits 2**22, so without one the stride is zero.
+        self.pinned = (self.x, self.counts, self.acc,
+                       np.array(self.costs, float),
+                       np.concatenate([c.flat for c in self.cdfs]),
+                       np.array(self.stride if dec is not None else [0] * num,
+                                np.int64))
+        self.args = (num, buffer, *(a.ctypes.data for a in self.pinned))
 
     def advance(self, t: int, dep_u: np.ndarray, arr: np.ndarray) -> None:
         """Run slots t, t+1, ... on one block of uniforms and flags."""
-        x, stride, buffer = self.x, self.stride, self.buffer
-        dec, select, len_acc = self.dec, self.select, self.lengths
-        code, cost_acc, drops = self.code, self.cost, self.drops
+        if self.compiled is None:
+            self._python(t, dep_u, arr)
+            return
+        block = arr.size
+        choice = self.draw(block) if self.draw is not None else None
+        self.compiled(block, *self.args, dep_u.ctypes.data,
+                      arr.ctypes.data, self.dec,
+                      None if choice is None else choice.ctypes.data)
+
+    def _python(self, t: int, dep_u: np.ndarray, arr: np.ndarray) -> None:
+        # The code stays a Python int: a grid without a table can pass
+        # 2**64, where counts[0] would wrap.
+        x, stride, buffer = self.x.tolist(), self.stride, self.buffer
+        dec, select = self.dec, self.select
+        code = sum(map(int.__mul__, x, stride))
+        cost_acc, *len_acc = self.acc.tolist()
+        drops = int(self.counts[1])
         guard = t < self.guard_until
         arr = arr.tolist()
         lanes = list(zip(range(len(x)), self.costs, self.cdfs,
@@ -211,55 +241,9 @@ class _PythonLoop:
                 if code != sum(map(int.__mul__, x, stride)):
                     raise AssertionError("state code out of step "
                                          f"at slot {t + j}")
-        self.code, self.cost, self.drops = code, cost_acc, drops
-
-
-class _CompiledLoop:
-    """The same slot loop, one advance() call of _slotloop.c per block.
-
-    dec is the decision table, or None with draw(k) giving the next k
-    choices of the random rule. The state lives in int64 and float64
-    arrays that the C function updates in place.
-    """
-
-    def __init__(self, advance, cfg: SystemConfig, cdfs, dec, draw):
-        num, buffer = cfg.num_servers, cfg.buffer
-        self._advance, self._draw = advance, draw
-        self._x = np.zeros(num, np.int64)
-        self._counts = np.zeros(2, np.int64)  # state code, drops
-        self._acc = np.zeros(num + 1)  # cost sum, then each length sum
-        self._costs = np.array([s.cost_c for s in cfg.servers], float)
-        self._cdfs = np.concatenate([c.flat for c in cdfs])
-        # The code is read only with a table, whose grid fits 2**22.
-        self._stride = np.array(_strides(num, buffer) if dec is not None
-                                else [0] * num, np.int64)
-        self._dec = None if dec is None else np.frombuffer(dec, np.uint8)
-        self._args = (num, buffer, *(a.ctypes.data for a in (
-            self._x, self._counts, self._acc, self._costs, self._cdfs,
-            self._stride)))
-        self._dec_at = None if dec is None else self._dec.ctypes.data
-
-    def restart(self) -> None:
-        self._acc[:] = 0.0
-
-    def advance(self, t: int, dep_u: np.ndarray, arr: np.ndarray) -> None:
-        block = arr.size
-        choice = self._draw(block) if self._draw is not None else None
-        self._advance(block, *self._args, dep_u.ctypes.data,
-                      arr.ctypes.data, self._dec_at,
-                      None if choice is None else choice.ctypes.data)
-
-    @property
-    def cost(self) -> float:
-        return float(self._acc[0])
-
-    @property
-    def lengths(self) -> list[float]:
-        return self._acc[1:].tolist()
-
-    @property
-    def drops(self) -> int:
-        return int(self._counts[1])
+        self.x[:] = x
+        self.counts[1] = drops
+        self.acc[:] = [cost_acc, *len_acc]
 
 
 def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
@@ -292,19 +276,8 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
     arr_rng = np.random.default_rng(children[num])
     pol_rng = np.random.default_rng(children[num + 1])
 
-    cdfs = [_departure_cdfs(s.q, cfg.buffer) for s in cfg.servers]
-    table_of = getattr(policy, "decisions", None)
-    dec = table_of(cfg) if table_of is not None else None
-    choices = getattr(policy, "choices", None) if dec is None else None
     guard_until = min(horizon, 10_000) if debug_conservation else 0
-    advance = (_slot_loop() if not debug_conservation
-               and (dec is not None or choices is not None) else None)
-    if advance is not None:
-        loop = _CompiledLoop(advance, cfg, cdfs, dec,
-                             choices(pol_rng) if choices is not None else None)
-    else:
-        loop = _PythonLoop(cfg, cdfs, dec, policy.selector(pol_rng)
-                           if dec is None else None, guard_until)
+    loop = _SlotLoop(cfg, policy, pol_rng, guard_until)
 
     measured = horizon - burn_in
     marks_at: set[int] = set()
@@ -328,14 +301,15 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
             loop.advance(t, dep_u, arr_rng.random(block) < cfg.arrival_p)
             t += block
         if t == burn_in:
-            loop.restart()
+            loop.acc[:] = 0.0
         if t in marks_at:
-            marks.append((t, loop.cost / (t - burn_in)))
+            marks.append((t, float(loop.acc[0]) / (t - burn_in)))
 
+    cost, *lengths = loop.acc.tolist()
     return SimReport(policy=policy.name, seed=seed, horizon=horizon,
-                     burn_in=burn_in, avg_cost=loop.cost / measured,
-                     mean_lengths=tuple(v / measured for v in loop.lengths),
-                     drop_count=loop.drops,
+                     burn_in=burn_in, avg_cost=cost / measured,
+                     mean_lengths=tuple(v / measured for v in lengths),
+                     drop_count=int(loop.counts[1]),
                      cost_checkpoints=tuple(marks))
 
 

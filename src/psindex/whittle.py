@@ -263,6 +263,9 @@ class IndexTable:
         return int(self.entries.shape[0])
 
     def lookup(self, server: int, x: int) -> float:
+        if not 0 <= server < self.num_servers:
+            raise ValueError(f"server must be in 0..{self.num_servers - 1}, "
+                             f"got {server}")
         if x < 0:
             raise ValueError("x must be >= 0")
         row = self.entries[server]

@@ -464,6 +464,27 @@ def test_simulate_command_refuses_a_negative_seed(config_path, tmp_path,
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_compare_refuses_a_single_seed_with_exit_1(config_path, tmp_path,
+                                                   capsys):
+    code = main(["compare", "--config", str(config_path), "--seeds", "1",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: sim.seeds must be >= 2\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_a_horizon_inside_the_burn_in_is_refused_before_any_solve(
+        config_path, tmp_path, capsys, monkeypatch, command):
+    def never(*args, **kw):
+        raise AssertionError("the index table was built")
+    monkeypatch.setattr(whittle, "build_index_table", never)
+    code = main([command, "--config", str(config_path), "--horizon", "200",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: need 0 <= sim.burn_in "
+                                       "< sim.horizon\n")
+
+
 def test_exact_command_writes_policy_and_summary(tmp_path):
     path = tmp_path / "tiny.yaml"
     path.write_text("arrival_p: 0.3\nbuffer: 2\n"

@@ -1,6 +1,7 @@
 """Slotted simulator: sampling, accounting, reproducibility, comparison."""
 
 import functools
+import gc
 import json
 import os
 import shutil
@@ -73,6 +74,13 @@ def test_departure_sampler_cdfs_equal_the_departure_pmf_cdfs(q):
 def test_departure_sampler_rejects_q_outside_the_unit_interval(q):
     with pytest.raises(ValueError):
         DepartureSampler(q, 5)
+
+
+@pytest.mark.parametrize("x", [-1, 11])
+def test_departure_sampler_refuses_a_length_outside_its_rows(x):
+    # Length -1 would read row max_x silently.
+    with pytest.raises(ValueError, match=f"x must be in 0..10, got {x}"):
+        DepartureSampler(0.5, 10).sample(x, 0.99)
 
 
 def test_departure_sampler_rejects_a_negative_max_x():
@@ -492,6 +500,23 @@ def test_simulate_falls_back_to_the_selector_above_the_state_limit(
                         burn_in=100, seed=3)
     assert len(calls) == 5_000
     assert fallback == with_table
+
+
+@pytest.mark.parametrize("policy", ["cmu", "random"])
+def test_simulate_frees_its_loop_by_reference_counting(policy, slot_loop):
+    """A loop caught in a reference cycle, as a bound method stored on
+    the instance makes one, outlives its run until the cycle collector
+    finds it, and its arrays raise the peak memory of a comparison."""
+    cfg = load_config(ROOT / "configs/fig3.yaml").system
+    rule = _cmu(cfg) if policy == "cmu" else RandomPolicy(cfg.num_servers)
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in range(5):
+            simulate(cfg, rule, horizon=5_000, burn_in=1_000, seed=seed)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 REFERENCE_CASES = [("configs/fig3.yaml", "whittle"),

@@ -297,6 +297,11 @@ def test_index_table_lookup_and_linear_extrapolation():
     assert table.lookup(0, 6) == pytest.approx(10.0 + 2 * (10.0 - 6.0))
     with pytest.raises(ValueError):
         table.lookup(0, -1)
+    # Server -1 would read the last row silently.
+    for server in (-1, 1):
+        with pytest.raises(ValueError,
+                           match=f"server must be in 0..0, got {server}"):
+            table.lookup(server, 2)
     dense = table.dense_row(0, 7)
     assert np.allclose(dense[:5], row)
     assert dense[6] == pytest.approx(18.0)
