@@ -392,19 +392,17 @@ def run_command(args: argparse.Namespace) -> int:
             for item in violations:
                 print(f"violation: {item}", file=sys.stderr)
             return 1
-    # --horizon and --seeds get the config's range checks before any work.
+    # --horizon, --seeds and --seed get their range checks before any work.
     overrides = {key: getattr(args, key) for key in ("horizon", "seeds")
                  if getattr(args, key, None) is not None}
     try:
         loaded = replace(loaded, sim=replace(loaded.sim, **overrides))
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](loaded, args, out_dir)
-    except (ConvergenceError, ValueError) as e:
+    except (ConfigError, ConvergenceError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError as e:

@@ -25,10 +25,11 @@ _slotloop.c updates in place, and picks its kernel once. A table or
 the random rule runs compiled; the system C compiler builds that
 kernel on the first call, at most once per process. The Python
 kernel is its reference and the fallback: it runs when no compiler
-built the loop, for any other policy (a wrapper, a grid too large for
-a table), which it asks through its selector once per slot, empty
-slots included, and under debug_conservation. Both kernels give
-bit-identical reports.
+built the loop, and for any other policy (a wrapper, a grid too large
+for a table), which it asks through its selector once per slot, empty
+slots included. Both kernels give bit-identical reports; the test
+suite checks the flow identity next = current - departures +
+admissions slot by slot on each.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ class DepartureSampler:
         if not 0 <= x < len(self._cdfs):
             raise ValueError(f"x must be in 0..{len(self._cdfs) - 1}, "
                              f"got {x}")
+        if not 0 <= u < 1:
+            raise ValueError(f"u must be in [0, 1), got {u}")
         return bisect_right(self._cdfs[x], u)
 
 
@@ -151,19 +154,17 @@ class _SlotLoop:
     place: x, the queue lengths; counts, the state code and the drops;
     acc, the cost sum and then one length sum per server. The kernel is
     picked once: a decision table, or the random rule's choices, runs
-    compiled when the loop was built and no guard is asked for. Every
-    other policy runs on the Python kernel, the reference and the
-    fallback, which asks the policy's selector once per slot; slots
-    before guard_until assert the flow identity and the state code.
+    compiled when the loop was built. Every other policy runs on the
+    Python kernel, the reference and the fallback, which asks the
+    policy's selector once per slot and leaves counts[0] at zero.
     """
 
-    def __init__(self, cfg: SystemConfig, policy, pol_rng,
-                 guard_until: int):
+    def __init__(self, cfg: SystemConfig, policy, pol_rng):
         num, buffer = cfg.num_servers, cfg.buffer
         self.x = np.zeros(num, np.int64)
         self.counts = np.zeros(2, np.int64)
         self.acc = np.zeros(num + 1)
-        self.buffer, self.guard_until = buffer, guard_until
+        self.buffer = buffer
         self.costs = [s.cost_c for s in cfg.servers]
         self.cdfs = [_departure_cdfs(s.q, buffer) for s in cfg.servers]
         # Place values of the state code, server 0 first: 0 iff all empty.
@@ -171,9 +172,8 @@ class _SlotLoop:
         table_of = getattr(policy, "decisions", None)
         self.dec = dec = table_of(cfg) if table_of is not None else None
         choices = getattr(policy, "choices", None) if dec is None else None
-        self.compiled = (_slot_loop() if not guard_until
-                         and (dec is not None or choices is not None)
-                         else None)
+        self.compiled = (_slot_loop() if dec is not None
+                         or choices is not None else None)
         if self.compiled is None:
             self.select = policy.selector(pol_rng) if dec is None else None
             return
@@ -187,10 +187,10 @@ class _SlotLoop:
                                 np.int64))
         self.args = (num, buffer, *(a.ctypes.data for a in self.pinned))
 
-    def advance(self, t: int, dep_u: np.ndarray, arr: np.ndarray) -> None:
-        """Run slots t, t+1, ... on one block of uniforms and flags."""
+    def advance(self, dep_u: np.ndarray, arr: np.ndarray) -> None:
+        """Run one block of slots on its uniforms and arrival flags."""
         if self.compiled is None:
-            self._python(t, dep_u, arr)
+            self._python(dep_u, arr)
             return
         block = arr.size
         choice = self.draw(block) if self.draw is not None else None
@@ -198,7 +198,7 @@ class _SlotLoop:
                       arr.ctypes.data, self.dec,
                       None if choice is None else choice.ctypes.data)
 
-    def _python(self, t: int, dep_u: np.ndarray, arr: np.ndarray) -> None:
+    def _python(self, dep_u: np.ndarray, arr: np.ndarray) -> None:
         # The code stays a Python int: a grid without a table can pass
         # 2**64, where counts[0] would wrap.
         x, stride, buffer = self.x.tolist(), self.stride, self.buffer
@@ -206,14 +206,11 @@ class _SlotLoop:
         code = sum(map(int.__mul__, x, stride))
         cost_acc, *len_acc = self.acc.tolist()
         drops = int(self.counts[1])
-        guard = t < self.guard_until
         arr = arr.tolist()
         lanes = list(zip(range(len(x)), self.costs, self.cdfs,
                          (row.tolist() for row in dep_u), stride))
         for j in range(len(arr)):
             a = dec[code] if dec is not None else select(x)
-            if guard:
-                before = list(x)
             if code:
                 slot_cost = 0.0
                 for i, c, cdf, u, st in lanes:
@@ -226,8 +223,6 @@ class _SlotLoop:
                             x[i] = xi - d
                             code -= d * st
                 cost_acc += slot_cost
-            if guard:
-                mid = list(x)
             if arr[j]:
                 xa = x[a]
                 if xa < buffer:
@@ -235,26 +230,17 @@ class _SlotLoop:
                     code += stride[a]
                 else:
                     drops += 1
-            if guard:
-                _check_flow(t + j, before, mid, x, a if arr[j] else -1,
-                            buffer)
-                if code != sum(map(int.__mul__, x, stride)):
-                    raise AssertionError("state code out of step "
-                                         f"at slot {t + j}")
         self.x[:] = x
         self.counts[1] = drops
         self.acc[:] = [cost_acc, *len_acc]
 
 
 def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
-             seed: int = 0, debug_conservation: bool = False,
-             checkpoints: int = 0) -> SimReport:
+             seed: int = 0, checkpoints: int = 0) -> SimReport:
     """Run one trajectory from the all-empty state.
 
     Costs and queue-length averages cover slots burn_in..horizon-1;
-    drops are counted over the whole run. With debug_conservation the
-    flow identity next = current - departures + admissions is asserted
-    on the first ten thousand slots. checkpoints > 0 additionally
+    drops are counted over the whole run. checkpoints > 0 additionally
     records that many evenly spaced running cost averages. A policy
     with a num_servers or a buffer must be built for cfg's.
     """
@@ -276,8 +262,7 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
     arr_rng = np.random.default_rng(children[num])
     pol_rng = np.random.default_rng(children[num + 1])
 
-    guard_until = min(horizon, 10_000) if debug_conservation else 0
-    loop = _SlotLoop(cfg, policy, pol_rng, guard_until)
+    loop = _SlotLoop(cfg, policy, pol_rng)
 
     measured = horizon - burn_in
     marks_at: set[int] = set()
@@ -286,11 +271,10 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
         marks_at = set(range(burn_in + every, horizon, every)) | {horizon}
     marks: list[tuple[int, float]] = []
 
-    # Blocks end at burn_in, where the sums restart from zero, at
-    # guard_until and at each checkpoint, so no slot tests for any of
-    # them. How a generator's draws are split into blocks does not
-    # change its stream.
-    stops = sorted({burn_in, guard_until, horizon} - {0} | marks_at)
+    # Blocks end at burn_in, where the sums restart from zero, and at
+    # each checkpoint, so no slot tests for either. How a generator's
+    # draws are split into blocks does not change its stream.
+    stops = sorted({burn_in, horizon} - {0} | marks_at)
     t = 0
     for stop in stops:
         while t < stop:
@@ -298,7 +282,7 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
             dep_u = np.empty((num, block))
             for rng, row in zip(dep_rngs, dep_u):
                 rng.random(out=row)
-            loop.advance(t, dep_u, arr_rng.random(block) < cfg.arrival_p)
+            loop.advance(dep_u, arr_rng.random(block) < cfg.arrival_p)
             t += block
         if t == burn_in:
             loop.acc[:] = 0.0
@@ -311,23 +295,6 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
                      mean_lengths=tuple(v / measured for v in lengths),
                      drop_count=int(loop.counts[1]),
                      cost_checkpoints=tuple(marks))
-
-
-def _check_flow(t: int, before, mid, after, arrived: int, buffer: int):
-    """Assert next = current - departures + admissions for one slot.
-
-    before, mid and after are the lengths at the slot's start, after
-    its departures and after its arrival; arrived is the queue the
-    slot's arrival went to, or -1 when there was none.
-    """
-    for i in range(len(after)):
-        gain = 1 if i == arrived and mid[i] < buffer else 0
-        if after[i] != mid[i] + gain:
-            raise AssertionError("flow conservation violated at "
-                                 f"slot {t}, server {i}")
-        if not 0 <= before[i] - mid[i] <= before[i]:
-            raise AssertionError("departures exceed queue length "
-                                 f"at slot {t}, server {i}")
 
 
 def compare(cfg: SystemConfig, policies, horizon: int, burn_in: int,

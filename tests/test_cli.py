@@ -456,10 +456,14 @@ def test_simulate_command_writes_report_and_series(config_path, tmp_path,
 
 
 def test_simulate_command_refuses_a_negative_seed(config_path, tmp_path,
-                                                  capsys):
+                                                  capsys, monkeypatch):
+    # Refused before the Whittle policy's index table is built.
+    builds = []
+    monkeypatch.setattr(whittle, "build_index_table",
+                        lambda *args, **kw: builds.append(args))
     code = main(["simulate", "--config", str(config_path),
-                 "--out", str(tmp_path), "--policy", "cmu", "--seed", "-1"])
-    assert code == 1
+                 "--out", str(tmp_path), "--seed", "-1"])
+    assert (code, builds) == (1, [])
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
     assert not (tmp_path / "report.csv").exists()
 
@@ -483,6 +487,25 @@ def test_a_horizon_inside_the_burn_in_is_refused_before_any_solve(
     assert code == 1
     assert capsys.readouterr().err == ("error: need 0 <= sim.burn_in "
                                        "< sim.horizon\n")
+
+
+@pytest.mark.parametrize("where", ["a file", "under a file", "csv taken"])
+def test_an_out_that_cannot_be_written_exits_1_with_an_error(
+        config_path, tmp_path, capsys, where):
+    """--out names a file, or a path under one, or indices.csv is taken
+    by a directory: one `error: ...` line naming the path, no traceback."""
+    taken = tmp_path / "taken"
+    if where == "csv taken":
+        out, named = taken, taken / "indices.csv"
+        named.mkdir(parents=True)
+    else:
+        taken.write_text("")
+        out = named = taken if where == "a file" else taken / "sub"
+    code = main(["indices", "--config", str(config_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(named) in err
+    assert err.count("\n") == 1
 
 
 def test_exact_command_writes_policy_and_summary(tmp_path):

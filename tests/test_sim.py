@@ -18,7 +18,7 @@ from psindex import (CmuPolicy, DepartureSampler, ExactPolicy,
                      build_index_table, compare, joint_rvi, simulate)
 from psindex import sim
 from psindex.cli import load_config
-from psindex.sim import _CHUNK, _check_flow, _departure_cdfs
+from psindex.sim import _CHUNK, _departure_cdfs
 
 from conftest import binom_departures, enum_departures
 
@@ -81,6 +81,13 @@ def test_departure_sampler_refuses_a_length_outside_its_rows(x):
     # Length -1 would read row max_x silently.
     with pytest.raises(ValueError, match=f"x must be in 0..10, got {x}"):
         DepartureSampler(0.5, 10).sample(x, 0.99)
+
+
+@pytest.mark.parametrize("u", [1.0, float("nan"), -0.25])
+def test_departure_sampler_refuses_a_uniform_outside_the_unit_interval(u):
+    # u = 1.0 or NaN would pass the sentinel and draw 4 of 3 jobs.
+    with pytest.raises(ValueError, match=r"u must be in \[0, 1\), got "):
+        DepartureSampler(0.5, 10).sample(3, u)
 
 
 def test_departure_sampler_rejects_a_negative_max_x():
@@ -186,27 +193,6 @@ def test_same_seed_reproduces_the_run_exactly():
     assert a == b
     c = simulate(TWO, _cmu(TWO), horizon=20_000, burn_in=100, seed=6)
     assert c.avg_cost != a.avg_cost
-
-
-def test_flow_conservation_holds_under_debug_assertions():
-    report = simulate(TWO, _cmu(TWO), horizon=12_000, burn_in=0, seed=3,
-                      debug_conservation=True)
-    assert report.avg_cost > 0.0
-
-
-def test_flow_check_rejects_inconsistent_slots():
-    # (before, after departures, after the arrival, arrival's queue)
-    _check_flow(4, [2, 0], [1, 0], [1, 1], 1, buffer=3)
-    _check_flow(4, [0, 3], [0, 3], [0, 3], 1, buffer=3)  # a drop
-    bad_flow = [([2, 0], [1, 0], [1, 0], 1),   # admission lost
-                ([0, 3], [0, 3], [0, 4], 1),   # admitted past the buffer
-                ([1, 1], [1, 1], [2, 1], -1)]  # work from nowhere
-    for before, mid, after, arrived in bad_flow:
-        with pytest.raises(AssertionError, match="flow conservation"):
-            _check_flow(4, before, mid, after, arrived, buffer=3)
-    for before, mid in [([1, 0], [-1, 0]), ([1, 0], [2, 0])]:
-        with pytest.raises(AssertionError, match="departures exceed"):
-            _check_flow(4, before, mid, mid, -1, buffer=3)
 
 
 def test_random_policy_runs_and_costs_more_than_cmu():
@@ -411,26 +397,25 @@ def test_the_compiled_loop_runs_for_tables_and_the_random_rule(
     monkeypatch.setattr(sim, "_slot_loop", lambda: counted)
     runs = {"table": (_cmu(TWO), {}), "random": (RandomPolicy(2), {}),
             "checkpoints": (_cmu(TWO), {"checkpoints": 4}),
-            "selector": (_SelectorOnly(_cmu(TWO)), {}),
-            "debug": (_cmu(TWO), {"debug_conservation": True})}
+            "selector": (_SelectorOnly(_cmu(TWO)), {})}
     slots = {}
     for name, (policy, kw) in runs.items():
         blocks.clear()
         simulate(TWO, policy, horizon=5_000, burn_in=1_000, seed=2, **kw)
         slots[name] = sum(blocks)
     assert slots == {"table": 5_000, "random": 5_000, "checkpoints": 5_000,
-                     "selector": 0, "debug": 0}
+                     "selector": 0}
 
 
 @pytest.mark.parametrize("cfg", [TWO, EDGE], ids=["two", "buffer1"])
-def test_debug_and_checkpoints_leave_the_report_unchanged(cfg, slot_loop):
+def test_checkpoints_leave_the_report_unchanged(cfg, slot_loop):
     assert 70_000 > _CHUNK  # the run crosses a block of drawn uniforms
     runs = [simulate(cfg, RandomPolicy(2), horizon=70_000, burn_in=10_000,
                      seed=8, **kw)
-            for kw in ({}, {"debug_conservation": True}, {"checkpoints": 7})]
+            for kw in ({}, {"checkpoints": 7})]
     keys = {(r.avg_cost, r.mean_lengths, r.drop_count) for r in runs}
     assert len(keys) == 1
-    assert len(runs[2].cost_checkpoints) == 8
+    assert len(runs[1].cost_checkpoints) == 8
     assert (runs[0].drop_count > 0) == (cfg is EDGE)
 
 
@@ -447,6 +432,80 @@ class _SelectorOnly:
         return self.inner.selector(rng)
 
 
+def _flow_step(before, departures, after, arrived, buffer):
+    """Assert next = current - departures + admissions for one slot.
+
+    before and after are the lengths at the slot's start and end,
+    departures each queue's count drawn at its length before the slot,
+    and arrived the queue the slot's arrival went to, or -1 when there
+    was none. Returns 1 when the arrival was dropped, else 0.
+    """
+    for i, (x, d, y) in enumerate(zip(before, departures, after)):
+        if not 0 <= d <= x:
+            raise AssertionError(f"departures {d} outside 0..{x} "
+                                 f"at server {i}")
+        if y != x - d + (i == arrived and x - d < buffer):
+            raise AssertionError(f"flow conservation violated at server {i}")
+    return int(arrived >= 0
+               and before[arrived] - departures[arrived] == buffer)
+
+
+def test_flow_step_rejects_inconsistent_slots():
+    # (before, departures, after, the arrival's queue)
+    assert _flow_step([2, 0], [1, 0], [1, 1], 1, buffer=3) == 0
+    assert _flow_step([0, 3], [0, 0], [0, 3], 1, buffer=3) == 1  # a drop
+    bad_flow = [([2, 0], [1, 0], [1, 0], 1),   # admission lost
+                ([0, 3], [0, 0], [0, 4], 1),   # admitted past the buffer
+                ([1, 1], [0, 0], [2, 1], -1)]  # work from nowhere
+    for before, departures, after, arrived in bad_flow:
+        with pytest.raises(AssertionError, match="flow conservation"):
+            _flow_step(before, departures, after, arrived, buffer=3)
+    for departures in ([2, 0], [-1, 0]):  # above the length; negative
+        after = [1 - departures[0], 0]
+        with pytest.raises(AssertionError, match="departures -?[0-9]+ "
+                                                 "outside 0..1"):
+            _flow_step([1, 0], departures, after, -1, buffer=3)
+
+
+@pytest.mark.parametrize("cfg", [TWO, EDGE], ids=["two", "buffer1"])
+@pytest.mark.parametrize("rule", ["cmu", "random", "selector"])
+def test_every_slot_conserves_flow(cfg, rule, slot_loop):
+    """One slot per advance() call, checked against DepartureSampler
+    and the server the rule picks, on whichever kernel the rule gets."""
+    cmu, num, buffer = _cmu(cfg), cfg.num_servers, cfg.buffer
+    policy = {"cmu": cmu, "random": RandomPolicy(num),
+              "selector": _SelectorOnly(cmu)}[rule]
+    loop = sim._SlotLoop(cfg, policy, np.random.default_rng(3))
+    assert (loop.compiled is not None) == (slot_loop == "compiled"
+                                           and rule != "selector")
+    # Both kernels draw the random rule's choices as this scalar stream.
+    lockstep = np.random.default_rng(3)
+    table = cmu.decisions(cfg) if rule != "random" else None
+    stride = [(buffer + 1) ** (num - 1 - i) for i in range(num)]
+    samplers = [DepartureSampler(s.q, buffer) for s in cfg.servers]
+    uniforms = np.random.default_rng(4)
+    drops = busy = 0
+    for _ in range(12_000):
+        dep_u = uniforms.random((num, 1))
+        arr = uniforms.random(1) < cfg.arrival_p
+        before = loop.x.tolist()
+        code = sum(map(int.__mul__, before, stride))
+        chosen = (table[code] if table is not None
+                  else int(lockstep.integers(num)))
+        loop.advance(dep_u, arr)
+        after = loop.x.tolist()
+        departures = [s.sample(x, u)
+                      for s, x, u in zip(samplers, before, dep_u[:, 0])]
+        drops += _flow_step(before, departures, after,
+                            chosen if arr[0] else -1, buffer)
+        assert loop.counts[1] == drops
+        if loop.compiled is not None and table is not None:
+            assert loop.counts[0] == sum(map(int.__mul__, after, stride))
+        busy += min(before) > 0
+    assert busy > 1_000
+    assert (drops > 0) == (cfg is EDGE)
+
+
 def _deterministic_rules(cfg):
     table = build_index_table(cfg, x_max=3)
     return [WhittlePolicy(table), WhittlePolicy(table, max_state=cfg.buffer),
@@ -459,9 +518,8 @@ SIX = SystemConfig(arrival_p=0.7, servers=THREE.servers, buffer=6)
 
 @pytest.mark.parametrize("cfg", [TWO, SIX, EDGE],
                          ids=["two", "three", "buffer1"])
-@pytest.mark.parametrize("kw", [{}, {"debug_conservation": True},
-                                {"checkpoints": 7}],
-                         ids=["plain", "debug", "checkpoints"])
+@pytest.mark.parametrize("kw", [{}, {"checkpoints": 7}],
+                         ids=["plain", "checkpoints"])
 def test_decision_tables_give_the_selector_reports(cfg, kw, slot_loop):
     assert 70_000 > _CHUNK  # the run crosses a block of drawn uniforms
     for policy in _deterministic_rules(cfg):
