@@ -5,14 +5,15 @@ of the departure law and of the active law built on it (both read from
 the transition kernel that the solvers and the simulator use),
 stationary-mass monotonicity and stochastic dominance of threshold
 chains, the shape of the optimal threshold cost curve, threshold
-structure and indexability of the single-queue problem, and monotone
-convex relative values. The CLI `properties` subcommand runs the whole
+structure and indexability of the single-queue problem, monotone
+convex relative values, and the index table's agreement with the
+bisection reference. The CLI `properties` subcommand runs the whole
 list and reports pass/fail per item.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,59 +206,35 @@ def check_single_queue_structure(cfg: SystemConfig, n: int = 120,
 
 def check_index_agreement(
         cfg: SystemConfig, x_max: int = 10,
-        iter_cfg: whittle.IndexIterationConfig | None = None) -> CheckResult:
-    """Incremental index iteration vs the bisection reference.
+        tol: float = whittle.IndexIterationConfig.tol) -> CheckResult:
+    """The shipped index table vs the bisection reference.
 
-    iter_cfg sets gamma, tol and max_iter of the iteration; each state
-    is warm-started at the previous state's index. Both solve state x on
-    states 0..x+1, as the index table does. A solver that fails fails
-    the check, naming the server and state with the solver's message.
-    When the iteration stalls, the detail also gives the closed-form
-    and bisection roots at that state, so a slow iteration reads apart
-    from a broken closed form.
+    Builds the table as `psindex indices` does, each cell checked
+    against tol, and compares every cell x <= x_max with bisect_index
+    on the same states 0..x+1. A solver that fails fails the check with
+    its message, which names the server and state.
     """
-    base = iter_cfg or whittle.IndexIterationConfig()
+    try:
+        table = whittle.build_index_table(
+            cfg, x_max, whittle.IndexIterationConfig(tol=tol))
+    except ConvergenceError as e:
+        return CheckResult("index_agreement", False, str(e))
     worst = 0.0
     for i, s in enumerate(cfg.servers):
-        warm = base.lambda0
-        for x in range(0, x_max + 1):
-            where = f"server {i}, state {x}"
-            try:
-                lam = whittle.compute_index(x, s, cfg.arrival_p, x + 1,
-                                            replace(base, lambda0=warm))
-            except ConvergenceError as e:
-                roots = _reference_roots(x, s, cfg.arrival_p, base.tol)
-                return CheckResult("index_agreement", False,
-                                   f"{where}: {e}; {roots}")
+        for x in range(x_max + 1):
             try:
                 ref = whittle.bisect_index(x, s, cfg.arrival_p, x + 1)
             except ConvergenceError as e:
-                return CheckResult("index_agreement", False, f"{where}: {e}")
-            worst = max(worst, abs(lam - ref))
-            warm = lam
+                return CheckResult("index_agreement", False,
+                                   f"server {i}, state {x}: {e}")
+            worst = max(worst, abs(float(table.entries[i, x]) - ref))
     return CheckResult("index_agreement", worst <= 1e-4,
-                       f"max |incremental - bisection| {worst:.3e}")
-
-
-def _reference_roots(x: int, server, arrival_p: float, tol: float) -> str:
-    """The closed-form and bisection roots at state x, or their errors."""
-    system = whittle._FixedThresholdSystem(server, arrival_p, x, x + 1)
-    found = []
-    for name, root in (
-            ("closed form", lambda: whittle._closed_form_index(system, tol)),
-            ("bisection", lambda: whittle.bisect_index(x, server, arrival_p,
-                                                       x + 1))):
-        try:
-            found.append(f"{name} {root():.13g}")
-        except ConvergenceError as e:
-            found.append(f"{name} failed: {e}")
-    return ", ".join(found)
+                       f"max |table - bisection| {worst:.3e}")
 
 
 def run_property_suite(
         cfg: SystemConfig,
-        iter_cfg: whittle.IndexIterationConfig | None = None
-) -> list[CheckResult]:
+        tol: float = whittle.IndexIterationConfig.tol) -> list[CheckResult]:
     return [
         check_departure_law(),
         check_active_law_is_convolution(),
@@ -267,5 +244,5 @@ def run_property_suite(
         check_threshold_cost_curve(cfg),
         check_value_solver_consistency(cfg),
         check_single_queue_structure(cfg),
-        check_index_agreement(cfg, iter_cfg=iter_cfg),
+        check_index_agreement(cfg, tol=tol),
     ]

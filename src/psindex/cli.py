@@ -35,17 +35,16 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class WhittleOptions:
-    gamma: float = 0.1
-    tol: float = 1e-6
-    max_iter: int = 100_000
+    tol: float = whittle.IndexIterationConfig.tol
     x_max: int = 40
-    # Not an option: read by perfbench/workloads.py, always None.
+    # Not options: read by perfbench/workloads.py, always these values.
     truncation_n = None
+    gamma = whittle.IndexIterationConfig.gamma
+    max_iter = whittle.IndexIterationConfig.max_iter
 
     def __post_init__(self):
         try:
-            whittle.IndexIterationConfig(gamma=self.gamma, tol=self.tol,
-                                         max_iter=self.max_iter)
+            whittle.IndexIterationConfig(tol=self.tol)
         except ValueError as e:
             raise ConfigError(f"whittle.{e}")
         if self.x_max < 1:
@@ -67,7 +66,7 @@ class SimOptions:
 
 # The value type of every key of the optional sections; their defaults
 # are the option classes' own.
-_WHITTLE_KEYS = {"gamma": float, "tol": float, "max_iter": int, "x_max": int}
+_WHITTLE_KEYS = {"tol": float, "x_max": int}
 _SIM_KEYS = {"horizon": int, "burn_in": int, "seeds": int}
 
 
@@ -228,25 +227,12 @@ def write_properties(results, path: str | Path) -> None:
 # ---------------------------------------------------------------- #
 
 
-def _iteration_config(loaded: LoadedConfig,
-                      args) -> whittle.IndexIterationConfig:
-    """The config's whittle knobs with the --gamma and --tol overrides.
-
-    Index tables read only tol; gamma and max_iter drive compute_index,
-    which the properties command's index_agreement check runs.
-    """
-    w = loaded.whittle
-    gamma = getattr(args, "gamma", None)  # only `properties` has --gamma
-    return whittle.IndexIterationConfig(
-        gamma=gamma if gamma is not None else w.gamma,
-        tol=args.tol if args.tol is not None else w.tol,
-        max_iter=w.max_iter)
-
-
 def _build_table(loaded: LoadedConfig, args) -> whittle.IndexTable:
-    x_max = args.x_max if args.x_max is not None else loaded.whittle.x_max
+    w = loaded.whittle
+    x_max = args.x_max if args.x_max is not None else w.x_max
+    tol = args.tol if args.tol is not None else w.tol
     return whittle.build_index_table(loaded.system, x_max,
-                                     _iteration_config(loaded, args))
+                                     whittle.IndexIterationConfig(tol=tol))
 
 
 def cmd_validate(loaded: LoadedConfig, args, out_dir: Path) -> int:
@@ -329,8 +315,8 @@ def cmd_exact(loaded: LoadedConfig, args, out_dir: Path) -> int:
 
 
 def cmd_properties(loaded: LoadedConfig, args, out_dir: Path) -> int:
-    results = checks.run_property_suite(loaded.system,
-                                        _iteration_config(loaded, args))
+    tol = args.tol if args.tol is not None else loaded.whittle.tol
+    results = checks.run_property_suite(loaded.system, tol=tol)
     path = out_dir / "properties.csv"
     write_properties(results, path)
     failed = 0
@@ -367,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--x-max", dest="x_max", type=int, default=None)
         if name not in ("validate", "exact"):
             cmd.add_argument("--tol", type=float, default=None)
-        if name == "properties":
-            cmd.add_argument("--gamma", type=float, default=None)
         if name in ("simulate", "compare"):
             cmd.add_argument("--horizon", type=int, default=None)
         if name == "compare":

@@ -54,6 +54,8 @@ def single_queue_rvi(lam: float, server: ServerParams, arrival_p: float,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not (0.0 < tol < np.inf):
+        raise ValueError("tol must be positive and finite")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     q, p, c = server.q, arrival_p, server.cost_c
@@ -161,6 +163,8 @@ def joint_rvi(cfg: SystemConfig, tol: float = 1e-9,
     absolute; |V| reaches 1.7e6 there, where 1e-9 is 4 ulps, so reordered
     arithmetic (BLAS build, threads) moves the sweep count by a few.
     """
+    if not (0.0 < tol < np.inf):
+        raise ValueError("tol must be positive and finite")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     ref = (0,) * cfg.num_servers

@@ -109,7 +109,18 @@ def test_single_queue_structure_check():
 
 def test_index_agreement_check():
     res = checks.check_index_agreement(CFG, x_max=6)
-    assert res.passed
+    assert res.passed is True
+    assert res.detail.startswith("max |table - bisection| ")
+
+
+def test_index_agreement_fails_a_table_off_by_a_thousandth(monkeypatch):
+    """The check reads the cells the table code path computes."""
+    closed_form = whittle._closed_form_index
+    monkeypatch.setattr(whittle, "_closed_form_index",
+                        lambda system, tol: closed_form(system, tol) + 1e-3)
+    res = checks.check_index_agreement(CFG, x_max=6)
+    assert res.passed is False
+    assert res.detail == "max |table - bisection| 1.000e-03"
 
 
 # The heavy-traffic bank's first server: p = 0.9 > q = 0.55.
@@ -118,34 +129,32 @@ HEAVY = SystemConfig(arrival_p=0.9,
                      buffer=100)
 
 
-def test_index_agreement_fails_instead_of_raising_when_the_iteration_stalls():
-    """The heavy-traffic bank's first server (p > q): the iteration runs
-    out of steps, and the check names the server, the state, the
-    iterate, the residual and the two reference roots at that state
-    instead of aborting the suite."""
-    res = checks.check_index_agreement(
-        HEAVY, iter_cfg=whittle.IndexIterationConfig(max_iter=50))
+def test_index_agreement_fails_instead_of_raising_when_the_table_aborts():
+    """The heavy-traffic bank's first server (p > q): the table's cell 9
+    fails its residual guard, and the check carries the table's message,
+    which names the server and the state, instead of aborting the
+    suite."""
+    res = checks.check_index_agreement(HEAVY)
     assert not res.passed
     assert res.name == "index_agreement"
-    assert res.detail == ("server 0, state 0: index iteration for state 0 "
-                          "stopped at lam=41.9900427 with residual "
-                          "2.693e+00 after 50 iterations; closed form "
-                          "49.09090909091, bisection 49.09090909091")
+    assert res.detail == ("index table aborted at server 0, state 9: value "
+                          "system residual 1.863e-09 exceeds 1e-09")
 
 
-def test_a_stalled_iteration_reports_a_failing_reference_root(monkeypatch):
-    """Where a reference root cannot be found, its error takes its place
-    and the other root is still given."""
-    def no_bracket(*args):
-        raise ConvergenceError("no sign change found for the balance gap")
+def test_index_agreement_names_the_state_where_bisection_fails(monkeypatch):
+    bisect = whittle.bisect_index
 
-    monkeypatch.setattr(whittle, "bisect_index", no_bracket)
-    res = checks.check_index_agreement(
-        HEAVY, iter_cfg=whittle.IndexIterationConfig(max_iter=50))
+    def no_bracket_at_server_1_state_3(x, server, arrival_p, n):
+        if (server, x) == (CFG.servers[1], 3):
+            raise ConvergenceError("no sign change found for the balance gap")
+        return bisect(x, server, arrival_p, n)
+
+    monkeypatch.setattr(whittle, "bisect_index",
+                        no_bracket_at_server_1_state_3)
+    res = checks.check_index_agreement(CFG, x_max=6)
     assert not res.passed
-    assert res.detail.endswith(
-        "after 50 iterations; closed form 49.09090909091, bisection "
-        "failed: no sign change found for the balance gap")
+    assert res.detail == ("server 1, state 3: no sign change found for the "
+                          "balance gap")
 
 
 def test_run_property_suite_names_are_unique():

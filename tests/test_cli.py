@@ -55,7 +55,6 @@ def test_load_config_reads_all_sections(config_path):
     assert loaded.system.servers == (ServerParams(q=0.55, cost_c=30.0),
                                      ServerParams(q=0.50, cost_c=29.0))
     assert loaded.whittle.x_max == 4
-    assert loaded.whittle.gamma == 0.1
     assert loaded.sim.horizon == 4000
     assert loaded.sim.seeds == 2
 
@@ -261,12 +260,13 @@ def test_config_errors_use_the_usage_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["validate", "indices"])
 @pytest.mark.parametrize("section,phrase", [
-    ("whittle: {gamma: 5}", r"whittle.gamma must lie in \(0, 1\]"),
     ("whittle: {tol: -1}", "whittle.tol must be positive"),
     ("whittle: {tol: .nan}", "whittle.tol must be positive"),
     ("whittle: {tol: .inf}", "whittle.tol must be positive"),
-    ("whittle: {max_iter: 0}", "whittle.max_iter must be >= 1"),
     ("whittle: {x_max: 0}", "whittle.x_max must be >= 1"),
+    ("whittle: {gamma: 0.2}", r"unknown keys in 'whittle': \['gamma'\]"),
+    ("whittle: {max_iter: 1000}",
+     r"unknown keys in 'whittle': \['max_iter'\]"),
     ("whittle: {truncation_n: 50}", r"whittle.truncation_n is retired: "
      r"every index cell is solved exactly on states 0\.\.x\+1"),
     ("sim: {horizon: 100, burn_in: 200}", "0 <= sim.burn_in < sim.horizon"),
@@ -559,35 +559,27 @@ def test_compare_command_runs_all_policies(tmp_path, capsys):
     assert names == {"whittle", "cmu", "random", "exact"}
 
 
-def test_properties_command_runs_the_iteration_with_the_config_knobs(
+def test_properties_command_checks_the_table_at_the_tol_override(
         tmp_path, capsys):
+    """At --tol 1e-300 only a cell whose gap rounds to exactly zero
+    passes its gap check, so index_agreement fails and the other eight
+    checks still run."""
     path = tmp_path / "one.yaml"
     path.write_text("arrival_p: 0.4\nbuffer: 5\n"
-                    "servers:\n  - {q: 0.55, cost_c: 30.0}\n"
-                    "whittle: {max_iter: 1}\n")
-    code = main(["properties", "--config", str(path),
+                    "servers:\n  - {q: 0.55, cost_c: 30.0}\n")
+    code = main(["properties", "--config", str(path), "--tol", "1e-300",
                  "--out", str(tmp_path)])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert ("FAIL  index_agreement: server 0, state 0: index iteration for "
-            "state 0 stopped at lam=") in captured.out
+    assert ("FAIL  index_agreement: index table aborted at server 0, "
+            "state 1: closed-form index 41.4804168 leaves gap "
+            ) in captured.out
     with open(tmp_path / "properties.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 9
     assert [r["check"] for r in rows if r["passed"] == "FAIL"] == [
         "index_agreement"]
-    code = main(["properties", "--config", str(path), "--gamma", "0",
-                 "--out", str(tmp_path)])
-    assert code == 1
-    assert "gamma" in capsys.readouterr().err
-
-
-def test_gamma_is_a_properties_option_only(config_path, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["indices", "--config", str(config_path), "--gamma", "0.2",
-              "--out", str(tmp_path)])
-    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -595,6 +587,7 @@ def test_gamma_is_a_properties_option_only(config_path, tmp_path):
     ("exact", "--x-max"), ("exact", "--tol"), ("exact", "--horizon"),
     ("indices", "--horizon"),
     ("properties", "--x-max"), ("properties", "--horizon"),
+    ("indices", "--gamma"), ("properties", "--gamma"),
 ])
 def test_overrides_are_options_only_of_the_commands_that_read_them(
         config_path, tmp_path, command, flag):

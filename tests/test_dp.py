@@ -77,6 +77,14 @@ def test_rvi_refuses_zero_sweeps():
         single_queue_rvi(2.0, UNIT, 0.4, 40, max_sweeps=0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+def test_rvi_refuses_a_tol_outside_the_positive_reals(tol):
+    """A NaN span never passes `span <= tol`, and an infinite tol stops
+    after one sweep with a meaningless beta."""
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        single_queue_rvi(2.0, UNIT, 0.4, 40, tol=tol)
+
+
 def test_active_interval_classification():
     assert active_interval(np.array([True, True, False, False])) == (1, True)
     assert active_interval(np.array([False, False])) == (-1, True)
@@ -179,6 +187,13 @@ def test_joint_rvi_reports_nonconvergence(two_server_tiny):
 def test_joint_rvi_refuses_zero_sweeps(two_server_tiny):
     with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
         joint_rvi(two_server_tiny, max_sweeps=0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+def test_joint_rvi_refuses_a_tol_outside_the_positive_reals(two_server_tiny,
+                                                            tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        joint_rvi(two_server_tiny, tol=tol)
 
 
 THREE_Q = (ServerParams(q=0.6, cost_c=2.0), ServerParams(q=0.5, cost_c=1.0),

@@ -597,10 +597,8 @@ def _policy_as_compare_builds_it(config, name):
     system = loaded.system
     if name == "whittle":
         w = loaded.whittle
-        table = build_index_table(
-            system, w.x_max,
-            IndexIterationConfig(gamma=w.gamma, tol=w.tol,
-                                 max_iter=w.max_iter))
+        table = build_index_table(system, w.x_max,
+                                  IndexIterationConfig(tol=w.tol))
         return WhittlePolicy(table, max_state=system.buffer)
     if name == "exact":
         return ExactPolicy(_joint_solution(config))
