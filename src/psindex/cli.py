@@ -227,12 +227,10 @@ def write_properties(results, path: str | Path) -> None:
 # ---------------------------------------------------------------- #
 
 
-def _build_table(loaded: LoadedConfig, args) -> whittle.IndexTable:
+def _build_table(loaded: LoadedConfig) -> whittle.IndexTable:
     w = loaded.whittle
-    x_max = args.x_max if args.x_max is not None else w.x_max
-    tol = args.tol if args.tol is not None else w.tol
-    return whittle.build_index_table(loaded.system, x_max,
-                                     whittle.IndexIterationConfig(tol=tol))
+    return whittle.build_index_table(loaded.system, w.x_max,
+                                     whittle.IndexIterationConfig(tol=w.tol))
 
 
 def cmd_validate(loaded: LoadedConfig, args, out_dir: Path) -> int:
@@ -246,7 +244,7 @@ def cmd_validate(loaded: LoadedConfig, args, out_dir: Path) -> int:
 
 
 def cmd_indices(loaded: LoadedConfig, args, out_dir: Path) -> int:
-    table = _build_table(loaded, args)
+    table = _build_table(loaded)
     path = out_dir / "indices.csv"
     write_index_table(table, path)
     print(f"wrote {path} ({table.num_servers} servers, "
@@ -257,7 +255,7 @@ def cmd_indices(loaded: LoadedConfig, args, out_dir: Path) -> int:
 def cmd_simulate(loaded: LoadedConfig, args, out_dir: Path) -> int:
     system = loaded.system
     if args.policy == "whittle":
-        policy = WhittlePolicy(_build_table(loaded, args),
+        policy = WhittlePolicy(_build_table(loaded),
                                max_state=system.buffer)
     elif args.policy == "cmu":
         policy = CmuPolicy(system.servers)
@@ -277,7 +275,7 @@ def cmd_simulate(loaded: LoadedConfig, args, out_dir: Path) -> int:
 
 def cmd_compare(loaded: LoadedConfig, args, out_dir: Path) -> int:
     system = loaded.system
-    policies = [WhittlePolicy(_build_table(loaded, args),
+    policies = [WhittlePolicy(_build_table(loaded),
                               max_state=system.buffer),
                 CmuPolicy(system.servers),
                 RandomPolicy(system.num_servers)]
@@ -315,8 +313,8 @@ def cmd_exact(loaded: LoadedConfig, args, out_dir: Path) -> int:
 
 
 def cmd_properties(loaded: LoadedConfig, args, out_dir: Path) -> int:
-    tol = args.tol if args.tol is not None else loaded.whittle.tol
-    results = checks.run_property_suite(loaded.system, tol=tol)
+    results = checks.run_property_suite(loaded.system,
+                                        tol=loaded.whittle.tol)
     path = out_dir / "properties.csv"
     write_properties(results, path)
     failed = 0
@@ -376,11 +374,16 @@ def run_command(args: argparse.Namespace) -> int:
             for item in violations:
                 print(f"violation: {item}", file=sys.stderr)
             return 1
-    # --horizon, --seeds and --seed get their range checks before any work.
-    overrides = {key: getattr(args, key) for key in ("horizon", "seeds")
-                 if getattr(args, key, None) is not None}
+    # Every override gets its range check before any work: --x-max and
+    # --tol through WhittleOptions, --horizon and --seeds through
+    # SimOptions, --seed here.
+    def given(*keys):
+        return {key: getattr(args, key) for key in keys
+                if getattr(args, key, None) is not None}
     try:
-        loaded = replace(loaded, sim=replace(loaded.sim, **overrides))
+        loaded = replace(
+            loaded, whittle=replace(loaded.whittle, **given("x_max", "tol")),
+            sim=replace(loaded.sim, **given("horizon", "seeds")))
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"seed must be >= 0, got {args.seed}")
         out_dir = Path(args.out)

@@ -9,27 +9,31 @@ so different policies under the same seed face identical randomness.
 Departures are drawn by inverting per-length CDFs, read once per
 (q, buffer) from the reversed rows of model.passive_kernel and cached.
 
-Every stream is drawn in blocks and each slot consumes its uniforms
+Each slot consumes one uniform per queue and one arrival uniform
 whether or not it uses them, so how a kernel skips idle work changes
 no report. An empty queue always has zero departures: the Python
-kernel does no bisection for it, and a slot with every queue empty
-adds nothing to the cost or length sums and draws no departure at
-all. The compiled kernel takes every queue through the same
-branch-free steps instead, which leave those sums as they are.
+kernel draws each stream in blocks with numpy and does no bisection
+for an empty queue, and a slot with every queue empty adds nothing to
+the cost or length sums and reads no departure uniform at all. The
+compiled kernel draws the same uniforms itself, from numpy's PCG64
+stream reproduced in C, and takes every queue through the same
+branch-free steps, which leave those sums as they are.
 
 A policy whose decisions(cfg) gives a table is read there by the
 state's mixed-radix code (server 0 most significant); the random rule
 hands over its choices a block at a time through choices(rng). One
-loop object holds the state in the arrays that advance() of
-_slotloop.c updates in place, and picks its kernel once. A table or
-the random rule runs compiled; the system C compiler builds that
-kernel on the first call, at most once per process. The Python
+loop object owns the streams and holds the state in the arrays that
+advance() of _slotloop.c updates in place, and picks its kernel once.
+A table or the random rule runs compiled; the system C compiler builds
+that kernel on the first call, at most once per process, and it is
+used only when its generator reproduces numpy's draws. The Python
 kernel is its reference and the fallback: it runs when no compiler
-built the loop, and for any other policy (a wrapper, a grid too large
-for a table), which it asks through its selector once per slot, empty
-slots included. Both kernels give bit-identical reports; the test
-suite checks the flow identity next = current - departures +
-admissions slot by slot on each.
+built the loop or the generator self-test failed, and for any other
+policy (a wrapper, a grid too large for a table), which it asks
+through its selector once per slot, empty slots included. Both
+kernels give bit-identical reports; the test suite checks the flow
+identity next = current - departures + admissions slot by slot on
+each.
 """
 
 from __future__ import annotations
@@ -77,13 +81,48 @@ def _departure_cdfs(q: float, max_x: int) -> _CdfRows:
     return out
 
 
+def _pcg_words(streams) -> np.ndarray:
+    """The streams' PCG64 states, then their increments, as u128 words.
+
+    Each 128-bit value is two little-endian uint64 words at a 16-byte
+    boundary, the layout advance() of _slotloop.c reads and updates.
+    Only a fresh PCG64 stream, with no buffered 32-bit half, fits it.
+    """
+    states = [s.bit_generator.state for s in streams]
+    if any(s["bit_generator"] != "PCG64" or s["has_uint32"]
+           for s in states):
+        raise ValueError("the slot loop draws only from fresh PCG64 streams")
+    values = ([s["state"]["state"] for s in states]
+              + [s["state"]["inc"] for s in states])
+    words = [w for v in values for w in (v % 2**64, v >> 64)]
+    room = np.empty(len(words) + 1, np.uint64)
+    start = -room.ctypes.data % 16 // 8
+    out = room[start:start + len(words)]
+    out[:] = words
+    return out
+
+
+def _reproduces_numpy(uniforms) -> bool:
+    """Whether uniforms() of _slotloop.c gives default_rng's random()."""
+    rng = np.random.default_rng(20140905)
+    try:
+        gen = _pcg_words([rng])
+    except ValueError:
+        return False
+    got = np.empty(48)
+    uniforms(got.size, gen.ctypes.data, got.ctypes.data)
+    return got.tolist() == rng.random(got.size).tolist()
+
+
 @cache
 def _slot_loop():
-    """advance() of _slotloop.c, compiled and loaded; None if it cannot be.
+    """_slotloop.c, compiled and loaded; None if it cannot be used.
 
     Built at most once per process: `cc` compiles the shipped source
     into a temporary directory and ctypes loads the result. Without a
-    compiler, or when the build or the load fails, the result is None
+    compiler, when the build or the load fails, or when the library's
+    uniforms() does not reproduce numpy's Generator.random() (another
+    stream in a future numpy, a big-endian host), the result is None
     and the compiler's output is swallowed.
     """
     import shutil
@@ -95,25 +134,29 @@ def _slot_loop():
         return None
     source = Path(__file__).with_name("_slotloop.c")
     with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
-        lib = str(Path(tmp) / "_slotloop.so")
+        path = str(Path(tmp) / "_slotloop.so")
         try:
             import ctypes
             subprocess.run([cc, "-O2", "-ffp-contract=off", "-shared",
-                            "-fPIC", "-o", lib, str(source)],
+                            "-fPIC", "-o", path, str(source)],
                            capture_output=True, check=True, timeout=120)
-            advance = ctypes.CDLL(lib).advance
+            lib = ctypes.CDLL(path)
+            advance, uniforms = lib.advance, lib.uniforms
         except (ImportError, OSError, subprocess.SubprocessError):
             return None
-    advance.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 10
+    advance.argtypes = ([ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7
+                        + [ctypes.c_double] + [ctypes.c_void_p] * 2)
     advance.restype = None
-    return advance
+    uniforms.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+    uniforms.restype = None
+    return lib if _reproduces_numpy(uniforms) else None
 
 
 class DepartureSampler:
     """Inverse-CDF sampling of the departure count at lengths 0..max_x.
 
     One uniform is consumed per call regardless of the current length.
-    The CDF rows are the cached ones simulate bisects directly.
+    The CDF rows are the cached ones both slot-loop kernels read.
     """
 
     def __init__(self, q: float, max_x: int):
@@ -148,19 +191,29 @@ class ComparisonTable:
 
 
 class _SlotLoop:
-    """The slot loop's state and the kernel that advances it a block at a time.
+    """The slot loop's streams, its state, and the kernel that advances
+    it a block at a time.
 
-    The state is the three arrays advance() of _slotloop.c updates in
-    place: x, the queue lengths; counts, the state code and the drops;
-    acc, the cost sum and then one length sum per server. The kernel is
-    picked once: a decision table, or the random rule's choices, runs
-    compiled when the loop was built. Every other policy runs on the
-    Python kernel, the reference and the fallback, which asks the
-    policy's selector once per slot and leaves counts[0] at zero.
+    streams are seed's num + 2 generators: one per server's departures,
+    then the arrivals, then the policy's. The state is the three arrays
+    advance() of _slotloop.c updates in place: x, the queue lengths;
+    counts, the state code and the drops; acc, the cost sum and then
+    one length sum per server. The kernel is picked once: a decision
+    table, or the random rule's choices, runs compiled when the loop
+    was built, drawing the departure and arrival uniforms from gen, the
+    PCG64 words of the first num + 1 streams, which it updates in
+    place. Every other policy runs on the Python kernel, the reference
+    and the fallback, which draws those uniforms from the streams in
+    numpy blocks, asks the policy's selector once per slot and leaves
+    counts[0] at zero.
     """
 
-    def __init__(self, cfg: SystemConfig, policy, pol_rng):
+    def __init__(self, cfg: SystemConfig, policy, seed: int):
         num, buffer = cfg.num_servers, cfg.buffer
+        self.streams = [np.random.default_rng(child) for child
+                        in np.random.SeedSequence(seed).spawn(num + 2)]
+        pol_rng = self.streams[-1]
+        self.arrival_p = cfg.arrival_p
         self.x = np.zeros(num, np.int64)
         self.counts = np.zeros(2, np.int64)
         self.acc = np.zeros(num + 1)
@@ -172,30 +225,36 @@ class _SlotLoop:
         table_of = getattr(policy, "decisions", None)
         self.dec = dec = table_of(cfg) if table_of is not None else None
         choices = getattr(policy, "choices", None) if dec is None else None
-        self.compiled = (_slot_loop() if dec is not None
-                         or choices is not None else None)
+        lib = (_slot_loop() if dec is not None or choices is not None
+               else None)
+        self.compiled = lib.advance if lib is not None else None
         if self.compiled is None:
             self.select = policy.selector(pol_rng) if dec is None else None
             return
         self.draw = choices(pol_rng) if choices is not None else None
+        self.gen = _pcg_words(self.streams[:num + 1])
         # args points into pinned. The code is read only with a table,
         # whose grid fits 2**22, so without one the stride is zero.
         self.pinned = (self.x, self.counts, self.acc,
                        np.array(self.costs, float),
                        np.concatenate([c.flat for c in self.cdfs]),
                        np.array(self.stride if dec is not None else [0] * num,
-                                np.int64))
-        self.args = (num, buffer, *(a.ctypes.data for a in self.pinned))
+                                np.int64),
+                       self.gen)
+        self.args = (num, buffer, *(a.ctypes.data for a in self.pinned),
+                     cfg.arrival_p, dec)
 
-    def advance(self, dep_u: np.ndarray, arr: np.ndarray) -> None:
-        """Run one block of slots on its uniforms and arrival flags."""
+    def advance(self, block: int) -> None:
+        """Run the next block of slots on the next uniforms."""
         if self.compiled is None:
-            self._python(dep_u, arr)
+            *dep_rngs, arr_rng, _ = self.streams
+            dep_u = np.empty((len(dep_rngs), block))
+            for rng, row in zip(dep_rngs, dep_u):
+                rng.random(out=row)
+            self._python(dep_u, arr_rng.random(block) < self.arrival_p)
             return
-        block = arr.size
         choice = self.draw(block) if self.draw is not None else None
-        self.compiled(block, *self.args, dep_u.ctypes.data,
-                      arr.ctypes.data, self.dec,
+        self.compiled(block, *self.args,
                       None if choice is None else choice.ctypes.data)
 
     def _python(self, dep_u: np.ndarray, arr: np.ndarray) -> None:
@@ -256,13 +315,7 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
         raise ValueError(f"policy {policy.name} is for buffer "
                          f"{policy.buffer}, the bank has {cfg.buffer}")
 
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(num + 2)
-    dep_rngs = [np.random.default_rng(c) for c in children[:num]]
-    arr_rng = np.random.default_rng(children[num])
-    pol_rng = np.random.default_rng(children[num + 1])
-
-    loop = _SlotLoop(cfg, policy, pol_rng)
+    loop = _SlotLoop(cfg, policy, seed)
 
     measured = horizon - burn_in
     marks_at: set[int] = set()
@@ -273,16 +326,14 @@ def simulate(cfg: SystemConfig, policy, horizon: int, burn_in: int = 10_000,
 
     # Blocks end at burn_in, where the sums restart from zero, and at
     # each checkpoint, so no slot tests for either. How a generator's
-    # draws are split into blocks does not change its stream.
+    # draws are split into blocks, or which kernel draws them, does not
+    # change its stream.
     stops = sorted({burn_in, horizon} - {0} | marks_at)
     t = 0
     for stop in stops:
         while t < stop:
             block = min(_CHUNK, stop - t)
-            dep_u = np.empty((num, block))
-            for rng, row in zip(dep_rngs, dep_u):
-                rng.random(out=row)
-            loop.advance(dep_u, arr_rng.random(block) < cfg.arrival_p)
+            loop.advance(block)
             t += block
         if t == burn_in:
             loop.acc[:] = 0.0

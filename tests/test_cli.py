@@ -12,7 +12,7 @@ import pytest
 
 from psindex import (CmuPolicy, ComparisonTable, IndexTable, JointSolution,
                      ServerParams, SimReport, SystemConfig, simulate)
-from psindex import sim, whittle
+from psindex import checks, sim, whittle
 from psindex.checks import CheckResult
 from psindex.cli import (ConfigError, fmt, load_config, main,
                          write_comparison, write_exact, write_index_table,
@@ -376,7 +376,32 @@ def test_a_non_finite_tol_override_exits_1(config_path, tmp_path, capsys,
     code = main(["indices", "--config", str(config_path), "--tol", tol,
                  "--out", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: tol must be positive")
+    assert capsys.readouterr().err.startswith(
+        "error: whittle.tol must be positive")
+
+
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("properties", "--tol", "nan", "whittle.tol must be positive and finite"),
+    ("properties", "--tol", "-1", "whittle.tol must be positive and finite"),
+    ("indices", "--tol", "0", "whittle.tol must be positive and finite"),
+    ("indices", "--x-max", "0", "whittle.x_max must be >= 1"),
+    ("compare", "--x-max", "-3", "whittle.x_max must be >= 1"),
+    ("simulate", "--tol", "inf", "whittle.tol must be positive and finite"),
+])
+def test_an_out_of_range_index_override_is_refused_before_any_work(
+        config_path, tmp_path, capsys, monkeypatch, command, flag, value,
+        message):
+    work = []
+    monkeypatch.setattr(checks, "run_property_suite",
+                        lambda *args, **kw: work.append("suite"))
+    monkeypatch.setattr(whittle, "build_index_table",
+                        lambda *args, **kw: work.append("table"))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(config_path), flag, value,
+                 "--out", str(out)])
+    assert (code, work) == (1, [])
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_cold_import_of_the_cli_leaves_scipy_stats_out():

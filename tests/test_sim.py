@@ -1,13 +1,16 @@
 """Slotted simulator: sampling, accounting, reproducibility, comparison."""
 
+import copy
 import functools
 import gc
 import json
 import os
 import shutil
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -356,18 +359,49 @@ def test_a_queue_at_the_buffer_matches_the_slot_by_slot_loop(policy,
     assert report.drop_count > 5_000
 
 
-@pytest.mark.parametrize("compiler", ["absent", "failing"])
+def _compiled():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on the path")
+    lib = sim._slot_loop()
+    assert lib is not None, "cc did not build the slot loop"
+    return lib
+
+
+# A compiler that builds the shipped source with one bit of the PCG64
+# multiplier flipped, as a C generator off numpy's stream would be.
+_MISMATCHING_CC = """#!{python}
+import subprocess, sys
+from pathlib import Path
+*args, source = sys.argv[1:]
+text = Path(source).read_text()
+assert "0x4385DF649FCCF645ULL" in text
+copy = Path({tmp!r}) / "mismatching.c"
+copy.write_text(text.replace("0x4385DF649FCCF645ULL", "0x4385DF649FCCF647ULL"))
+sys.exit(subprocess.run([{cc!r}, *args, str(copy)]).returncode)
+"""
+
+
+@pytest.mark.parametrize("compiler", ["absent", "failing",
+                                      "mismatching generator"])
 def test_simulate_falls_back_silently_when_no_loop_builds(
         compiler, monkeypatch, capfd, tmp_path):
-    """No `cc` on the path, or one that fails loudly: the Python loop
-    gives the same reports and nothing reaches stdout or stderr."""
+    """No `cc` on the path, one that fails loudly, or one whose build
+    fails the generator self-test: the Python loop gives the same
+    reports and nothing reaches stdout or stderr."""
     found = None
-    if compiler == "failing":
+    if compiler != "absent":
         if os.name != "posix":
-            pytest.skip("the failing compiler is a shell script")
+            pytest.skip("the stand-in compiler is a script")
         script = tmp_path / "cc"
-        script.write_text("#!/bin/sh\necho 'cc: internal error' >&2\n"
-                          "exit 1\n")
+        if compiler == "failing":
+            script.write_text("#!/bin/sh\necho 'cc: internal error' >&2\n"
+                              "exit 1\n")
+        else:
+            real = shutil.which("cc")
+            if real is None:
+                pytest.skip("no C compiler on the path")
+            script.write_text(_MISMATCHING_CC.format(
+                python=sys.executable, tmp=str(tmp_path), cc=real))
         script.chmod(0o755)
         found = str(script)
     rules = [_cmu(TWO), RandomPolicy(2)]
@@ -381,20 +415,21 @@ def test_simulate_falls_back_silently_when_no_loop_builds(
             for r in rules] == want
     assert sim._slot_loop() is None
     assert capfd.readouterr() == ("", "")
+    if compiler == "mismatching generator":
+        assert (tmp_path / "mismatching.c").exists()
 
 
 def test_the_compiled_loop_runs_for_tables_and_the_random_rule(
         monkeypatch):
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler on the path")
     blocks = []
-    built = sim._slot_loop()
+    built = _compiled()
 
     def counted(*args):
         blocks.append(args[0])
-        return built(*args)
+        return built.advance(*args)
 
-    monkeypatch.setattr(sim, "_slot_loop", lambda: counted)
+    monkeypatch.setattr(sim, "_slot_loop",
+                        lambda: SimpleNamespace(advance=counted))
     runs = {"table": (_cmu(TWO), {}), "random": (RandomPolicy(2), {}),
             "checkpoints": (_cmu(TWO), {"checkpoints": 4}),
             "selector": (_SelectorOnly(_cmu(TWO)), {})}
@@ -470,40 +505,83 @@ def test_flow_step_rejects_inconsistent_slots():
 @pytest.mark.parametrize("cfg", [TWO, EDGE], ids=["two", "buffer1"])
 @pytest.mark.parametrize("rule", ["cmu", "random", "selector"])
 def test_every_slot_conserves_flow(cfg, rule, slot_loop):
-    """One slot per advance() call, checked against DepartureSampler
-    and the server the rule picks, on whichever kernel the rule gets."""
+    """One slot per advance(1) call, checked against DepartureSampler
+    and the server the rule picks, on whichever kernel the rule gets.
+    The expected uniforms come from lockstep copies of the loop's own
+    streams, so on the compiled kernel this also checks its generator
+    slot by slot."""
     cmu, num, buffer = _cmu(cfg), cfg.num_servers, cfg.buffer
     policy = {"cmu": cmu, "random": RandomPolicy(num),
               "selector": _SelectorOnly(cmu)}[rule]
-    loop = sim._SlotLoop(cfg, policy, np.random.default_rng(3))
+    loop = sim._SlotLoop(cfg, policy, 3)
     assert (loop.compiled is not None) == (slot_loop == "compiled"
                                            and rule != "selector")
-    # Both kernels draw the random rule's choices as this scalar stream.
-    lockstep = np.random.default_rng(3)
+    # Both kernels draw the random rule's choices as its scalar stream.
+    *dep_rngs, arr_rng, lockstep = copy.deepcopy(loop.streams)
     table = cmu.decisions(cfg) if rule != "random" else None
     stride = [(buffer + 1) ** (num - 1 - i) for i in range(num)]
     samplers = [DepartureSampler(s.q, buffer) for s in cfg.servers]
-    uniforms = np.random.default_rng(4)
     drops = busy = 0
     for _ in range(12_000):
-        dep_u = uniforms.random((num, 1))
-        arr = uniforms.random(1) < cfg.arrival_p
+        dep_u = [rng.random() for rng in dep_rngs]
+        arrives = arr_rng.random() < cfg.arrival_p
         before = loop.x.tolist()
         code = sum(map(int.__mul__, before, stride))
         chosen = (table[code] if table is not None
                   else int(lockstep.integers(num)))
-        loop.advance(dep_u, arr)
+        loop.advance(1)
         after = loop.x.tolist()
         departures = [s.sample(x, u)
-                      for s, x, u in zip(samplers, before, dep_u[:, 0])]
+                      for s, x, u in zip(samplers, before, dep_u)]
         drops += _flow_step(before, departures, after,
-                            chosen if arr[0] else -1, buffer)
+                            chosen if arrives else -1, buffer)
         assert loop.counts[1] == drops
         if loop.compiled is not None and table is not None:
             assert loop.counts[0] == sum(map(int.__mul__, after, stride))
         busy += min(before) > 0
     assert busy > 1_000
     assert (drops > 0) == (cfg is EDGE)
+
+
+# ---------------------------------------------------------------- #
+# the compiled kernel's generator                                  #
+# ---------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12, 2 ** 63 + 5])
+def test_compiled_uniforms_are_numpy_random(seed):
+    """numpy's PCG64 random() reproduced in C, over 6 * 10**5 draws:
+    every XSL-RR rotation and the 53-bit conversion come up."""
+    uniforms = _compiled().uniforms
+    rng = np.random.default_rng(seed)
+    gen = sim._pcg_words([rng])
+    got = np.empty(200_000)
+    for _ in range(3):
+        uniforms(got.size, gen.ctypes.data, got.ctypes.data)
+        assert np.array_equal(got, rng.random(got.size))
+
+
+@pytest.mark.parametrize("rule", ["cmu", "random"])
+def test_the_pinned_states_continue_the_numpy_streams(rule):
+    """After compiled blocks, each state the loop left in its pinned
+    words, loaded back into numpy's PCG64, gives numpy's next draws."""
+    _compiled()
+    policy = _cmu(THREE) if rule == "cmu" else RandomPolicy(3)
+    loop = sim._SlotLoop(THREE, policy, 7)
+    assert loop.compiled is not None
+    lockstep = copy.deepcopy(loop.streams[:4])
+    for block in (1, 999, 70_000):
+        loop.advance(block)
+        words = [int(w) for w in loop.gen]
+        values = [lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]
+        for i, rng in enumerate(lockstep):
+            rng.random(block)
+            bits = np.random.PCG64()
+            bits.state = {"bit_generator": "PCG64",
+                          "state": {"state": values[i], "inc": values[4 + i]},
+                          "has_uint32": 0, "uinteger": 0}
+            assert np.array_equal(np.random.Generator(bits).random(50),
+                                  copy.deepcopy(rng).random(50)), (block, i)
 
 
 def _deterministic_rules(cfg):
