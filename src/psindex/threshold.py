@@ -5,8 +5,10 @@ A threshold policy with parameter k keeps the server active on states
 {0, ..., k+1}: it can only climb by admitting arrivals, and admissions
 stop one step above the threshold. The convention k = -1 means never
 active, whose recurrent class is the single state {0}. Every chain is
-threshold_rows of model.transition_kernel, and stationary_distribution
-is the stationary solve of every chain, dp's joint policy chains too.
+threshold_rows of model.transition_kernel. stationary_ladder solves
+every threshold chain of one kernel at once by cut balance, and
+stationary_distribution is the general solve that dp's joint policy
+chains use.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 
-from .model import transition_kernel
+from .model import _BLOCK, transition_kernel
 
 STATIONARY_TOL = 1e-10
 
@@ -26,29 +29,18 @@ def threshold_rows(active: np.ndarray, passive: np.ndarray,
     return np.vstack((active[: k + 1], passive[k + 1:]))
 
 
-def _chain_block(active: np.ndarray, passive: np.ndarray,
-                 k: int) -> np.ndarray:
-    """The threshold-k chain on {0, ..., k+1} from a kernel over 0..n.
-
-    Exact for every n >= k+1: active rows s <= k never reach a state
-    above k+1, the clamp at n touches active row n only, and from state
-    k+1 the server is passive, so the chain cannot leave the class
-    upward. A sweep over k can thus slice one kernel per (q, p).
-    """
-    return threshold_rows(active[: k + 2, : k + 2],
-                          passive[: k + 2, : k + 2], k)
-
-
 def threshold_chain(k: int, q: float, p: float) -> np.ndarray:
     """The read-only chain on {0, ..., k+1} for threshold k >= 0.
 
     Row s is the one-slot law with the server active iff s <= k, read
-    off transition_kernel(q, p, k+1) by _chain_block.
+    off transition_kernel(q, p, k+1). Active rows s <= k never reach a
+    state above k+1, and from k+1 the server is passive, so the same
+    rows of any kernel over 0..n with n >= k+1 give the same chain.
     """
     if k < 0:
         raise ValueError("threshold_chain needs k >= 0; k = -1 has the "
                          "trivial class {0}")
-    chain = _chain_block(*transition_kernel(q, p, k + 1), k)
+    chain = threshold_rows(*transition_kernel(q, p, k + 1), k)
     chain.setflags(write=False)
     return chain
 
@@ -85,14 +77,115 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return pi
 
 
-@lru_cache(maxsize=16384)
-def _chain_stats(k: int, q: float, p: float) -> tuple[float, float]:
-    """(mean queue length, mass of the top state k+1) under threshold k."""
-    if k == -1:
-        return 0.0, 0.0
-    pi = stationary_distribution(threshold_chain(k, q, p))
-    mean_len = float(np.arange(k + 2) @ pi)
-    return mean_len, float(pi[k + 1])
+def stationary_ladder(active: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Stationary laws of every threshold chain of one kernel over 0..K.
+
+    Column k of the (K+1) x K result is the law of the threshold-k
+    chain on {0, ..., k+1}, zero below, for k = 0..K-1. An active row
+    climbs at most one state, so only state j crosses the cut between
+    {0..j} and {j+1..k+1} upward, and cut balance reads
+
+        pi(j) active[j, j+1] = sum over i > j of pi(i) P(i, <= j),
+
+    row i of P active for i <= k and passive for i = k+1. Fixing
+    pi(k+1) = 1, it gives pi(k), ..., pi(0) in turn from sums of
+    non-negative terms: GTH (Grassmann, Taksar & Heyman, Oper. Res. 33,
+    1985) on a chain that is skip-free upward, with no subtraction, so
+    small entries keep their relative accuracy. Every chain shares the
+    active rows, so all K are one upper-triangular system.
+
+    Keeps stationary_distribution's guards and messages: finite,
+    non-negative rows summing to 1 within 1e-10 on every chain, a
+    positive up-step from every active state (the chains' irreducibility),
+    no negative mass, and |pi P - pi| <= STATIONARY_TOL on every chain.
+    """
+    n = len(active) - 1
+    act, pas = active[:n], passive[1:]  # row k of pas tops chain k
+    if not (np.isfinite(act).all() and np.isfinite(pas).all()):
+        raise ValueError("matrix entries must be finite")
+    cum_act = np.cumsum(act, axis=1)  # [i, j] = P_active(i, <= j)
+    cum_pas = np.cumsum(pas, axis=1)  # [k, j] = P_passive(k+1, <= j)
+    # Chain k reads active row j <= k through state k+1, a sum that grows
+    # with k from cum_act[j, j+1], and passive row k+1 through k+1.
+    states = np.arange(n)
+    sums = np.concatenate((cum_act[states, states + 1], cum_act[:, -1],
+                           cum_pas[states, states + 1]))
+    if ((act < 0.0).any() or (pas < 0.0).any()
+            or not np.abs(sums - 1.0).max() <= 1e-10):
+        raise ValueError("rows must be probability vectors")
+    up = act[states, states + 1]
+    if not (up > 0.0).all():
+        raise ValueError("malformed chain, stationary solve failed: no "
+                         f"up-step from state {np.argmin(up > 0.0)}")
+    laws = _cut_balance(up, cum_act, cum_pas)
+    if (laws < 0.0).any():
+        raise ValueError("stationary solve produced negative mass")
+    laws /= laws.sum(axis=0)
+    flow = (np.triu(laws[:n]).T @ act
+            + np.diagonal(laws, -1)[:, None] * pas)
+    if not np.abs(flow - laws.T).max() <= STATIONARY_TOL:
+        raise ValueError("stationary residual exceeds tolerance")
+    return laws
+
+
+def _cut_balance(up: np.ndarray, cum_act: np.ndarray,
+                 cum_pas: np.ndarray) -> np.ndarray:
+    """stationary_ladder's unnormalised laws, pi_k(k+1) scaled from 1.
+
+    Back substitution on T X = B in blocks of rows, bottom first:
+    T[j, j] = up[j], T[j, i] = -down[j, i] = -cum_act[i, j] for i > j,
+    and column k of B is cum_pas[k, :k+1], zero below. Every row adds
+    non-negative terms. Solving row j multiplies a column's mass by at
+    most 1 + 1/up[j], so a block takes the rows that keep this bound
+    under 2^1000; after each block a column whose mass passed 1 is
+    scaled back by a power of two, which is exact.
+    """
+    n = len(up)
+    down = np.triu(cum_act[:, :n].T, 1)
+    t = np.diag(up) - down
+    x = np.triu(cum_pas.T[:n])
+    top = np.ones(n)
+    growth = np.cumsum(np.log2(1.0 + 1.0 / up)[::-1])  # bottom rows first
+    budget = 1000.0 - np.log2(n + 1.0)
+    hi, spent = n, 0.0
+    while hi > 0:
+        reach = int(np.searchsorted(growth, spent + budget, "right"))
+        lo = min(hi - 1, n - reach)
+        x[lo:hi] = dtrsm(1.0, t[lo:hi, lo:hi], x[lo:hi])
+        mass = x.max(axis=0)
+        e = np.where(mass > 1.0, np.frexp(mass)[1], 0)
+        x, top = np.ldexp(x, -e), np.ldexp(top, -e)
+        x[:lo] += down[:lo, lo:hi] @ x[lo:hi]
+        hi, spent = lo, growth[n - lo - 1]
+    laws = np.vstack((x, np.zeros(n)))
+    laws[np.arange(1, n + 1), np.arange(n)] = top
+    return laws
+
+
+@lru_cache(maxsize=4)
+def _chain_stats(q: float, p: float, size: int) -> np.ndarray:
+    """Mean queue length and top mass pi(k+1) of chains k = 0..size-2.
+
+    The two rows come from one stationary_ladder over
+    transition_kernel(q, p, size-1). size is a multiple of _BLOCK and
+    every chain is read from the smallest block that holds it, so its
+    figures never depend on which calls came before; the few blocks a
+    sweep over q and p needs stay cached.
+    """
+    laws = stationary_ladder(*transition_kernel(q, p, size - 1))
+    stats = np.vstack((np.arange(size) @ laws, np.diagonal(laws, -1)))
+    stats.setflags(write=False)
+    return stats
+
+
+def _ladder_stats(k_max: int, q: float, p: float) -> np.ndarray:
+    """_chain_stats rows for chains k = 0..k_max, each from its block."""
+    if k_max < -1:
+        raise ValueError(f"k_max={k_max} must be >= -1")
+    last = -(-(k_max + 2) // _BLOCK) * _BLOCK
+    parts = [_chain_stats(q, p, size)[:, max(size - _BLOCK - 1, 0):size - 1]
+             for size in range(_BLOCK, last + 1, _BLOCK)]
+    return np.hstack(parts)[:, : k_max + 1]
 
 
 def cumulative_active_mass(k: int, q: float, p: float) -> float:
@@ -101,8 +194,9 @@ def cumulative_active_mass(k: int, q: float, p: float) -> float:
     Equals 1 - pi(k+1); it is non-decreasing in k, which is the
     stationary-mass monotonicity behind index monotonicity.
     """
-    _, top = _chain_stats(k, q, p)
-    return 1.0 - top
+    if k == -1:
+        return 1.0
+    return 1.0 - float(_ladder_stats(k, q, p)[1, k])
 
 
 def threshold_average_cost(k: int, lam: float, cost_c: float, q: float,
@@ -115,8 +209,8 @@ def threshold_average_cost(k: int, lam: float, cost_c: float, q: float,
     """
     if k == -1:
         return float(lam)
-    mean_len, top = _chain_stats(k, q, p)
-    return cost_c * mean_len + lam * top
+    mean_len, top = _ladder_stats(k, q, p)[:, k]
+    return float(cost_c * mean_len + lam * top)
 
 
 def optimal_threshold_cost(lam: float, cost_c: float, q: float, p: float,
@@ -128,11 +222,30 @@ def optimal_threshold_cost(lam: float, cost_c: float, q: float, p: float,
     Returns (best cost, argmin k); ties go to the smaller k.
     """
     best_cost, best_k = float(lam), -1
-    for k in range(0, k_max + 1):
-        c = threshold_average_cost(k, lam, cost_c, q, p)
+    means, tops = _ladder_stats(k_max, q, p).tolist()
+    for k, (mean_len, top) in enumerate(zip(means, tops)):
+        c = cost_c * mean_len + lam * top
         if c < best_cost - 1e-15:
             best_cost, best_k = c, k
     return best_cost, best_k
+
+
+def optimal_threshold_costs(lams: np.ndarray, cost_c: float, q: float,
+                            p: float, k_max: int = 60
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """optimal_threshold_cost at every charge in lams, bit for bit.
+
+    The same arithmetic and tie rule, one array operation per k.
+    """
+    lams = np.asarray(lams, dtype=float)
+    means, tops = _ladder_stats(k_max, q, p)
+    costs = cost_c * means[:, None] + lams * tops[:, None]
+    best, arg = lams.copy(), np.full(lams.shape, -1)
+    for k, c in enumerate(costs):
+        better = c < best - 1e-15
+        best[better] = c[better]
+        arg[better] = k
+    return best, arg
 
 
 def dominance_check(k: int, q: float, p: float) -> bool:
@@ -142,24 +255,29 @@ def dominance_check(k: int, q: float, p: float) -> bool:
     threshold-(k+1) chain by zero-padding the unreachable top row, and
     compares cumulative transition mass through the lower-triangular
     all-ones matrix U: (P @ U)[x, j] is the probability of moving from
-    x to a state >= j, so P1 U <= P2 U elementwise says the larger
-    threshold pushes every state upward at least as hard. Both chains
-    are slices of one transition_kernel(q, p, k+2).
+    x to a state >= j, so P1 U <= P2 U + 1e-12 elementwise says the
+    larger threshold pushes every state upward at least as hard. Both
+    chains are slices of one transition_kernel(q, p, k+2), and
+    tail_dominance makes the comparison.
     """
-    m = k + 3
-    return _dominated(*transition_kernel(q, p, k + 2), k,
-                      np.tril(np.ones((m, m))))
+    return bool(tail_dominance(*transition_kernel(q, p, k + 2))[k])
 
 
-def _dominated(active: np.ndarray, passive: np.ndarray, k: int,
-               u: np.ndarray) -> bool:
-    """dominance_check's comparison on a kernel over 0..n, n >= k+2.
+def tail_dominance(active: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """dominance_check's verdict for k = 0..n-2 of one kernel over 0..n.
 
-    u is the (k+3) x (k+3) matrix U, so a sweep over k can build each
-    kernel and each U once.
+    The padded chain k and chain k+1 share the active rows 0..k, so
+    P1 U <= P2 U + 1e-12 comes down to two rows. Row k+1 holds passive
+    row k+1 in chain k and active row k+1 in chain k+1: its passive
+    tail sums must not exceed the active ones. Row k+2 is zero in the
+    padded chain and passive row k+2 in chain k+1, whose tail sums must
+    be non-negative. A passive row stops at its own state and an active
+    row one above, so the tail sums of whole kernel rows, one reverse
+    cumulative sum each, are those of the chains' rows.
     """
-    m = k + 3
-    p1_pad = np.zeros((m, m))
-    p1_pad[: k + 2, : k + 2] = _chain_block(active, passive, k)
-    p2 = _chain_block(active, passive, k + 1)
-    return bool((p1_pad @ u <= p2 @ u + 1e-12).all())
+    def tails(m):
+        return np.cumsum(m[:, ::-1], axis=1)[:, ::-1]
+    ptail = tails(passive)
+    upper = (ptail[1:-1] <= tails(active[1:-1]) + 1e-12).all(axis=1)
+    lower = (0.0 <= ptail[2:] + 1e-12).all(axis=1)
+    return upper & lower

@@ -5,7 +5,7 @@ import pytest
 
 from psindex import (ConvergenceError, ServerParams, SystemConfig,
                      passive_kernel)
-from psindex import checks, whittle
+from psindex import checks, dp, whittle
 
 CFG = SystemConfig(arrival_p=0.4,
                    servers=(ServerParams(q=0.55, cost_c=30.0),
@@ -93,6 +93,26 @@ def test_chain_dominance_check():
     assert checks.check_chain_dominance(k_max=15).passed
 
 
+def _never_departs_from_six(kernels):
+    kernels[1][6] = 0.0
+    kernels[1][6, 6] = 1.0  # passive row 6 now sits above active row 6
+
+
+def test_chain_dominance_names_the_first_threshold_that_fails(monkeypatch):
+    """Row k+1 of the comparison is passive row k+1 against active row
+    k+1, so a passive row 6 that never departs fails threshold 5."""
+    real = checks.transition_kernel
+
+    def perturbed(*args):
+        out = real(*args)
+        _never_departs_from_six(out)
+        return out
+    monkeypatch.setattr(checks, "transition_kernel", perturbed)
+    res = checks.check_chain_dominance(k_max=15)
+    assert not res.passed
+    assert res.detail == "failed at k=5, q=0.2, p=0.1"
+
+
 def test_threshold_cost_curve_check():
     res = checks.check_threshold_cost_curve(CFG, k_max=40)
     assert res.passed
@@ -166,3 +186,22 @@ def test_run_property_suite_names_are_unique():
     assert len(names) == len(set(names))
     failed = [r.name for r in results if not r.passed]
     assert failed == []
+
+
+def test_a_stalled_solver_fails_its_check_and_the_suite_goes_on(monkeypatch):
+    """A ConvergenceError inside a check becomes that check's FAIL row,
+    with the solver's message, and run_property_suite still returns
+    every row."""
+    def stalled(*args, **kwargs):
+        raise ConvergenceError("relative value iteration did not reach "
+                               "span 1e-10 within 100000 sweeps")
+    monkeypatch.setattr(dp, "single_queue_rvi", stalled)
+    small = SystemConfig(arrival_p=0.4,
+                         servers=(ServerParams(q=0.55, cost_c=30.0),),
+                         buffer=5)
+    results = checks.run_property_suite(small)
+    assert len(results) == 9
+    failed = [(r.name, r.detail) for r in results if not r.passed]
+    assert failed == [("single_queue_structure",
+                       "relative value iteration did not reach span 1e-10 "
+                       "within 100000 sweeps")]

@@ -345,6 +345,9 @@ def test_indices_command_lets_a_plain_runtime_error_through(
 
 def test_properties_command_reports_a_failed_value_guard_without_traceback(
         tmp_path, capsys, monkeypatch):
+    """Every value solve fails its residual guard: the two checks that
+    solve value systems fail with the guard's message, the other seven
+    still run, and all nine rows reach the CSV."""
     path = tmp_path / "one.yaml"
     path.write_text("arrival_p: 0.4\nbuffer: 5\n"
                     "servers:\n  - {q: 0.55, cost_c: 30.0}\n")
@@ -352,9 +355,16 @@ def test_properties_command_reports_a_failed_value_guard_without_traceback(
     code = main(["properties", "--config", str(path),
                  "--out", str(tmp_path)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: value system residual")
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert ("FAIL  value_solver_consistency: value system residual"
+            in captured.out)
+    with open(tmp_path / "properties.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9
+    failed = {r["check"]: r["detail"] for r in rows if r["passed"] == "FAIL"}
+    assert sorted(failed) == ["index_agreement", "value_solver_consistency"]
+    assert all("value system residual" in d for d in failed.values())
 
 
 def test_simulate_reports_running_out_of_memory_without_traceback(

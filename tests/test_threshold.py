@@ -1,11 +1,15 @@
 """Threshold-policy chains: stationary laws, costs, dominance."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from psindex import (ServerParams, cumulative_active_mass, dominance_check,
                      optimal_threshold_cost, stationary_distribution,
-                     threshold_average_cost, threshold_chain)
+                     threshold_average_cost, threshold_chain,
+                     transition_kernel)
+from psindex import threshold
+from psindex.threshold import optimal_threshold_costs, stationary_ladder
 from psindex.whittle import _FixedThresholdSystem
 
 from conftest import binom_row, power_stationary
@@ -156,3 +160,149 @@ def test_raising_threshold_lifts_stationary_tails(q, p):
         tail_lo = lo_pad[::-1].cumsum()[::-1]
         tail_hi = hi[::-1].cumsum()[::-1]
         assert np.all(tail_lo <= tail_hi + 1e-12)
+
+
+def exact_law(k, q, p, dps=100):
+    """Stationary law of the threshold-k chain by mpmath's LU.
+
+    The chain's binomial laws come from mpmath.binomial on the same
+    doubles q and p, and pi (P - I) = 0 with sum(pi) = 1 is solved at
+    dps digits. The LU loses about -log10(min pi) digits to
+    cancellation, up to 49 on the chains below, so 100 digits leave
+    more than 50.
+    """
+    with mpmath.workdps(dps):
+        q, p = mpmath.mpf(q), mpmath.mpf(p)
+        m = k + 2
+        chain = mpmath.zeros(m, m)
+        for s in range(m):
+            r = q / s if s else mpmath.mpf(0)
+            for d in range(s + 1):
+                w = mpmath.binomial(s, d) * r ** d * (1 - r) ** (s - d)
+                if s <= k:
+                    chain[s, s - d] += w * (1 - p)
+                    chain[s, s - d + 1] += w * p
+                else:
+                    chain[s, s - d] += w
+        a = chain.T - mpmath.eye(m)
+        for j in range(m):
+            a[m - 1, j] = 1
+        b = mpmath.zeros(m, 1)
+        b[m - 1] = 1
+        pi = mpmath.lu_solve(a, b)
+        return [pi[i] for i in range(m)]
+
+
+@pytest.mark.parametrize("q,p", [(0.55, 0.9), (0.5, 0.9), (0.95, 0.4),
+                                 (0.9, 0.1), (0.55, 0.4)])
+def test_ladder_matches_a_high_precision_solve_entry_by_entry(q, p):
+    """Relative accuracy down to the smallest entry: pi(0) is 2.4e-19 at
+    (0.5, 0.9), k = 40, and the top mass 3.8e-24 at (0.95, 0.4)."""
+    laws = stationary_ladder(*transition_kernel(q, p, 63))
+    for k in (5, 20, 40):
+        exact = exact_law(k, q, p)
+        assert not laws[k + 2:, k].any()
+        for got, want in zip(laws[: k + 2, k], exact):
+            assert abs((mpmath.mpf(float(got)) - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("q,p", [(0.98, 0.02), (0.1, 0.9)])
+def test_ladder_rescales_past_float_range(q, p):
+    """On (0.98, 0.02) pi(0)/pi(k+1) passes 1e308 near k = 190, so an
+    unscaled recursion overflows; (0.1, 0.9) piles the mass on top.
+    Each chain from k = 0 to 250 comes from its own block, and the
+    ladder's residual guard has passed on every one of them."""
+    stats = threshold._ladder_stats(250, q, p)
+    assert stats.shape == (2, 251)
+    assert np.isfinite(stats).all()
+    assert np.min(np.diff(1.0 - stats[1])) >= -1e-12
+    laws = stationary_ladder(*transition_kernel(q, p, 255))
+    assert np.isfinite(laws).all()
+    assert np.allclose(laws.sum(axis=0), 1.0, rtol=0.0, atol=1e-14)
+
+
+def test_ladder_resolves_a_top_mass_the_general_solve_cannot():
+    """At (0.98, 0.02), k = 127, the top mass is about 1e-248, where
+    stationary_distribution's absolute roundoff reads 2.9e-17."""
+    assert cumulative_active_mass(127, 0.98, 0.02) == 1.0
+    top = threshold._ladder_stats(127, 0.98, 0.02)[1, 127]
+    assert 0.0 < top < 1e-240
+
+
+def _kernel():
+    return transition_kernel(0.5, 0.4, 4)
+
+
+def _nan_entry(active, passive):
+    active[2, 1] = np.nan
+
+
+def _short_row(active, passive):
+    active[2, 1] -= 1e-6
+
+
+def _negative_entry(active, passive):
+    passive[3, 1] += passive[3, 0] + 1e-3  # same row sum
+    passive[3, 0] = -1e-3
+
+
+def _skip_an_active_row(active, passive):
+    active[1] = 0.0
+    active[1, 0] = 1.0  # no way up from state 1
+
+
+@pytest.mark.parametrize("edit,phrase", [
+    (_nan_entry, "finite"),
+    (_short_row, "probability vectors"),
+    (_negative_entry, "probability vectors"),
+    (_skip_an_active_row, "stationary solve failed"),
+], ids=["nan", "row-sum", "negative", "reducible"])
+def test_ladder_rejects_a_malformed_kernel(edit, phrase):
+    active, passive = _kernel()
+    edit(active, passive)
+    with pytest.raises(ValueError, match=phrase):
+        stationary_ladder(active, passive)
+
+
+@pytest.mark.parametrize("edit,phrase", [
+    (lambda laws: laws.__setitem__((0, 1), -1e-300), "negative mass"),
+    (lambda laws: laws.__setitem__((0, 1), 1.001 * laws[0, 1]),
+     "residual exceeds tolerance"),
+], ids=["negative-mass", "residual"])
+def test_ladder_checks_the_laws_it_solves(monkeypatch, edit, phrase):
+    cut_balance = threshold._cut_balance
+
+    def perturbed(*args):
+        laws = cut_balance(*args)
+        edit(laws)
+        return laws
+    monkeypatch.setattr(threshold, "_cut_balance", perturbed)
+    with pytest.raises(ValueError, match=phrase):
+        stationary_ladder(*_kernel())
+
+
+def test_chain_figures_do_not_depend_on_earlier_calls():
+    """Chain k is read from the smallest block of model._BLOCK states
+    that holds it, whatever ladders are cached; the cache holds a few
+    blocks only."""
+    def figures():
+        return [threshold_average_cost(k, 1.7, 3.0, 0.55, 0.4)
+                for k in (0, 40, 62, 63, 126, 127)]
+    threshold._chain_stats.cache_clear()
+    cold = figures()
+    threshold._chain_stats.cache_clear()
+    threshold._ladder_stats(250, 0.55, 0.4)
+    assert figures() == cold
+    assert threshold._chain_stats.cache_info().maxsize <= 4
+
+
+@pytest.mark.parametrize("q,p,cost_c", [(0.55, 0.4, 30.0), (0.9, 0.5, 0.5),
+                                        (0.3, 0.2, 2.0), (0.95, 0.4, 1.0)])
+def test_optimal_threshold_costs_is_the_scalar_rule_bit_for_bit(q, p,
+                                                                cost_c):
+    lams = np.arange(-20.0, 20.0 + 1e-9, 0.25)
+    best, arg = optimal_threshold_costs(lams, cost_c, q, p, 60)
+    scalar = [optimal_threshold_cost(float(l), cost_c, q, p, 60)
+              for l in lams]
+    assert best.tolist() == [c for c, _ in scalar]
+    assert arg.tolist() == [k for _, k in scalar]
