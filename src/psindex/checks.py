@@ -41,7 +41,10 @@ def _fails_on_convergence(name: str):
     """Turn a ConvergenceError inside the check into its FAIL row.
 
     The row carries the solver's message, so one stalled solver fails
-    its own check and the suite still reports every row.
+    its own check and the suite still reports every row. It wraps the
+    three checks that run an iterative or guarded value solve; the
+    others only slice kernels or read the threshold ladder, which
+    raises ValueError.
     """
     def wrap(check):
         @functools.wraps(check)
@@ -54,7 +57,6 @@ def _fails_on_convergence(name: str):
     return wrap
 
 
-@_fails_on_convergence("departure_law_mean_and_mass")
 def check_departure_law(x_max: int = 200) -> CheckResult:
     """Each passive row has mass 1, and x - y has mean q when x >= 1."""
     states = np.arange(x_max + 1)
@@ -72,7 +74,6 @@ def check_departure_law(x_max: int = 200) -> CheckResult:
                        f"max deviation {worst:.3e}")
 
 
-@_fails_on_convergence("active_law_convolution")
 def check_active_law_is_convolution(x_max: int = 30) -> CheckResult:
     """Active rows must be passive rows convolved with the arrival.
 
@@ -97,7 +98,6 @@ def check_active_law_is_convolution(x_max: int = 30) -> CheckResult:
                        f"max gap {worst:.3e}")
 
 
-@_fails_on_convergence("passive_shift_monotone")
 def check_passive_shift_monotone(x_max: int = 60) -> CheckResult:
     """A longer backlog stays stochastically longer after departures.
 
@@ -116,7 +116,6 @@ def check_passive_shift_monotone(x_max: int = 60) -> CheckResult:
                        f"max CDF increase {worst:.3e}")
 
 
-@_fails_on_convergence("stationary_mass_monotone")
 def check_stationary_mass_monotone(k_max: int = 40) -> CheckResult:
     """The active mass 1 - pi(k+1) must not fall as k grows to k_max.
 
@@ -131,7 +130,6 @@ def check_stationary_mass_monotone(k_max: int = 40) -> CheckResult:
                        f"min mass increment {worst:.3e}")
 
 
-@_fails_on_convergence("chain_dominance")
 def check_chain_dominance(k_max: int = 40) -> CheckResult:
     """threshold.dominance_check over CHAIN_GRID and k = 0..k_max.
 
@@ -139,7 +137,7 @@ def check_chain_dominance(k_max: int = 40) -> CheckResult:
     """
     for q, p in CHAIN_GRID:
         dominated = threshold.tail_dominance(
-            *transition_kernel(q, p, k_max + 2))
+            *transition_kernel(q, p, k_max + 2))[1:]
         if not dominated.all():
             return CheckResult("chain_dominance", False,
                                f"failed at k={np.argmin(dominated)}, "
@@ -147,7 +145,6 @@ def check_chain_dominance(k_max: int = 40) -> CheckResult:
     return CheckResult("chain_dominance", True, "all grid points dominated")
 
 
-@_fails_on_convergence("threshold_cost_curve")
 def check_threshold_cost_curve(cfg: SystemConfig, k_max: int = 60
                                ) -> CheckResult:
     """Optimal threshold cost: concave, non-decreasing, slope <= 1."""

@@ -180,8 +180,8 @@ def _chain_stats(q: float, p: float, size: int) -> np.ndarray:
 
 def _ladder_stats(k_max: int, q: float, p: float) -> np.ndarray:
     """_chain_stats rows for chains k = 0..k_max, each from its block."""
-    if k_max < -1:
-        raise ValueError(f"k_max={k_max} must be >= -1")
+    if k_max < 0:
+        return np.empty((2, 0))
     last = -(-(k_max + 2) // _BLOCK) * _BLOCK
     parts = [_chain_stats(q, p, size)[:, max(size - _BLOCK - 1, 0):size - 1]
              for size in range(_BLOCK, last + 1, _BLOCK)]
@@ -221,21 +221,16 @@ def optimal_threshold_cost(lam: float, cost_c: float, q: float, p: float,
     non-decreasing in lam with slope at most 1 (the k = -1 line).
     Returns (best cost, argmin k); ties go to the smaller k.
     """
-    best_cost, best_k = float(lam), -1
-    means, tops = _ladder_stats(k_max, q, p).tolist()
-    for k, (mean_len, top) in enumerate(zip(means, tops)):
-        c = cost_c * mean_len + lam * top
-        if c < best_cost - 1e-15:
-            best_cost, best_k = c, k
-    return best_cost, best_k
+    best, arg = optimal_threshold_costs([lam], cost_c, q, p, k_max)
+    return float(best[0]), int(arg[0])
 
 
 def optimal_threshold_costs(lams: np.ndarray, cost_c: float, q: float,
                             p: float, k_max: int = 60
                             ) -> tuple[np.ndarray, np.ndarray]:
-    """optimal_threshold_cost at every charge in lams, bit for bit.
+    """optimal_threshold_cost at every charge in lams, one pass over k.
 
-    The same arithmetic and tie rule, one array operation per k.
+    A chain beats the best so far only below it by more than 1e-15.
     """
     lams = np.asarray(lams, dtype=float)
     means, tops = _ladder_stats(k_max, q, p)
@@ -258,16 +253,17 @@ def dominance_check(k: int, q: float, p: float) -> bool:
     x to a state >= j, so P1 U <= P2 U + 1e-12 elementwise says the
     larger threshold pushes every state upward at least as hard. Both
     chains are slices of one transition_kernel(q, p, k+2), and
-    tail_dominance makes the comparison.
+    tail_dominance makes the comparison, also for k = -1.
     """
-    return bool(tail_dominance(*transition_kernel(q, p, k + 2))[k])
+    return bool(tail_dominance(*transition_kernel(q, p, k + 2))[k + 1])
 
 
 def tail_dominance(active: np.ndarray, passive: np.ndarray) -> np.ndarray:
-    """dominance_check's verdict for k = 0..n-2 of one kernel over 0..n.
+    """dominance_check's verdicts for k = -1..n-2 of one kernel over 0..n.
 
-    The padded chain k and chain k+1 share the active rows 0..k, so
-    P1 U <= P2 U + 1e-12 comes down to two rows. Row k+1 holds passive
+    Entry k+1 holds threshold k. The padded chain k and chain k+1
+    share the active rows 0..k, so P1 U <= P2 U + 1e-12 comes down to
+    two rows. Row k+1 holds passive
     row k+1 in chain k and active row k+1 in chain k+1: its passive
     tail sums must not exceed the active ones. Row k+2 is zero in the
     padded chain and passive row k+2 in chain k+1, whose tail sums must
@@ -278,6 +274,6 @@ def tail_dominance(active: np.ndarray, passive: np.ndarray) -> np.ndarray:
     def tails(m):
         return np.cumsum(m[:, ::-1], axis=1)[:, ::-1]
     ptail = tails(passive)
-    upper = (ptail[1:-1] <= tails(active[1:-1]) + 1e-12).all(axis=1)
-    lower = (0.0 <= ptail[2:] + 1e-12).all(axis=1)
+    upper = (ptail[:-1] <= tails(active[:-1]) + 1e-12).all(axis=1)
+    lower = (0.0 <= ptail[1:] + 1e-12).all(axis=1)
     return upper & lower

@@ -9,7 +9,7 @@ from psindex import (ServerParams, cumulative_active_mass, dominance_check,
                      threshold_average_cost, threshold_chain,
                      transition_kernel)
 from psindex import threshold
-from psindex.threshold import optimal_threshold_costs, stationary_ladder
+from psindex.threshold import stationary_ladder
 from psindex.whittle import _FixedThresholdSystem
 
 from conftest import binom_row, power_stationary
@@ -128,6 +128,11 @@ def test_negative_charge_prefers_staying_passive():
     assert (cost, k) == (-5.0, -1)
 
 
+@pytest.mark.parametrize("k_max", [-1, -2])
+def test_no_threshold_to_try_leaves_the_never_active_rule(k_max):
+    assert optimal_threshold_cost(2.5, 1.0, 0.5, 0.4, k_max) == (2.5, -1)
+
+
 @pytest.mark.parametrize("k,q,p", GRID)
 def test_dominance_check_holds_on_grid(k, q, p):
     assert dominance_check(k, q, p)
@@ -142,6 +147,17 @@ def test_dominance_check_matches_two_separate_chains(q, p):
         up = np.tril(np.ones((k + 3, k + 3)))
         want = bool(np.all(lo @ up <= hi @ up + 1e-12))
         assert dominance_check(k, q, p) == want
+
+
+@pytest.mark.parametrize("q,p", PAIRS)
+def test_dominance_check_covers_the_never_active_rule(q, p):
+    """k = -1 keeps the queue at 0: its padded chain is passive row 0
+    on {0, 1}, which chain 0 dominates."""
+    lo = np.zeros((2, 2))
+    lo[0, 0] = 1.0
+    up = np.tril(np.ones((2, 2)))
+    assert np.all(lo @ up <= threshold_chain(0, q, p) @ up + 1e-12)
+    assert dominance_check(-1, q, p)
 
 
 @pytest.mark.parametrize("q,p", [(0.5, 0.4), (0.55, 0.4), (0.9, 0.5)])
@@ -294,15 +310,3 @@ def test_chain_figures_do_not_depend_on_earlier_calls():
     threshold._ladder_stats(250, 0.55, 0.4)
     assert figures() == cold
     assert threshold._chain_stats.cache_info().maxsize <= 4
-
-
-@pytest.mark.parametrize("q,p,cost_c", [(0.55, 0.4, 30.0), (0.9, 0.5, 0.5),
-                                        (0.3, 0.2, 2.0), (0.95, 0.4, 1.0)])
-def test_optimal_threshold_costs_is_the_scalar_rule_bit_for_bit(q, p,
-                                                                cost_c):
-    lams = np.arange(-20.0, 20.0 + 1e-9, 0.25)
-    best, arg = optimal_threshold_costs(lams, cost_c, q, p, 60)
-    scalar = [optimal_threshold_cost(float(l), cost_c, q, p, 60)
-              for l in lams]
-    assert best.tolist() == [c for c, _ in scalar]
-    assert arg.tolist() == [k for _, k in scalar]
