@@ -164,8 +164,10 @@ class RandomPolicy:
 
         rng.integers(num, size=k) yields the same values as k scalar
         rng.integers(num) calls, so however the draws are split into
-        blocks, the stream is one scalar draw per slot. The compiled
-        slot loop takes one block per block of slots.
+        blocks, the stream is one scalar draw per slot. The simulator's
+        compiled slot loop does not call this: it draws the same
+        scalar stream itself, numpy's bounded draw reproduced in C, so
+        a rule with choices promises exactly these draws.
         """
         num = self.num_servers
         return lambda k: rng.integers(num, size=k)

@@ -5,9 +5,10 @@ the policy for the active server, then draws departures for every
 queue and at most one Bernoulli arrival routed to the active queue,
 clamping at the buffer. One master seed expands into independent
 per-server departure streams, an arrival stream, and a policy stream,
-so different policies under the same seed face identical randomness.
-Departures are drawn by inverting per-length CDFs, read once per
-(q, buffer) from the reversed rows of model.passive_kernel and cached.
+numpy's SeedSequence(seed).spawn(num + 2), so different policies under
+the same seed face identical randomness. Departures are drawn by
+inverting per-length CDFs, read once per (q, buffer) from the reversed
+rows of model.passive_kernel and cached.
 
 Each slot consumes one uniform per queue and one arrival uniform
 whether or not it uses them, so how a kernel skips idle work changes
@@ -15,33 +16,37 @@ no report. An empty queue always has zero departures: the Python
 kernel draws each stream in blocks with numpy and does no bisection
 for an empty queue, and a slot with every queue empty adds nothing to
 the cost or length sums and reads no departure uniform at all. The
-compiled kernel draws the same uniforms itself, from numpy's PCG64
-stream reproduced in C, and takes every queue through the same
-branch-free steps, which leave those sums as they are.
+compiled kernel seeds the same streams and draws the same numbers
+itself, numpy's seeding and PCG64 stream reproduced in C, and takes
+every queue through the same branch-free steps, which leave those
+sums as they are.
 
 A policy whose decisions(cfg) gives a table is read there by the
-state's mixed-radix code (server 0 most significant); the random rule
-hands over its choices a block at a time through choices(rng). One
-loop object owns the streams and holds the state in the arrays that
-advance() of _slotloop.c updates in place, and picks its kernel once.
-A table or the random rule runs compiled; the system C compiler builds
-that kernel on the first call, at most once per process, and it is
-used only when its generator reproduces numpy's draws. The Python
-kernel is its reference and the fallback: it runs when no compiler
-built the loop or the generator self-test failed, and for any other
-policy (a wrapper, a grid too large for a table), which it asks
-through its selector once per slot, empty slots included. Both
-kernels give bit-identical reports; the test suite checks the flow
-identity next = current - departures + admissions slot by slot on
-each.
+state's mixed-radix code (server 0 most significant). The random rule,
+a policy with choices(rng), draws Generator.integers(num) once per
+slot on the policy stream: the Python kernel through choices, a block
+at a time, and the compiled kernel in C. One loop object holds the
+state in the arrays that advance() of _slotloop.c updates in place,
+and picks its kernel once. A table or the random rule runs compiled;
+the system C compiler builds that kernel on the first call, at most
+once per process, and it is used only when its seeding and draws
+reproduce numpy's. The Python kernel is its reference and the
+fallback: it runs when no compiler built the loop or the self-test
+failed, and for any other policy (a wrapper, a grid too large for a
+table), which it asks through its selector once per slot, empty slots
+included. Both kernels give bit-identical reports; the test suite
+checks the flow identity next = current - departures + admissions
+slot by slot on each.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,37 +86,93 @@ def _departure_cdfs(q: float, max_x: int) -> _CdfRows:
     return out
 
 
-def _pcg_words(streams) -> np.ndarray:
-    """The streams' PCG64 states, then their increments, as u128 words.
+class _Bank(NamedTuple):
+    """What the slot loop reads of a bank, whatever the seed.
 
-    Each 128-bit value is two little-endian uint64 words at a 16-byte
-    boundary, the layout advance() of _slotloop.c reads and updates.
-    Only a fresh PCG64 stream, with no buffered 32-bit half, fits it.
+    costs, cdfs (the _departure_cdfs rows per server) and stride (the
+    state code's place values, server 0 first: the code is 0 iff every
+    queue is empty) serve the Python kernel. arrays holds the same as
+    the compiled kernel reads them, read-only: the costs, every server's
+    flat CDF rows back to back, the stride, and a zero stride for a
+    loop without a table, which never reads the code (a grid without
+    one can pass 2**64). addresses holds their addresses.
     """
-    states = [s.bit_generator.state for s in streams]
-    if any(s["bit_generator"] != "PCG64" or s["has_uint32"]
-           for s in states):
-        raise ValueError("the slot loop draws only from fresh PCG64 streams")
-    values = ([s["state"]["state"] for s in states]
-              + [s["state"]["inc"] for s in states])
-    words = [w for v in values for w in (v % 2**64, v >> 64)]
-    room = np.empty(len(words) + 1, np.uint64)
-    start = -room.ctypes.data % 16 // 8
-    out = room[start:start + len(words)]
-    out[:] = words
-    return out
+
+    costs: tuple[float, ...]
+    cdfs: tuple[_CdfRows, ...]
+    stride: tuple[int, ...]
+    arrays: tuple[np.ndarray, ...]
+    addresses: tuple[int, ...]
 
 
-def _reproduces_numpy(uniforms) -> bool:
-    """Whether uniforms() of _slotloop.c gives default_rng's random()."""
-    rng = np.random.default_rng(20140905)
-    try:
-        gen = _pcg_words([rng])
-    except ValueError:
+@lru_cache(maxsize=8)
+def _bank(cfg: SystemConfig) -> _Bank:
+    """cfg's _Bank, built once per bank and shared read-only."""
+    num, buffer = cfg.num_servers, cfg.buffer
+    costs = tuple(s.cost_c for s in cfg.servers)
+    cdfs = tuple(_departure_cdfs(s.q, buffer) for s in cfg.servers)
+    stride = tuple((buffer + 1) ** (num - 1 - i) for i in range(num))
+    # A table's grid fits 2**22, so a stride past int64 is never read.
+    wide = stride[0] >= 2 ** 63
+    arrays = (np.array(costs, float),
+              np.concatenate([c.flat for c in cdfs]),
+              np.array((0,) * num if wide else stride, np.int64),
+              np.zeros(num, np.int64))
+    for a in arrays:
+        a.flags.writeable = False
+    return _Bank(costs, cdfs, stride, arrays,
+                 tuple(a.ctypes.data for a in arrays))
+
+
+def _seeded(seed_streams, seed: int, streams: int) -> np.ndarray:
+    """The words seed() of _slotloop.c fills for seed's streams.
+
+    seed_streams is that seed(); the result is the PCG64 state of
+    every child of SeedSequence(seed).spawn(streams), then their
+    increments, then the last stream's 32-bit buffer, each value two
+    little-endian uint64 words at a 16-byte boundary, the layout
+    advance() reads and updates.
+    """
+    seed = operator.index(seed)
+    words = max(1, -(-seed.bit_length() // 32))
+    room = np.empty(4 * streams + 3, np.uint64)
+    address = room.ctypes.data
+    start = -address % 16 // 8
+    seed_streams(seed.to_bytes(4 * words, "little"), words, streams,
+                 address + 8 * start)
+    return room[start:start + 4 * streams + 2]
+
+
+# The self-test's seed: six 32-bit words, past SeedSequence's pool of
+# four, so every step of its hashmix runs.
+_SELF_TEST_SEED = 2 ** 165 + 20140905
+
+
+def _reproduces_numpy(lib) -> bool:
+    """Whether seed(), uniforms() and integers() of _slotloop.c give
+    numpy's: the PCG64 states of SeedSequence(seed).spawn(3), and the
+    first child's Generator.random() and Generator.integers() draws,
+    the latter in odd counts so that a buffered 32-bit half carries
+    over, and at a bound that rejects a quarter of them."""
+    children = np.random.SeedSequence(_SELF_TEST_SEED).spawn(3)
+    words = _seeded(lib.seed, _SELF_TEST_SEED, 3).tolist()
+    states = [np.random.PCG64(c).state["state"] for c in children]
+    values = ([s["state"] for s in states] + [s["inc"] for s in states]
+              + [0])
+    if words != [w for v in values for w in (v % 2 ** 64, v >> 64)]:
         return False
+    gen = _seeded(lib.seed, _SELF_TEST_SEED, 1)
+    rng = np.random.default_rng(children[0])
     got = np.empty(48)
-    uniforms(got.size, gen.ctypes.data, got.ctypes.data)
-    return got.tolist() == rng.random(got.size).tolist()
+    lib.uniforms(got.size, gen.ctypes.data, got.ctypes.data)
+    if got.tolist() != rng.random(got.size).tolist():
+        return False
+    for num in (3, 3 * 2 ** 30 + 1):
+        drawn = np.empty(47, np.int64)
+        lib.integers(drawn.size, num, gen.ctypes.data, drawn.ctypes.data)
+        if drawn.tolist() != rng.integers(num, size=drawn.size).tolist():
+            return False
+    return True
 
 
 @cache
@@ -120,10 +181,10 @@ def _slot_loop():
 
     Built at most once per process: `cc` compiles the shipped source
     into a temporary directory and ctypes loads the result. Without a
-    compiler, when the build or the load fails, or when the library's
-    uniforms() does not reproduce numpy's Generator.random() (another
-    stream in a future numpy, a big-endian host), the result is None
-    and the compiler's output is swallowed.
+    compiler, when the build or the load fails, or when the library
+    does not reproduce numpy's seeding and draws (another stream in a
+    future numpy, a big-endian host), the result is None and the
+    compiler's output is swallowed.
     """
     import shutil
     import subprocess
@@ -141,15 +202,16 @@ def _slot_loop():
                             "-fPIC", "-o", path, str(source)],
                            capture_output=True, check=True, timeout=120)
             lib = ctypes.CDLL(path)
-            advance, uniforms = lib.advance, lib.uniforms
+            entries = lib.advance, lib.seed, lib.uniforms, lib.integers
         except (ImportError, OSError, subprocess.SubprocessError):
             return None
-    advance.argtypes = ([ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7
-                        + [ctypes.c_double] + [ctypes.c_void_p] * 2)
-    advance.restype = None
-    uniforms.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-    uniforms.restype = None
-    return lib if _reproduces_numpy(uniforms) else None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    signatures = ([i64] * 3 + [ptr] * 7 + [ctypes.c_double, ptr],
+                  [ctypes.c_char_p, i64, i64, ptr], [i64, ptr, ptr],
+                  [i64, i64, ptr, ptr])
+    for entry, argtypes in zip(entries, signatures):
+        entry.argtypes, entry.restype = argtypes, None
+    return lib if _reproduces_numpy(lib) else None
 
 
 class DepartureSampler:
@@ -194,58 +256,50 @@ class _SlotLoop:
     """The slot loop's streams, its state, and the kernel that advances
     it a block at a time.
 
-    streams are seed's num + 2 generators: one per server's departures,
-    then the arrivals, then the policy's. The state is the three arrays
-    advance() of _slotloop.c updates in place: x, the queue lengths;
-    counts, the state code and the drops; acc, the cost sum and then
-    one length sum per server. The kernel is picked once: a decision
-    table, or the random rule's choices, runs compiled when the loop
-    was built, drawing the departure and arrival uniforms from gen, the
-    PCG64 words of the first num + 1 streams, which it updates in
-    place. Every other policy runs on the Python kernel, the reference
-    and the fallback, which draws those uniforms from the streams in
-    numpy blocks, asks the policy's selector once per slot and leaves
-    counts[0] at zero.
+    seed's streams are the num + 2 children of SeedSequence(seed): one
+    per server's departures, then the arrivals, then the policy's. The
+    state is the three arrays advance() of _slotloop.c updates in
+    place: x, the queue lengths; counts, the state code and the drops;
+    acc, the cost sum and then one length sum per server. The kernel is
+    picked once. A decision table, or the random rule (a policy with
+    choices), runs compiled when the loop was built: gen holds the
+    streams as seed() of _slotloop.c seeds them, which advance() draws
+    from and updates in place, the random rule's choices included, and
+    no numpy Generator is built. Every other policy runs on the Python
+    kernel, the reference and the fallback: streams holds the children
+    as numpy Generators, the departure and arrival uniforms are drawn
+    in numpy blocks, the policy's selector is asked once per slot, and
+    counts[0] stays at zero.
     """
 
     def __init__(self, cfg: SystemConfig, policy, seed: int):
-        num, buffer = cfg.num_servers, cfg.buffer
-        self.streams = [np.random.default_rng(child) for child
-                        in np.random.SeedSequence(seed).spawn(num + 2)]
-        pol_rng = self.streams[-1]
-        self.arrival_p = cfg.arrival_p
+        num = cfg.num_servers
+        self.arrival_p, self.buffer = cfg.arrival_p, cfg.buffer
         self.x = np.zeros(num, np.int64)
         self.counts = np.zeros(2, np.int64)
         self.acc = np.zeros(num + 1)
-        self.buffer = buffer
-        self.costs = [s.cost_c for s in cfg.servers]
-        self.cdfs = [_departure_cdfs(s.q, buffer) for s in cfg.servers]
-        # Place values of the state code, server 0 first: 0 iff all empty.
-        self.stride = [(buffer + 1) ** (num - 1 - i) for i in range(num)]
+        self.bank = bank = _bank(cfg)
         table_of = getattr(policy, "decisions", None)
         self.dec = dec = table_of(cfg) if table_of is not None else None
-        choices = getattr(policy, "choices", None) if dec is None else None
-        lib = (_slot_loop() if dec is not None or choices is not None
+        lib = (_slot_loop() if dec is not None or hasattr(policy, "choices")
                else None)
         self.compiled = lib.advance if lib is not None else None
-        if self.compiled is None:
-            self.select = policy.selector(pol_rng) if dec is None else None
+        if lib is None:
+            self.streams = [np.random.default_rng(child) for child
+                            in np.random.SeedSequence(seed).spawn(num + 2)]
+            self.select = (policy.selector(self.streams[-1]) if dec is None
+                           else None)
             return
-        self.draw = choices(pol_rng) if choices is not None else None
-        self.gen = _pcg_words(self.streams[:num + 1])
-        # args points into pinned. The code is read only with a table,
-        # whose grid fits 2**22, so without one the stride is zero.
-        self.pinned = (self.x, self.counts, self.acc,
-                       np.array(self.costs, float),
-                       np.concatenate([c.flat for c in self.cdfs]),
-                       np.array(self.stride if dec is not None else [0] * num,
-                                np.int64),
-                       self.gen)
-        self.args = (num, buffer, *(a.ctypes.data for a in self.pinned),
-                     cfg.arrival_p, dec)
+        self.gen = _seeded(lib.seed, seed, num + 2)
+        # args points into the arrays, gen and the bank, all kept here.
+        costs, cdfs, stride, zero = bank.addresses
+        self.args = (num, cfg.buffer, *(a.ctypes.data for a in
+                                        (self.x, self.counts, self.acc)),
+                     costs, cdfs, stride if dec is not None else zero,
+                     self.gen.ctypes.data, cfg.arrival_p, dec)
 
     def advance(self, block: int) -> None:
-        """Run the next block of slots on the next uniforms."""
+        """Run the next block of slots on the next draws."""
         if self.compiled is None:
             *dep_rngs, arr_rng, _ = self.streams
             dep_u = np.empty((len(dep_rngs), block))
@@ -253,20 +307,20 @@ class _SlotLoop:
                 rng.random(out=row)
             self._python(dep_u, arr_rng.random(block) < self.arrival_p)
             return
-        choice = self.draw(block) if self.draw is not None else None
-        self.compiled(block, *self.args,
-                      None if choice is None else choice.ctypes.data)
+        self.compiled(block, *self.args)
 
     def _python(self, dep_u: np.ndarray, arr: np.ndarray) -> None:
         # The code stays a Python int: a grid without a table can pass
         # 2**64, where counts[0] would wrap.
-        x, stride, buffer = self.x.tolist(), self.stride, self.buffer
+        x, buffer = self.x.tolist(), self.buffer
+        bank = self.bank
+        costs, cdfs, stride = bank.costs, bank.cdfs, bank.stride
         dec, select = self.dec, self.select
         code = sum(map(int.__mul__, x, stride))
         cost_acc, *len_acc = self.acc.tolist()
         drops = int(self.counts[1])
         arr = arr.tolist()
-        lanes = list(zip(range(len(x)), self.costs, self.cdfs,
+        lanes = list(zip(range(len(x)), costs, cdfs,
                          (row.tolist() for row in dep_u), stride))
         for j in range(len(arr)):
             a = dec[code] if dec is not None else select(x)

@@ -7,8 +7,8 @@ stop one step above the threshold. The convention k = -1 means never
 active, whose recurrent class is the single state {0}. Every chain is
 threshold_rows of model.transition_kernel. stationary_ladder solves
 every threshold chain of one kernel at once by cut balance, and
-stationary_distribution is the general solve that dp's joint policy
-chains use.
+stationary_distribution is the general GTH solve that dp's joint
+policy chains use.
 """
 
 from __future__ import annotations
@@ -50,7 +50,12 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 
     P must be irreducible on its states, as a threshold chain is for
     q, p in (0,1) and a joint policy chain on its reachable class; the
-    linear system then has a unique solution.
+    solution is then unique. GTH elimination (Grassmann, Taksar &
+    Heyman, Oper. Res. 33, 1985) censors the states out from the last:
+    each step divides by the mass leaving state k for the states below,
+    a sum of non-negative terms, and adds non-negative products, and
+    pi is back-substituted from pi(0) = 1. Nothing is subtracted, so
+    every entry keeps its relative accuracy however small it is.
     """
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("transition matrix must be square")
@@ -59,18 +64,19 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     if (P < 0.0).any() or not np.abs(P.sum(axis=1) - 1.0).max() <= 1e-10:
         raise ValueError("rows must be probability vectors")
     n = len(P)
-    A = P.T.copy()
-    A.ravel()[:: n + 1] -= 1.0  # P^T - I
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as e:
-        raise ValueError(f"malformed chain, stationary solve failed: {e}")
+    a = np.array(P, dtype=float)
+    for k in range(n - 1, 0, -1):
+        down = a[k, :k].sum()
+        if not down > 0.0:
+            raise ValueError("malformed chain, stationary solve failed: "
+                             f"state {k} leaves for no lower state")
+        a[:k, k] /= down
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.ones(n)
+    for k in range(1, n):
+        pi[k] = pi[:k] @ a[:k, k]
     if (pi < -STATIONARY_TOL).any():
         raise ValueError("stationary solve produced negative mass")
-    pi = pi.clip(0.0, None)
     pi /= pi.sum()
     if not np.abs(pi @ P - pi).max() <= STATIONARY_TOL:
         raise ValueError("stationary residual exceeds tolerance")

@@ -372,6 +372,8 @@ def test_simulate_reports_running_out_of_memory_without_traceback(
     def exhausted(q, buffer):
         raise MemoryError("Unable to allocate 1.49 GiB")
     monkeypatch.setattr(sim, "_departure_cdfs", exhausted)
+    # A bank built earlier in this process would read no CDF row.
+    sim._bank.cache_clear()
     code = main(["simulate", "--config", str(config_path), "--policy", "cmu",
                  "--out", str(tmp_path)])
     assert code == 1

@@ -1,6 +1,5 @@
 """Slotted simulator: sampling, accounting, reproducibility, comparison."""
 
-import copy
 import functools
 import gc
 import json
@@ -112,12 +111,16 @@ def test_flat_cdfs_pad_each_row_with_a_sentinel(q, max_x):
         assert flat[at + x + 1] == 1.0
 
 
-def test_simulate_reuses_the_cached_departure_cdfs():
+def test_simulate_reuses_the_cached_departure_cdfs(slot_loop):
+    """One CDF build per q and one bank per config, whatever the seed."""
     _departure_cdfs.cache_clear()
+    sim._bank.cache_clear()
     simulate(TWO, _cmu(TWO), horizon=100, burn_in=0, seed=0)
     simulate(TWO, RandomPolicy(2), horizon=100, burn_in=0, seed=1)
     info = _departure_cdfs.cache_info()
-    assert (info.misses, info.hits) == (2, 2)  # one build per q
+    assert (info.misses, info.hits) == (2, 0)
+    info = sim._bank.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     assert DepartureSampler(0.55, 50)._cdfs[7] is _departure_cdfs(0.55, 50)[7]
 
 
@@ -367,27 +370,30 @@ def _compiled():
     return lib
 
 
-# A compiler that builds the shipped source with one bit of the PCG64
-# multiplier flipped, as a C generator off numpy's stream would be.
+# A compiler that builds the shipped source with one bit of a constant
+# flipped, as C off numpy's streams would be: the PCG64 multiplier, or
+# SeedSequence's first hash constant.
 _MISMATCHING_CC = """#!{python}
 import subprocess, sys
 from pathlib import Path
 *args, source = sys.argv[1:]
 text = Path(source).read_text()
-assert "0x4385DF649FCCF645ULL" in text
+assert {old!r} in text
 copy = Path({tmp!r}) / "mismatching.c"
-copy.write_text(text.replace("0x4385DF649FCCF645ULL", "0x4385DF649FCCF647ULL"))
+copy.write_text(text.replace({old!r}, {new!r}))
 sys.exit(subprocess.run([{cc!r}, *args, str(copy)]).returncode)
 """
+_FLIPPED = {"mismatching generator": ("0x4385DF649FCCF645ULL",
+                                      "0x4385DF649FCCF647ULL"),
+            "mismatching seeding": ("0x43b0d7e5u", "0x43b0d7e7u")}
 
 
-@pytest.mark.parametrize("compiler", ["absent", "failing",
-                                      "mismatching generator"])
+@pytest.mark.parametrize("compiler", ["absent", "failing", *_FLIPPED])
 def test_simulate_falls_back_silently_when_no_loop_builds(
         compiler, monkeypatch, capfd, tmp_path):
     """No `cc` on the path, one that fails loudly, or one whose build
-    fails the generator self-test: the Python loop gives the same
-    reports and nothing reaches stdout or stderr."""
+    fails the self-test: the Python loop gives the same reports and
+    nothing reaches stdout or stderr."""
     found = None
     if compiler != "absent":
         if os.name != "posix":
@@ -400,8 +406,10 @@ def test_simulate_falls_back_silently_when_no_loop_builds(
             real = shutil.which("cc")
             if real is None:
                 pytest.skip("no C compiler on the path")
+            flip_from, flip_to = _FLIPPED[compiler]
             script.write_text(_MISMATCHING_CC.format(
-                python=sys.executable, tmp=str(tmp_path), cc=real))
+                python=sys.executable, tmp=str(tmp_path), cc=real,
+                old=flip_from, new=flip_to))
         script.chmod(0o755)
         found = str(script)
     rules = [_cmu(TWO), RandomPolicy(2)]
@@ -415,7 +423,7 @@ def test_simulate_falls_back_silently_when_no_loop_builds(
             for r in rules] == want
     assert sim._slot_loop() is None
     assert capfd.readouterr() == ("", "")
-    if compiler == "mismatching generator":
+    if compiler in _FLIPPED:
         assert (tmp_path / "mismatching.c").exists()
 
 
@@ -429,7 +437,8 @@ def test_the_compiled_loop_runs_for_tables_and_the_random_rule(
         return built.advance(*args)
 
     monkeypatch.setattr(sim, "_slot_loop",
-                        lambda: SimpleNamespace(advance=counted))
+                        lambda: SimpleNamespace(advance=counted,
+                                                seed=built.seed))
     runs = {"table": (_cmu(TWO), {}), "random": (RandomPolicy(2), {}),
             "checkpoints": (_cmu(TWO), {"checkpoints": 4}),
             "selector": (_SelectorOnly(_cmu(TWO)), {})}
@@ -507,9 +516,9 @@ def test_flow_step_rejects_inconsistent_slots():
 def test_every_slot_conserves_flow(cfg, rule, slot_loop):
     """One slot per advance(1) call, checked against DepartureSampler
     and the server the rule picks, on whichever kernel the rule gets.
-    The expected uniforms come from lockstep copies of the loop's own
-    streams, so on the compiled kernel this also checks its generator
-    slot by slot."""
+    The expected draws come from lockstep numpy streams of the same
+    seed, so on the compiled kernel this also checks its seeding and
+    its generator slot by slot."""
     cmu, num, buffer = _cmu(cfg), cfg.num_servers, cfg.buffer
     policy = {"cmu": cmu, "random": RandomPolicy(num),
               "selector": _SelectorOnly(cmu)}[rule]
@@ -517,7 +526,7 @@ def test_every_slot_conserves_flow(cfg, rule, slot_loop):
     assert (loop.compiled is not None) == (slot_loop == "compiled"
                                            and rule != "selector")
     # Both kernels draw the random rule's choices as its scalar stream.
-    *dep_rngs, arr_rng, lockstep = copy.deepcopy(loop.streams)
+    *dep_rngs, arr_rng, lockstep = _numpy_streams(3, num + 2)
     table = cmu.decisions(cfg) if rule != "random" else None
     stride = [(buffer + 1) ** (num - 1 - i) for i in range(num)]
     samplers = [DepartureSampler(s.q, buffer) for s in cfg.servers]
@@ -548,40 +557,153 @@ def test_every_slot_conserves_flow(cfg, rule, slot_loop):
 # ---------------------------------------------------------------- #
 
 
+def _numpy_streams(seed, streams):
+    """seed's streams as the Python kernel builds them."""
+    return [np.random.default_rng(child) for child
+            in np.random.SeedSequence(seed).spawn(streams)]
+
+
+def _pcg_state(gen, streams, i):
+    """Stream i of seed()'s words as numpy's PCG64 state; the 32-bit
+    buffer after the increments is the last stream's."""
+    words = [int(w) for w in gen]
+    assert len(words) == 4 * streams + 2
+
+    def value(k):
+        return words[2 * k] | words[2 * k + 1] << 64
+
+    last = i == streams - 1
+    return {"bit_generator": "PCG64",
+            "state": {"state": value(i), "inc": value(streams + i)},
+            "has_uint32": words[-2] if last else 0,
+            "uinteger": words[-1] if last else 0}
+
+
+SEEDS = [0, 1, 12, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 5, 2 ** 63 + 5, 2 ** 64,
+         2 ** 70 + 3, 2 ** 128, 2 ** 165 + 77]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compiled_seeding_is_numpy_spawn(seed):
+    """seed() gives every child of SeedSequence(seed).spawn(k) the
+    PCG64 state numpy gives it, for seeds of one to six words."""
+    lib = _compiled()
+    for streams in (1, 3, 11):
+        gen = sim._seeded(lib.seed, seed, streams)
+        want = [rng.bit_generator.state
+                for rng in _numpy_streams(seed, streams)]
+        assert [_pcg_state(gen, streams, i)
+                for i in range(streams)] == want, streams
+
+
 @pytest.mark.parametrize("seed", [0, 1, 12, 2 ** 63 + 5])
 def test_compiled_uniforms_are_numpy_random(seed):
     """numpy's PCG64 random() reproduced in C, over 6 * 10**5 draws:
     every XSL-RR rotation and the 53-bit conversion come up."""
-    uniforms = _compiled().uniforms
-    rng = np.random.default_rng(seed)
-    gen = sim._pcg_words([rng])
+    lib = _compiled()
+    gen = sim._seeded(lib.seed, seed, 1)
+    [rng] = _numpy_streams(seed, 1)
     got = np.empty(200_000)
     for _ in range(3):
-        uniforms(got.size, gen.ctypes.data, got.ctypes.data)
+        lib.uniforms(got.size, gen.ctypes.data, got.ctypes.data)
         assert np.array_equal(got, rng.random(got.size))
+
+
+@pytest.mark.parametrize("num", range(1, 10))
+def test_compiled_choices_are_numpy_integers(num):
+    """Generator.integers(num) reproduced in C, in blocks of 1, 999 and
+    70 000: integers() gives numpy's draws, and the random rule's loop
+    leaves its policy stream, 32-bit buffer included, where numpy's
+    stream is after the same draws. One server draws nothing."""
+    lib = _compiled()
+    cfg = SystemConfig(arrival_p=0.5, buffer=20,
+                       servers=(ServerParams(q=0.6, cost_c=1.0),) * num)
+    gen = sim._seeded(lib.seed, num, 1)
+    [rng] = _numpy_streams(num, 1)
+    loop = sim._SlotLoop(cfg, RandomPolicy(num), num)
+    assert loop.compiled is not None
+    lockstep = _numpy_streams(num, num + 2)[-1]
+    for block in (1, 999, 70_000):
+        got = np.empty(block, np.int64)
+        lib.integers(block, num, gen.ctypes.data, got.ctypes.data)
+        assert np.array_equal(got, rng.integers(num, size=block)), block
+        loop.advance(block)
+        lockstep.integers(num, size=block)
+        assert (_pcg_state(loop.gen, num + 2, num + 1)
+                == lockstep.bit_generator.state), block
+    if num == 1:
+        assert lockstep.bit_generator.state == _numpy_streams(
+            num, num + 2)[-1].bit_generator.state
+
+
+@pytest.mark.parametrize("num", range(1, 10))
+def test_compiled_choices_carry_across_burn_in(num, monkeypatch):
+    """Blocks of 999, 65 536 and 4 465 slots, split at the burn-in and
+    at a block of draws: the compiled random rule gives the Python
+    kernel's report, its 32-bit buffer carried from block to block."""
+    _compiled()
+    cfg = SystemConfig(arrival_p=0.8, buffer=20,
+                       servers=(ServerParams(q=0.3, cost_c=1.0),) * num)
+    rule = RandomPolicy(num)
+    compiled = simulate(cfg, rule, horizon=71_000, burn_in=999, seed=num)
+    monkeypatch.setattr(sim, "_slot_loop", lambda: None)
+    assert simulate(cfg, rule, horizon=71_000, burn_in=999,
+                    seed=num) == compiled
 
 
 @pytest.mark.parametrize("rule", ["cmu", "random"])
 def test_the_pinned_states_continue_the_numpy_streams(rule):
     """After compiled blocks, each state the loop left in its pinned
-    words, loaded back into numpy's PCG64, gives numpy's next draws."""
+    words is numpy's state after the same draws: one uniform per slot
+    on every departure stream and the arrival stream, and one choice
+    per slot on the random rule's policy stream."""
     _compiled()
     policy = _cmu(THREE) if rule == "cmu" else RandomPolicy(3)
     loop = sim._SlotLoop(THREE, policy, 7)
     assert loop.compiled is not None
-    lockstep = copy.deepcopy(loop.streams[:4])
+    lockstep = _numpy_streams(7, 5)
     for block in (1, 999, 70_000):
         loop.advance(block)
-        words = [int(w) for w in loop.gen]
-        values = [lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]
-        for i, rng in enumerate(lockstep):
+        for rng in lockstep[:4]:
             rng.random(block)
-            bits = np.random.PCG64()
-            bits.state = {"bit_generator": "PCG64",
-                          "state": {"state": values[i], "inc": values[4 + i]},
-                          "has_uint32": 0, "uinteger": 0}
-            assert np.array_equal(np.random.Generator(bits).random(50),
-                                  copy.deepcopy(rng).random(50)), (block, i)
+        if rule == "random":
+            lockstep[4].integers(3, size=block)
+        for i, rng in enumerate(lockstep):
+            assert (_pcg_state(loop.gen, 5, i)
+                    == rng.bit_generator.state), (block, i)
+
+
+def test_the_compiled_loop_builds_no_numpy_generator(monkeypatch):
+    """A table or the random rule runs with neither a SeedSequence nor
+    a Generator: _slotloop.c seeds and draws every stream."""
+    _compiled()
+    rules = [_cmu(THREE), RandomPolicy(3)]
+    want = [simulate(THREE, r, horizon=5_000, burn_in=100, seed=2 ** 64)
+            for r in rules]
+
+    def refused(*args, **kw):
+        raise AssertionError("a numpy stream on the compiled path")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    monkeypatch.setattr(np.random, "SeedSequence", refused)
+    assert [simulate(THREE, r, horizon=5_000, burn_in=100, seed=2 ** 64)
+            for r in rules] == want
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2 ** 64 - 1),
+                                  np.uint32(2 ** 32 - 1), 2 ** 32,
+                                  2 ** 32 + 1, 2 ** 64, 2 ** 64 + 3,
+                                  2 ** 128, 2 ** 128 + 9])
+@pytest.mark.parametrize("policy", ["cmu", "random"])
+def test_numpy_and_wide_seeds_give_the_numpy_streams(seed, policy,
+                                                     slot_loop):
+    """NumPy integers, and seeds of two to five 32-bit words, give the
+    reports of SeedSequence(seed)'s streams on both kernels."""
+    rule = _cmu(TWO) if policy == "cmu" else RandomPolicy(2)
+    report = simulate(TWO, rule, horizon=4_000, burn_in=500, seed=seed)
+    want = _slot_by_slot(TWO, rule, 4_000, 500, seed)
+    assert (report.avg_cost, report.mean_lengths, report.drop_count) == want
+    assert report.seed == seed
 
 
 def _deterministic_rules(cfg):

@@ -237,12 +237,27 @@ def test_ladder_rescales_past_float_range(q, p):
     assert np.allclose(laws.sum(axis=0), 1.0, rtol=0.0, atol=1e-14)
 
 
-def test_ladder_resolves_a_top_mass_the_general_solve_cannot():
-    """At (0.98, 0.02), k = 127, the top mass is about 1e-248, where
-    stationary_distribution's absolute roundoff reads 2.9e-17."""
+def test_ladder_resolves_a_top_mass_of_1e_248():
+    """At (0.98, 0.02), k = 127, the top mass is about 1e-248."""
     assert cumulative_active_mass(127, 0.98, 0.02) == 1.0
     top = threshold._ladder_stats(127, 0.98, 0.02)[1, 127]
     assert 0.0 < top < 1e-240
+
+
+def test_general_solve_resolves_the_ladders_top_mass():
+    """GTH keeps relative accuracy where an LU solve of pi (P - I) = 0
+    read 2.9e-17 for a top mass of 8.6e-249."""
+    top = threshold._ladder_stats(127, 0.98, 0.02)[1, 127]
+    pi = stationary_distribution(threshold_chain(127, 0.98, 0.02))
+    assert pi[-1] == pytest.approx(top, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("q,p", [(0.55, 0.4), (0.3, 0.8), (0.98, 0.02)])
+def test_general_solve_matches_the_ladder_entry_by_entry(q, p):
+    laws = stationary_ladder(*transition_kernel(q, p, 60))
+    for k in range(60):
+        pi = stationary_distribution(threshold_chain(k, q, p))
+        assert np.allclose(pi, laws[: k + 2, k], rtol=1e-12, atol=0.0), k
 
 
 def _kernel():
