@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,10 @@ def single_queue_rvi(lam: float, server: ServerParams, arrival_p: float,
             return SingleQueueSolution(lam=lam, n=n, v=v, beta=beta,
                                        policy=qa <= qp, sweeps=sweep,
                                        span=span)
+        if not math.isfinite(span):  # NaN never passes span <= tol
+            raise ConvergenceError(
+                f"relative value iteration span is {span!r} at sweep "
+                f"{sweep}: the values are no longer finite", residual=span)
     raise ConvergenceError(
         f"relative value iteration did not reach span {tol:g} within "
         f"{max_sweeps} sweeps (last span {span:.3e})", residual=span)
@@ -185,6 +190,10 @@ def joint_rvi(cfg: SystemConfig, tol: float = 1e-9,
             return JointSolution(v=v - v[ref], beta=beta,
                                  policy=policy.astype(np.int64),
                                  reference=ref, sweeps=sweep, span=span)
+        if not math.isfinite(span):  # NaN never passes span <= tol
+            raise ConvergenceError(
+                f"joint relative value iteration span is {span!r} at sweep "
+                f"{sweep}: the values are no longer finite", residual=span)
     raise ConvergenceError(
         f"joint relative value iteration did not reach span {tol:g} within "
         f"{max_sweeps} sweeps (last span {span:.3e})", residual=span)

@@ -186,6 +186,24 @@ def _active_block(q: float, p: float, size: int) -> np.ndarray:
     return block
 
 
+def kernel_blocks(q: float, p: float,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cached read-only active and passive blocks over states 0..n.
+
+    Each covers at least n + 1 states; transition_kernel(q, p, n) is
+    their top-left corners with the clamp at n added. A caller that
+    reads rows the clamp leaves alone, such as active rows below n,
+    may read them here without a copy, and must not write.
+    """
+    if not (0.0 < q < 1.0):
+        raise ValueError("q must lie in (0,1)")
+    if not (0.0 < p < 1.0):
+        raise ValueError("p must lie in (0,1)")
+    size = -(-(n + 1) // _BLOCK) * _BLOCK
+    return (_active_block(float(q), float(p), size),
+            _passive_block(float(q), size))
+
+
 def transition_kernel(q: float, p: float,
                       n: int) -> tuple[np.ndarray, np.ndarray]:
     """Active and passive transition matrices over states 0..n.
@@ -193,19 +211,16 @@ def transition_kernel(q: float, p: float,
     The buffer sits at n. Row x of the active matrix is passive row x
     convolved with the Bernoulli(p) arrival, the arrival dropped when
     it would pass the buffer. Both are writable copies of slices of
-    cached blocks; the active block's entry [n, n+1] is exactly
+    the kernel_blocks; the active block's entry [n, n+1] is exactly
     p * passive[n, n], the mass the clamp returns to the buffer.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    passive = passive_kernel(q, n)
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie in (0,1)")
-    big = _active_block(float(q), float(p), -(-(n + 1) // _BLOCK) * _BLOCK)
+    big, passive = kernel_blocks(q, p, n)
     active = big[: n + 1, : n + 1].copy()
     # An arrival to a full buffer with no departure is dropped.
     active[n, n] += big[n, n + 1]
-    return active, passive
+    return active, passive[: n + 1, : n + 1].copy()
 
 
 def lyapunov_margin(p: float, q_min: float, a: float) -> float:

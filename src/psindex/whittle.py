@@ -6,6 +6,8 @@ below x use the active dynamics and states above use the passive ones.
 With the threshold structure fixed, the relative values solve a linear
 system that is affine in lam, so the balance gap has a single root.
 Index tables take it in closed form from two back-solves on one LU.
+Each system is written straight from the model's cached read-only
+kernel blocks, with no intermediate copy of the kernel.
 Two independent routes find it iteratively and serve as oracles: the
 paper's incremental fixed-point scheme (compute_index) and a bisection
 (bisect_index) that brackets the root by the gap's signs at the two
@@ -20,8 +22,7 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .model import ConvergenceError, ServerParams, SystemConfig, \
-    transition_kernel
-from .threshold import threshold_rows
+    kernel_blocks
 
 VALUE_RESIDUAL_TOL = 1e-9
 
@@ -67,7 +68,14 @@ class _FixedThresholdSystem:
     clamp there, which is exact for every n >= threshold_x + 1: started
     empty, the policy never leaves 0..threshold_x+1, and states above
     it are transient. Its transition rows are threshold.threshold_rows
-    of the kernel.
+    of transition_kernel(q, p, n), bit for bit, but written negated
+    straight from the model.kernel_blocks that the kernel slices:
+    rows 0..threshold_x from the active block, the rest from the
+    passive one. Active rows s <= threshold_x < n never reach state n,
+    so the clamp the kernel adds at the buffer never applies to them.
+    The balance rows are read-only views of the blocks. The matrix
+    stays C-ordered: the residual products run on it, and their
+    rounding, which the 1e-9 guard reads, depends on that layout.
     """
 
     def __init__(self, server: ServerParams, arrival_p: float,
@@ -76,23 +84,24 @@ class _FixedThresholdSystem:
             raise ValueError("truncation n must be >= max(1, threshold_x+1)")
         if threshold_x < -1:
             raise ValueError("threshold_x must be >= -1")
+        active, passive = kernel_blocks(server.q, arrival_p, n)
         self.server = server
         self.arrival_p = arrival_p
         self.threshold_x = threshold_x
         self.n = n
-        active, passive = transition_kernel(server.q, arrival_p, n)
-        m = n + 2
+        m, k = n + 2, threshold_x + 1
         a = np.zeros((m, m))
-        a[: n + 1, : n + 1] = -threshold_rows(active, passive, threshold_x)
-        a[np.arange(n + 1), np.arange(n + 1)] += 1.0
+        np.negative(active[:k, : n + 1], out=a[:k, : n + 1])
+        np.negative(passive[k: n + 1, : n + 1], out=a[k: n + 1, : n + 1])
+        a.ravel()[: (n + 1) * m: m + 1] += 1.0
         a[: n + 1, n + 1] = 1.0
         a[n + 1, 0] = 1.0  # pins V(0) = 0
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("array must not contain infs or NaNs")
         b0 = np.zeros(m)
         b0[: n + 1] = server.cost_c * np.arange(n + 1)
         b1 = np.zeros(m)
-        b1[threshold_x + 1: n + 1] = 1.0
+        b1[k: n + 1] = 1.0
         self._a = a
         self._b0 = b0
         self._b1 = b1
@@ -104,8 +113,8 @@ class _FixedThresholdSystem:
         self._b, self._u, self._r = np.empty(m), np.empty(m), np.empty(m)
         # Balance rows are evaluated at the threshold state itself.
         x = max(threshold_x, 0)
-        self.active_row = active[x]
-        self.passive_row = passive[x]
+        self.active_row = active[x, : n + 1]
+        self.passive_row = passive[x, : n + 1]
 
     def _refined_solve(self, lam: float) -> np.ndarray:
         """Solve a u = b0 + lam * b1 in buffers the next call reuses.

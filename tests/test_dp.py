@@ -72,6 +72,18 @@ def test_rvi_reports_nonconvergence():
         single_queue_rvi(2.0, UNIT, 0.4, 40, tol=1e-12, max_sweeps=3)
 
 
+@pytest.mark.parametrize("lam,cost_c", [(1.0, 1e308), (math.nan, 1.0)])
+def test_rvi_stops_at_the_first_non_finite_span(lam, cost_c):
+    """A NaN span never passes `span <= tol`, so a cost past the float
+    range, or a NaN charge, used to sweep on to max_sweeps."""
+    server = ServerParams(q=0.6, cost_c=cost_c)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ConvergenceError,
+                          match=r"span is (inf|nan) at sweep 1: ") as exc:
+        single_queue_rvi(lam, server, 0.3, 120)
+    assert not math.isfinite(exc.value.residual)
+
+
 def test_rvi_refuses_zero_sweeps():
     with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
         single_queue_rvi(2.0, UNIT, 0.4, 40, max_sweeps=0)
@@ -182,6 +194,19 @@ def test_joint_rvi_reference_state_is_zero(two_server_tiny):
 def test_joint_rvi_reports_nonconvergence(two_server_tiny):
     with pytest.raises(ConvergenceError):
         joint_rvi(two_server_tiny, tol=1e-12, max_sweeps=2)
+
+
+def test_joint_rvi_stops_at_the_first_non_finite_span():
+    """A cost past the float range used to run all 200 000 NaN sweeps."""
+    cfg = SystemConfig(arrival_p=0.3, buffer=30,
+                       servers=(ServerParams(q=0.6, cost_c=1e308),
+                                ServerParams(q=0.5, cost_c=2.0)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ConvergenceError,
+                          match=r"joint relative value iteration span is inf "
+                                r"at sweep 1: ") as exc:
+        joint_rvi(cfg)
+    assert exc.value.residual == math.inf
 
 
 def test_joint_rvi_refuses_zero_sweeps(two_server_tiny):

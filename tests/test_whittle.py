@@ -229,17 +229,50 @@ def test_lean_solves_match_the_scipy_formulation_bit_for_bit(q, p):
             assert _same(sol.v, want[: n + 1])  # gap reused no buffer of v
 
 
+ASSEMBLY_PAIRS = [(0.55, 0.4), (0.95, 0.4), (0.55, 0.9), (0.0427, 0.6161)]
+# Truncations whose n + 1 states straddle the 64-state block edge.
+BLOCK_EDGE = [(x, n) for n in range(61, 66) for x in (-1, 0, n // 2, n - 1)]
+
+
+@pytest.mark.parametrize("q,p", ASSEMBLY_PAIRS)
+def test_the_system_is_the_kernel_assembly_bit_for_bit(q, p):
+    """The matrix written from the cached blocks, its right-hand sides,
+    balance rows and LU equal those of transition_kernel + threshold_rows,
+    whose active rows 0..x never see the buffer clamp at n."""
+    server = ServerParams(q=q, cost_c=3.5)
+    cases = [(x, n) for x in range(-1, 16)
+             for n in (x + 1, x + 5, 120) if n >= 1] + BLOCK_EDGE
+    for x, n in cases:
+        system = whittle._FixedThresholdSystem(server, p, x, n)
+        ref = _ScipyValueSystem(server, p, x, n)
+        lu, piv, info = whittle.dgetrf(ref.a)
+        assert info == 0
+        assert system._a.flags.c_contiguous
+        for got, want in ((system._a, ref.a), (system._b0, ref.b0),
+                          (system._b1, ref.b1), (system._lu, lu),
+                          (system._piv, piv),
+                          (system.active_row, ref.rows[0]),
+                          (system.passive_row, ref.rows[1])):
+            assert got.shape == want.shape, (x, n)
+            assert _same(got, want), (x, n)
+        # Views of the shared cache, which nothing may write through.
+        assert not system.active_row.flags.writeable
+        assert not system.passive_row.flags.writeable
+
+
 @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "gap", "tiny"])
 def test_index_table_matches_the_scipy_formulation_bit_for_bit(name):
-    cfg = load_config(ROOT / "configs" / f"{name}.yaml").system
-    table = build_index_table(cfg, x_max=100)
-    for i, server in enumerate(cfg.servers):
-        for x in range(101):
-            ref = _ScipyValueSystem(server, cfg.arrival_p, x, x + 1)
-            g0, slope = ref.gap_line()
-            lam = -g0 / slope
-            assert abs(ref.gap(lam)) <= 1e-6
-            assert _same(table.entries[i, x], lam)
+    loaded = load_config(ROOT / "configs" / f"{name}.yaml")
+    cfg = loaded.system
+    for x_max in (loaded.whittle.x_max, 100):
+        table = build_index_table(cfg, x_max=x_max)
+        for i, server in enumerate(cfg.servers):
+            for x in range(x_max + 1):
+                ref = _ScipyValueSystem(server, cfg.arrival_p, x, x + 1)
+                g0, slope = ref.gap_line()
+                lam = -g0 / slope
+                assert abs(ref.gap(lam)) <= 1e-6
+                assert _same(table.entries[i, x], lam)
 
 
 def test_a_singular_pivot_raises_a_convergence_error(monkeypatch):
@@ -254,13 +287,17 @@ def test_a_singular_pivot_raises_a_convergence_error(monkeypatch):
 
 
 def test_a_non_finite_value_system_is_refused(monkeypatch):
-    def poisoned(q, p, n):
-        active, passive = transition_kernel(q, p, n)
-        active[0, 0] = np.nan
-        return active, passive
-    monkeypatch.setattr(whittle, "transition_kernel", poisoned)
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        whittle._FixedThresholdSystem(HEAVY, 0.4, 3, 4)
+    """A NaN in a row the system reads, active row 0 or passive row 4 of
+    threshold 3 at n = 4, is refused before the factorisation."""
+    real = whittle.kernel_blocks
+    for block, row in ((0, 0), (1, 4)):
+        def poisoned(q, p, n):
+            blocks = [b.copy() for b in real(q, p, n)]
+            blocks[block][row, 0] = np.nan
+            return tuple(blocks)
+        monkeypatch.setattr(whittle, "kernel_blocks", poisoned)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            whittle._FixedThresholdSystem(HEAVY, 0.4, 3, 4)
 
 
 # ---------------------------------------------------------------- #
