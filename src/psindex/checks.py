@@ -172,10 +172,11 @@ def check_threshold_cost_curve(cfg: SystemConfig, k_max: int = 60
 def check_value_solver_consistency(cfg: SystemConfig) -> CheckResult:
     """Fixed-threshold solve must reproduce the chain's average cost."""
     worst = 0.0
+    lams = [-5.0, 0.0, 2.5, 10.0]
     for s in cfg.servers:
-        for lam in (-5.0, 0.0, 2.5, 10.0):
-            beta_min, k = threshold.optimal_threshold_cost(
-                lam, s.cost_c, s.q, cfg.arrival_p, 60)
+        betas, args = threshold.optimal_threshold_costs(
+            lams, s.cost_c, s.q, cfg.arrival_p, 60)
+        for lam, beta_min, k in zip(lams, betas.tolist(), args.tolist()):
             sol = whittle.solve_value(lam, k, s, cfg.arrival_p, max(k + 1, 1))
             worst = max(worst, abs(sol.beta - beta_min))
     return CheckResult("value_solver_consistency", worst <= 1e-6,

@@ -388,7 +388,9 @@ def run_command(args: argparse.Namespace) -> int:
             raise ValueError(f"seed must be >= 0, got {args.seed}")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](loaded, args, out_dir)
+        # The solvers' guards report non-finite values as error or FAIL lines.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return COMMANDS[args.command](loaded, args, out_dir)
     except (ConfigError, ConvergenceError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

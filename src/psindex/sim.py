@@ -7,8 +7,8 @@ clamping at the buffer. One master seed expands into independent
 per-server departure streams, an arrival stream, and a policy stream,
 numpy's SeedSequence(seed).spawn(num + 2), so different policies under
 the same seed face identical randomness. Departures are drawn by
-inverting per-length CDFs, read once per (q, buffer) from the reversed
-rows of model.passive_kernel and cached.
+inverting per-length CDFs, built once per bank from the reversed rows
+of model.passive_kernel.
 
 Each slot consumes one uniform per queue and one arrival uniform
 whether or not it uses them, so how a kernel skips idle work changes
@@ -55,20 +55,12 @@ from .model import SystemConfig, passive_kernel
 _CHUNK = 1 << 16
 
 
-class _CdfRows(tuple):
-    """CDF rows as lists; flat holds the same doubles back to back,
-    each row followed by a sentinel 1.0, so row x starts at x(x+3)/2."""
-
-    flat: np.ndarray
-
-
-@lru_cache(maxsize=32)
-def _departure_cdfs(q: float, max_x: int) -> _CdfRows:
-    """Departure-count CDFs at lengths 0..max_x, shared across calls.
+def _departure_cdfs(q: float, max_x: int) -> list[list[float]]:
+    """Departure-count CDFs at lengths 0..max_x, one list per length.
 
     Row x is the reversed row x of passive_kernel(q, max_x), divided by
     its sum when roundoff leaves that off 1, with the last entry pinned
-    to 1. The rows are cached and shared: never mutate them.
+    to 1.
     """
     passive = passive_kernel(q, max_x)
     rows = []
@@ -79,11 +71,8 @@ def _departure_cdfs(q: float, max_x: int) -> _CdfRows:
             row = row / total
         cdf = np.cumsum(row)
         cdf[-1] = 1.0
-        rows.append(cdf)
-    out = _CdfRows(cdf.tolist() for cdf in rows)
-    out.flat = np.concatenate([np.append(cdf, 1.0) for cdf in rows])
-    out.flat.flags.writeable = False
-    return out
+        rows.append(cdf.tolist())
+    return rows
 
 
 class _Bank(NamedTuple):
@@ -93,13 +82,15 @@ class _Bank(NamedTuple):
     state code's place values, server 0 first: the code is 0 iff every
     queue is empty) serve the Python kernel. arrays holds the same as
     the compiled kernel reads them, read-only: the costs, every server's
-    flat CDF rows back to back, the stride, and a zero stride for a
-    loop without a table, which never reads the code (a grid without
-    one can pass 2**64). addresses holds their addresses.
+    CDF rows back to back, each row followed by a sentinel 1.0 (so row
+    x of a server starts x(x+3)/2 past the server's first), the stride,
+    and a zero stride for a loop without a table, which never reads the
+    code (a grid without one can pass 2**64). addresses holds their
+    addresses.
     """
 
     costs: tuple[float, ...]
-    cdfs: tuple[_CdfRows, ...]
+    cdfs: tuple[list[list[float]], ...]
     stride: tuple[int, ...]
     arrays: tuple[np.ndarray, ...]
     addresses: tuple[int, ...]
@@ -115,7 +106,7 @@ def _bank(cfg: SystemConfig) -> _Bank:
     # A table's grid fits 2**22, so a stride past int64 is never read.
     wide = stride[0] >= 2 ** 63
     arrays = (np.array(costs, float),
-              np.concatenate([c.flat for c in cdfs]),
+              np.concatenate([row + [1.0] for rows in cdfs for row in rows]),
               np.array((0,) * num if wide else stride, np.int64),
               np.zeros(num, np.int64))
     for a in arrays:
@@ -218,12 +209,12 @@ class DepartureSampler:
     """Inverse-CDF sampling of the departure count at lengths 0..max_x.
 
     One uniform is consumed per call regardless of the current length.
-    The CDF rows are the cached ones both slot-loop kernels read.
+    Its CDF rows come from _departure_cdfs, as both slot-loop kernels'.
     """
 
     def __init__(self, q: float, max_x: int):
         self.q = q
-        self._cdfs = list(_departure_cdfs(q, max_x))
+        self._cdfs = _departure_cdfs(q, max_x)
 
     def sample(self, x: int, u: float) -> int:
         if not 0 <= x < len(self._cdfs):

@@ -13,12 +13,10 @@ policy chains use.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
-from .model import _BLOCK, transition_kernel
+from .model import transition_kernel
 
 STATIONARY_TOL = 1e-10
 
@@ -168,30 +166,16 @@ def _cut_balance(up: np.ndarray, cum_act: np.ndarray,
     return laws
 
 
-@lru_cache(maxsize=4)
-def _chain_stats(q: float, p: float, size: int) -> np.ndarray:
-    """Mean queue length and top mass pi(k+1) of chains k = 0..size-2.
+def _ladder_stats(k_max: int, q: float, p: float) -> np.ndarray:
+    """Mean queue length and top mass pi(k+1) of chains k = 0..k_max.
 
     The two rows come from one stationary_ladder over
-    transition_kernel(q, p, size-1). size is a multiple of _BLOCK and
-    every chain is read from the smallest block that holds it, so its
-    figures never depend on which calls came before; the few blocks a
-    sweep over q and p needs stay cached.
+    transition_kernel(q, p, k_max + 1).
     """
-    laws = stationary_ladder(*transition_kernel(q, p, size - 1))
-    stats = np.vstack((np.arange(size) @ laws, np.diagonal(laws, -1)))
-    stats.setflags(write=False)
-    return stats
-
-
-def _ladder_stats(k_max: int, q: float, p: float) -> np.ndarray:
-    """_chain_stats rows for chains k = 0..k_max, each from its block."""
     if k_max < 0:
         return np.empty((2, 0))
-    last = -(-(k_max + 2) // _BLOCK) * _BLOCK
-    parts = [_chain_stats(q, p, size)[:, max(size - _BLOCK - 1, 0):size - 1]
-             for size in range(_BLOCK, last + 1, _BLOCK)]
-    return np.hstack(parts)[:, : k_max + 1]
+    laws = stationary_ladder(*transition_kernel(q, p, k_max + 1))
+    return np.vstack((np.arange(k_max + 2) @ laws, np.diagonal(laws, -1)))
 
 
 def cumulative_active_mass(k: int, q: float, p: float) -> float:

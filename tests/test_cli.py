@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,59 @@ def test_properties_command_reports_a_failed_value_guard_without_traceback(
     failed = {r["check"]: r["detail"] for r in rows if r["passed"] == "FAIL"}
     assert sorted(failed) == ["index_agreement", "value_solver_consistency"]
     assert all("value system residual" in d for d in failed.values())
+
+
+# Two validated banks whose costs leave the float range: every solver
+# guard reports the non-finite values, and numpy must not warn first.
+HUGE_COSTS = {
+    "one": ("arrival_p: 0.3\nbuffer: 30\nservers:\n"
+            "  - {q: 0.6, cost_c: 1.0e+308}\n  - {q: 0.5, cost_c: 2.0}\n"),
+    "both": ("arrival_p: 0.45\nbuffer: 20\nservers:\n"
+             "  - {q: 0.5, cost_c: 1.0e+308}\n  - {q: 0.9, cost_c: 1.0e+300}\n"),
+}
+TABLE_ABORT = {
+    "one": "error: index table aborted at server 0, state 0: closed-form "
+           "index 5e+307 leaves gap 1.996e+292 above tol 1e-06",
+    "both": "error: index table aborted at server 0, state 0: value system "
+            "residual nan exceeds 1e-09",
+}
+RVI_INF = "relative value iteration span is inf at sweep 1: the values are " \
+          "no longer finite"
+
+
+@pytest.mark.parametrize("bank", sorted(HUGE_COSTS))
+@pytest.mark.parametrize("command", [
+    "indices", "exact", "properties", "compare", "simulate --policy whittle",
+    "simulate --policy cmu", "simulate --policy random"])
+def test_huge_costs_fail_cleanly_without_numpy_warnings(tmp_path, capsys,
+                                                        bank, command):
+    path = tmp_path / "huge.yaml"
+    path.write_text(HUGE_COSTS[bank])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*command.split(), "--config", str(path),
+                     "--out", str(tmp_path)])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    out, err = capsys.readouterr()
+    name = command.split()[-1]
+    if name in ("cmu", "random"):
+        assert code == 0 and err == ""
+        assert out.startswith("avg_cost inf, drops 0; wrote ")
+    elif name == "exact":
+        assert code == 1 and out == ""
+        assert err == f"error: joint {RVI_INF}\n"
+    elif name == "properties":
+        assert code == 1 and err == ""
+        failed = [line for line in out.splitlines()
+                  if line.startswith("FAIL")]
+        consistency = ["FAIL  value_solver_consistency: value system "
+                       "residual nan exceeds 1e-09"] if bank == "both" else []
+        assert failed == [*consistency,
+                          f"FAIL  single_queue_structure: {RVI_INF}",
+                          "FAIL  index_agreement: " + TABLE_ABORT[bank][7:]]
+    else:
+        assert code == 1 and out == ""
+        assert err == TABLE_ABORT[bank] + "\n"
 
 
 def test_simulate_reports_running_out_of_memory_without_traceback(

@@ -102,8 +102,10 @@ def test_departure_sampler_rejects_a_negative_max_x():
                                      (0.5, 0)])
 def test_flat_cdfs_pad_each_row_with_a_sentinel(q, max_x):
     """The compiled loop's layout: row x at x(x+3)/2, then a 1.0."""
+    cfg = SystemConfig(arrival_p=0.4, servers=(ServerParams(q, 1.0),),
+                       buffer=max_x)
     rows = _departure_cdfs(q, max_x)
-    flat = rows.flat.tolist()
+    flat = sim._bank(cfg).arrays[1].tolist()
     assert len(flat) == (max_x + 1) * (max_x + 4) // 2
     for x, row in enumerate(rows):
         at = x * (x + 3) // 2
@@ -111,17 +113,22 @@ def test_flat_cdfs_pad_each_row_with_a_sentinel(q, max_x):
         assert flat[at + x + 1] == 1.0
 
 
-def test_simulate_reuses_the_cached_departure_cdfs(slot_loop):
-    """One CDF build per q and one bank per config, whatever the seed."""
-    _departure_cdfs.cache_clear()
+def test_simulate_reuses_the_cached_departure_cdfs(slot_loop, monkeypatch):
+    """One CDF build per server and one bank per config, whatever the
+    seed and the policy."""
+    built = []
+
+    def counted(q, max_x):
+        built.append((q, max_x))
+        return _departure_cdfs(q, max_x)
+    monkeypatch.setattr(sim, "_departure_cdfs", counted)
     sim._bank.cache_clear()
     simulate(TWO, _cmu(TWO), horizon=100, burn_in=0, seed=0)
     simulate(TWO, RandomPolicy(2), horizon=100, burn_in=0, seed=1)
-    info = _departure_cdfs.cache_info()
-    assert (info.misses, info.hits) == (2, 0)
+    assert built == [(s.q, TWO.buffer) for s in TWO.servers]
     info = sim._bank.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    assert DepartureSampler(0.55, 50)._cdfs[7] is _departure_cdfs(0.55, 50)[7]
+    assert DepartureSampler(0.55, 50)._cdfs == sim._bank(TWO).cdfs[0]
 
 
 def test_departure_sampler_mean_matches_q():

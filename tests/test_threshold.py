@@ -226,7 +226,7 @@ def test_ladder_matches_a_high_precision_solve_entry_by_entry(q, p):
 def test_ladder_rescales_past_float_range(q, p):
     """On (0.98, 0.02) pi(0)/pi(k+1) passes 1e308 near k = 190, so an
     unscaled recursion overflows; (0.1, 0.9) piles the mass on top.
-    Each chain from k = 0 to 250 comes from its own block, and the
+    Every chain from k = 0 to 250 comes from one ladder, and the
     ladder's residual guard has passed on every one of them."""
     stats = threshold._ladder_stats(250, q, p)
     assert stats.shape == (2, 251)
@@ -313,15 +313,20 @@ def test_ladder_checks_the_laws_it_solves(monkeypatch, edit, phrase):
 
 
 def test_chain_figures_do_not_depend_on_earlier_calls():
-    """Chain k is read from the smallest block of model._BLOCK states
-    that holds it, whatever ladders are cached; the cache holds a few
-    blocks only."""
     def figures():
         return [threshold_average_cost(k, 1.7, 3.0, 0.55, 0.4)
                 for k in (0, 40, 62, 63, 126, 127)]
-    threshold._chain_stats.cache_clear()
     cold = figures()
-    threshold._chain_stats.cache_clear()
     threshold._ladder_stats(250, 0.55, 0.4)
     assert figures() == cold
-    assert threshold._chain_stats.cache_info().maxsize <= 4
+
+
+@pytest.mark.parametrize("k_max", [0, 63, 64, 250])
+def test_ladder_stats_are_one_ladder_over_the_calls_kernel(k_max):
+    """The mean lengths and top masses of chains 0..k_max, bit for bit
+    as a fresh ladder over transition_kernel(q, p, k_max + 1) reads."""
+    q, p = 0.55, 0.4
+    laws = stationary_ladder(*transition_kernel(q, p, k_max + 1))
+    means, tops = threshold._ladder_stats(k_max, q, p)
+    assert means.tolist() == (np.arange(k_max + 2) @ laws).tolist()
+    assert tops.tolist() == np.diagonal(laws, -1).tolist()
