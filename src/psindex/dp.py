@@ -43,6 +43,42 @@ class SingleQueueSolution:
         self.policy.setflags(write=False)
 
 
+class _RepeatGuard:
+    """Stops a relative value iteration whose values repeat bit for bit.
+
+    A sweep is a function of the values alone, so once they repeat
+    those of an earlier sweep, the sweeps in between, none of whose
+    spans met tol, recur forever. Values large enough that rounding
+    swallows each update do this: the single queue stalls at a fixed
+    point, the joint bank in a short cycle, and an absolute tol is never
+    met. Brent's method keeps one saved value array, renewed at
+    doubling gaps, and finds a cycle within a few periods. Only sweeps
+    whose span did not fall are offered to it: each period of a cycle
+    has one. The saved array is the sweep's own, not a copy: every sweep
+    builds a new one and never writes to an old one.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self.saved, self.saved_sweep = None, 0
+        self.gap, self.offered = 1, 0
+
+    def check(self, sweep: int, span: float, tol: float,
+              v: np.ndarray) -> None:
+        saved = self.saved
+        if (saved is not None and v.flat[-1] == saved.flat[-1]
+                and v.tobytes() == saved.tobytes()):
+            raise ConvergenceError(
+                f"{self.name} repeats the values of sweep "
+                f"{self.saved_sweep} at sweep {sweep}: span {span:.3e} "
+                f"stays above {tol:g} with max |v| "
+                f"{float(np.abs(v).max()):.3e}", residual=span)
+        self.offered += 1
+        if self.offered == self.gap:
+            self.saved, self.saved_sweep = v, sweep
+            self.gap, self.offered = 2 * self.gap, 0
+
+
 def single_queue_rvi(lam: float, server: ServerParams, arrival_p: float,
                      n: int, tol: float = 1e-9, max_sweeps: int = 100_000,
                      v_init: np.ndarray | None = None) -> SingleQueueSolution:
@@ -67,6 +103,7 @@ def single_queue_rvi(lam: float, server: ServerParams, arrival_p: float,
     cost_p = c * xs + lam
 
     v = np.zeros(m) if v_init is None else np.array(v_init, dtype=np.float64)
+    repeats, last_span = _RepeatGuard("relative value iteration"), math.inf
     for sweep in range(1, max_sweeps + 1):
         tv = np.minimum(cost_a + pa @ v, cost_p + pb @ v)
         diff = tv - v
@@ -83,6 +120,9 @@ def single_queue_rvi(lam: float, server: ServerParams, arrival_p: float,
             raise ConvergenceError(
                 f"relative value iteration span is {span!r} at sweep "
                 f"{sweep}: the values are no longer finite", residual=span)
+        if span >= last_span:
+            repeats.check(sweep, span, tol, v)
+        last_span = span
     raise ConvergenceError(
         f"relative value iteration did not reach span {tol:g} within "
         f"{max_sweeps} sweeps (last span {span:.3e})", residual=span)
@@ -178,6 +218,8 @@ def joint_rvi(cfg: SystemConfig, tol: float = 1e-9,
     ops = _per_server_operators(cfg)
 
     v = np.zeros(shape)
+    repeats = _RepeatGuard("joint relative value iteration")
+    last_span = math.inf
     for sweep in range(1, max_sweeps + 1):
         tv = functools.reduce(np.minimum, _expected_values(v, ops))
         tv += cost
@@ -194,6 +236,9 @@ def joint_rvi(cfg: SystemConfig, tol: float = 1e-9,
             raise ConvergenceError(
                 f"joint relative value iteration span is {span!r} at sweep "
                 f"{sweep}: the values are no longer finite", residual=span)
+        if span >= last_span:
+            repeats.check(sweep, span, tol, v)
+        last_span = span
     raise ConvergenceError(
         f"joint relative value iteration did not reach span {tol:g} within "
         f"{max_sweeps} sweeps (last span {span:.3e})", residual=span)

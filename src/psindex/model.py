@@ -133,7 +133,9 @@ def _binomial_block(q: float, size: int) -> np.ndarray:
     it dispatches to; calling the ufunc spares every process the
     import of scipy.stats, most of the package's cold start.
     """
-    x, y = np.tril_indices(size)  # a passive server only loses jobs
+    states = np.arange(size)
+    # The lower triangle, row by row: a passive server only loses jobs.
+    x, y = np.nonzero(states[:, None] >= states)
     block = np.zeros((size, size))
     block[x, y] = np.clip(_binom_pmf(x - y, x, q / np.maximum(x, 1)),
                           0.0, 1.0)
@@ -169,21 +171,36 @@ def passive_kernel(q: float, n: int) -> np.ndarray:
     return _passive_block(float(q), size)[: n + 1, : n + 1].copy()
 
 
-@lru_cache(maxsize=2)
-def _active_block(q: float, p: float, size: int) -> np.ndarray:
-    """Read-only active matrix over a passive block, one column wider.
+def _active_rows(passive: np.ndarray, p: float) -> np.ndarray:
+    """Active matrix over a passive matrix's states, one column wider.
 
     Row x is passive row x convolved with the Bernoulli(p) arrival and
-    nothing dropped, so column y + 1 carries p * passive[x, y]. Every
-    transition_kernel call slices it; the extra column holds the mass
-    an arrival to the last state of the block would carry past it.
+    nothing dropped, so column y + 1 carries p * passive[x, y]; the
+    extra column holds the mass an arrival to the last state would
+    carry past it. Elementwise, so a top-left corner of the result is
+    bit-identical to the result over that corner of passive.
     """
-    passive = _passive_block(q, size)
+    size = passive.shape[0]
     block = np.zeros((size, size + 1))
     block[:, :size] = (1.0 - p) * passive
     block[:, 1:] += p * passive
+    return block
+
+
+@lru_cache(maxsize=2)
+def _active_block(q: float, p: float, size: int) -> np.ndarray:
+    """Read-only _active_rows over a passive block; every
+    transition_kernel call slices it."""
+    block = _active_rows(_passive_block(q, size), p)
     block.setflags(write=False)
     return block
+
+
+def _check_rates(q: float, p: float) -> None:
+    if not (0.0 < q < 1.0):
+        raise ValueError("q must lie in (0,1)")
+    if not (0.0 < p < 1.0):
+        raise ValueError("p must lie in (0,1)")
 
 
 def kernel_blocks(q: float, p: float,
@@ -195,13 +212,24 @@ def kernel_blocks(q: float, p: float,
     reads rows the clamp leaves alone, such as active rows below n,
     may read them here without a copy, and must not write.
     """
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie in (0,1)")
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie in (0,1)")
+    _check_rates(q, p)
     size = -(-(n + 1) // _BLOCK) * _BLOCK
     return (_active_block(float(q), float(p), size),
             _passive_block(float(q), size))
+
+
+def fresh_blocks(q: float, p: float,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """kernel_blocks over exactly states 0..n, built afresh, uncached.
+
+    The active block is (n+1) x (n+2) and the passive one
+    (n+1) x (n+1), bit for bit the top-left corners of kernel_blocks,
+    for a caller that reads only these states once: no pmf is
+    evaluated past state n. Both are writable.
+    """
+    _check_rates(q, p)
+    passive = _binomial_block(float(q), n + 1)
+    return _active_rows(passive, float(p)), passive
 
 
 def transition_kernel(q: float, p: float,

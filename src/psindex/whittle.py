@@ -6,8 +6,10 @@ below x use the active dynamics and states above use the passive ones.
 With the threshold structure fixed, the relative values solve a linear
 system that is affine in lam, so the balance gap has a single root.
 Index tables take it in closed form from two back-solves on one LU.
-Each system is written straight from the model's cached read-only
-kernel blocks, with no intermediate copy of the kernel.
+Every value system is sliced from a per-server kernel that holds the
+transition matrices negated with the unit diagonal added: a table row
+builds one over exactly the states its cells visit, and every other
+caller one over the model's cached kernel blocks.
 Two independent routes find it iteratively and serve as oracles: the
 paper's incremental fixed-point scheme (compute_index) and a bisection
 (bisect_index) that brackets the root by the gap's signs at the two
@@ -16,13 +18,15 @@ ends of a growing window.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .model import ConvergenceError, ServerParams, SystemConfig, \
-    kernel_blocks
+    fresh_blocks, kernel_blocks
 
 VALUE_RESIDUAL_TOL = 1e-9
 
@@ -59,6 +63,34 @@ class ValueSolution:
         self.v.setflags(write=False)
 
 
+class _ServerKernel:
+    """One server's arrays that each of its value systems slices.
+
+    active and passive are read-only transition matrices over states
+    0..size-1 with no buffer: active row size-1 lacks the arrival that
+    would leave them, so only the rows below it are exact, and those are
+    all a system on states 0..n, n < size, reads. neg holds the identity
+    minus each, active then passive, in one C-ordered copy checked
+    finite here once; cost holds cost_c * x. A system copies its rows
+    from their top-left corners.
+    """
+
+    def __init__(self, cost_c: float, active: np.ndarray,
+                 passive: np.ndarray):
+        size = passive.shape[0]
+        self.active, self.passive = active[:, :size], passive
+        neg = np.empty((2, size, size))
+        np.negative(self.active, out=neg[0])
+        np.negative(passive, out=neg[1])
+        neg.reshape(2, -1)[:, :: size + 1] += 1.0
+        if not np.isfinite(neg).all():
+            raise ValueError("array must not contain infs or NaNs")
+        self.neg = neg
+        self.active.setflags(write=False)
+        self.passive.setflags(write=False)
+        self.cost = cost_c * np.arange(size)
+
+
 class _FixedThresholdSystem:
     """Linear system for the relative values of a threshold policy.
 
@@ -68,53 +100,54 @@ class _FixedThresholdSystem:
     clamp there, which is exact for every n >= threshold_x + 1: started
     empty, the policy never leaves 0..threshold_x+1, and states above
     it are transient. Its transition rows are threshold.threshold_rows
-    of transition_kernel(q, p, n), bit for bit, but written negated
-    straight from the model.kernel_blocks that the kernel slices:
-    rows 0..threshold_x from the active block, the rest from the
-    passive one. Active rows s <= threshold_x < n never reach state n,
-    so the clamp the kernel adds at the buffer never applies to them.
-    The balance rows are read-only views of the blocks. The matrix
+    of transition_kernel(q, p, n), bit for bit: rows 0..threshold_x of
+    the kernel's negated active matrix, the rest of its negated passive
+    one, each with the unit diagonal already added. Active rows
+    s <= threshold_x < n never reach state n, so the clamp the kernel
+    adds at the buffer never applies to them. The kernel is built from
+    the cached model.kernel_blocks unless a caller passes one over at
+    least n + 1 states, as build_index_table does once per server.
+    The balance rows are read-only views of the kernel. The matrix
     stays C-ordered: the residual products run on it, and their
     rounding, which the 1e-9 guard reads, depends on that layout.
     """
 
     def __init__(self, server: ServerParams, arrival_p: float,
-                 threshold_x: int, n: int):
+                 threshold_x: int, n: int,
+                 kernel: _ServerKernel | None = None):
         if n < 1 or n < threshold_x + 1:
             raise ValueError("truncation n must be >= max(1, threshold_x+1)")
         if threshold_x < -1:
             raise ValueError("threshold_x must be >= -1")
-        active, passive = kernel_blocks(server.q, arrival_p, n)
-        self.server = server
-        self.arrival_p = arrival_p
+        if kernel is None:
+            active, passive = kernel_blocks(server.q, arrival_p, n)
+            kernel = _ServerKernel(server.cost_c, active[: n + 1],
+                                   passive[: n + 1, : n + 1])
         self.threshold_x = threshold_x
         self.n = n
         m, k = n + 2, threshold_x + 1
-        a = np.zeros((m, m))
-        np.negative(active[:k, : n + 1], out=a[:k, : n + 1])
-        np.negative(passive[k: n + 1, : n + 1], out=a[k: n + 1, : n + 1])
-        a.ravel()[: (n + 1) * m: m + 1] += 1.0
+        a = np.empty((m, m))
+        a[:k, : n + 1] = kernel.neg[0, :k, : n + 1]
+        a[k: n + 1, : n + 1] = kernel.neg[1, k: n + 1, : n + 1]
         a[: n + 1, n + 1] = 1.0
+        a[n + 1] = 0.0
         a[n + 1, 0] = 1.0  # pins V(0) = 0
-        if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
-        b0 = np.zeros(m)
-        b0[: n + 1] = server.cost_c * np.arange(n + 1)
-        b1 = np.zeros(m)
-        b1[k: n + 1] = 1.0
+        # Right-hand sides b0 and b1, then the right-hand side, solution
+        # and residual of _refined_solve, in one allocation.
+        vectors = np.zeros((5, m))
+        self._b0, self._b1 = vectors[0], vectors[1]
+        self._b, self._u, self._r = vectors[2], vectors[3], vectors[4]
+        self._b0[: n + 1] = kernel.cost[: n + 1]
+        self._b1[k: n + 1] = 1.0
         self._a = a
-        self._b0 = b0
-        self._b1 = b1
         self._lu, self._piv, info = dgetrf(a)
         if info > 0:  # info < 0 only for a bad argument
             raise ConvergenceError(f"value system is singular: pivot {info} "
                                    "is exactly zero")
-        # Right-hand side, solution and residual of _refined_solve.
-        self._b, self._u, self._r = np.empty(m), np.empty(m), np.empty(m)
         # Balance rows are evaluated at the threshold state itself.
         x = max(threshold_x, 0)
-        self.active_row = active[x, : n + 1]
-        self.passive_row = passive[x, : n + 1]
+        self.active_row = kernel.active[x, : n + 1]
+        self.passive_row = kernel.passive[x, : n + 1]
 
     def _refined_solve(self, lam: float) -> np.ndarray:
         """Solve a u = b0 + lam * b1 in buffers the next call reuses.
@@ -301,7 +334,7 @@ def _closed_form_index(system: _FixedThresholdSystem, tol: float) -> float:
     one as usual.
     """
     g0, slope = system.gap_line()
-    if slope == 0.0 or not (np.isfinite(slope) and np.isfinite(g0)):
+    if slope == 0.0 or not (math.isfinite(slope) and math.isfinite(g0)):
         raise ConvergenceError(f"balance gap line {g0!r} + lam * {slope!r} "
                                "has no unique root")
     lam = -g0 / slope
@@ -311,6 +344,19 @@ def _closed_form_index(system: _FixedThresholdSystem, tol: float) -> float:
                                f"{gap:.3e} above tol {tol:g}",
                                iterate=lam, residual=gap)
     return lam
+
+
+def _row_systems(server: ServerParams, arrival_p: float,
+                 x_max: int) -> Iterator[_FixedThresholdSystem]:
+    """The value system of each cell x = 0..x_max of a server's row.
+
+    Cell x lives on states 0..x+1, so one kernel over exactly states
+    0..x_max+1, from model.fresh_blocks, serves the whole row.
+    """
+    active, passive = fresh_blocks(server.q, arrival_p, x_max + 1)
+    kernel = _ServerKernel(server.cost_c, active, passive)
+    for x in range(x_max + 1):
+        yield _FixedThresholdSystem(server, arrival_p, x, x + 1, kernel)
 
 
 def build_index_table(cfg: SystemConfig, x_max: int,
@@ -333,8 +379,8 @@ def build_index_table(cfg: SystemConfig, x_max: int,
     tol = (iter_cfg or IndexIterationConfig()).tol
     entries = np.zeros((cfg.num_servers, x_max + 1))
     for i, server in enumerate(cfg.servers):
-        for x in range(x_max + 1):
-            system = _FixedThresholdSystem(server, cfg.arrival_p, x, x + 1)
+        cells = _row_systems(server, cfg.arrival_p, x_max)
+        for x, system in enumerate(cells):
             try:
                 entries[i, x] = _closed_form_index(system, tol)
             except ConvergenceError as e:

@@ -84,6 +84,21 @@ def test_rvi_stops_at_the_first_non_finite_span(lam, cost_c):
     assert not math.isfinite(exc.value.residual)
 
 
+def test_rvi_stops_at_a_floating_point_fixed_point():
+    """At values near 1e304 the charge of 1.0 rounds away: from some
+    sweep on the values repeat bit for bit with span 1.0, so the absolute
+    tol can never be met. Without the stop it ran all 100 000 sweeps,
+    about 2 s."""
+    server = ServerParams(q=0.6, cost_c=1e300)
+    with pytest.raises(ConvergenceError,
+                       match=r"^relative value iteration repeats the values "
+                             r"of sweep \d+ at sweep \d+: span 1\.000e\+00 "
+                             r"stays above 1e-09 with max "
+                             r"\|v\| \d\.\d{3}e\+30\d$") as exc:
+        single_queue_rvi(1.0, server, 0.3, 120, max_sweeps=1_000)
+    assert exc.value.residual == 1.0
+
+
 def test_rvi_refuses_zero_sweeps():
     with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
         single_queue_rvi(2.0, UNIT, 0.4, 40, max_sweeps=0)
@@ -207,6 +222,21 @@ def test_joint_rvi_stops_at_the_first_non_finite_span():
                                 r"at sweep 1: ") as exc:
         joint_rvi(cfg)
     assert exc.value.residual == math.inf
+
+
+def test_joint_rvi_stops_in_a_cycle_of_repeated_values():
+    """At costs of 1e300 the joint values round through a four-sweep
+    cycle whose span stays near 3e284; a bitwise repeat ends the solve."""
+    cfg = SystemConfig(arrival_p=0.3, buffer=10,
+                       servers=(ServerParams(q=0.6, cost_c=1e300),
+                                ServerParams(q=0.5, cost_c=1e300)))
+    with pytest.raises(ConvergenceError,
+                       match=r"^joint relative value iteration repeats the "
+                             r"values of sweep \d+ at sweep \d+: span "
+                             r"\d\.\d{3}e\+28\d stays above 1e-09 with max "
+                             r"\|v\| \d\.\d{3}e\+30\d$") as exc:
+        joint_rvi(cfg, max_sweeps=1_000)
+    assert exc.value.residual > 1e280
 
 
 def test_joint_rvi_refuses_zero_sweeps(two_server_tiny):

@@ -8,6 +8,7 @@ import pytest
 from psindex import (ServerParams, SystemConfig, lyapunov_certificate,
                      lyapunov_margin, passive_kernel, transition_kernel,
                      validate_config)
+from psindex import model
 
 from conftest import binom_departures, binom_row, enum_next_state, enum_row
 
@@ -189,6 +190,24 @@ def test_transition_kernel_returns_copies_the_cache_ignores():
     got = transition_kernel(0.55, 0.4, 70)
     assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
     assert all(m.flags.writeable for m in got)
+
+
+@pytest.mark.parametrize("n", [0, 1, 41, 62, 63, 64, 100])
+def test_fresh_blocks_are_the_corners_of_the_cached_blocks_bit_for_bit(n):
+    """Built at exactly n + 1 states, evaluating the pmf over no more."""
+    for q, p in ((0.05, 0.9), (0.55, 0.4), (0.95, 0.1)):
+        active, passive = model.fresh_blocks(q, p, n)
+        big_active, big_passive = model.kernel_blocks(q, p, n)
+        assert active.shape == (n + 1, n + 2)
+        assert passive.shape == (n + 1, n + 1)
+        assert active.tobytes() == big_active[: n + 1, : n + 2].tobytes()
+        assert passive.tobytes() == big_passive[: n + 1, : n + 1].tobytes()
+
+
+def test_fresh_blocks_reject_bad_rates():
+    for q, p, match in ((0.0, 0.4, "q must"), (0.5, 1.0, "p must")):
+        with pytest.raises(ValueError, match=match):
+            model.fresh_blocks(q, p, 5)
 
 
 def test_transition_kernel_rejects_bad_arguments():

@@ -11,7 +11,7 @@ from psindex import (ConvergenceError, IndexIterationConfig, IndexTable,
                      ServerParams, bisect_index, build_index_table,
                      compute_index, index_residual, solve_value,
                      threshold_average_cost, SystemConfig)
-from psindex import whittle
+from psindex import model, whittle
 from psindex.cli import load_config
 from psindex.model import transition_kernel
 from psindex.threshold import threshold_rows
@@ -244,20 +244,56 @@ def test_the_system_is_the_kernel_assembly_bit_for_bit(q, p):
              for n in (x + 1, x + 5, 120) if n >= 1] + BLOCK_EDGE
     for x, n in cases:
         system = whittle._FixedThresholdSystem(server, p, x, n)
-        ref = _ScipyValueSystem(server, p, x, n)
-        lu, piv, info = whittle.dgetrf(ref.a)
-        assert info == 0
-        assert system._a.flags.c_contiguous
-        for got, want in ((system._a, ref.a), (system._b0, ref.b0),
-                          (system._b1, ref.b1), (system._lu, lu),
-                          (system._piv, piv),
-                          (system.active_row, ref.rows[0]),
-                          (system.passive_row, ref.rows[1])):
-            assert got.shape == want.shape, (x, n)
-            assert _same(got, want), (x, n)
-        # Views of the shared cache, which nothing may write through.
-        assert not system.active_row.flags.writeable
-        assert not system.passive_row.flags.writeable
+        _assert_same_system(system, _ScipyValueSystem(server, p, x, n))
+
+
+def _assert_same_system(system, ref):
+    lu, piv, info = whittle.dgetrf(ref.a)
+    assert info == 0
+    assert system._a.flags.c_contiguous
+    cell = (system.threshold_x, system.n)
+    for got, want in ((system._a, ref.a), (system._b0, ref.b0),
+                      (system._b1, ref.b1), (system._lu, lu),
+                      (system._piv, piv),
+                      (system.active_row, ref.rows[0]),
+                      (system.passive_row, ref.rows[1])):
+        assert got.shape == want.shape, cell
+        assert _same(got, want), cell
+    # Views of the shared kernel, which nothing may write through.
+    assert not system.active_row.flags.writeable
+    assert not system.passive_row.flags.writeable
+
+
+@pytest.mark.parametrize("x_max", [1, 62, 63, 64, 100])
+@pytest.mark.parametrize("q,p", ASSEMBLY_PAIRS)
+def test_a_table_row_is_the_kernel_assembly_bit_for_bit(q, p, x_max):
+    """Every cell of a row, sliced from one kernel over exactly states
+    0..x_max+1, has the matrix, right-hand sides, balance rows and LU of
+    transition_kernel + threshold_rows at its own n = x + 1; the x_max
+    straddle the 64-state block the cached kernel is built in."""
+    server = ServerParams(q=q, cost_c=3.5)
+    cells = list(whittle._row_systems(server, p, x_max))
+    assert len(cells) == x_max + 1
+    for x, system in enumerate(cells):
+        assert (system.threshold_x, system.n) == (x, x + 1)
+        _assert_same_system(system, _ScipyValueSystem(server, p, x, x + 1))
+
+
+def test_a_table_evaluates_the_pmf_only_over_its_states(monkeypatch):
+    """Cells 0..40 live on states 0..41: 42 * 43 / 2 = 903 lower-triangle
+    pmf entries per server, where a 64-state block needs 2 080."""
+    real = model._binom_pmf
+    sizes = []
+
+    def counted(k, n, p):
+        out = real(k, n, p)
+        sizes.append(np.size(out))
+        return out
+    monkeypatch.setattr(model, "_binom_pmf", counted)
+    model._passive_block.cache_clear()
+    model._active_block.cache_clear()
+    build_index_table(FIG3, x_max=40)
+    assert sizes == [903] * 3
 
 
 @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "gap", "tiny"])
@@ -298,6 +334,20 @@ def test_a_non_finite_value_system_is_refused(monkeypatch):
         monkeypatch.setattr(whittle, "kernel_blocks", poisoned)
         with pytest.raises(ValueError, match="infs or NaNs"):
             whittle._FixedThresholdSystem(HEAVY, 0.4, 3, 4)
+
+
+def test_a_non_finite_table_kernel_is_refused(monkeypatch):
+    """The table's per-server kernel is checked once, before any cell."""
+    real = whittle.fresh_blocks
+
+    def poisoned(q, p, n):
+        active, passive = real(q, p, n)
+        passive[n, 0] = np.nan
+        return active, passive
+    monkeypatch.setattr(whittle, "fresh_blocks", poisoned)
+    monkeypatch.setattr(whittle, "dgetrf", None)  # no cell is factored
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        build_index_table(FIG3, x_max=2)
 
 
 # ---------------------------------------------------------------- #
