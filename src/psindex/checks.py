@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp, threshold, whittle
-from .model import ConvergenceError, SystemConfig, _binomial_block, \
-    passive_kernel, transition_kernel
+from .model import ConvergenceError, SystemConfig, passive_kernel, \
+    transition_kernel
 
 STRUCT_SLACK = 1e-9
 
@@ -63,9 +63,7 @@ def check_departure_law(x_max: int = 200) -> CheckResult:
     shift = np.subtract.outer(states, states)  # departures x - y
     worst = 0.0
     for q in np.arange(0.05, 1.0, 0.1):
-        # No sweep reads these values of q: build them at this size,
-        # outside the block cache, so the sweeps' blocks stay cached.
-        passive = _binomial_block(float(q), x_max + 1)
+        passive = passive_kernel(q, x_max)
         mass = passive.sum(axis=1)
         mean = (passive * shift).sum(axis=1)[1:]
         worst = max(worst, float(np.max(np.abs(mass - 1.0))),

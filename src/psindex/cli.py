@@ -78,8 +78,11 @@ class LoadedConfig:
 
 
 def _section(raw: dict, key: str, kinds: dict) -> dict:
-    """The keys given in an optional section, each converted to its kind."""
-    got = raw.get(key) or {}
+    """The keys given in an optional section, each converted to its kind.
+
+    Only YAML null (no section, or a bare `whittle:` line) means no keys.
+    """
+    got = {} if raw.get(key) is None else raw[key]
     if not isinstance(got, dict):
         raise ConfigError(f"section '{key}' must be a mapping")
     if key == "whittle" and "truncation_n" in got:

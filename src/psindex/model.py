@@ -6,7 +6,8 @@ Binomial(x, q/x) and its mean is exactly q whenever x >= 1. An active
 server may additionally admit one Bernoulli(p) arrival. These laws,
 stated once as transition matrices over a buffered state space, and a
 drift certificate for the stability region are the vocabulary every
-other module builds on.
+other module builds on. The matrices come from one cache of read-only
+blocks keyed by the exact state count, which every consumer reads.
 """
 
 from __future__ import annotations
@@ -119,9 +120,6 @@ def validate_config(cfg: SystemConfig) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
-_BLOCK = 64  # passive blocks are cached in multiples of this many states
-
-
 def _binomial_block(q: float, size: int) -> np.ndarray:
     """Passive matrix over states 0..size-1, built afresh.
 
@@ -146,8 +144,9 @@ def _binomial_block(q: float, size: int) -> np.ndarray:
 def _passive_block(q: float, size: int) -> np.ndarray:
     """Read-only _binomial_block, shared by every passive_kernel call.
 
-    Sweeps loop over q outermost, so two blocks serve every consumer in
-    turn, and a sweep over large sizes keeps little memory alive.
+    Keyed by the exact state count. Sweeps loop over q outermost, so
+    two blocks serve every consumer in turn, and a sweep over large
+    sizes keeps little memory alive.
     """
     block = _binomial_block(q, size)
     block.setflags(write=False)
@@ -161,14 +160,13 @@ def passive_kernel(q: float, n: int) -> np.ndarray:
     one binomial evaluation over the lower triangle; an empty server
     (x = 0) has the point mass Binomial(0, q) at zero. Reversed, row x
     is the departure law: passive[x, x::-1][d] = P(D = d). The result
-    is a writable copy of a cached block, so callers may edit it.
+    is a writable copy of the cached block, so callers may edit it.
     """
     if n < 0:
         raise ValueError(f"n={n} must be >= 0")
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0,1)")
-    size = -(-(n + 1) // _BLOCK) * _BLOCK
-    return _passive_block(float(q), size)[: n + 1, : n + 1].copy()
+    return _passive_block(float(q), n + 1).copy()
 
 
 def _active_rows(passive: np.ndarray, p: float) -> np.ndarray:
@@ -177,8 +175,7 @@ def _active_rows(passive: np.ndarray, p: float) -> np.ndarray:
     Row x is passive row x convolved with the Bernoulli(p) arrival and
     nothing dropped, so column y + 1 carries p * passive[x, y]; the
     extra column holds the mass an arrival to the last state would
-    carry past it. Elementwise, so a top-left corner of the result is
-    bit-identical to the result over that corner of passive.
+    carry past it.
     """
     size = passive.shape[0]
     block = np.zeros((size, size + 1))
@@ -190,46 +187,29 @@ def _active_rows(passive: np.ndarray, p: float) -> np.ndarray:
 @lru_cache(maxsize=2)
 def _active_block(q: float, p: float, size: int) -> np.ndarray:
     """Read-only _active_rows over a passive block; every
-    transition_kernel call slices it."""
+    transition_kernel call copies it."""
     block = _active_rows(_passive_block(q, size), p)
     block.setflags(write=False)
     return block
-
-
-def _check_rates(q: float, p: float) -> None:
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie in (0,1)")
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie in (0,1)")
 
 
 def kernel_blocks(q: float, p: float,
                   n: int) -> tuple[np.ndarray, np.ndarray]:
     """The cached read-only active and passive blocks over states 0..n.
 
-    Each covers at least n + 1 states; transition_kernel(q, p, n) is
-    their top-left corners with the clamp at n added. A caller that
-    reads rows the clamp leaves alone, such as active rows below n,
-    may read them here without a copy, and must not write.
-    """
-    _check_rates(q, p)
-    size = -(-(n + 1) // _BLOCK) * _BLOCK
-    return (_active_block(float(q), float(p), size),
-            _passive_block(float(q), size))
-
-
-def fresh_blocks(q: float, p: float,
-                 n: int) -> tuple[np.ndarray, np.ndarray]:
-    """kernel_blocks over exactly states 0..n, built afresh, uncached.
-
     The active block is (n+1) x (n+2) and the passive one
-    (n+1) x (n+1), bit for bit the top-left corners of kernel_blocks,
-    for a caller that reads only these states once: no pmf is
-    evaluated past state n. Both are writable.
+    (n+1) x (n+1); transition_kernel(q, p, n) is these with the clamp
+    at n added. Both are elementwise in the state, so each is bit for
+    bit the top-left corner of the blocks over any larger n. A caller
+    that reads rows the clamp leaves alone, such as active rows below
+    n, may read them here without a copy, and must not write.
     """
-    _check_rates(q, p)
-    passive = _binomial_block(float(q), n + 1)
-    return _active_rows(passive, float(p)), passive
+    if not (0.0 < q < 1.0):
+        raise ValueError("q must lie in (0,1)")
+    if not (0.0 < p < 1.0):
+        raise ValueError("p must lie in (0,1)")
+    return (_active_block(float(q), float(p), n + 1),
+            _passive_block(float(q), n + 1))
 
 
 def transition_kernel(q: float, p: float,
@@ -238,17 +218,17 @@ def transition_kernel(q: float, p: float,
 
     The buffer sits at n. Row x of the active matrix is passive row x
     convolved with the Bernoulli(p) arrival, the arrival dropped when
-    it would pass the buffer. Both are writable copies of slices of
-    the kernel_blocks; the active block's entry [n, n+1] is exactly
+    it would pass the buffer. Both are writable copies of the
+    kernel_blocks; the active block's entry [n, n+1] is exactly
     p * passive[n, n], the mass the clamp returns to the buffer.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     big, passive = kernel_blocks(q, p, n)
-    active = big[: n + 1, : n + 1].copy()
+    active = big[:, : n + 1].copy()
     # An arrival to a full buffer with no departure is dropped.
     active[n, n] += big[n, n + 1]
-    return active, passive[: n + 1, : n + 1].copy()
+    return active, passive.copy()
 
 
 def lyapunov_margin(p: float, q_min: float, a: float) -> float:

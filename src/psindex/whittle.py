@@ -7,9 +7,9 @@ With the threshold structure fixed, the relative values solve a linear
 system that is affine in lam, so the balance gap has a single root.
 Index tables take it in closed form from two back-solves on one LU.
 Every value system is sliced from a per-server kernel that holds the
-transition matrices negated with the unit diagonal added: a table row
-builds one over exactly the states its cells visit, and every other
-caller one over the model's cached kernel blocks.
+model's cached transition blocks negated with the unit diagonal added:
+a table row builds one over the states all its cells visit, and every
+other caller one over the states of its single system.
 Two independent routes find it iteratively and serve as oracles: the
 paper's incremental fixed-point scheme (compute_index) and a bisection
 (bisect_index) that brackets the root by the gap's signs at the two
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .model import ConvergenceError, ServerParams, SystemConfig, \
-    fresh_blocks, kernel_blocks
+    kernel_blocks
 
 VALUE_RESIDUAL_TOL = 1e-9
 
@@ -66,18 +66,18 @@ class ValueSolution:
 class _ServerKernel:
     """One server's arrays that each of its value systems slices.
 
-    active and passive are read-only transition matrices over states
-    0..size-1 with no buffer: active row size-1 lacks the arrival that
-    would leave them, so only the rows below it are exact, and those are
-    all a system on states 0..n, n < size, reads. neg holds the identity
-    minus each, active then passive, in one C-ordered copy checked
-    finite here once; cost holds cost_c * x. A system copies its rows
-    from their top-left corners.
+    active and passive are the read-only model.kernel_blocks over
+    states 0..n without the buffer clamp: active row n lacks the
+    arrival that would leave them, so only the rows below it are exact,
+    and those are all a system on states 0..m, m <= n, reads. neg holds
+    the identity minus each, active then passive, in one C-ordered copy
+    checked finite here once; cost holds cost_c * x. A system copies
+    its rows from their top-left corners.
     """
 
-    def __init__(self, cost_c: float, active: np.ndarray,
-                 passive: np.ndarray):
-        size = passive.shape[0]
+    def __init__(self, server: ServerParams, arrival_p: float, n: int):
+        active, passive = kernel_blocks(server.q, arrival_p, n)
+        size = n + 1
         self.active, self.passive = active[:, :size], passive
         neg = np.empty((2, size, size))
         np.negative(self.active, out=neg[0])
@@ -86,9 +86,7 @@ class _ServerKernel:
         if not np.isfinite(neg).all():
             raise ValueError("array must not contain infs or NaNs")
         self.neg = neg
-        self.active.setflags(write=False)
-        self.passive.setflags(write=False)
-        self.cost = cost_c * np.arange(size)
+        self.cost = server.cost_c * np.arange(size)
 
 
 class _FixedThresholdSystem:
@@ -104,12 +102,12 @@ class _FixedThresholdSystem:
     the kernel's negated active matrix, the rest of its negated passive
     one, each with the unit diagonal already added. Active rows
     s <= threshold_x < n never reach state n, so the clamp the kernel
-    adds at the buffer never applies to them. The kernel is built from
-    the cached model.kernel_blocks unless a caller passes one over at
-    least n + 1 states, as build_index_table does once per server.
-    The balance rows are read-only views of the kernel. The matrix
-    stays C-ordered: the residual products run on it, and their
-    rounding, which the 1e-9 guard reads, depends on that layout.
+    adds at the buffer never applies to them. The kernel is built over
+    states 0..n unless a caller passes one over at least n + 1 states,
+    as build_index_table does once per server row. The balance rows
+    are read-only views of the kernel. The matrix stays C-ordered: the
+    residual products run on it, and their rounding, which the 1e-9
+    guard reads, depends on that layout.
     """
 
     def __init__(self, server: ServerParams, arrival_p: float,
@@ -120,9 +118,7 @@ class _FixedThresholdSystem:
         if threshold_x < -1:
             raise ValueError("threshold_x must be >= -1")
         if kernel is None:
-            active, passive = kernel_blocks(server.q, arrival_p, n)
-            kernel = _ServerKernel(server.cost_c, active[: n + 1],
-                                   passive[: n + 1, : n + 1])
+            kernel = _ServerKernel(server, arrival_p, n)
         self.threshold_x = threshold_x
         self.n = n
         m, k = n + 2, threshold_x + 1
@@ -350,11 +346,10 @@ def _row_systems(server: ServerParams, arrival_p: float,
                  x_max: int) -> Iterator[_FixedThresholdSystem]:
     """The value system of each cell x = 0..x_max of a server's row.
 
-    Cell x lives on states 0..x+1, so one kernel over exactly states
-    0..x_max+1, from model.fresh_blocks, serves the whole row.
+    Cell x lives on states 0..x+1, so one kernel over states
+    0..x_max+1 serves the whole row.
     """
-    active, passive = fresh_blocks(server.q, arrival_p, x_max + 1)
-    kernel = _ServerKernel(server.cost_c, active, passive)
+    kernel = _ServerKernel(server, arrival_p, x_max + 1)
     for x in range(x_max + 1):
         yield _FixedThresholdSystem(server, arrival_p, x, x + 1, kernel)
 

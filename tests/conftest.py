@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from psindex import ServerParams, SystemConfig, sim
+from psindex import ServerParams, SystemConfig, model, sim
 
 
 def enum_next_state(x: int, q: float, p: float, active: bool,
@@ -139,3 +139,23 @@ def slot_loop(request, monkeypatch):
     else:
         assert sim._slot_loop() is not None, "cc did not build the slot loop"
     return request.param
+
+
+@pytest.fixture()
+def pmf_sizes(monkeypatch) -> list[int]:
+    """Entry counts of the binomial pmf evaluations the test makes.
+
+    Both kernel caches are cleared first, so every block the test reads
+    is built, and counted, afresh.
+    """
+    real = model._binom_pmf
+    sizes: list[int] = []
+
+    def counted(k, n, p):
+        out = real(k, n, p)
+        sizes.append(np.size(out))
+        return out
+    monkeypatch.setattr(model, "_binom_pmf", counted)
+    model._passive_block.cache_clear()
+    model._active_block.cache_clear()
+    return sizes

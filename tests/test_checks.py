@@ -1,11 +1,14 @@
 """Property-suite wrappers: each certifier passes on a reference setup."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from psindex import (ConvergenceError, ServerParams, SystemConfig,
                      passive_kernel)
 from psindex import checks, dp, whittle
+from psindex.cli import load_config
 
 CFG = SystemConfig(arrival_p=0.4,
                    servers=(ServerParams(q=0.55, cost_c=30.0),
@@ -61,8 +64,8 @@ def _empty_five_jobs_at_once(passive):
 
 
 @pytest.mark.parametrize("check,kernel,edit", [
-    (checks.check_departure_law, "_binomial_block", _lose_mass),
-    (checks.check_departure_law, "_binomial_block", _shift_mean),
+    (checks.check_departure_law, "passive_kernel", _lose_mass),
+    (checks.check_departure_law, "passive_kernel", _shift_mean),
     (checks.check_active_law_is_convolution, "transition_kernel",
      _break_active_row),
     (checks.check_active_law_is_convolution, "transition_kernel",
@@ -82,6 +85,24 @@ def test_model_checks_fail_on_a_perturbed_kernel(monkeypatch, check, kernel,
         return out
     monkeypatch.setattr(checks, kernel, perturbed)
     assert not check().passed
+
+
+FIG3 = load_config(Path(__file__).resolve().parent.parent
+                   / "configs" / "fig3.yaml").system
+
+
+@pytest.mark.parametrize("check,calls", [
+    (checks.check_chain_dominance, 8),
+    (checks.check_stationary_mass_monotone, 8),
+    (lambda: checks.check_single_queue_structure(FIG3), 3),
+], ids=["chain_dominance", "stationary_mass", "single_queue_structure"])
+def test_the_kernel_cache_bounds_the_pmf_traffic(pmf_sizes, check, calls):
+    """At the checks' defaults, the passive block of a q serves every p
+    of CHAIN_GRID (8 values of q over 36 pairs), and one block per
+    server serves all 81 charges of the RVI sweep: a cache dropped
+    shows its cost here."""
+    assert check().passed
+    assert len(pmf_sizes) == calls
 
 
 def test_stationary_mass_monotone_check():

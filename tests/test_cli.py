@@ -60,10 +60,12 @@ def test_load_config_reads_all_sections(config_path):
     assert loaded.sim.seeds == 2
 
 
-def test_load_config_defaults_optional_sections(tmp_path):
+@pytest.mark.parametrize("sections", ["", "whittle:\nsim:\n"],
+                         ids=["absent", "null"])
+def test_load_config_defaults_optional_sections(tmp_path, sections):
     path = tmp_path / "min.yaml"
     path.write_text("arrival_p: 0.4\nbuffer: 5\n"
-                    "servers:\n  - {q: 0.5, cost_c: 1.0}\n")
+                    "servers:\n  - {q: 0.5, cost_c: 1.0}\n" + sections)
     loaded = load_config(path)
     assert loaded.whittle.x_max == 40
     assert loaded.sim.horizon == 1_000_000
@@ -81,6 +83,14 @@ def test_load_config_defaults_optional_sections(tmp_path):
     ("arrival_p: 0.4\nbuffer: 5\nservers:\n  - {q: 0.5, cost_c: 1.0}\n"
      "whittle: {bad_knob: 1}\n", "unknown keys in 'whittle'"),
     ("- just\n- a\n- list\n", "root must be a mapping"),
+    ("arrival_p: 0.4\nbuffer: 5\nservers:\n  - {q: 0.5, cost_c: 1.0}\n"
+     "whittle: false\n", "section 'whittle' must be a mapping"),
+    ("arrival_p: 0.4\nbuffer: 5\nservers:\n  - {q: 0.5, cost_c: 1.0}\n"
+     "whittle: 0\n", "section 'whittle' must be a mapping"),
+    ("arrival_p: 0.4\nbuffer: 5\nservers:\n  - {q: 0.5, cost_c: 1.0}\n"
+     "whittle: []\n", "section 'whittle' must be a mapping"),
+    ("arrival_p: 0.4\nbuffer: 5\nservers:\n  - {q: 0.5, cost_c: 1.0}\n"
+     "sim: ''\n", "section 'sim' must be a mapping"),
 ])
 def test_load_config_rejects_malformed_files(tmp_path, text, phrase):
     path = tmp_path / "bad.yaml"

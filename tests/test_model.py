@@ -58,7 +58,7 @@ def test_passive_kernel_returns_a_copy_the_cache_ignores():
     want = passive_kernel(0.55, 70)
     got = passive_kernel(0.55, 70)
     got[:] = -1.0
-    passive_kernel(0.55, 40)[3, 1] = 7.0  # a smaller slice of one block
+    passive_kernel(0.55, 40)[3, 1] = 7.0  # a second cached block
     assert passive_kernel(0.55, 70).tobytes() == want.tobytes()
     assert passive_kernel(0.55, 70).flags.writeable
 
@@ -66,12 +66,9 @@ def test_passive_kernel_returns_a_copy_the_cache_ignores():
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 128, 200, 255, 256])
 @pytest.mark.parametrize("q", [1e-9, 0.05, 0.45, 0.55, 0.95, 1 - 1e-9])
 def test_passive_kernel_equals_the_per_row_oracle_bit_for_bit(q, n):
-    """Sizes straddle the cached block edges at multiples of 64 states.
-
-    The kernel calls scipy's private binomial pmf ufunc, so this
+    """The kernel calls scipy's private binomial pmf ufunc, so this
     comparison with the public scipy.stats.binom.pmf pins it, at
-    extreme q as well.
-    """
+    extreme q as well."""
     passive = passive_kernel(q, n)
     assert passive.shape == (n + 1, n + 1)
     want = np.zeros((n + 1, n + 1))
@@ -169,8 +166,8 @@ def test_transition_kernel_matches_rows(q, p, n):
 @pytest.mark.parametrize("n", [1, 62, 63, 64, 65, 127, 128])
 @pytest.mark.parametrize("p", [0.1, 0.4, 0.9])
 def test_transition_kernel_equals_the_direct_formula_bit_for_bit(p, n):
-    """The cached active block, sliced at n with its column n+1 added back
-    to the buffer cell, is (1-p) passive + p shift with the clamp at n."""
+    """The cached active block, with its column n+1 added back to the
+    buffer cell, is (1-p) passive + p shift with the clamp at n."""
     for q in (0.05, 0.55, 0.95):
         passive = passive_kernel(q, n)
         want = (1.0 - p) * passive
@@ -193,27 +190,26 @@ def test_transition_kernel_returns_copies_the_cache_ignores():
 
 
 @pytest.mark.parametrize("n", [0, 1, 41, 62, 63, 64, 100])
-def test_fresh_blocks_are_the_corners_of_the_cached_blocks_bit_for_bit(n):
-    """Built at exactly n + 1 states, evaluating the pmf over no more."""
+def test_kernel_blocks_are_the_corners_of_a_larger_block_bit_for_bit(n):
+    """Built at exactly n + 1 states, and equal to the top-left corners
+    of the blocks over 0..200: a table row's kernel and an oracle's
+    kernel over fewer states hold the same entries."""
     for q, p in ((0.05, 0.9), (0.55, 0.4), (0.95, 0.1)):
-        active, passive = model.fresh_blocks(q, p, n)
-        big_active, big_passive = model.kernel_blocks(q, p, n)
+        active, passive = model.kernel_blocks(q, p, n)
+        big_active, big_passive = model.kernel_blocks(q, p, 200)
         assert active.shape == (n + 1, n + 2)
         assert passive.shape == (n + 1, n + 1)
         assert active.tobytes() == big_active[: n + 1, : n + 2].tobytes()
         assert passive.tobytes() == big_passive[: n + 1, : n + 1].tobytes()
 
 
-def test_fresh_blocks_reject_bad_rates():
-    for q, p, match in ((0.0, 0.4, "q must"), (0.5, 1.0, "p must")):
-        with pytest.raises(ValueError, match=match):
-            model.fresh_blocks(q, p, 5)
-
-
 def test_transition_kernel_rejects_bad_arguments():
     for q, p, n in ((0.0, 0.4, 5), (0.5, 1.0, 5), (0.5, 0.4, 0)):
         with pytest.raises(ValueError):
             transition_kernel(q, p, n)
+    for q, p, match in ((0.0, 0.4, "q must"), (0.5, 1.0, "p must")):
+        with pytest.raises(ValueError, match=match):
+            model.kernel_blocks(q, p, 5)
 
 
 # ---------------------------------------------------------------- #

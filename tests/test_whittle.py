@@ -11,7 +11,7 @@ from psindex import (ConvergenceError, IndexIterationConfig, IndexTable,
                      ServerParams, bisect_index, build_index_table,
                      compute_index, index_residual, solve_value,
                      threshold_average_cost, SystemConfig)
-from psindex import model, whittle
+from psindex import whittle
 from psindex.cli import load_config
 from psindex.model import transition_kernel
 from psindex.threshold import threshold_rows
@@ -230,8 +230,8 @@ def test_lean_solves_match_the_scipy_formulation_bit_for_bit(q, p):
 
 
 ASSEMBLY_PAIRS = [(0.55, 0.4), (0.95, 0.4), (0.55, 0.9), (0.0427, 0.6161)]
-# Truncations whose n + 1 states straddle the 64-state block edge.
-BLOCK_EDGE = [(x, n) for n in range(61, 66) for x in (-1, 0, n // 2, n - 1)]
+# Truncations n = 61..65, each at its end, middle and first thresholds.
+WIDE_CASES = [(x, n) for n in range(61, 66) for x in (-1, 0, n // 2, n - 1)]
 
 
 @pytest.mark.parametrize("q,p", ASSEMBLY_PAIRS)
@@ -241,7 +241,7 @@ def test_the_system_is_the_kernel_assembly_bit_for_bit(q, p):
     whose active rows 0..x never see the buffer clamp at n."""
     server = ServerParams(q=q, cost_c=3.5)
     cases = [(x, n) for x in range(-1, 16)
-             for n in (x + 1, x + 5, 120) if n >= 1] + BLOCK_EDGE
+             for n in (x + 1, x + 5, 120) if n >= 1] + WIDE_CASES
     for x, n in cases:
         system = whittle._FixedThresholdSystem(server, p, x, n)
         _assert_same_system(system, _ScipyValueSystem(server, p, x, n))
@@ -269,8 +269,7 @@ def _assert_same_system(system, ref):
 def test_a_table_row_is_the_kernel_assembly_bit_for_bit(q, p, x_max):
     """Every cell of a row, sliced from one kernel over exactly states
     0..x_max+1, has the matrix, right-hand sides, balance rows and LU of
-    transition_kernel + threshold_rows at its own n = x + 1; the x_max
-    straddle the 64-state block the cached kernel is built in."""
+    transition_kernel + threshold_rows at its own n = x + 1."""
     server = ServerParams(q=q, cost_c=3.5)
     cells = list(whittle._row_systems(server, p, x_max))
     assert len(cells) == x_max + 1
@@ -279,21 +278,11 @@ def test_a_table_row_is_the_kernel_assembly_bit_for_bit(q, p, x_max):
         _assert_same_system(system, _ScipyValueSystem(server, p, x, x + 1))
 
 
-def test_a_table_evaluates_the_pmf_only_over_its_states(monkeypatch):
+def test_a_table_evaluates_the_pmf_only_over_its_states(pmf_sizes):
     """Cells 0..40 live on states 0..41: 42 * 43 / 2 = 903 lower-triangle
-    pmf entries per server, where a 64-state block needs 2 080."""
-    real = model._binom_pmf
-    sizes = []
-
-    def counted(k, n, p):
-        out = real(k, n, p)
-        sizes.append(np.size(out))
-        return out
-    monkeypatch.setattr(model, "_binom_pmf", counted)
-    model._passive_block.cache_clear()
-    model._active_block.cache_clear()
+    pmf entries per server."""
     build_index_table(FIG3, x_max=40)
-    assert sizes == [903] * 3
+    assert pmf_sizes == [903] * 3
 
 
 @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "gap", "tiny"])
@@ -322,32 +311,25 @@ def test_a_singular_pivot_raises_a_convergence_error(monkeypatch):
         whittle._FixedThresholdSystem(HEAVY, 0.4, 3, 4)
 
 
-def test_a_non_finite_value_system_is_refused(monkeypatch):
-    """A NaN in a row the system reads, active row 0 or passive row 4 of
-    threshold 3 at n = 4, is refused before the factorisation."""
+@pytest.mark.parametrize("build,block,row", [
+    (lambda: build_index_table(FIG3, x_max=2), 1, 3),
+    (lambda: whittle._FixedThresholdSystem(HEAVY, 0.4, 3, 4), 0, 0),
+], ids=["table_row", "oracle"])
+def test_a_non_finite_kernel_is_refused(monkeypatch, build, block, row):
+    """A NaN in a row a system reads is refused when the per-server
+    kernel is built, before any factorisation: passive row 3, the last
+    of a table row at x_max 2, and active row 0 of threshold 3 at
+    n = 4."""
     real = whittle.kernel_blocks
-    for block, row in ((0, 0), (1, 4)):
-        def poisoned(q, p, n):
-            blocks = [b.copy() for b in real(q, p, n)]
-            blocks[block][row, 0] = np.nan
-            return tuple(blocks)
-        monkeypatch.setattr(whittle, "kernel_blocks", poisoned)
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            whittle._FixedThresholdSystem(HEAVY, 0.4, 3, 4)
-
-
-def test_a_non_finite_table_kernel_is_refused(monkeypatch):
-    """The table's per-server kernel is checked once, before any cell."""
-    real = whittle.fresh_blocks
 
     def poisoned(q, p, n):
-        active, passive = real(q, p, n)
-        passive[n, 0] = np.nan
-        return active, passive
-    monkeypatch.setattr(whittle, "fresh_blocks", poisoned)
-    monkeypatch.setattr(whittle, "dgetrf", None)  # no cell is factored
+        blocks = [b.copy() for b in real(q, p, n)]
+        blocks[block][row, 0] = np.nan
+        return tuple(blocks)
+    monkeypatch.setattr(whittle, "kernel_blocks", poisoned)
+    monkeypatch.setattr(whittle, "dgetrf", None)  # nothing is factored
     with pytest.raises(ValueError, match="infs or NaNs"):
-        build_index_table(FIG3, x_max=2)
+        build()
 
 
 # ---------------------------------------------------------------- #
