@@ -7,7 +7,10 @@ model.transition_kernel, and the admission-gain profile its passive
 half. joint_rvi solves the full bank on the product state space and is
 the exact benchmark the index policy is measured against;
 brute_force_policy_search cross-checks it by sheer enumeration on
-spaces small enough to afford that.
+spaces small enough to afford that. Both relative value iterations
+supply only their sweep and read-out; one driver owns the stop rule
+(span <= tol, a non-finite span, values that repeat an earlier sweep,
+the sweep limit) and its argument checks.
 """
 
 from __future__ import annotations
@@ -22,6 +25,66 @@ import numpy as np
 from .model import ConvergenceError, ServerParams, SystemConfig, \
     passive_kernel, transition_kernel
 from .threshold import stationary_distribution
+
+# ---------------------------------------------------------------- #
+# relative value iteration                                         #
+# ---------------------------------------------------------------- #
+
+
+def _relative_value_iteration(name: str, sweep, v: np.ndarray, tol: float,
+                              max_sweeps: int):
+    """Sweep v until the span of the update's difference falls to tol.
+
+    sweep(v) returns the update Tv and the values to sweep next, Tv
+    normalised; the span is that of Tv - v. The result is the last
+    values, the last Tv - v, the sweep count and the span. A
+    non-finite span stops at once: a NaN never passes span <= tol.
+
+    Values that repeat those of an earlier sweep bit for bit also stop:
+    a sweep is a function of the values alone, so the sweeps in
+    between, none of whose spans met tol, recur forever. Values large
+    enough that rounding swallows each update do this: the single queue
+    stalls at a fixed point, the joint bank in a short cycle, and an
+    absolute tol is never met. Brent's method keeps one saved value
+    array, renewed at doubling gaps, and finds a cycle within a few
+    periods. Only sweeps whose span did not fall are offered to it:
+    each period of a cycle has one. The saved array is the sweep's own,
+    not a copy: every sweep builds a new one and never writes to an old
+    one.
+    """
+    if not (0.0 < tol < np.inf):
+        raise ValueError("tol must be positive and finite")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
+    saved, saved_sweep, gap, offered = None, 0, 1, 0
+    last_span = math.inf
+    for sweeps in range(1, max_sweeps + 1):
+        tv, v_next = sweep(v)
+        diff = tv - v
+        span = float(diff.max() - diff.min())
+        v = v_next
+        if span <= tol:
+            return v, diff, sweeps, span
+        if not math.isfinite(span):
+            raise ConvergenceError(
+                f"{name} span is {span!r} at sweep {sweeps}: the values "
+                "are no longer finite", residual=span)
+        if span >= last_span:
+            if (saved is not None and v.flat[-1] == saved.flat[-1]
+                    and v.tobytes() == saved.tobytes()):
+                raise ConvergenceError(
+                    f"{name} repeats the values of sweep {saved_sweep} at "
+                    f"sweep {sweeps}: span {span:.3e} stays above {tol:g} "
+                    f"with max |v| {float(np.abs(v).max()):.3e}",
+                    residual=span)
+            offered += 1
+            if offered == gap:
+                saved, saved_sweep, gap, offered = v, sweeps, 2 * gap, 0
+        last_span = span
+    raise ConvergenceError(
+        f"{name} did not reach span {tol:g} within {max_sweeps} sweeps "
+        f"(last span {span:.3e})", residual=span)
+
 
 # ---------------------------------------------------------------- #
 # single queue                                                     #
@@ -43,42 +106,6 @@ class SingleQueueSolution:
         self.policy.setflags(write=False)
 
 
-class _RepeatGuard:
-    """Stops a relative value iteration whose values repeat bit for bit.
-
-    A sweep is a function of the values alone, so once they repeat
-    those of an earlier sweep, the sweeps in between, none of whose
-    spans met tol, recur forever. Values large enough that rounding
-    swallows each update do this: the single queue stalls at a fixed
-    point, the joint bank in a short cycle, and an absolute tol is never
-    met. Brent's method keeps one saved value array, renewed at
-    doubling gaps, and finds a cycle within a few periods. Only sweeps
-    whose span did not fall are offered to it: each period of a cycle
-    has one. The saved array is the sweep's own, not a copy: every sweep
-    builds a new one and never writes to an old one.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-        self.saved, self.saved_sweep = None, 0
-        self.gap, self.offered = 1, 0
-
-    def check(self, sweep: int, span: float, tol: float,
-              v: np.ndarray) -> None:
-        saved = self.saved
-        if (saved is not None and v.flat[-1] == saved.flat[-1]
-                and v.tobytes() == saved.tobytes()):
-            raise ConvergenceError(
-                f"{self.name} repeats the values of sweep "
-                f"{self.saved_sweep} at sweep {sweep}: span {span:.3e} "
-                f"stays above {tol:g} with max |v| "
-                f"{float(np.abs(v).max()):.3e}", residual=span)
-        self.offered += 1
-        if self.offered == self.gap:
-            self.saved, self.saved_sweep = v, sweep
-            self.gap, self.offered = 2 * self.gap, 0
-
-
 def single_queue_rvi(lam: float, server: ServerParams, arrival_p: float,
                      n: int, tol: float = 1e-9, max_sweeps: int = 100_000,
                      v_init: np.ndarray | None = None) -> SingleQueueSolution:
@@ -87,45 +114,28 @@ def single_queue_rvi(lam: float, server: ServerParams, arrival_p: float,
     Jacobi sweeps with normalisation at state 0, stopping when the span
     of the update difference drops below tol; the average cost is the
     midpoint of that difference's range. The greedy tie at equal action
-    values goes to active.
+    values goes to active. v_init, when given, has shape (n + 1,).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (0.0 < tol < np.inf):
-        raise ValueError("tol must be positive and finite")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
-    q, p, c = server.q, arrival_p, server.cost_c
-    m = n + 1
-    pa, pb = transition_kernel(q, p, n)
-    xs = np.arange(m, dtype=np.float64)
-    cost_a = c * xs
-    cost_p = c * xs + lam
+    v = (np.zeros(n + 1) if v_init is None
+         else np.array(v_init, dtype=np.float64))
+    if v.shape != (n + 1,):
+        raise ValueError(f"v_init must have shape ({n + 1},), "
+                         f"not {v.shape}")
+    pa, pb = transition_kernel(server.q, arrival_p, n)
+    cost_a = server.cost_c * np.arange(n + 1, dtype=np.float64)
+    cost_p = cost_a + lam
 
-    v = np.zeros(m) if v_init is None else np.array(v_init, dtype=np.float64)
-    repeats, last_span = _RepeatGuard("relative value iteration"), math.inf
-    for sweep in range(1, max_sweeps + 1):
+    def sweep(v):
         tv = np.minimum(cost_a + pa @ v, cost_p + pb @ v)
-        diff = tv - v
-        span = float(diff.max() - diff.min())
-        v = tv - tv[0]
-        if span <= tol:
-            beta = float(0.5 * (diff.max() + diff.min()))
-            qa = cost_a + pa @ v
-            qp = cost_p + pb @ v
-            return SingleQueueSolution(lam=lam, n=n, v=v, beta=beta,
-                                       policy=qa <= qp, sweeps=sweep,
-                                       span=span)
-        if not math.isfinite(span):  # NaN never passes span <= tol
-            raise ConvergenceError(
-                f"relative value iteration span is {span!r} at sweep "
-                f"{sweep}: the values are no longer finite", residual=span)
-        if span >= last_span:
-            repeats.check(sweep, span, tol, v)
-        last_span = span
-    raise ConvergenceError(
-        f"relative value iteration did not reach span {tol:g} within "
-        f"{max_sweeps} sweeps (last span {span:.3e})", residual=span)
+        return tv, tv - tv[0]
+
+    v, diff, sweeps, span = _relative_value_iteration(
+        "relative value iteration", sweep, v, tol, max_sweeps)
+    return SingleQueueSolution(
+        lam=lam, n=n, v=v, beta=float(0.5 * (diff.max() + diff.min())),
+        policy=cost_a + pa @ v <= cost_p + pb @ v, sweeps=sweeps, span=span)
 
 
 def active_interval(policy: np.ndarray, upto: int | None = None
@@ -208,40 +218,24 @@ def joint_rvi(cfg: SystemConfig, tol: float = 1e-9,
     absolute; |V| reaches 1.7e6 there, where 1e-9 is 4 ulps, so reordered
     arithmetic (BLAS build, threads) moves the sweep count by a few.
     """
-    if not (0.0 < tol < np.inf):
-        raise ValueError("tol must be positive and finite")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
     ref = (0,) * cfg.num_servers
     shape = (cfg.buffer + 1,) * cfg.num_servers
     cost = sum(s.cost_c * g for s, g in zip(cfg.servers, np.indices(shape)))
     ops = _per_server_operators(cfg)
 
-    v = np.zeros(shape)
-    repeats = _RepeatGuard("joint relative value iteration")
-    last_span = math.inf
-    for sweep in range(1, max_sweeps + 1):
+    def sweep(v):
         tv = functools.reduce(np.minimum, _expected_values(v, ops))
         tv += cost
         tv -= v[ref]
-        span = float(np.ptp(tv - v))
-        v = tv
-        if span <= tol:
-            beta = float(v[ref])
-            policy = np.argmin(np.stack(_expected_values(v, ops)), axis=0)
-            return JointSolution(v=v - v[ref], beta=beta,
-                                 policy=policy.astype(np.int64),
-                                 reference=ref, sweeps=sweep, span=span)
-        if not math.isfinite(span):  # NaN never passes span <= tol
-            raise ConvergenceError(
-                f"joint relative value iteration span is {span!r} at sweep "
-                f"{sweep}: the values are no longer finite", residual=span)
-        if span >= last_span:
-            repeats.check(sweep, span, tol, v)
-        last_span = span
-    raise ConvergenceError(
-        f"joint relative value iteration did not reach span {tol:g} within "
-        f"{max_sweeps} sweeps (last span {span:.3e})", residual=span)
+        return tv, tv
+
+    v, _, sweeps, span = _relative_value_iteration(
+        "joint relative value iteration", sweep, np.zeros(shape), tol,
+        max_sweeps)
+    policy = np.argmin(np.stack(_expected_values(v, ops)), axis=0)
+    return JointSolution(v=v - v[ref], beta=float(v[ref]),
+                         policy=policy.astype(np.int64), reference=ref,
+                         sweeps=sweeps, span=span)
 
 
 # ---------------------------------------------------------------- #

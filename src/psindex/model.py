@@ -169,26 +169,20 @@ def passive_kernel(q: float, n: int) -> np.ndarray:
     return _passive_block(float(q), n + 1).copy()
 
 
-def _active_rows(passive: np.ndarray, p: float) -> np.ndarray:
-    """Active matrix over a passive matrix's states, one column wider.
+@lru_cache(maxsize=2)
+def _active_block(q: float, p: float, size: int) -> np.ndarray:
+    """Read-only active matrix over a passive block's states, one
+    column wider; every transition_kernel call copies it.
 
     Row x is passive row x convolved with the Bernoulli(p) arrival and
     nothing dropped, so column y + 1 carries p * passive[x, y]; the
     extra column holds the mass an arrival to the last state would
     carry past it.
     """
-    size = passive.shape[0]
+    passive = _passive_block(q, size)
     block = np.zeros((size, size + 1))
     block[:, :size] = (1.0 - p) * passive
     block[:, 1:] += p * passive
-    return block
-
-
-@lru_cache(maxsize=2)
-def _active_block(q: float, p: float, size: int) -> np.ndarray:
-    """Read-only _active_rows over a passive block; every
-    transition_kernel call copies it."""
-    block = _active_rows(_passive_block(q, size), p)
     block.setflags(write=False)
     return block
 

@@ -3,6 +3,8 @@
 import functools
 import itertools
 import math
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,8 @@ from psindex import (ConvergenceError, ServerParams, SystemConfig,
                      active_interval, admission_gain_profile, bisect_index,
                      brute_force_policy_search, joint_policy_average_cost,
                      joint_rvi, optimal_threshold_cost,
-                     policy_reachable_states, single_queue_rvi)
+                     policy_reachable_states, single_queue_rvi,
+                     transition_kernel)
 from psindex import dp
 from psindex.cli import load_config
 
@@ -68,8 +71,22 @@ def test_rvi_normalises_values_at_zero_and_warm_starts():
 
 
 def test_rvi_reports_nonconvergence():
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError,
+                       match=r"^relative value iteration did not reach span "
+                             r"1e-12 within 3 sweeps \(last span "
+                             r"\d\.\d{3}e[+-]\d\d\)$"):
         single_queue_rvi(2.0, UNIT, 0.4, 40, tol=1e-12, max_sweeps=3)
+
+
+@pytest.mark.parametrize("shape", [(41, 1), (5,), (42,)])
+def test_rvi_refuses_a_v_init_of_the_wrong_shape(shape):
+    """A (41, 1) column would broadcast into (41, 41) sweeps and end in
+    a misleading repeat stop; other lengths would meet numpy's matmul
+    error."""
+    with pytest.raises(ValueError,
+                       match=rf"^v_init must have shape \(41,\), not "
+                             rf"{re.escape(str(shape))}$"):
+        single_queue_rvi(2.0, UNIT, 0.4, 40, v_init=np.zeros(shape))
 
 
 @pytest.mark.parametrize("lam,cost_c", [(1.0, 1e308), (math.nan, 1.0)])
@@ -207,7 +224,10 @@ def test_joint_rvi_reference_state_is_zero(two_server_tiny):
 
 
 def test_joint_rvi_reports_nonconvergence(two_server_tiny):
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError,
+                       match=r"^joint relative value iteration did not reach "
+                             r"span 1e-12 within 2 sweeps \(last span "
+                             r"\d\.\d{3}e[+-]\d\d\)$"):
         joint_rvi(two_server_tiny, tol=1e-12, max_sweeps=2)
 
 
@@ -249,6 +269,84 @@ def test_joint_rvi_refuses_a_tol_outside_the_positive_reals(two_server_tiny,
                                                             tol):
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         joint_rvi(two_server_tiny, tol=tol)
+
+
+# ---------------------------------------------------------------- #
+# both solvers against their loops as first written                #
+# ---------------------------------------------------------------- #
+
+
+def _single_queue_loop(lam, server, p, n, tol, v_init):
+    """single_queue_rvi's sweeps and read-out in one loop of its own."""
+    pa, pb = transition_kernel(server.q, p, n)
+    xs = np.arange(n + 1, dtype=np.float64)
+    cost_a = server.cost_c * xs
+    cost_p = server.cost_c * xs + lam
+    v = np.zeros(n + 1) if v_init is None else np.array(v_init)
+    for sweep in range(1, 100_001):
+        tv = np.minimum(cost_a + pa @ v, cost_p + pb @ v)
+        diff = tv - v
+        span = float(diff.max() - diff.min())
+        v = tv - tv[0]
+        if span <= tol:
+            beta = float(0.5 * (diff.max() + diff.min()))
+            policy = cost_a + pa @ v <= cost_p + pb @ v
+            return v, beta, policy, sweep, span
+    raise AssertionError("the single-queue loop did not converge")
+
+
+def _joint_loop(cfg, tol):
+    """joint_rvi's sweeps and read-out in one loop of its own."""
+    ref = (0,) * cfg.num_servers
+    shape = (cfg.buffer + 1,) * cfg.num_servers
+    cost = sum(s.cost_c * g for s, g in zip(cfg.servers, np.indices(shape)))
+    ops = dp._per_server_operators(cfg)
+    v = np.zeros(shape)
+    for sweep in range(1, 200_001):
+        tv = functools.reduce(np.minimum, dp._expected_values(v, ops))
+        tv += cost
+        tv -= v[ref]
+        span = float(np.ptp(tv - v))
+        v = tv
+        if span <= tol:
+            policy = np.argmin(np.stack(dp._expected_values(v, ops)), axis=0)
+            return v - v[ref], float(v[ref]), policy, sweep, span
+    raise AssertionError("the joint loop did not converge")
+
+
+def _assert_same_solution(sol, want):
+    v, beta, policy, sweeps, span = want
+    assert sol.v.tobytes() == v.tobytes()
+    assert sol.beta == beta
+    assert np.array_equal(sol.policy, policy)
+    assert (sol.sweeps, sol.span) == (sweeps, span)
+
+
+FIG3 = load_config(ROOT / "configs/fig3.yaml").system
+
+
+@pytest.mark.parametrize("server", FIG3.servers, ids=lambda s: f"q{s.q}")
+def test_rvi_equals_its_own_loop_bit_for_bit(server):
+    """Cold, and warm-started from the previous charge's values. Sweep
+    counts are compared, not pinned, so this holds under any BLAS."""
+    warm = None
+    for lam in (-5.0, 0.0, 2.5, 10.0):
+        cold = single_queue_rvi(lam, server, FIG3.arrival_p, 120, tol=1e-10)
+        _assert_same_solution(cold, _single_queue_loop(
+            lam, server, FIG3.arrival_p, 120, 1e-10, None))
+        if warm is not None:
+            sol = single_queue_rvi(lam, server, FIG3.arrival_p, 120,
+                                   tol=1e-10, v_init=warm)
+            _assert_same_solution(sol, _single_queue_loop(
+                lam, server, FIG3.arrival_p, 120, 1e-10, warm))
+        warm = cold.v
+
+
+@pytest.mark.parametrize("bank", ["tiny", "gap", "fig3-buffer12"])
+def test_joint_rvi_equals_its_own_loop_bit_for_bit(bank):
+    cfg = (replace(FIG3, buffer=12) if bank == "fig3-buffer12"
+           else load_config(ROOT / f"configs/{bank}.yaml").system)
+    _assert_same_solution(joint_rvi(cfg), _joint_loop(cfg, 1e-9))
 
 
 THREE_Q = (ServerParams(q=0.6, cost_c=2.0), ServerParams(q=0.5, cost_c=1.0),
