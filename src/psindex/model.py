@@ -6,8 +6,9 @@ Binomial(x, q/x) and its mean is exactly q whenever x >= 1. An active
 server may additionally admit one Bernoulli(p) arrival. These laws,
 stated once as transition matrices over a buffered state space, and a
 drift certificate for the stability region are the vocabulary every
-other module builds on. The matrices come from one cache of read-only
-blocks keyed by the exact state count, which every consumer reads.
+other module builds on. The matrices are read-only blocks cached by
+the exact state count, handed to every consumer as they are: shared,
+never copied, and refused to any write.
 """
 
 from __future__ import annotations
@@ -120,16 +121,20 @@ def validate_config(cfg: SystemConfig) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
-def _binomial_block(q: float, size: int) -> np.ndarray:
-    """Passive matrix over states 0..size-1, built afresh.
+@lru_cache(maxsize=2)
+def _passive_block(q: float, size: int) -> np.ndarray:
+    """Read-only passive matrix over states 0..size-1, cached.
 
-    The pmf is evaluated elementwise, so the top-left corner of a
-    block is bit-identical to a direct build at the smaller size, whose
-    entries above the diagonal are the pmf's zeros at negative counts.
-    Every lower-triangle entry lies in the binomial's support, where
-    scipy.stats.binom.pmf returns exactly the clipped _binom_pmf ufunc
-    it dispatches to; calling the ufunc spares every process the
-    import of scipy.stats, most of the package's cold start.
+    Keyed by the exact state count. Sweeps loop over q outermost, so
+    two blocks serve every consumer in turn, and a sweep over large
+    sizes keeps little memory alive. The pmf is evaluated elementwise,
+    so the top-left corner of a block is bit-identical to a direct
+    build at the smaller size, whose entries above the diagonal are the
+    pmf's zeros at negative counts. Every lower-triangle entry lies in
+    the binomial's support, where scipy.stats.binom.pmf returns exactly
+    the clipped _binom_pmf ufunc it dispatches to; calling the ufunc
+    spares every process the import of scipy.stats, most of the
+    package's cold start.
     """
     states = np.arange(size)
     # The lower triangle, row by row: a passive server only loses jobs.
@@ -137,18 +142,6 @@ def _binomial_block(q: float, size: int) -> np.ndarray:
     block = np.zeros((size, size))
     block[x, y] = np.clip(_binom_pmf(x - y, x, q / np.maximum(x, 1)),
                           0.0, 1.0)
-    return block
-
-
-@lru_cache(maxsize=2)
-def _passive_block(q: float, size: int) -> np.ndarray:
-    """Read-only _binomial_block, shared by every passive_kernel call.
-
-    Keyed by the exact state count. Sweeps loop over q outermost, so
-    two blocks serve every consumer in turn, and a sweep over large
-    sizes keeps little memory alive.
-    """
-    block = _binomial_block(q, size)
     block.setflags(write=False)
     return block
 
@@ -160,50 +153,30 @@ def passive_kernel(q: float, n: int) -> np.ndarray:
     one binomial evaluation over the lower triangle; an empty server
     (x = 0) has the point mass Binomial(0, q) at zero. Reversed, row x
     is the departure law: passive[x, x::-1][d] = P(D = d). The result
-    is a writable copy of the cached block, so callers may edit it.
+    is the cached block itself, shared and read-only.
     """
     if n < 0:
         raise ValueError(f"n={n} must be >= 0")
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0,1)")
-    return _passive_block(float(q), n + 1).copy()
+    return _passive_block(float(q), n + 1)
 
 
 @lru_cache(maxsize=2)
 def _active_block(q: float, p: float, size: int) -> np.ndarray:
-    """Read-only active matrix over a passive block's states, one
-    column wider; every transition_kernel call copies it.
+    """Read-only active matrix over a passive block's states, cached.
 
-    Row x is passive row x convolved with the Bernoulli(p) arrival and
-    nothing dropped, so column y + 1 carries p * passive[x, y]; the
-    extra column holds the mass an arrival to the last state would
-    carry past it.
+    Row x is passive row x convolved with the Bernoulli(p) arrival, so
+    column y + 1 carries p * passive[x, y]. An arrival to a full buffer
+    with no departure is dropped: its mass p * passive[-1, -1] stays at
+    the last state.
     """
     passive = _passive_block(q, size)
-    block = np.zeros((size, size + 1))
-    block[:, :size] = (1.0 - p) * passive
-    block[:, 1:] += p * passive
+    block = (1.0 - p) * passive
+    block[:, 1:] += p * passive[:, :-1]
+    block[-1, -1] += p * passive[-1, -1]
     block.setflags(write=False)
     return block
-
-
-def kernel_blocks(q: float, p: float,
-                  n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cached read-only active and passive blocks over states 0..n.
-
-    The active block is (n+1) x (n+2) and the passive one
-    (n+1) x (n+1); transition_kernel(q, p, n) is these with the clamp
-    at n added. Both are elementwise in the state, so each is bit for
-    bit the top-left corner of the blocks over any larger n. A caller
-    that reads rows the clamp leaves alone, such as active rows below
-    n, may read them here without a copy, and must not write.
-    """
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie in (0,1)")
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie in (0,1)")
-    return (_active_block(float(q), float(p), n + 1),
-            _passive_block(float(q), n + 1))
 
 
 def transition_kernel(q: float, p: float,
@@ -212,17 +185,19 @@ def transition_kernel(q: float, p: float,
 
     The buffer sits at n. Row x of the active matrix is passive row x
     convolved with the Bernoulli(p) arrival, the arrival dropped when
-    it would pass the buffer. Both are writable copies of the
-    kernel_blocks; the active block's entry [n, n+1] is exactly
-    p * passive[n, n], the mass the clamp returns to the buffer.
+    it would pass the buffer. Both are the cached blocks themselves,
+    shared and read-only. Every entry is elementwise in the state, so
+    each block is bit for bit the top-left corner of the blocks over
+    any larger n, except active row n, where the clamp applies.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    big, passive = kernel_blocks(q, p, n)
-    active = big[:, : n + 1].copy()
-    # An arrival to a full buffer with no departure is dropped.
-    active[n, n] += big[n, n + 1]
-    return active, passive.copy()
+    if not (0.0 < q < 1.0):
+        raise ValueError("q must lie in (0,1)")
+    if not (0.0 < p < 1.0):
+        raise ValueError("p must lie in (0,1)")
+    return (_active_block(float(q), float(p), n + 1),
+            _passive_block(float(q), n + 1))
 
 
 def lyapunov_margin(p: float, q_min: float, a: float) -> float:

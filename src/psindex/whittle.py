@@ -7,9 +7,11 @@ With the threshold structure fixed, the relative values solve a linear
 system that is affine in lam, so the balance gap has a single root.
 Index tables take it in closed form from two back-solves on one LU.
 Every value system is sliced from a per-server kernel that holds the
-model's cached transition blocks negated with the unit diagonal added:
-a table row builds one over the states all its cells visit, and every
-other caller one over the states of its single system.
+model's read-only transition_kernel negated with the unit diagonal
+added: a table row builds one over the states all its cells visit, and
+every other caller one over the states of its single system. The
+residual guard's message gives the largest value and its ulp, the
+float floor the residual is measured against.
 Two independent routes find it iteratively and serve as oracles: the
 paper's incremental fixed-point scheme (compute_index) and a bisection
 (bisect_index) that brackets the root by the gap's signs at the two
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .model import ConvergenceError, ServerParams, SystemConfig, \
-    kernel_blocks
+    transition_kernel
 
 VALUE_RESIDUAL_TOL = 1e-9
 
@@ -66,22 +68,21 @@ class ValueSolution:
 class _ServerKernel:
     """One server's arrays that each of its value systems slices.
 
-    active and passive are the read-only model.kernel_blocks over
-    states 0..n without the buffer clamp: active row n lacks the
-    arrival that would leave them, so only the rows below it are exact,
-    and those are all a system on states 0..m, m <= n, reads. neg holds
-    the identity minus each, active then passive, in one C-ordered copy
-    checked finite here once; cost holds cost_c * x. A system copies
-    its rows from their top-left corners.
+    active and passive are the read-only model.transition_kernel over
+    states 0..n. Its clamp at the buffer touches active row n alone,
+    and a system on states 0..m, m <= n, reads only active rows below
+    m, so every system reads rows a larger kernel shares bit for bit.
+    neg holds the identity minus each, active then passive, in one
+    C-ordered copy checked finite here once; cost holds cost_c * x. A
+    system copies its rows from their top-left corners.
     """
 
     def __init__(self, server: ServerParams, arrival_p: float, n: int):
-        active, passive = kernel_blocks(server.q, arrival_p, n)
+        self.active, self.passive = transition_kernel(server.q, arrival_p, n)
         size = n + 1
-        self.active, self.passive = active[:, :size], passive
         neg = np.empty((2, size, size))
         np.negative(self.active, out=neg[0])
-        np.negative(passive, out=neg[1])
+        np.negative(self.passive, out=neg[1])
         neg.reshape(2, -1)[:, :: size + 1] += 1.0
         if not np.isfinite(neg).all():
             raise ValueError("array must not contain infs or NaNs")
@@ -101,13 +102,14 @@ class _FixedThresholdSystem:
     of transition_kernel(q, p, n), bit for bit: rows 0..threshold_x of
     the kernel's negated active matrix, the rest of its negated passive
     one, each with the unit diagonal already added. Active rows
-    s <= threshold_x < n never reach state n, so the clamp the kernel
-    adds at the buffer never applies to them. The kernel is built over
-    states 0..n unless a caller passes one over at least n + 1 states,
-    as build_index_table does once per server row. The balance rows
-    are read-only views of the kernel. The matrix stays C-ordered: the
-    residual products run on it, and their rounding, which the 1e-9
-    guard reads, depends on that layout.
+    s <= threshold_x < n never reach state n, and the clamp that
+    transition_kernel adds at its buffer sits in active row n alone,
+    which no system reads. The kernel is built over states 0..n unless
+    a caller passes one over at least n + 1 states, as
+    build_index_table does once per server row. The balance rows are
+    read-only views of the model's cached kernel. The matrix stays
+    C-ordered: the residual products run on it, and their rounding,
+    which the 1e-9 guard reads, depends on that layout.
     """
 
     def __init__(self, server: ServerParams, arrival_p: float,
@@ -151,7 +153,8 @@ class _FixedThresholdSystem:
         One refinement step follows the LU solve, and the residual guard
         covers the result; a NaN residual fails it too, so getrs needs
         no finiteness check. A failed guard raises ConvergenceError
-        carrying the residual.
+        carrying the residual; its message gives max |v| and that
+        value's ulp, so an abort at the float floor reads as one.
         """
         b, u, r = self._b, self._u, self._r
         np.multiply(self._b1, lam, out=b)
@@ -166,8 +169,10 @@ class _FixedThresholdSystem:
         r -= b
         resid = float(np.abs(r, out=r).max())
         if not resid <= VALUE_RESIDUAL_TOL:
+            v_max = float(np.abs(u[: self.n + 1]).max())
             raise ConvergenceError(f"value system residual {resid:.3e} "
-                                   f"exceeds {VALUE_RESIDUAL_TOL:g}",
+                                   f"exceeds {VALUE_RESIDUAL_TOL:g}; max |v| "
+                                   f"{v_max:.3e}, ulp {np.spacing(v_max):.3e}",
                                    residual=resid)
         return u
 

@@ -41,6 +41,14 @@ def test_departure_counts_are_not_stochastically_ordered():
     assert cdf2[1] < cdf1[1]
 
 
+def _writable_copy(kernel):
+    """A copy of a passive matrix or an (active, passive) pair: the
+    model hands out its cached blocks read-only."""
+    if isinstance(kernel, np.ndarray):
+        return kernel.copy()
+    return tuple(m.copy() for m in kernel)
+
+
 def _lose_mass(passive):
     passive[3, 1] += 1e-9
 
@@ -80,7 +88,7 @@ def test_model_checks_fail_on_a_perturbed_kernel(monkeypatch, check, kernel,
     real = getattr(checks, kernel)
 
     def perturbed(*args):
-        out = real(*args)
+        out = _writable_copy(real(*args))
         edit(out)
         return out
     monkeypatch.setattr(checks, kernel, perturbed)
@@ -125,7 +133,7 @@ def test_chain_dominance_names_the_first_threshold_that_fails(monkeypatch):
     real = checks.transition_kernel
 
     def perturbed(*args):
-        out = real(*args)
+        out = _writable_copy(real(*args))
         _never_departs_from_six(out)
         return out
     monkeypatch.setattr(checks, "transition_kernel", perturbed)
@@ -174,12 +182,14 @@ def test_index_agreement_fails_instead_of_raising_when_the_table_aborts():
     """The heavy-traffic bank's first server (p > q): the table's cell 9
     fails its residual guard, and the check carries the table's message,
     which names the server and the state, instead of aborting the
-    suite."""
+    suite. The residual is the ulp of the largest value: the guard
+    trips at the float floor."""
     res = checks.check_index_agreement(HEAVY)
     assert not res.passed
     assert res.name == "index_agreement"
     assert res.detail == ("index table aborted at server 0, state 9: value "
-                          "system residual 1.863e-09 exceeds 1e-09")
+                          "system residual 1.863e-09 exceeds 1e-09; max |v| "
+                          "1.414e+07, ulp 1.863e-09")
 
 
 def test_index_agreement_names_the_state_where_bisection_fails(monkeypatch):

@@ -16,6 +16,8 @@ has p >= q; a bank whose every server has q > p must build its table.
 """
 
 import csv
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -135,3 +137,47 @@ def test_the_grid_covers_both_regimes_and_every_bank_size():
 @pytest.mark.parametrize("index", range(160))
 def test_the_larger_grid(index, tmp_path, capsys):
     _check_bank(_banks(160, max_buffer=30)[index], tmp_path, capsys)
+
+
+# Banks at the edges of the accepted range: costs up to 1e300, index
+# tables to x_max 300, q > p and q <= p servers. fig3's servers abort
+# their table at state 216 at the float floor of the residual guard.
+EXTREME_BANKS = {
+    "fig3_x300": ([(0.55, 30.0), (0.5, 29.0), (0.45, 28.0)], 0.4, 10, 300),
+    "light_x200": ([(0.9, 5.0)], 0.1, 15, 200),
+    "one_1e300": ([(0.6, 1e300)], 0.3, 20, 300),
+    "mixed_1e300": ([(0.3, 1e300), (0.9, 0.01)], 0.7, 8, 300),
+    "mixed_1e150": ([(0.9, 1e150), (0.5, 0.01)], 0.6, 12, 120),
+}
+EXTREME_BUDGET_S = 30.0  # all four commands of one bank; about 1 s today
+
+
+@pytest.mark.parametrize("name", sorted(EXTREME_BANKS))
+def test_extreme_banks_get_an_answer_or_a_clean_failure(name, tmp_path,
+                                                        capsys):
+    """Exit 0 or 1, an `error:` or `FAIL` line whenever the exit is 1,
+    no traceback or numpy warning, within a generous time budget."""
+    servers, p, buffer, x_max = EXTREME_BANKS[name]
+    cfg = tmp_path / "bank.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "arrival_p": p, "buffer": buffer,
+        "servers": [{"q": q, "cost_c": c} for q, c in servers],
+        "whittle": {"x_max": x_max}, "sim": {"burn_in": BURN_IN}}))
+    start = time.perf_counter()
+    for command, extra in (
+            ("indices", ()),
+            ("simulate", ("--policy", "cmu", "--horizon", str(HORIZON))),
+            ("exact", ()), ("properties", ())):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text = _run(capsys, command, "--config", str(cfg),
+                              "--out", str(tmp_path / command), *extra)
+        assert code in (0, 1), (command, code, text)
+        assert "Traceback" not in text, (command, text)
+        assert "RuntimeWarning" not in text, (command, text)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], command
+        if code == 1:
+            assert any(line.startswith(("error: ", "FAIL  "))
+                       for line in text.splitlines()), (command, text)
+    assert time.perf_counter() - start < EXTREME_BUDGET_S

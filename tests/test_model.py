@@ -8,7 +8,6 @@ import pytest
 from psindex import (ServerParams, SystemConfig, lyapunov_certificate,
                      lyapunov_margin, passive_kernel, transition_kernel,
                      validate_config)
-from psindex import model
 
 from conftest import binom_departures, binom_row, enum_next_state, enum_row
 
@@ -51,16 +50,6 @@ def test_departure_pmf_rejects_bad_arguments():
 def test_passive_kernel_rejects_a_negative_size():
     with pytest.raises(ValueError, match="n=-1"):
         passive_kernel(0.5, -1)
-
-
-def test_passive_kernel_returns_a_copy_the_cache_ignores():
-    """Callers may edit the kernel in place; the next call is unchanged."""
-    want = passive_kernel(0.55, 70)
-    got = passive_kernel(0.55, 70)
-    got[:] = -1.0
-    passive_kernel(0.55, 40)[3, 1] = 7.0  # a second cached block
-    assert passive_kernel(0.55, 70).tobytes() == want.tobytes()
-    assert passive_kernel(0.55, 70).flags.writeable
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 128, 200, 255, 256])
@@ -166,8 +155,8 @@ def test_transition_kernel_matches_rows(q, p, n):
 @pytest.mark.parametrize("n", [1, 62, 63, 64, 65, 127, 128])
 @pytest.mark.parametrize("p", [0.1, 0.4, 0.9])
 def test_transition_kernel_equals_the_direct_formula_bit_for_bit(p, n):
-    """The cached active block, with its column n+1 added back to the
-    buffer cell, is (1-p) passive + p shift with the clamp at n."""
+    """The cached active block is (1-p) passive + p shift with the
+    clamp at n."""
     for q in (0.05, 0.55, 0.95):
         passive = passive_kernel(q, n)
         want = (1.0 - p) * passive
@@ -178,38 +167,44 @@ def test_transition_kernel_equals_the_direct_formula_bit_for_bit(p, n):
         assert got.tobytes() == passive.tobytes()
 
 
-def test_transition_kernel_returns_copies_the_cache_ignores():
-    """Callers may edit both matrices in place; the next call is unchanged."""
-    want = [m.copy() for m in transition_kernel(0.55, 0.4, 70)]
-    for m in transition_kernel(0.55, 0.4, 70):
-        m[:] = -1.0
-    transition_kernel(0.55, 0.4, 40)[0][40, 40] = 7.0  # the clamped cell
-    got = transition_kernel(0.55, 0.4, 70)
-    assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
-    assert all(m.flags.writeable for m in got)
+def test_kernels_are_the_shared_read_only_cached_blocks():
+    """A repeated call hands out the same two arrays, which no caller
+    may edit."""
+    active, passive = transition_kernel(0.55, 0.4, 70)
+    again = transition_kernel(0.55, 0.4, 70)
+    assert again[0] is active and again[1] is passive
+    assert passive_kernel(0.55, 70) is passive
+    for m in (active, passive):
+        assert not m.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m[3, 1] = 7.0
 
 
-@pytest.mark.parametrize("n", [0, 1, 41, 62, 63, 64, 100])
-def test_kernel_blocks_are_the_corners_of_a_larger_block_bit_for_bit(n):
-    """Built at exactly n + 1 states, and equal to the top-left corners
-    of the blocks over 0..200: a table row's kernel and an oracle's
-    kernel over fewer states hold the same entries."""
+@pytest.mark.parametrize("n", [1, 41, 62, 63, 64, 100])
+def test_transition_kernel_is_a_corner_of_a_larger_kernel_but_its_clamp(n):
+    """Built at exactly n + 1 states: the active rows below n and the
+    whole passive block are the top-left corners of the kernel over
+    0..200, bit for bit, and active row n adds the clamp at n to the
+    larger passive row, so a table row's kernel and an oracle's kernel
+    over fewer states hold the same entries."""
     for q, p in ((0.05, 0.9), (0.55, 0.4), (0.95, 0.1)):
-        active, passive = model.kernel_blocks(q, p, n)
-        big_active, big_passive = model.kernel_blocks(q, p, 200)
-        assert active.shape == (n + 1, n + 2)
-        assert passive.shape == (n + 1, n + 1)
-        assert active.tobytes() == big_active[: n + 1, : n + 2].tobytes()
+        active, passive = transition_kernel(q, p, n)
+        big_active, big_passive = transition_kernel(q, p, 200)
+        assert active.shape == passive.shape == (n + 1, n + 1)
+        assert active[:n].tobytes() == big_active[:n, : n + 1].tobytes()
         assert passive.tobytes() == big_passive[: n + 1, : n + 1].tobytes()
+        row = big_passive[n, : n + 1]
+        want = (1.0 - p) * row
+        want[1:] += p * row[:-1]
+        want[n] += p * row[n]
+        assert active[n].tobytes() == want.tobytes()
 
 
 def test_transition_kernel_rejects_bad_arguments():
-    for q, p, n in ((0.0, 0.4, 5), (0.5, 1.0, 5), (0.5, 0.4, 0)):
-        with pytest.raises(ValueError):
-            transition_kernel(q, p, n)
-    for q, p, match in ((0.0, 0.4, "q must"), (0.5, 1.0, "p must")):
+    for q, p, n, match in ((0.0, 0.4, 5, "q must"), (0.5, 1.0, 5, "p must"),
+                           (0.5, 0.4, 0, "n must")):
         with pytest.raises(ValueError, match=match):
-            model.kernel_blocks(q, p, 5)
+            transition_kernel(q, p, n)
 
 
 # ---------------------------------------------------------------- #

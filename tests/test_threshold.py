@@ -261,7 +261,8 @@ def test_general_solve_matches_the_ladder_entry_by_entry(q, p):
 
 
 def _kernel():
-    return transition_kernel(0.5, 0.4, 4)
+    """Writable copies: the model's cached blocks are read-only."""
+    return tuple(m.copy() for m in transition_kernel(0.5, 0.4, 4))
 
 
 def _nan_entry(active, passive):

@@ -320,13 +320,13 @@ def test_a_non_finite_kernel_is_refused(monkeypatch, build, block, row):
     kernel is built, before any factorisation: passive row 3, the last
     of a table row at x_max 2, and active row 0 of threshold 3 at
     n = 4."""
-    real = whittle.kernel_blocks
+    real = whittle.transition_kernel
 
     def poisoned(q, p, n):
         blocks = [b.copy() for b in real(q, p, n)]
         blocks[block][row, 0] = np.nan
         return tuple(blocks)
-    monkeypatch.setattr(whittle, "kernel_blocks", poisoned)
+    monkeypatch.setattr(whittle, "transition_kernel", poisoned)
     monkeypatch.setattr(whittle, "dgetrf", None)  # nothing is factored
     with pytest.raises(ValueError, match="infs or NaNs"):
         build()
