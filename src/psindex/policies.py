@@ -8,8 +8,8 @@ simulator can hand the random rule its own generator stream.
 The deterministic rules (Whittle, Cmu, exact) are pure functions of
 the joint state, so each also gives its whole decision table:
 decisions(cfg) holds one byte per joint state, the server the selector
-picks there, which the simulator reads in place of calling the
-selector.
+picks there. The simulator's compiled slot loop reads the table; its
+Python kernel calls the selector.
 """
 
 from __future__ import annotations
@@ -105,16 +105,17 @@ class _IndexRule(_DecisionTable):
 
         def select(state):
             nonlocal rows
-            try:
-                best, best_val = 0, rows[0][state[0]]
-                for i in range(1, num):
-                    val = rows[i][state[i]]
-                    if val < best_val:
-                        best, best_val = i, val
-            except IndexError:  # a state past the rows: widen them
-                rows = [r.tolist() for r in self.scores(2 * max(state) + 1)]
-                return select(state)
-            return best
+            while True:
+                try:
+                    best, best_val = 0, rows[0][state[0]]
+                    for i in range(1, num):
+                        val = rows[i][state[i]]
+                        if val < best_val:
+                            best, best_val = i, val
+                    return best
+                except IndexError:  # a state past the rows: widen them
+                    rows = [r.tolist()
+                            for r in self.scores(2 * max(state) + 1)]
 
         return select
 

@@ -14,29 +14,29 @@ Each slot consumes one uniform per queue and one arrival uniform
 whether or not it uses them, so how a kernel skips idle work changes
 no report. An empty queue always has zero departures: the Python
 kernel draws each stream in blocks with numpy and does no bisection
-for an empty queue, and a slot with every queue empty adds nothing to
+for an empty queue, and a slot with no job in the bank adds nothing to
 the cost or length sums and reads no departure uniform at all. The
 compiled kernel seeds the same streams and draws the same numbers
 itself, numpy's seeding and PCG64 stream reproduced in C, and takes
 every queue through the same branch-free steps, which leave those
 sums as they are.
 
-A policy whose decisions(cfg) gives a table is read there by the
-state's mixed-radix code (server 0 most significant). The random rule,
-a policy with choices(rng), draws Generator.integers(num) once per
-slot on the policy stream: the Python kernel through choices, a block
-at a time, and the compiled kernel in C. One loop object holds the
-state in the arrays that advance() of _slotloop.c updates in place,
-and picks its kernel once. A table or the random rule runs compiled;
-the system C compiler builds that kernel on the first call, at most
-once per process, and it is used only when its seeding and draws
-reproduce numpy's. The Python kernel is its reference and the
-fallback: it runs when no compiler built the loop or the self-test
-failed, and for any other policy (a wrapper, a grid too large for a
-table), which it asks through its selector once per slot, empty slots
-included. Both kernels give bit-identical reports; the test suite
-checks the flow identity next = current - departures + admissions
-slot by slot on each.
+Each kernel reads one face of a policy. The compiled kernel reads a
+decision table, decisions(cfg), by the state's mixed-radix code
+(server 0 most significant), or draws the random rule's
+Generator.integers(num) once per slot on the policy stream in C. The
+Python kernel asks every policy its selector(rng) once per slot, empty
+slots included, the random rule's selector drawing the same stream
+through choices, a block at a time. One loop object holds the state in the
+arrays that advance() of _slotloop.c updates in place, and picks its
+kernel once. A table or the random rule runs compiled; the system C
+compiler builds that kernel on the first call, at most once per
+process, and it is used only when its seeding and draws reproduce
+numpy's. The Python kernel is its reference and the fallback: it runs
+when no compiler built the loop or the self-test failed, and for any
+other policy (a wrapper, a grid too large for a table). Both kernels
+give bit-identical reports; the test suite checks the flow identity
+next = current - departures + admissions slot by slot on each.
 """
 
 from __future__ import annotations
@@ -78,20 +78,18 @@ def _departure_cdfs(q: float, max_x: int) -> list[list[float]]:
 class _Bank(NamedTuple):
     """What the slot loop reads of a bank, whatever the seed.
 
-    costs, cdfs (the _departure_cdfs rows per server) and stride (the
-    state code's place values, server 0 first: the code is 0 iff every
-    queue is empty) serve the Python kernel. arrays holds the same as
-    the compiled kernel reads them, read-only: the costs, every server's
-    CDF rows back to back, each row followed by a sentinel 1.0 (so row
-    x of a server starts x(x+3)/2 past the server's first), the stride,
-    and a zero stride for a loop without a table, which never reads the
-    code (a grid without one can pass 2**64). addresses holds their
-    addresses.
+    costs and cdfs (the _departure_cdfs rows per server) serve the
+    Python kernel. arrays holds what the compiled kernel reads,
+    read-only: the costs, every server's CDF rows back to back, each
+    row followed by a sentinel 1.0 (so row x of a server starts x(x+3)/2
+    past the server's first), the stride (the state code's place
+    values, server 0 first), and a zero stride for a loop without a
+    table, which never reads the code (a grid without one can pass
+    2**64). addresses holds their addresses.
     """
 
     costs: tuple[float, ...]
     cdfs: tuple[list[list[float]], ...]
-    stride: tuple[int, ...]
     arrays: tuple[np.ndarray, ...]
     addresses: tuple[int, ...]
 
@@ -111,7 +109,7 @@ def _bank(cfg: SystemConfig) -> _Bank:
               np.zeros(num, np.int64))
     for a in arrays:
         a.flags.writeable = False
-    return _Bank(costs, cdfs, stride, arrays,
+    return _Bank(costs, cdfs, arrays,
                  tuple(a.ctypes.data for a in arrays))
 
 
@@ -256,11 +254,11 @@ class _SlotLoop:
     choices), runs compiled when the loop was built: gen holds the
     streams as seed() of _slotloop.c seeds them, which advance() draws
     from and updates in place, the random rule's choices included, and
-    no numpy Generator is built. Every other policy runs on the Python
-    kernel, the reference and the fallback: streams holds the children
-    as numpy Generators, the departure and arrival uniforms are drawn
-    in numpy blocks, the policy's selector is asked once per slot, and
-    counts[0] stays at zero.
+    no numpy Generator is built. Otherwise the Python kernel runs, the
+    reference and the fallback: streams holds the children as numpy
+    Generators, the departure and arrival uniforms are drawn in numpy
+    blocks, the policy's selector is asked once per slot, no table is
+    built, and counts[0] stays at zero.
     """
 
     def __init__(self, cfg: SystemConfig, policy, seed: int):
@@ -271,15 +269,16 @@ class _SlotLoop:
         self.acc = np.zeros(num + 1)
         self.bank = bank = _bank(cfg)
         table_of = getattr(policy, "decisions", None)
-        self.dec = dec = table_of(cfg) if table_of is not None else None
-        lib = (_slot_loop() if dec is not None or hasattr(policy, "choices")
-               else None)
+        draws = hasattr(policy, "choices")
+        lib = _slot_loop() if table_of or draws else None
+        dec = table_of(cfg) if lib and table_of else None
+        if dec is None and not draws:
+            lib = None
         self.compiled = lib.advance if lib is not None else None
         if lib is None:
             self.streams = [np.random.default_rng(child) for child
                             in np.random.SeedSequence(seed).spawn(num + 2)]
-            self.select = (policy.selector(self.streams[-1]) if dec is None
-                           else None)
+            self.select = policy.selector(self.streams[-1])
             return
         self.gen = _seeded(lib.seed, seed, num + 2)
         # args points into the arrays, gen and the bank, all kept here.
@@ -301,23 +300,19 @@ class _SlotLoop:
         self.compiled(block, *self.args)
 
     def _python(self, dep_u: np.ndarray, arr: np.ndarray) -> None:
-        # The code stays a Python int: a grid without a table can pass
-        # 2**64, where counts[0] would wrap.
         x, buffer = self.x.tolist(), self.buffer
-        bank = self.bank
-        costs, cdfs, stride = bank.costs, bank.cdfs, bank.stride
-        dec, select = self.dec, self.select
-        code = sum(map(int.__mul__, x, stride))
+        bank, select = self.bank, self.select
+        jobs = sum(x)
         cost_acc, *len_acc = self.acc.tolist()
         drops = int(self.counts[1])
         arr = arr.tolist()
-        lanes = list(zip(range(len(x)), costs, cdfs,
-                         (row.tolist() for row in dep_u), stride))
+        lanes = list(zip(range(len(x)), bank.costs, bank.cdfs,
+                         (row.tolist() for row in dep_u)))
         for j in range(len(arr)):
-            a = dec[code] if dec is not None else select(x)
-            if code:
+            a = select(x)
+            if jobs:
                 slot_cost = 0.0
-                for i, c, cdf, u, st in lanes:
+                for i, c, cdf, u in lanes:
                     xi = x[i]
                     if xi:
                         slot_cost += c * xi
@@ -325,13 +320,13 @@ class _SlotLoop:
                         d = bisect_right(cdf[xi], u[j])
                         if d:
                             x[i] = xi - d
-                            code -= d * st
+                            jobs -= d
                 cost_acc += slot_cost
             if arr[j]:
                 xa = x[a]
                 if xa < buffer:
                     x[a] = xa + 1
-                    code += stride[a]
+                    jobs += 1
                 else:
                     drops += 1
         self.x[:] = x

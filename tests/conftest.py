@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from psindex import ServerParams, SystemConfig, model, sim
+from psindex import (ServerParams, SystemConfig, model, sim,
+                     stationary_distribution)
 
 
 def enum_next_state(x: int, q: float, p: float, active: bool,
@@ -97,6 +98,24 @@ def binom_row(x: int, q: float, p: float, active: bool,
     np.add.at(out, y, dep * (1.0 - p))
     np.add.at(out, np.minimum(y + 1, n), dep * p)
     return out
+
+
+def random_rule_exact(cfg: SystemConfig) -> tuple[float, list[float]]:
+    """The random rule's exact long-run cost and mean queue lengths.
+
+    Uniform routing sends each slot's Bernoulli(p) arrival to server i
+    with probability p/N whatever the state, so each queue on its own
+    is the one-server chain whose active kernel has arrival p/N. Its
+    stationary law gives the mean length; the cost is sum c * E[x].
+    """
+    p = cfg.arrival_p / cfg.num_servers
+    lengths = []
+    for s in cfg.servers:
+        active, _ = model.transition_kernel(s.q, p, cfg.buffer)
+        law = stationary_distribution(active)
+        lengths.append(float(np.arange(cfg.buffer + 1) @ law))
+    cost = sum(s.cost_c * x for s, x in zip(cfg.servers, lengths))
+    return cost, lengths
 
 
 # One line per acceptance criterion, replayed after the test summary so

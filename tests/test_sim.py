@@ -22,7 +22,8 @@ from psindex import sim
 from psindex.cli import load_config
 from psindex.sim import _CHUNK, _departure_cdfs
 
-from conftest import binom_departures, enum_departures
+from conftest import (binom_departures, enum_departures,
+                      random_rule_exact)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -757,6 +758,7 @@ def test_simulate_falls_back_to_the_selector_above_the_state_limit(
 
             return counted
 
+    _compiled()  # the Python kernel asks every rule its selector
     rule = Counted(TWO.servers)
     with_table = simulate(TWO, rule, horizon=5_000, burn_in=100, seed=3)
     assert calls == []
@@ -767,13 +769,41 @@ def test_simulate_falls_back_to_the_selector_above_the_state_limit(
     assert fallback == with_table
 
 
-@pytest.mark.parametrize("policy", ["cmu", "random"])
+class _WrongTable(CmuPolicy):
+    """Cmu whose decision table names the last server in every state."""
+
+    tables = 0
+
+    def decisions(self, cfg):
+        self.tables += 1
+        num = cfg.num_servers
+        return bytes([num - 1]) * (cfg.buffer + 1) ** num
+
+
+@pytest.mark.parametrize("cfg", [TWO, THREE], ids=["two", "three"])
+def test_the_python_kernel_reads_no_decision_table(cfg, monkeypatch):
+    """With no compiled loop, a rule's table is neither built nor read:
+    a wrong one leaves the report of its selector."""
+    monkeypatch.setattr(sim, "_slot_loop", lambda: None)
+    rule = _WrongTable(cfg.servers)
+    report = simulate(cfg, rule, horizon=30_000, burn_in=1_000, seed=12)
+    assert rule.tables == 0
+    want = _slot_by_slot(cfg, rule, 30_000, 1_000, 12)
+    assert (report.avg_cost, report.mean_lengths, report.drop_count) == want
+    last = SimpleNamespace(selector=lambda rng: lambda x: cfg.num_servers - 1)
+    assert _slot_by_slot(cfg, last, 30_000, 1_000, 12) != want
+
+
+@pytest.mark.parametrize("policy", ["whittle", "cmu", "random", "selector"])
 def test_simulate_frees_its_loop_by_reference_counting(policy, slot_loop):
     """A loop caught in a reference cycle, as a bound method stored on
-    the instance makes one, outlives its run until the cycle collector
-    finds it, and its arrays raise the peak memory of a comparison."""
-    cfg = load_config(ROOT / "configs/fig3.yaml").system
-    rule = _cmu(cfg) if policy == "cmu" else RandomPolicy(cfg.num_servers)
+    the instance or a selector that calls itself makes one, outlives its
+    run until the cycle collector finds it, and its arrays raise the
+    peak memory of a comparison."""
+    config = "configs/fig3.yaml"
+    cfg = load_config(ROOT / config).system
+    rule = (_SelectorOnly(_cmu(cfg)) if policy == "selector"
+            else _policy_as_compare_builds_it(config, policy))
     gc.collect()
     gc.disable()
     try:
@@ -860,3 +890,26 @@ def test_compare_needs_two_seeds_and_distinct_names():
                 seeds=[0, 1])
     with pytest.raises(ValueError):
         compare(TWO, [], horizon=100, burn_in=0, seeds=[0, 1])
+
+
+# ---------------------------------------------------------------- #
+# the random rule against its exact one-queue chains               #
+# ---------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("config", ["fig3", "fig4", "fig5", "gap"])
+def test_random_rule_matches_its_exact_one_queue_chains(config):
+    """Seeds 0..9 at the config's own horizon and burn-in: the mean
+    cost and every mean length lie within 3 standard errors of the
+    exact figures of random_rule_exact."""
+    _compiled()
+    loaded = load_config(ROOT / f"configs/{config}.yaml")
+    cfg, run = loaded.system, loaded.sim
+    rule = RandomPolicy(cfg.num_servers)
+    got = np.array([[r.avg_cost, *r.mean_lengths] for r in (
+        simulate(cfg, rule, run.horizon, run.burn_in, seed)
+        for seed in range(10))])
+    cost, lengths = random_rule_exact(cfg)
+    error = got.std(axis=0, ddof=1) / np.sqrt(len(got))
+    z = (got.mean(axis=0) - [cost, *lengths]) / error
+    assert np.abs(z).max() <= 3.0, z.tolist()
