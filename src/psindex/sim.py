@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import stdtrit
 
 from .model import SystemConfig, passive_kernel
 
@@ -394,7 +395,8 @@ def compare(cfg: SystemConfig, policies, horizon: int, burn_in: int,
 
     Policies see identical arrival and departure randomness per seed.
     Returns per-run reports plus, per policy, the across-seed mean and
-    a 95% normal-approximation half-width (needs at least two seeds).
+    its 95% Student-t half-width, t(n - 1, 0.975) * sd / sqrt(n) over
+    n seeds (needs at least two seeds).
     """
     seeds = list(seeds)
     policies = list(policies)
@@ -410,8 +412,9 @@ def compare(cfg: SystemConfig, policies, horizon: int, burn_in: int,
         for seed in seeds:
             reports.append(simulate(cfg, policy, horizon, burn_in, seed))
     aggregates = {}
+    t = float(stdtrit(len(seeds) - 1, 0.975))
     for name in names:
         vals = np.array([r.avg_cost for r in reports if r.policy == name])
-        hw = 1.96 * float(vals.std(ddof=1)) / np.sqrt(len(vals))
+        hw = t * float(vals.std(ddof=1)) / np.sqrt(len(vals))
         aggregates[name] = (float(vals.mean()), hw)
     return ComparisonTable(reports=tuple(reports), aggregates=aggregates)

@@ -296,7 +296,8 @@ def _single_queue_loop(lam, server, p, n, tol, v_init):
 
 
 def _joint_loop(cfg, tol):
-    """joint_rvi's sweeps and read-out in one loop of its own."""
+    """joint_rvi's plain sweeps and read-out in one loop of its own,
+    with no aggregation corrections."""
     ref = (0,) * cfg.num_servers
     shape = (cfg.buffer + 1,) * cfg.num_servers
     cost = sum(s.cost_c * g for s, g in zip(cfg.servers, np.indices(shape)))
@@ -390,6 +391,96 @@ def test_joint_rvi_policy_matches_the_tensordot_operator(config, monkeypatch):
     want = joint_rvi(cfg)
     assert np.array_equal(got.policy, want.policy)
     assert got.beta == pytest.approx(want.beta, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+@pytest.mark.parametrize("num,buffer", [(1, 20), (2, 12), (3, 5)])
+def test_aggregated_operator_matches_the_dense_kronecker_products(num, buffer,
+                                                                  k):
+    """D·P·W of a random policy against the dense product chain, on
+    block sides that divide buffer + 1 and sides that do not."""
+    cfg = SystemConfig(arrival_p=0.35, servers=THREE_Q[:num], buffer=buffer)
+    ops = dp._per_server_operators(cfg)
+    shape = (buffer + 1,) * num
+    policy = np.random.default_rng(11).integers(num, size=shape)
+    dense = np.empty((policy.size, policy.size))
+    for i in range(num):
+        rows = policy.ravel() == i
+        dense[rows] = functools.reduce(
+            np.kron, [pa if j == i else pb
+                      for j, (pa, pb) in enumerate(ops)])[rows]
+    ind = dp._block_indicator(buffer + 1, k)
+    w = functools.reduce(np.kron, [ind] * num)
+    want = (w.T @ dense @ w) / w.sum(axis=0)[:, None]
+    got = dp._aggregated_operator(policy, ops, k)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    out = np.full_like(want, np.nan)
+    assert dp._aggregated_operator(policy, ops, k, out=out) is out
+    assert np.array_equal(out, got)
+
+
+HEAVY = load_config(ROOT / "perfbench/heavy-traffic.yaml").system
+
+
+def test_heavy_traffic_corrections_keep_the_plain_optimum():
+    """Aggregation corrections change the path, not the answer: the
+    policy on every state, beta within tol, and values closer to the
+    plain loop's than half its smallest decision margin, so no greedy
+    choice can differ. They also take fewer sweeps."""
+    v, beta, policy, sweeps, _ = _joint_loop(HEAVY, 1e-9)
+    values = np.sort(np.stack(dp._expected_values(
+        v, dp._per_server_operators(HEAVY))), axis=0)
+    margin = float((values[1] - values[0]).min())
+    sol = joint_rvi(HEAVY)
+    assert np.array_equal(sol.policy, policy)
+    assert abs(sol.beta - beta) <= 1e-9
+    assert float(np.abs(sol.v - v).max()) < 0.5 * margin
+    assert sol.sweeps < sweeps
+
+
+def test_harmful_corrections_are_undone(monkeypatch):
+    """Corrections a hundred times too large grow the span past the
+    guard, are undone to the plain sweep's values and end after two
+    undos: the solve is then the plain loop, two periods later."""
+    cfg = replace(HEAVY, buffer=30)
+    v, beta, policy, sweeps, span = _joint_loop(cfg, 1e-9)
+    assert sweeps > dp._AGG_START
+    step = dp._Aggregation.step
+    monkeypatch.setattr(dp._Aggregation, "step",
+                        lambda self, v, diff: 100.0 * step(self, v, diff))
+    sol = joint_rvi(cfg)
+    assert sol.beta == beta
+    assert np.array_equal(sol.policy, policy)
+    assert sol.v.tobytes() == v.tobytes()
+    assert (sol.sweeps, sol.span) == (sweeps + 2 * dp._AGG_PERIOD, span)
+
+
+def test_corrections_that_stall_are_undone():
+    """On this bank corrections hold the span near 20 without halving
+    it; kept on, they stopped the solve from ever reaching tol. They
+    must halve it as fast as the plain sweeps did, or be undone."""
+    cfg = SystemConfig(arrival_p=0.9076, buffer=100,
+                       servers=(ServerParams(q=0.7041, cost_c=3.1958),
+                                ServerParams(q=0.5289, cost_c=9.4101)))
+    v, beta, policy, sweeps, _ = _joint_loop(cfg, 1e-9)
+    sol = joint_rvi(cfg, max_sweeps=2 * sweeps)
+    assert np.array_equal(sol.policy, policy)
+    assert abs(sol.beta - beta) <= 1e-9
+
+
+def test_a_correction_restarts_the_repeat_search():
+    """Values a correction hands back were not swept to, so the bitwise
+    repeat stop must not compare across it."""
+    def sweep(v):  # span 1 forever, values fixed: a repeat at sweep 3
+        return v + np.array([0.0, 1.0]), v
+
+    with pytest.raises(ConvergenceError, match="repeats the values"):
+        dp._relative_value_iteration("t", sweep, np.zeros(2), 1e-9, 50)
+    with pytest.raises(ConvergenceError, match="did not reach span"):
+        dp._relative_value_iteration(
+            "t", sweep, np.zeros(2), 1e-9, 50,
+            lambda sweeps, v, diff, v_next, span: v_next.copy())
 
 
 def test_joint_policy_average_cost_frozen_single_route(two_server_tiny):
