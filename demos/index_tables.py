@@ -8,9 +8,9 @@ form, with the linear extrapolation used beyond the computed range.
 
 import numpy as np
 
-from psindex import (IndexIterationConfig, ServerParams, SystemConfig,
-                     bisect_index, build_index_table, compute_index,
-                     index_residual, passive_kernel)
+from psindex import (ServerParams, SystemConfig, bisect_index,
+                     build_index_table, compute_index, index_residual,
+                     passive_kernel)
 
 cfg = SystemConfig(arrival_p=0.4, buffer=100, servers=(
     ServerParams(q=0.55, cost_c=30.0),
@@ -38,9 +38,8 @@ print(f"  residual at the root:  {index_residual(lam, 0, server, cfg.arrival_p, 
 
 # A table covers states 0..x_max for every server. Because the gap is
 # affine, each cell is its root -g(0)/slope from two back-solves,
-# checked to leave a gap within tol.
-table = build_index_table(cfg, x_max=40,
-                          iter_cfg=IndexIterationConfig(tol=1e-6))
+# checked to leave a gap within 1e-6.
+table = build_index_table(cfg, x_max=40)
 print("index table, states 0..8:")
 header = "  x   " + "".join(f"server{i}".rjust(12) for i in range(3))
 print(header)

@@ -13,7 +13,7 @@ from .model import (ConvergenceError, LyapunovCertificate, ServerParams,
                     validate_config)
 from .threshold import (cumulative_active_mass, dominance_check,
                         optimal_threshold_cost, stationary_distribution,
-                        threshold_average_cost, threshold_chain)
+                        threshold_average_cost)
 from .whittle import (IndexIterationConfig, IndexTable, ValueSolution,
                       bisect_index, build_index_table, compute_index,
                       index_residual, solve_value)
@@ -30,7 +30,7 @@ __all__ = [
     "lyapunov_margin", "passive_kernel", "transition_kernel",
     "validate_config",
     "cumulative_active_mass", "dominance_check", "optimal_threshold_cost",
-    "stationary_distribution", "threshold_average_cost", "threshold_chain",
+    "stationary_distribution", "threshold_average_cost",
     "IndexIterationConfig", "IndexTable", "ValueSolution", "bisect_index",
     "build_index_table", "compute_index", "index_residual", "solve_value",
     "BruteForceResult", "JointSolution", "SingleQueueSolution",

@@ -7,7 +7,8 @@ stationary-mass monotonicity and stochastic dominance of threshold
 chains, the shape of the optimal threshold cost curve, threshold
 structure and indexability of the single-queue problem, monotone
 convex relative values, and the index table's agreement with the
-bisection reference. A solver that stalls inside a check fails that
+bisection reference, its roots checked at the one fixed tolerance that
+`psindex indices` uses. A solver that stalls inside a check fails that
 check with its message, so the CLI `properties` subcommand runs the
 whole list and reports pass/fail per item.
 """
@@ -228,18 +229,17 @@ def check_single_queue_structure(cfg: SystemConfig, n: int = 120,
 
 
 @_fails_on_convergence("index_agreement")
-def check_index_agreement(
-        cfg: SystemConfig, x_max: int = 10,
-        tol: float = whittle.IndexIterationConfig.tol) -> CheckResult:
+def check_index_agreement(cfg: SystemConfig, x_max: int = 10
+                          ) -> CheckResult:
     """The shipped index table vs the bisection reference.
 
-    Builds the table as `psindex indices` does, each cell checked
-    against tol, and compares every cell x <= x_max with bisect_index
-    on the same states 0..x+1. A solver that fails fails the check with
-    its message, which names the server and state.
+    Builds the table as `psindex indices` does, each cell's gap checked
+    at the fixed IndexIterationConfig.tol, and compares every cell
+    x <= x_max with bisect_index on the same states 0..x+1. A solver
+    that fails fails the check with its message, which names the server
+    and state.
     """
-    table = whittle.build_index_table(
-        cfg, x_max, whittle.IndexIterationConfig(tol=tol))
+    table = whittle.build_index_table(cfg, x_max)
     worst = 0.0
     for i, s in enumerate(cfg.servers):
         for x in range(x_max + 1):
@@ -253,9 +253,7 @@ def check_index_agreement(
                        f"max |table - bisection| {worst:.3e}")
 
 
-def run_property_suite(
-        cfg: SystemConfig,
-        tol: float = whittle.IndexIterationConfig.tol) -> list[CheckResult]:
+def run_property_suite(cfg: SystemConfig) -> list[CheckResult]:
     return [
         check_departure_law(),
         check_active_law_is_convolution(),
@@ -265,5 +263,5 @@ def run_property_suite(
         check_threshold_cost_curve(cfg),
         check_value_solver_consistency(cfg),
         check_single_queue_structure(cfg),
-        check_index_agreement(cfg, tol=tol),
+        check_index_agreement(cfg),
     ]

@@ -3,9 +3,10 @@
 Subcommands: validate a configuration, compute index tables, simulate
 one policy, compare all policies (exact included when the joint state
 space is small enough), solve the exact joint problem, and run the
-structural property suite. All artifacts are comma-delimited text with
-a header row; floats carry 12 significant digits, which makes reruns
-byte-identical.
+structural property suite. The index table's roots are checked at
+one fixed tolerance, which no option changes. All artifacts are
+comma-delimited text with a header row; floats carry 12 significant
+digits, which makes reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -35,18 +36,14 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class WhittleOptions:
-    tol: float = whittle.IndexIterationConfig.tol
     x_max: int = 40
     # Not options: read by perfbench/workloads.py, always these values.
     truncation_n = None
+    tol = whittle.IndexIterationConfig.tol
     gamma = whittle.IndexIterationConfig.gamma
     max_iter = whittle.IndexIterationConfig.max_iter
 
     def __post_init__(self):
-        try:
-            whittle.IndexIterationConfig(tol=self.tol)
-        except ValueError as e:
-            raise ConfigError(f"whittle.{e}")
         if self.x_max < 1:
             raise ConfigError("whittle.x_max must be >= 1")
 
@@ -66,7 +63,7 @@ class SimOptions:
 
 # The value type of every key of the optional sections; their defaults
 # are the option classes' own.
-_WHITTLE_KEYS = {"tol": float, "x_max": int}
+_WHITTLE_KEYS = {"x_max": int}
 _SIM_KEYS = {"horizon": int, "burn_in": int, "seeds": int}
 
 
@@ -231,9 +228,7 @@ def write_properties(results, path: str | Path) -> None:
 
 
 def _build_table(loaded: LoadedConfig) -> whittle.IndexTable:
-    w = loaded.whittle
-    return whittle.build_index_table(loaded.system, w.x_max,
-                                     whittle.IndexIterationConfig(tol=w.tol))
+    return whittle.build_index_table(loaded.system, loaded.whittle.x_max)
 
 
 def cmd_validate(loaded: LoadedConfig, args, out_dir: Path) -> int:
@@ -316,8 +311,7 @@ def cmd_exact(loaded: LoadedConfig, args, out_dir: Path) -> int:
 
 
 def cmd_properties(loaded: LoadedConfig, args, out_dir: Path) -> int:
-    results = checks.run_property_suite(loaded.system,
-                                        tol=loaded.whittle.tol)
+    results = checks.run_property_suite(loaded.system)
     path = out_dir / "properties.csv"
     write_properties(results, path)
     failed = 0
@@ -352,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="directory for output files")
         if name in ("indices", "simulate", "compare"):
             cmd.add_argument("--x-max", dest="x_max", type=int, default=None)
-        if name not in ("validate", "exact"):
-            cmd.add_argument("--tol", type=float, default=None)
         if name in ("simulate", "compare"):
             cmd.add_argument("--horizon", type=int, default=None)
         if name == "compare":
@@ -377,15 +369,15 @@ def run_command(args: argparse.Namespace) -> int:
             for item in violations:
                 print(f"violation: {item}", file=sys.stderr)
             return 1
-    # Every override gets its range check before any work: --x-max and
-    # --tol through WhittleOptions, --horizon and --seeds through
-    # SimOptions, --seed here.
+    # Every override gets its range check before any work: --x-max
+    # through WhittleOptions, --horizon and --seeds through SimOptions,
+    # --seed here.
     def given(*keys):
         return {key: getattr(args, key) for key in keys
                 if getattr(args, key, None) is not None}
     try:
         loaded = replace(
-            loaded, whittle=replace(loaded.whittle, **given("x_max", "tol")),
+            loaded, whittle=replace(loaded.whittle, **given("x_max")),
             sim=replace(loaded.sim, **given("horizon", "seeds")))
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"seed must be >= 0, got {args.seed}")
@@ -407,10 +399,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "simulate" and args.policy != "whittle":
         # Only the Whittle policy builds an index table.
-        for flag, value in (("--x-max", args.x_max), ("--tol", args.tol)):
-            if value is not None:
-                parser.error(f"simulate: {flag} applies to --policy "
-                             f"whittle only, not {args.policy}")
+        if args.x_max is not None:
+            parser.error("simulate: --x-max applies to --policy "
+                         f"whittle only, not {args.policy}")
     return run_command(args)
 
 

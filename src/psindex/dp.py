@@ -14,7 +14,8 @@ the sweep limit) and its argument checks. A joint solve still short of
 tol after 300 sweeps also takes an aggregation correction every 10
 sweeps (_Aggregation): a small Poisson system on product blocks of
 states, built from the per-server kernels, whose solution removes the
-slow part of the error the plain sweeps leave.
+slow part of the error the plain sweeps leave. The first correction
+that does not pay is undone, and plain sweeps finish the solve.
 """
 
 from __future__ import annotations
@@ -285,13 +286,12 @@ def _aggregated_operator(policy: np.ndarray, ops, k: int,
 # Aggregation corrections start once a joint solve has run _AGG_START
 # plain sweeps and come every _AGG_PERIOD sweeps after that, on product
 # blocks of at most _AGG_GROUPS groups (the system and the operator's
-# temporaries then stay within 1 MB). _AGG_UNDOS undone corrections end
+# temporaries then stay within 1 MB). The first undone correction ends
 # them for the solve.
 _AGG_START = 300
 _AGG_PERIOD = 10
 _AGG_GROUPS = 169
 _AGG_GROWTH = 4.0
-_AGG_UNDOS = 2
 
 
 class _Aggregation:
@@ -322,7 +322,7 @@ class _Aggregation:
         self.system = np.empty((len(self.sizes),) * 2)
         self.policy = self.lu = self.piv = None
         self.early = self.deadline = self.mark = None
-        self.undos = 0
+        self.done = False
 
     def __call__(self, sweeps, v, diff, v_next, span):
         """The values to sweep next at a correction, else None.
@@ -332,18 +332,18 @@ class _Aggregation:
         to halve it from sweep _AGG_START // 2 to _AGG_START, and never
         above _AGG_GROWTH times it (a correction can raise the span for
         a few sweeps). A mark keeps a span and the plain sweep's values
-        there, and a correction that fails this is undone to them. The
-        first correction sets a mark, and so does each halving.
-        Corrections never start while the plain span is not falling.
+        there, and the first correction that fails this is undone to
+        them; plain sweeps then run the rest of the solve. The first
+        correction sets a mark, and so does each halving. Corrections
+        never start while the plain span is not falling.
         """
         if sweeps == _AGG_START // 2:
             self.early = span
-        if (sweeps < _AGG_START or sweeps % _AGG_PERIOD
-                or self.undos >= _AGG_UNDOS):
+        if sweeps < _AGG_START or sweeps % _AGG_PERIOD or self.done:
             return None
         if sweeps == _AGG_START:
             if not span < self.early:  # no pace to keep: never start
-                self.undos = _AGG_UNDOS
+                self.done = True
                 return None
             self.deadline = ((_AGG_START - _AGG_START // 2) * math.log(2)
                              / math.log(self.early / span))
@@ -352,8 +352,7 @@ class _Aggregation:
             if span > _AGG_GROWTH * mark_span or (
                     2 * span > mark_span
                     and sweeps - mark_sweeps >= self.deadline):
-                self.undos += 1
-                self.mark = None
+                self.done = True
                 return mark_values
         if self.mark is None or 2 * span <= self.mark[0]:
             self.mark = (span, v_next, sweeps)
@@ -400,10 +399,11 @@ def joint_rvi(cfg: SystemConfig, tol: float = 1e-9,
 
     A solve that has not converged after _AGG_START = 300 sweeps is slow,
     and from then on every 10th sweep is followed by an aggregation
-    correction (_Aggregation). Corrections that do not halve the span
-    as fast as the plain sweeps did before them are undone, and two
-    undos end them. A solve that converges within 300 sweeps (tiny,
-    gap, fig3 at buffer 12) is the plain iteration bit for bit.
+    correction (_Aggregation). The first correction that does not
+    halve the span as fast as the plain sweeps did before it is undone,
+    and plain sweeps finish the solve. A solve that converges within 300
+    sweeps (tiny, gap, fig3 at buffer 12) is the plain iteration bit for
+    bit.
     Exponential in the server count: heavy-traffic's 10 201 states take
     1 259 sweeps and about 0.4 s on a 2-core VM with one BLAS thread,
     against 3 361 plain sweeps and 1.0 s, with the same policy on every

@@ -27,22 +27,6 @@ def threshold_rows(active: np.ndarray, passive: np.ndarray,
     return np.vstack((active[: k + 1], passive[k + 1:]))
 
 
-def threshold_chain(k: int, q: float, p: float) -> np.ndarray:
-    """The read-only chain on {0, ..., k+1} for threshold k >= 0.
-
-    Row s is the one-slot law with the server active iff s <= k, read
-    off transition_kernel(q, p, k+1). Active rows s <= k never reach a
-    state above k+1, and from k+1 the server is passive, so the same
-    rows of any kernel over 0..n with n >= k+1 give the same chain.
-    """
-    if k < 0:
-        raise ValueError("threshold_chain needs k >= 0; k = -1 has the "
-                         "trivial class {0}")
-    chain = threshold_rows(*transition_kernel(q, p, k + 1), k)
-    chain.setflags(write=False)
-    return chain
-
-
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Solve pi P = pi, sum(pi) = 1 directly for a stochastic matrix P.
 

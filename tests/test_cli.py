@@ -29,7 +29,6 @@ servers:
   - {q: 0.50, cost_c: 29.0}
 whittle:
   x_max: 4
-  tol: 1.0e-6
 sim:
   horizon: 4000
   burn_in: 200
@@ -56,6 +55,7 @@ def test_load_config_reads_all_sections(config_path):
     assert loaded.system.servers == (ServerParams(q=0.55, cost_c=30.0),
                                      ServerParams(q=0.50, cost_c=29.0))
     assert loaded.whittle.x_max == 4
+    assert loaded.whittle.tol == 1e-6  # fixed, not a config key
     assert loaded.sim.horizon == 4000
     assert loaded.sim.seeds == 2
 
@@ -127,16 +127,16 @@ def test_load_config_rejects_malformed_values(tmp_path, capsys, text, phrase):
 
 
 def test_load_config_reads_numbers_written_as_strings(tmp_path):
-    # PyYAML reads an unquoted 1e-6 as the string '1e-6' (YAML 1.1 wants
+    # PyYAML reads an unquoted 4e-1 as the string '4e-1' (YAML 1.1 wants
     # a dot in the mantissa), so strings that parse as numbers load.
     import yaml
-    assert yaml.safe_load("tol: 1e-6") == {"tol": "1e-6"}
+    assert yaml.safe_load("arrival_p: 4e-1") == {"arrival_p": "4e-1"}
     path = tmp_path / "strings.yaml"
-    path.write_text("arrival_p: 0.4\nbuffer: \"2\"\n"
+    path.write_text("arrival_p: 4e-1\nbuffer: \"2\"\n"
                     "servers:\n  - {q: 0.5, cost_c: 1.0}\n"
-                    "whittle: {x_max: 2, tol: 1e-6}\n")
+                    "whittle: {x_max: 2}\n")
     loaded = load_config(path)
-    assert loaded.whittle.tol == 1e-6
+    assert loaded.system.arrival_p == 0.4
     assert loaded.system.buffer == 2
     assert type(loaded.system.buffer) is int
 
@@ -271,9 +271,8 @@ def test_config_errors_use_the_usage_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["validate", "indices"])
 @pytest.mark.parametrize("section,phrase", [
-    ("whittle: {tol: -1}", "whittle.tol must be positive"),
-    ("whittle: {tol: .nan}", "whittle.tol must be positive"),
-    ("whittle: {tol: .inf}", "whittle.tol must be positive"),
+    ("whittle: {tol: 1.0e-6}", r"unknown keys in 'whittle': \['tol'\]"),
+    ("whittle: {tol: .nan}", r"unknown keys in 'whittle': \['tol'\]"),
     ("whittle: {x_max: 0}", "whittle.x_max must be >= 1"),
     ("whittle: {gamma: 0.2}", r"unknown keys in 'whittle': \['gamma'\]"),
     ("whittle: {max_iter: 1000}",
@@ -446,23 +445,10 @@ def test_simulate_reports_running_out_of_memory_without_traceback(
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_a_non_finite_tol_override_exits_1(config_path, tmp_path, capsys,
-                                           tol):
-    code = main(["indices", "--config", str(config_path), "--tol", tol,
-                 "--out", str(tmp_path)])
-    assert code == 1
-    assert capsys.readouterr().err.startswith(
-        "error: whittle.tol must be positive")
-
-
 @pytest.mark.parametrize("command,flag,value,message", [
-    ("properties", "--tol", "nan", "whittle.tol must be positive and finite"),
-    ("properties", "--tol", "-1", "whittle.tol must be positive and finite"),
-    ("indices", "--tol", "0", "whittle.tol must be positive and finite"),
     ("indices", "--x-max", "0", "whittle.x_max must be >= 1"),
     ("compare", "--x-max", "-3", "whittle.x_max must be >= 1"),
-    ("simulate", "--tol", "inf", "whittle.tol must be positive and finite"),
+    ("simulate", "--x-max", "0", "whittle.x_max must be >= 1"),
 ])
 def test_an_out_of_range_index_override_is_refused_before_any_work(
         config_path, tmp_path, capsys, monkeypatch, command, flag, value,
@@ -660,35 +646,15 @@ def test_compare_command_runs_all_policies(tmp_path, capsys):
     assert names == {"whittle", "cmu", "random", "exact"}
 
 
-def test_properties_command_checks_the_table_at_the_tol_override(
-        tmp_path, capsys):
-    """At --tol 1e-300 only a cell whose gap rounds to exactly zero
-    passes its gap check, so index_agreement fails and the other eight
-    checks still run."""
-    path = tmp_path / "one.yaml"
-    path.write_text("arrival_p: 0.4\nbuffer: 5\n"
-                    "servers:\n  - {q: 0.55, cost_c: 30.0}\n")
-    code = main(["properties", "--config", str(path), "--tol", "1e-300",
-                 "--out", str(tmp_path)])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert ("FAIL  index_agreement: index table aborted at server 0, "
-            "state 1: closed-form index 41.4804168 leaves gap "
-            ) in captured.out
-    with open(tmp_path / "properties.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 9
-    assert [r["check"] for r in rows if r["passed"] == "FAIL"] == [
-        "index_agreement"]
-
-
 @pytest.mark.parametrize("command,flag", [
     ("validate", "--x-max"), ("validate", "--tol"), ("validate", "--horizon"),
     ("exact", "--x-max"), ("exact", "--tol"), ("exact", "--horizon"),
     ("indices", "--horizon"),
     ("properties", "--x-max"), ("properties", "--horizon"),
     ("indices", "--gamma"), ("properties", "--gamma"),
+    # The index root is checked at one fixed tolerance.
+    ("indices", "--tol"), ("simulate", "--tol"), ("compare", "--tol"),
+    ("properties", "--tol"),
 ])
 def test_overrides_are_options_only_of_the_commands_that_read_them(
         config_path, tmp_path, command, flag):
@@ -699,22 +665,21 @@ def test_overrides_are_options_only_of_the_commands_that_read_them(
 
 
 @pytest.mark.parametrize("policy", ["cmu", "random"])
-@pytest.mark.parametrize("flag", ["--x-max", "--tol"])
 def test_simulate_refuses_table_options_without_a_table(
-        config_path, tmp_path, capsys, policy, flag):
+        config_path, tmp_path, capsys, policy):
     """Only the Whittle policy builds an index table."""
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", str(config_path), "--policy", policy,
-              flag, "1", "--out", str(tmp_path)])
+              "--x-max", "1", "--out", str(tmp_path)])
     assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
+    assert "--x-max" in capsys.readouterr().err
     assert not (tmp_path / "report.csv").exists()
 
 
 def test_simulate_whittle_reads_the_table_options(config_path, tmp_path):
     assert main(["simulate", "--config", str(config_path), "--policy",
-                 "whittle", "--x-max", "3", "--tol", "1e-5",
-                 "--horizon", "1000", "--out", str(tmp_path)]) == 0
+                 "whittle", "--x-max", "3", "--horizon", "1000",
+                 "--out", str(tmp_path)]) == 0
     assert (tmp_path / "report.csv").exists()
 
 

@@ -441,8 +441,8 @@ def test_heavy_traffic_corrections_keep_the_plain_optimum():
 
 def test_harmful_corrections_are_undone(monkeypatch):
     """Corrections a hundred times too large grow the span past the
-    guard, are undone to the plain sweep's values and end after two
-    undos: the solve is then the plain loop, two periods later."""
+    guard, and the first is undone to the plain sweep's values and ends
+    them: the solve is then the plain loop, one period later."""
     cfg = replace(HEAVY, buffer=30)
     v, beta, policy, sweeps, span = _joint_loop(cfg, 1e-9)
     assert sweeps > dp._AGG_START
@@ -453,7 +453,7 @@ def test_harmful_corrections_are_undone(monkeypatch):
     assert sol.beta == beta
     assert np.array_equal(sol.policy, policy)
     assert sol.v.tobytes() == v.tobytes()
-    assert (sol.sweeps, sol.span) == (sweeps + 2 * dp._AGG_PERIOD, span)
+    assert (sol.sweeps, sol.span) == (sweeps + dp._AGG_PERIOD, span)
 
 
 def test_corrections_that_stall_are_undone():

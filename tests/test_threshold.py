@@ -6,16 +6,20 @@ import pytest
 
 from psindex import (ServerParams, cumulative_active_mass, dominance_check,
                      optimal_threshold_cost, stationary_distribution,
-                     threshold_average_cost, threshold_chain,
-                     transition_kernel)
+                     threshold_average_cost, transition_kernel)
 from psindex import threshold
-from psindex.threshold import stationary_ladder
+from psindex.threshold import stationary_ladder, threshold_rows
 from psindex.whittle import _FixedThresholdSystem
 
 from conftest import binom_row, power_stationary
 
 PAIRS = ((0.5, 0.4), (0.55, 0.4), (0.95, 0.4), (0.45, 0.3), (0.2, 0.1))
 GRID = [(k, q, p) for k in (0, 1, 3, 7, 15) for q, p in PAIRS]
+
+
+def _chain(k, q, p):
+    """The threshold-k chain on {0, ..., k+1}, read off the kernel."""
+    return threshold_rows(*transition_kernel(q, p, k + 1), k)
 
 
 def _per_row_chain(k, q, p):
@@ -25,21 +29,15 @@ def _per_row_chain(k, q, p):
 
 
 def test_threshold_chain_frozen_matrix():
-    chain = threshold_chain(0, 0.5, 0.4)
+    chain = _chain(0, 0.5, 0.4)
     assert np.allclose(chain, [[0.6, 0.4], [0.5, 0.5]], atol=1e-15)
-    assert not chain.flags.writeable
 
 
 @pytest.mark.parametrize("q,p", PAIRS + ((0.9, 0.5), (0.3, 0.8)))
 def test_threshold_chain_matches_the_per_row_assembly(q, p):
     for k in range(0, 41):
-        chain = threshold_chain(k, q, p)
+        chain = _chain(k, q, p)
         assert np.max(np.abs(chain - _per_row_chain(k, q, p))) <= 1e-15
-
-
-def test_threshold_chain_rejects_negative_k():
-    with pytest.raises(ValueError):
-        threshold_chain(-1, 0.5, 0.4)
 
 
 @pytest.mark.parametrize("matrix,phrase", [
@@ -56,22 +54,22 @@ def test_stationary_distribution_rejects_a_malformed_matrix(matrix, phrase):
 
 @pytest.mark.parametrize("x", [0, 5, 40])
 def test_value_system_reads_the_threshold_chain(x):
-    """The value system's transition block is threshold_chain(x), bit
-    for bit: a holds I - P there."""
+    """The value system's transition block is the threshold-x chain,
+    bit for bit: a holds I - P there."""
     q, p = 0.55, 0.4
     system = _FixedThresholdSystem(ServerParams(q=q, cost_c=1.0), p, x, x + 1)
     block = system._a[: x + 2, : x + 2]
-    assert np.array_equal(block, np.eye(x + 2) - threshold_chain(x, q, p))
+    assert np.array_equal(block, np.eye(x + 2) - _chain(x, q, p))
 
 
 def test_stationary_distribution_frozen():
-    pi = stationary_distribution(threshold_chain(0, 0.5, 0.4))
+    pi = stationary_distribution(_chain(0, 0.5, 0.4))
     assert np.allclose(pi, [5.0 / 9.0, 4.0 / 9.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("k,q,p", GRID)
 def test_stationary_distribution_matches_power_iteration(k, q, p):
-    chain = threshold_chain(k, q, p)
+    chain = _chain(k, q, p)
     pi = stationary_distribution(chain)
     ref = power_stationary(chain)
     assert np.allclose(pi, ref, atol=1e-10)
@@ -102,7 +100,7 @@ def test_threshold_average_cost_frozen():
 def test_threshold_average_cost_matches_direct_expectation(k, q, p):
     """Cross-check against an explicitly assembled stationary expectation."""
     lam, cost_c = 1.7, 3.0
-    pi = power_stationary(threshold_chain(k, q, p))
+    pi = power_stationary(_chain(k, q, p))
     states = np.arange(k + 2)
     want = cost_c * float(states @ pi) + lam * float(pi[k + 1])
     got = threshold_average_cost(k, lam, cost_c, q, p)
@@ -142,8 +140,8 @@ def test_dominance_check_holds_on_grid(k, q, p):
 def test_dominance_check_matches_two_separate_chains(q, p):
     for k in range(0, 20):
         lo = np.zeros((k + 3, k + 3))
-        lo[: k + 2, : k + 2] = threshold_chain(k, q, p)
-        hi = threshold_chain(k + 1, q, p)
+        lo[: k + 2, : k + 2] = _chain(k, q, p)
+        hi = _chain(k + 1, q, p)
         up = np.tril(np.ones((k + 3, k + 3)))
         want = bool(np.all(lo @ up <= hi @ up + 1e-12))
         assert dominance_check(k, q, p) == want
@@ -156,7 +154,7 @@ def test_dominance_check_covers_the_never_active_rule(q, p):
     lo = np.zeros((2, 2))
     lo[0, 0] = 1.0
     up = np.tril(np.ones((2, 2)))
-    assert np.all(lo @ up <= threshold_chain(0, q, p) @ up + 1e-12)
+    assert np.all(lo @ up <= _chain(0, q, p) @ up + 1e-12)
     assert dominance_check(-1, q, p)
 
 
@@ -169,8 +167,8 @@ def test_raising_threshold_lifts_stationary_tails(q, p):
     the tail mass P(X >= j) never shrinks when the threshold grows.
     """
     for k in range(0, 12):
-        lo = stationary_distribution(threshold_chain(k, q, p))
-        hi = stationary_distribution(threshold_chain(k + 1, q, p))
+        lo = stationary_distribution(_chain(k, q, p))
+        hi = stationary_distribution(_chain(k + 1, q, p))
         lo_pad = np.zeros(k + 3)
         lo_pad[: k + 2] = lo
         tail_lo = lo_pad[::-1].cumsum()[::-1]
@@ -248,7 +246,7 @@ def test_general_solve_resolves_the_ladders_top_mass():
     """GTH keeps relative accuracy where an LU solve of pi (P - I) = 0
     read 2.9e-17 for a top mass of 8.6e-249."""
     top = threshold._ladder_stats(127, 0.98, 0.02)[1, 127]
-    pi = stationary_distribution(threshold_chain(127, 0.98, 0.02))
+    pi = stationary_distribution(_chain(127, 0.98, 0.02))
     assert pi[-1] == pytest.approx(top, rel=1e-12, abs=0.0)
 
 
@@ -256,7 +254,7 @@ def test_general_solve_resolves_the_ladders_top_mass():
 def test_general_solve_matches_the_ladder_entry_by_entry(q, p):
     laws = stationary_ladder(*transition_kernel(q, p, 60))
     for k in range(60):
-        pi = stationary_distribution(threshold_chain(k, q, p))
+        pi = stationary_distribution(_chain(k, q, p))
         assert np.allclose(pi, laws[: k + 2, k], rtol=1e-12, atol=0.0), k
 
 
