@@ -272,7 +272,9 @@ def test_config_errors_use_the_usage_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "indices"])
 @pytest.mark.parametrize("section,phrase", [
     ("whittle: {tol: 1.0e-6}", r"unknown keys in 'whittle': \['tol'\]"),
+    ("whittle: {tol: -1}", r"unknown keys in 'whittle': \['tol'\]"),
     ("whittle: {tol: .nan}", r"unknown keys in 'whittle': \['tol'\]"),
+    ("whittle: {tol: .inf}", r"unknown keys in 'whittle': \['tol'\]"),
     ("whittle: {x_max: 0}", "whittle.x_max must be >= 1"),
     ("whittle: {gamma: 0.2}", r"unknown keys in 'whittle': \['gamma'\]"),
     ("whittle: {max_iter: 1000}",
@@ -463,6 +465,28 @@ def test_an_out_of_range_index_override_is_refused_before_any_work(
                  "--out", str(out)])
     assert (code, work) == (1, [])
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,value", [
+    ("properties", "nan"), ("properties", "-1"), ("indices", "0"),
+    ("indices", "nan"), ("indices", "inf"), ("simulate", "inf"),
+])
+def test_a_retired_tol_override_is_refused_before_any_work(
+        config_path, tmp_path, capsys, monkeypatch, command, value):
+    """--tol is a usage error whatever its value: the index root is
+    checked at one fixed tolerance."""
+    work = []
+    monkeypatch.setattr(checks, "run_property_suite",
+                        lambda *args, **kw: work.append("suite"))
+    monkeypatch.setattr(whittle, "build_index_table",
+                        lambda *args, **kw: work.append("table"))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config_path), "--tol", value,
+              "--out", str(out)])
+    assert (exc.value.code, work) == (2, [])
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -665,14 +689,16 @@ def test_overrides_are_options_only_of_the_commands_that_read_them(
 
 
 @pytest.mark.parametrize("policy", ["cmu", "random"])
+@pytest.mark.parametrize("flag", ["--x-max", "--tol"])
 def test_simulate_refuses_table_options_without_a_table(
-        config_path, tmp_path, capsys, policy):
-    """Only the Whittle policy builds an index table."""
+        config_path, tmp_path, capsys, policy, flag):
+    """Only the Whittle policy builds an index table, and no policy
+    takes the retired --tol."""
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", str(config_path), "--policy", policy,
-              "--x-max", "1", "--out", str(tmp_path)])
+              flag, "1", "--out", str(tmp_path)])
     assert exc.value.code == 2
-    assert "--x-max" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
     assert not (tmp_path / "report.csv").exists()
 
 
