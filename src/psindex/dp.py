@@ -14,8 +14,10 @@ the sweep limit) and its argument checks. A joint solve still short of
 tol after 300 sweeps also takes an aggregation correction every 10
 sweeps (_Aggregation): a small Poisson system on product blocks of
 states, built from the per-server kernels, whose solution removes the
-slow part of the error the plain sweeps leave. The first correction
-that does not pay is undone, and plain sweeps finish the solve.
+slow part of the error the plain sweeps leave. The aggregation builds
+its block maps once per solve and reads its greedy policy from the
+expected values of the sweep it follows. The first correction that
+does not pay is undone, and plain sweeps finish the solve.
 """
 
 from __future__ import annotations
@@ -222,11 +224,6 @@ def _expected_values(v: np.ndarray, ops) -> list[np.ndarray]:
     return outs
 
 
-def _greedy(v: np.ndarray, ops) -> np.ndarray:
-    """The active server of each state under v; ties to the lowest."""
-    return np.argmin(np.stack(_expected_values(v, ops)), axis=0)
-
-
 def _contract(t: np.ndarray, mats) -> np.ndarray:
     """t with each axis j contracted against the rows of mats[j].
 
@@ -245,49 +242,10 @@ def _block_indicator(n: int, k: int) -> np.ndarray:
         np.float64)
 
 
-def _block_sizes(ind: np.ndarray, dims: int) -> np.ndarray:
-    """State counts of the product blocks, in row-major block order."""
-    return functools.reduce(np.multiply.outer,
-                            [ind.sum(axis=0)] * dims).ravel()
-
-
-def _aggregated_operator(policy: np.ndarray, ops, k: int,
-                         out: np.ndarray | None = None) -> np.ndarray:
-    """D·P_policy·W on product blocks of side k per axis, in row-major
-    block order: entry (g, h) is the chance of a move into block h,
-    averaged over the states of block g.
-
-    P_policy is never formed. Row x of the active-i operator is the
-    outer product of the per-server rows, so under the mask of states
-    that choose i, each axis contracts against its kernel's block sums
-    (kernel @ indicator) paired with the indicator itself, one axis at
-    a time. out, when given, is a (G, G) array written in place.
-    """
-    n, dims = policy.shape[0], policy.ndim
-    ind = _block_indicator(n, k)
-    ga = ind.shape[1]
-    if out is None:
-        out = np.zeros((ga ** dims,) * 2)
-    else:
-        out[...] = 0.0
-    acc = out.reshape((ga,) * 2 * dims)
-    order = [*range(0, 2 * dims, 2), *range(1, 2 * dims, 2)]
-    for i in range(dims):
-        t = (policy == i).astype(np.float64)
-        for j, (pa, pb) in enumerate(ops):
-            sums = (pa if j == i else pb) @ ind
-            t = t.reshape(n, -1).T @ (ind[:, :, None] * sums[:, None]).reshape(
-                n, ga * ga)
-        acc += t.reshape((ga, ga) * dims).transpose(order)
-    out /= _block_sizes(ind, dims)[:, None]
-    return out
-
-
 # Aggregation corrections start once a joint solve has run _AGG_START
 # plain sweeps and come every _AGG_PERIOD sweeps after that, on product
-# blocks of at most _AGG_GROUPS groups (the system and the operator's
-# temporaries then stay within 1 MB). The first undone correction ends
-# them for the solve.
+# blocks of at most _AGG_GROUPS groups (the system then stays within
+# 0.25 MB). The first undone correction ends them for the solve.
 _AGG_START = 300
 _AGG_PERIOD = 10
 _AGG_GROUPS = 169
@@ -307,20 +265,23 @@ class _Aggregation:
     solves for the slow, block-wise part of v's error, and v + W y is
     swept next in place of Tv. y is 0 at the reference state's block,
     block 0, so delta takes that block's column and the system is
-    square. It is factored in place, once per policy.
+    square. It is factored in place, once per policy. ind maps each
+    axis's states to its blocks; the block sizes and every server's
+    block-sum pairs are built from it once. mu is the argmin of the
+    expected values the sweep left in `expected`, ties to the lowest.
     """
 
-    def __init__(self, ops, shape):
-        n, dims = shape[0], len(shape)
-        per_axis = 1
-        while (per_axis + 1) ** dims <= _AGG_GROUPS:
-            per_axis += 1
-        self.k = -(-n // per_axis)
-        self.ops, self.dims = ops, dims
-        self.ind = _block_indicator(n, self.k)
-        self.sizes = _block_sizes(self.ind, dims)
+    def __init__(self, ops, ind):
+        n, ga = ind.shape
+        self.dims, self.ind = len(ops), ind
+        self.sizes = functools.reduce(np.multiply.outer,
+                                      [ind.sum(axis=0)] * self.dims).ravel()
+        # Row x pairs x's block with its kernel row's block sums, active
+        # then passive: the (ga, ga) factor that state x adds on its axis.
+        self.pairs = [[(ind[:, :, None] * (k @ ind)[:, None]).reshape(
+            n, ga * ga) for k in pair] for pair in ops]
         self.system = np.empty((len(self.sizes),) * 2)
-        self.policy = self.lu = self.piv = None
+        self.expected = self.policy = self.lu = self.piv = None
         self.early = self.deadline = self.mark = None
         self.done = False
 
@@ -356,13 +317,14 @@ class _Aggregation:
                 return mark_values
         if self.mark is None or 2 * span <= self.mark[0]:
             self.mark = (span, v_next, sweeps)
-        step = self.step(v, diff)
+        step = self.step(diff)
         return None if step is None else v + step
 
-    def step(self, v, diff):
-        """W y for the values v and their difference diff, or None if
-        the aggregated system is singular or y is not finite."""
-        policy = _greedy(v, self.ops)
+    def step(self, diff):
+        """W y for the last sweep's difference diff, under the greedy
+        policy of its expected values, or None if the aggregated system
+        is singular or y is not finite."""
+        policy = np.argmin(np.stack(self.expected), axis=0)
         if self.policy is None or not np.array_equal(policy, self.policy):
             self._factor(policy)
         if self.lu is None:
@@ -376,8 +338,31 @@ class _Aggregation:
         return _contract(y.reshape((self.ind.shape[1],) * self.dims),
                          [self.ind.T] * self.dims)
 
+    def operator(self, policy):
+        """D·P_policy·W, written into `system` in row-major block order:
+        entry (g, h) is the chance of a move into block h, averaged over
+        the states of block g.
+
+        P_policy is never formed. Row x of the active-i operator is the
+        outer product of the per-server rows, so under the mask of
+        states that choose i, each axis contracts against its server's
+        block-sum pairs.
+        """
+        ga, dims = self.ind.shape[1], self.dims
+        a = self.system
+        a.fill(0.0)
+        acc = a.reshape((ga,) * 2 * dims)
+        order = [*range(0, 2 * dims, 2), *range(1, 2 * dims, 2)]
+        for i in range(dims):
+            t = _contract((policy == i).astype(np.float64),
+                          [act if j == i else pas
+                           for j, (act, pas) in enumerate(self.pairs)])
+            acc += t.reshape((ga, ga) * dims).transpose(order)
+        a /= self.sizes[:, None]
+        return a
+
     def _factor(self, policy):
-        a = _aggregated_operator(policy, self.ops, self.k, out=self.system)
+        a = self.operator(policy)
         np.negative(a, out=a)
         a.flat[:: len(a) + 1] += 1.0
         a[:, 0] = 1.0
@@ -399,32 +384,41 @@ def joint_rvi(cfg: SystemConfig, tol: float = 1e-9,
 
     A solve that has not converged after _AGG_START = 300 sweeps is slow,
     and from then on every 10th sweep is followed by an aggregation
-    correction (_Aggregation). The first correction that does not
-    halve the span as fast as the plain sweeps did before it is undone,
-    and plain sweeps finish the solve. A solve that converges within 300
-    sweeps (tiny, gap, fig3 at buffer 12) is the plain iteration bit for
-    bit.
+    correction (_Aggregation) on blocks of equal side per axis, as many
+    as fit in _AGG_GROUPS. Each sweep hands the aggregation its expected
+    values, so E^i[V] is evaluated once per sweep and once more for the
+    returned policy. The first correction that does not halve the span
+    as fast as the plain sweeps did before it is undone, and plain
+    sweeps finish the solve. A solve that converges within 300 sweeps
+    (tiny, gap, fig3 at buffer 12) is the plain iteration bit for bit.
     Exponential in the server count: heavy-traffic's 10 201 states take
     1 259 sweeps and about 0.4 s on a 2-core VM with one BLAS thread,
     against 3 361 plain sweeps and 1.0 s, with the same policy on every
     state.
     """
     ref = (0,) * cfg.num_servers
-    shape = (cfg.buffer + 1,) * cfg.num_servers
+    n = cfg.buffer + 1
+    shape = (n,) * cfg.num_servers
     cost = sum(s.cost_c * g for s, g in zip(cfg.servers, np.indices(shape)))
     ops = _per_server_operators(cfg)
+    per_axis = 1
+    while (per_axis + 1) ** cfg.num_servers <= _AGG_GROUPS:
+        per_axis += 1
+    agg = _Aggregation(ops, _block_indicator(n, -(-n // per_axis)))
 
     def sweep(v):
-        tv = functools.reduce(np.minimum, _expected_values(v, ops))
+        agg.expected = _expected_values(v, ops)
+        tv = functools.reduce(np.minimum, agg.expected)
         tv += cost
         tv -= v[ref]
         return tv, tv
 
     v, _, sweeps, span = _relative_value_iteration(
         "joint relative value iteration", sweep, np.zeros(shape), tol,
-        max_sweeps, _Aggregation(ops, shape))
+        max_sweeps, agg)
+    policy = np.argmin(np.stack(_expected_values(v, ops)), axis=0)
     return JointSolution(v=v - v[ref], beta=float(v[ref]),
-                         policy=_greedy(v, ops).astype(np.int64),
+                         policy=policy.astype(np.int64),
                          reference=ref, sweeps=sweeps, span=span)
 
 

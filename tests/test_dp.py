@@ -412,12 +412,12 @@ def test_aggregated_operator_matches_the_dense_kronecker_products(num, buffer,
     ind = dp._block_indicator(buffer + 1, k)
     w = functools.reduce(np.kron, [ind] * num)
     want = (w.T @ dense @ w) / w.sum(axis=0)[:, None]
-    got = dp._aggregated_operator(policy, ops, k)
+    agg = dp._Aggregation(ops, ind)
+    agg.system.fill(np.nan)
+    got = agg.operator(policy)
+    assert got is agg.system
     assert got.shape == want.shape
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
-    out = np.full_like(want, np.nan)
-    assert dp._aggregated_operator(policy, ops, k, out=out) is out
-    assert np.array_equal(out, got)
 
 
 HEAVY = load_config(ROOT / "perfbench/heavy-traffic.yaml").system
@@ -448,12 +448,25 @@ def test_harmful_corrections_are_undone(monkeypatch):
     assert sweeps > dp._AGG_START
     step = dp._Aggregation.step
     monkeypatch.setattr(dp._Aggregation, "step",
-                        lambda self, v, diff: 100.0 * step(self, v, diff))
+                        lambda self, diff: 100.0 * step(self, diff))
     sol = joint_rvi(cfg)
     assert sol.beta == beta
     assert np.array_equal(sol.policy, policy)
     assert sol.v.tobytes() == v.tobytes()
     assert (sol.sweeps, sol.span) == (sweeps + dp._AGG_PERIOD, span)
+
+
+def test_each_sweep_evaluates_the_expected_values_once(monkeypatch):
+    """Corrections take their greedy policy from the expected values
+    of the sweep they follow; only the read-out evaluates them again."""
+    cfg = replace(HEAVY, buffer=30)
+    calls = []
+    evaluate = dp._expected_values
+    monkeypatch.setattr(dp, "_expected_values",
+                        lambda v, ops: calls.append(v) or evaluate(v, ops))
+    sol = joint_rvi(cfg)
+    assert sol.sweeps > dp._AGG_START + dp._AGG_PERIOD
+    assert len(calls) == sol.sweeps + 1
 
 
 def test_corrections_that_stall_are_undone():

@@ -1,0 +1,98 @@
+"""Property-based search over the model's parameters (hypothesis).
+
+Every property runs under one fixed profile: derandomized, with no
+example database and no deadline, so each run draws the same examples
+and Tier-1 stays deterministic. A failure shrinks to the smallest case
+hypothesis can find. A property that fails because of a known defect
+is a strict xfail, so the fix has to flip it.
+"""
+
+import shutil
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from psindex import (CmuPolicy, ConvergenceError, RandomPolicy,
+                     ServerParams, SystemConfig, build_index_table, sim,
+                     simulate, stationary_distribution)
+from psindex.model import passive_kernel, transition_kernel
+from psindex.threshold import stationary_ladder, threshold_rows
+
+
+def search(max_examples):
+    return settings(derandomize=True, database=None, deadline=None,
+                    max_examples=max_examples)
+
+
+rates = st.floats(0.02, 0.98)
+costs = st.sampled_from([0.1, 1.0, 30.0])
+
+
+@search(60)
+@given(q=rates, n=st.integers(1, 200))
+def test_passive_rows_are_probability_vectors_with_mean_q(q, n):
+    passive = passive_kernel(q, n)
+    shift = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
+    assert (passive >= 0.0).all()
+    assert np.abs(passive.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs((passive * shift).sum(axis=1)[1:] - q).max() <= 1e-12
+
+
+@search(60)
+@given(q=rates, p=rates, size=st.integers(1, 40))
+def test_each_ladder_column_is_its_chains_stationary_law(q, p, size):
+    active, passive = transition_kernel(q, p, size)
+    laws = stationary_ladder(active, passive)
+    for k in range(size):
+        chain = threshold_rows(active, passive, k)[: k + 2, : k + 2]
+        assert not laws[k + 2:, k].any()
+        assert np.allclose(laws[: k + 2, k], stationary_distribution(chain),
+                           rtol=1e-12, atol=0.0)
+
+
+def _one_server_table(q, p, c):
+    cfg = SystemConfig(arrival_p=p, servers=(ServerParams(q=q, cost_c=c),),
+                       buffer=20)
+    return build_index_table(cfg, x_max=20)
+
+
+@search(60)
+@given(q=rates, p=rates, c=costs)
+def test_a_one_server_table_to_20_builds_wherever_q_exceeds_p(q, p, c):
+    assume(q > p)
+    assert np.isfinite(_one_server_table(q, p, c).entries).all()
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="defect 1: no index table for a server with "
+                   "p >= q past x of about 5-30")
+@search(60)
+@given(q=rates, p=rates, c=costs)
+def test_a_one_server_table_to_20_builds_for_every_q_and_p(q, p, c):
+    assert np.isfinite(_one_server_table(q, p, c).entries).all()
+
+
+banks = st.builds(
+    lambda p, servers, buffer: SystemConfig(arrival_p=p, servers=servers,
+                                            buffer=buffer),
+    rates,
+    st.lists(st.builds(ServerParams, q=rates, cost_c=costs),
+             min_size=1, max_size=3).map(tuple),
+    st.integers(1, 6))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None,
+                    reason="no C compiler on the path")
+@search(60)
+@given(cfg=banks, rule=st.sampled_from(["cmu", "random"]),
+       seed=st.integers(0, 2 ** 40))
+def test_the_compiled_and_python_kernels_give_equal_reports(cfg, rule, seed):
+    policy = (CmuPolicy(cfg.servers) if rule == "cmu"
+              else RandomPolicy(cfg.num_servers))
+    assert sim._slot_loop() is not None, "cc did not build the slot loop"
+    compiled = simulate(cfg, policy, horizon=3_000, burn_in=300, seed=seed)
+    with mock.patch.object(sim, "_slot_loop", lambda: None):
+        python = simulate(cfg, policy, horizon=3_000, burn_in=300, seed=seed)
+    assert compiled == python
