@@ -29,6 +29,8 @@ STRUCT_SLACK = 1e-9
 # The (q, p) tenths with q > p on which the threshold-chain checks run.
 CHAIN_GRID = [(float(q), float(p)) for q in np.arange(0.1, 1.0, 0.1)
               for p in np.arange(0.1, 1.0, 0.1) if q > p]
+CHAIN_K_MAX = 40  # the chains 0..40 of the chain checks
+THRESHOLD_K_MAX = 60  # the thresholds 0..60 of the cost checks
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,9 @@ def _fails_on_convergence(name: str):
     return wrap
 
 
-def check_departure_law(x_max: int = 200) -> CheckResult:
+def check_departure_law() -> CheckResult:
     """Each passive row has mass 1, and x - y has mean q when x >= 1."""
+    x_max = 200
     states = np.arange(x_max + 1)
     shift = np.subtract.outer(states, states)  # departures x - y
     worst = 0.0
@@ -73,14 +76,14 @@ def check_departure_law(x_max: int = 200) -> CheckResult:
                        f"max deviation {worst:.3e}")
 
 
-def check_active_law_is_convolution(x_max: int = 30) -> CheckResult:
+def check_active_law_is_convolution() -> CheckResult:
     """Active rows must be passive rows convolved with the arrival.
 
-    The kernel's buffer sits at x_max + 1, so the last row checks the
-    clamp as well; the passive matrix must be lower-triangular, since
-    a passive server only loses jobs.
+    The last row is the kernel's buffer, so it checks the clamp as
+    well; the passive matrix must be lower-triangular, since a passive
+    server only loses jobs.
     """
-    n = x_max + 1
+    n = 31
     worst = 0.0
     for q, p in ((0.5, 0.4), (0.9, 0.2), (0.3, 0.25)):
         active, passive = transition_kernel(q, p, n)
@@ -97,7 +100,7 @@ def check_active_law_is_convolution(x_max: int = 30) -> CheckResult:
                        f"max gap {worst:.3e}")
 
 
-def check_passive_shift_monotone(x_max: int = 60) -> CheckResult:
+def check_passive_shift_monotone() -> CheckResult:
     """A longer backlog stays stochastically longer after departures.
 
     The departure counts themselves cannot be stochastically ordered
@@ -109,34 +112,34 @@ def check_passive_shift_monotone(x_max: int = 60) -> CheckResult:
     worst = 0.0
     for q in (0.2, 0.5, 0.8, 0.95):
         # Entry [x, j] is P(x - D <= j).
-        cdf = np.cumsum(passive_kernel(q, x_max), axis=1)
+        cdf = np.cumsum(passive_kernel(q, 60), axis=1)
         worst = max(worst, float(np.max(np.diff(cdf, axis=0), initial=0.0)))
     return CheckResult("passive_shift_monotone", worst <= 1e-12,
                        f"max CDF increase {worst:.3e}")
 
 
-def check_stationary_mass_monotone(k_max: int = 40) -> CheckResult:
-    """The active mass 1 - pi(k+1) must not fall as k grows to k_max.
+def check_stationary_mass_monotone() -> CheckResult:
+    """The active mass 1 - pi(k+1) must not fall as k grows.
 
     It is threshold.cumulative_active_mass over CHAIN_GRID: the top
-    masses of chains 0..k_max are one slice of a (q, p)'s ladder.
+    masses of chains 0..CHAIN_K_MAX are one slice of a (q, p)'s ladder.
     """
     worst = 0.0
     for q, p in CHAIN_GRID:
-        mass = 1.0 - threshold._ladder_stats(k_max, q, p)[1]
+        mass = 1.0 - threshold._ladder_stats(CHAIN_K_MAX, q, p)[1]
         worst = min(worst, float(np.min(np.diff(mass), initial=0.0)))
     return CheckResult("stationary_mass_monotone", worst >= -1e-12,
                        f"min mass increment {worst:.3e}")
 
 
-def check_chain_dominance(k_max: int = 40) -> CheckResult:
-    """threshold.dominance_check over CHAIN_GRID and k = 0..k_max.
+def check_chain_dominance() -> CheckResult:
+    """threshold.dominance_check over CHAIN_GRID and k = 0..CHAIN_K_MAX.
 
     threshold.tail_dominance gives every k of a (q, p) from one kernel.
     """
     for q, p in CHAIN_GRID:
         dominated = threshold.tail_dominance(
-            *transition_kernel(q, p, k_max + 2))[1:]
+            *transition_kernel(q, p, CHAIN_K_MAX + 2))[1:]
         if not dominated.all():
             return CheckResult("chain_dominance", False,
                                f"failed at k={np.argmin(dominated)}, "
@@ -144,13 +147,12 @@ def check_chain_dominance(k_max: int = 40) -> CheckResult:
     return CheckResult("chain_dominance", True, "all grid points dominated")
 
 
-def check_threshold_cost_curve(cfg: SystemConfig, k_max: int = 60
-                               ) -> CheckResult:
+def check_threshold_cost_curve(cfg: SystemConfig) -> CheckResult:
     """Optimal threshold cost: concave, non-decreasing, slope <= 1."""
     lams = np.arange(-20.0, 20.0 + 1e-9, 0.25)
     for s in cfg.servers:
         beta, _ = threshold.optimal_threshold_costs(
-            lams, s.cost_c, s.q, cfg.arrival_p, k_max)
+            lams, s.cost_c, s.q, cfg.arrival_p, THRESHOLD_K_MAX)
         d1 = np.diff(beta)
         d2 = np.diff(d1)
         unit = beta[4:] - beta[:-4]  # grid step is 0.25
@@ -174,7 +176,7 @@ def check_value_solver_consistency(cfg: SystemConfig) -> CheckResult:
     lams = [-5.0, 0.0, 2.5, 10.0]
     for s in cfg.servers:
         betas, args = threshold.optimal_threshold_costs(
-            lams, s.cost_c, s.q, cfg.arrival_p, 60)
+            lams, s.cost_c, s.q, cfg.arrival_p, THRESHOLD_K_MAX)
         for lam, beta_min, k in zip(lams, betas.tolist(), args.tolist()):
             sol = whittle.solve_value(lam, k, s, cfg.arrival_p, max(k + 1, 1))
             worst = max(worst, abs(sol.beta - beta_min))
@@ -183,8 +185,7 @@ def check_value_solver_consistency(cfg: SystemConfig) -> CheckResult:
 
 
 @_fails_on_convergence("single_queue_structure")
-def check_single_queue_structure(cfg: SystemConfig, n: int = 120,
-                                 lam_step: float = 0.5) -> CheckResult:
+def check_single_queue_structure(cfg: SystemConfig) -> CheckResult:
     """Threshold policies, indexability, monotone convex values.
 
     Sweeps the charge grid per server, asserting the greedy active set
@@ -192,7 +193,8 @@ def check_single_queue_structure(cfg: SystemConfig, n: int = 120,
     lam, V is non-decreasing with non-decreasing increments on the
     recurrent range, and the admission gain is monotone.
     """
-    lams = np.arange(-20.0, 20.0 + 1e-9, lam_step)
+    lams = np.arange(-20.0, 20.0 + 1e-9, 0.5)
+    n = 120
     half = n // 2
     for s in cfg.servers:
         v_warm = None
@@ -229,20 +231,19 @@ def check_single_queue_structure(cfg: SystemConfig, n: int = 120,
 
 
 @_fails_on_convergence("index_agreement")
-def check_index_agreement(cfg: SystemConfig, x_max: int = 10
-                          ) -> CheckResult:
+def check_index_agreement(cfg: SystemConfig) -> CheckResult:
     """The shipped index table vs the bisection reference.
 
     Builds the table as `psindex indices` does, each cell's gap checked
     at the fixed IndexIterationConfig.tol, and compares every cell
-    x <= x_max with bisect_index on the same states 0..x+1. A solver
+    x <= 10 with bisect_index on the same states 0..x+1. A solver
     that fails fails the check with its message, which names the server
     and state.
     """
-    table = whittle.build_index_table(cfg, x_max)
+    table = whittle.build_index_table(cfg, 10)
     worst = 0.0
     for i, s in enumerate(cfg.servers):
-        for x in range(x_max + 1):
+        for x in range(table.x_max + 1):
             try:
                 ref = whittle.bisect_index(x, s, cfg.arrival_p, x + 1)
             except ConvergenceError as e:

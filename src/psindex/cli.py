@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,12 +62,6 @@ class SimOptions:
             raise ConfigError("sim.seeds must be >= 2")
 
 
-# The value type of every key of the optional sections; their defaults
-# are the option classes' own.
-_WHITTLE_KEYS = {"x_max": int}
-_SIM_KEYS = {"horizon": int, "burn_in": int, "seeds": int}
-
-
 @dataclass(frozen=True)
 class LoadedConfig:
     system: SystemConfig
@@ -74,10 +69,11 @@ class LoadedConfig:
     sim: SimOptions
 
 
-def _section(raw: dict, key: str, kinds: dict) -> dict:
-    """The keys given in an optional section, each converted to its kind.
+def _section(raw: dict, key: str, options: type):
+    """An optional section read into its option class.
 
-    Only YAML null (no section, or a bare `whittle:` line) means no keys.
+    Each key is a field, converted to the field's type. Only YAML null
+    (no section, or a bare `whittle:` line) means no keys.
     """
     got = {} if raw.get(key) is None else raw[key]
     if not isinstance(got, dict):
@@ -85,10 +81,12 @@ def _section(raw: dict, key: str, kinds: dict) -> dict:
     if key == "whittle" and "truncation_n" in got:
         raise ConfigError("whittle.truncation_n is retired: every index "
                           "cell is solved exactly on states 0..x+1")
-    unknown = set(got) - set(kinds)
+    kinds = typing.get_type_hints(options)
+    unknown = sorted(set(got) - set(kinds), key=str)  # YAML keys mix types
     if unknown:
-        raise ConfigError(f"unknown keys in '{key}': {sorted(unknown)}")
-    return {k: _number(kinds[k], v, f"{key}.{k}") for k, v in got.items()}
+        raise ConfigError(f"unknown keys in '{key}': {unknown}")
+    return options(**{k: _number(kinds[k], v, f"{key}.{k}")
+                      for k, v in got.items()})
 
 
 def _number(kind, value, key: str):
@@ -117,11 +115,10 @@ def load_config(path: str | Path) -> LoadedConfig:
         raise ConfigError(f"cannot parse config: {e}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    allowed = {"arrival_p", "buffer", "servers", "strict_stability_mode",
-               "whittle", "sim"}
-    unknown = set(raw) - allowed
+    known = {f.name for f in fields(SystemConfig)} | {"whittle", "sim"}
+    unknown = sorted(set(raw) - known, key=str)
     if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level keys: {unknown}")
     for key in ("arrival_p", "buffer", "servers"):
         if key not in raw:
             raise ConfigError(f"missing required key '{key}'")
@@ -143,9 +140,9 @@ def load_config(path: str | Path) -> LoadedConfig:
         servers=tuple(servers),
         buffer=_number(int, raw["buffer"], "buffer"),
         strict_stability_mode=strict)
-    wopts = WhittleOptions(**_section(raw, "whittle", _WHITTLE_KEYS))
-    sopts = SimOptions(**_section(raw, "sim", _SIM_KEYS))
-    return LoadedConfig(system=system, whittle=wopts, sim=sopts)
+    return LoadedConfig(system=system,
+                        whittle=_section(raw, "whittle", WhittleOptions),
+                        sim=_section(raw, "sim", SimOptions))
 
 
 # ---------------------------------------------------------------- #

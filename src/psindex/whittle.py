@@ -35,7 +35,7 @@ VALUE_RESIDUAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class IndexIterationConfig:
-    """Knobs of the incremental index iteration."""
+    """Knobs of compute_index; tol also bounds every table root's gap."""
 
     gamma: float = 0.1
     tol: float = 1e-6
@@ -327,12 +327,12 @@ def default_truncation(x_max: int, buffer: int) -> int:
     return max(2 * x_max, buffer)
 
 
-def _closed_form_index(system: _FixedThresholdSystem, tol: float) -> float:
+def _closed_form_index(system: _FixedThresholdSystem) -> float:
     """Root of the affine balance gap, verified by a guarded solve.
 
     Raises ConvergenceError when the gap line has no unique root or the
-    root leaves a gap above tol; the residual guard of solve raises
-    one as usual.
+    root leaves a gap above IndexIterationConfig.tol; the residual guard
+    of solve raises one as usual.
     """
     g0, slope = system.gap_line()
     if slope == 0.0 or not (math.isfinite(slope) and math.isfinite(g0)):
@@ -340,6 +340,7 @@ def _closed_form_index(system: _FixedThresholdSystem, tol: float) -> float:
                                "has no unique root")
     lam = -g0 / slope
     gap = system.gap(lam)
+    tol = IndexIterationConfig.tol
     if not abs(gap) <= tol:
         raise ConvergenceError(f"closed-form index {lam:.9g} leaves gap "
                                f"{gap:.3e} above tol {tol:g}",
@@ -365,24 +366,24 @@ def build_index_table(cfg: SystemConfig, x_max: int,
     """Compute the index of every state 0..x_max for every server.
 
     Each cell is the closed-form root of its affine balance gap, checked
-    against iter_cfg.tol; gamma, max_iter and lambda0 drive only
-    compute_index. Cell x is solved on states 0..x+1, the states the
-    threshold-x policy visits from empty, which is exact for any
-    truncation, so the table does not depend on the buffer. n is a
-    retired truncation and must be None. A failed cell aborts the whole
-    table with a ConvergenceError naming the offending (server, state).
+    against the fixed IndexIterationConfig.tol. Cell x is solved on
+    states 0..x+1, the states the threshold-x policy visits from empty,
+    which is exact for any truncation, so the table does not depend on
+    the buffer. iter_cfg (None or IndexIterationConfig()) and n (None)
+    are retired. A failed cell aborts the whole table with a
+    ConvergenceError naming the offending (server, state).
     """
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
-    if n is not None:
-        raise ValueError("n is retired: cell x is solved on states 0..x+1")
-    tol = (iter_cfg or IndexIterationConfig()).tol
+    if iter_cfg not in (None, IndexIterationConfig()) or n is not None:
+        raise ValueError("iter_cfg and n are retired: cell x is solved on "
+                         "states 0..x+1 to IndexIterationConfig.tol")
     entries = np.zeros((cfg.num_servers, x_max + 1))
     for i, server in enumerate(cfg.servers):
         cells = _row_systems(server, cfg.arrival_p, x_max)
         for x, system in enumerate(cells):
             try:
-                entries[i, x] = _closed_form_index(system, tol)
+                entries[i, x] = _closed_form_index(system)
             except ConvergenceError as e:
                 raise ConvergenceError(
                     f"index table aborted at server {i}, state {x}: {e}",

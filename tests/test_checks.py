@@ -114,12 +114,12 @@ def test_the_kernel_cache_bounds_the_pmf_traffic(pmf_sizes, check, calls):
 
 
 def test_stationary_mass_monotone_check():
-    res = checks.check_stationary_mass_monotone(k_max=15)
+    res = checks.check_stationary_mass_monotone()
     assert res.passed
 
 
 def test_chain_dominance_check():
-    assert checks.check_chain_dominance(k_max=15).passed
+    assert checks.check_chain_dominance().passed
 
 
 def _never_departs_from_six(kernels):
@@ -137,13 +137,13 @@ def test_chain_dominance_names_the_first_threshold_that_fails(monkeypatch):
         _never_departs_from_six(out)
         return out
     monkeypatch.setattr(checks, "transition_kernel", perturbed)
-    res = checks.check_chain_dominance(k_max=15)
+    res = checks.check_chain_dominance()
     assert not res.passed
     assert res.detail == "failed at k=5, q=0.2, p=0.1"
 
 
 def test_threshold_cost_curve_check():
-    res = checks.check_threshold_cost_curve(CFG, k_max=40)
+    res = checks.check_threshold_cost_curve(CFG)
     assert res.passed
 
 
@@ -152,12 +152,12 @@ def test_value_solver_consistency_check():
 
 
 def test_single_queue_structure_check():
-    res = checks.check_single_queue_structure(CFG, n=60, lam_step=2.0)
+    res = checks.check_single_queue_structure(CFG)
     assert res.passed
 
 
 def test_index_agreement_check():
-    res = checks.check_index_agreement(CFG, x_max=6)
+    res = checks.check_index_agreement(CFG)
     assert res.passed is True
     assert res.detail.startswith("max |table - bisection| ")
 
@@ -166,8 +166,8 @@ def test_index_agreement_fails_a_table_off_by_a_thousandth(monkeypatch):
     """The check reads the cells the table code path computes."""
     closed_form = whittle._closed_form_index
     monkeypatch.setattr(whittle, "_closed_form_index",
-                        lambda system, tol: closed_form(system, tol) + 1e-3)
-    res = checks.check_index_agreement(CFG, x_max=6)
+                        lambda system: closed_form(system) + 1e-3)
+    res = checks.check_index_agreement(CFG)
     assert res.passed is False
     assert res.detail == "max |table - bisection| 1.000e-03"
 
@@ -202,7 +202,7 @@ def test_index_agreement_names_the_state_where_bisection_fails(monkeypatch):
 
     monkeypatch.setattr(whittle, "bisect_index",
                         no_bracket_at_server_1_state_3)
-    res = checks.check_index_agreement(CFG, x_max=6)
+    res = checks.check_index_agreement(CFG)
     assert not res.passed
     assert res.detail == ("server 1, state 3: no sign change found for the "
                           "balance gap")

@@ -297,6 +297,21 @@ def test_option_values_no_command_accepts_are_config_errors(
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("extra,message", [
+    ("1: 2\nfoo: 3\n", "unknown top-level keys: [1, 'foo']"),
+    ("whittle: {1: 2, foo: 3}\n", "unknown keys in 'whittle': [1, 'foo']"),
+], ids=["top_level", "section"])
+def test_unknown_keys_of_mixed_types_are_a_config_error(tmp_path, capsys,
+                                                        extra, message):
+    """YAML keys may be ints beside strings: the report sorts them as
+    text instead of raising TypeError."""
+    path = tmp_path / "mixed.yaml"
+    path.write_text("arrival_p: 0.4\nbuffer: 5\n"
+                    f"servers:\n  - {{q: 0.5, cost_c: 1.0}}\n{extra}")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_invalid_system_blocks_other_commands(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("arrival_p: 1.4\nbuffer: 5\n"

@@ -427,8 +427,24 @@ def test_build_index_table_does_not_read_the_buffer():
 def test_build_index_table_refuses_a_truncation():
     cfg = SystemConfig(arrival_p=0.4, servers=(UNIT,), buffer=10)
     assert build_index_table(cfg, 4, None, None).entries.shape == (1, 5)
-    with pytest.raises(ValueError, match="n is retired"):
+    with pytest.raises(ValueError, match="iter_cfg and n are retired"):
         build_index_table(cfg, 4, None, 10)
+
+
+@pytest.mark.parametrize("iter_cfg", [
+    IndexIterationConfig(tol=1e300), IndexIterationConfig(tol=1e-9),
+    IndexIterationConfig(gamma=0.5), IndexIterationConfig(max_iter=10),
+    IndexIterationConfig(lambda0=3.0)])
+def test_build_index_table_refuses_an_iteration_config(iter_cfg):
+    """The roots are checked at the fixed IndexIterationConfig.tol: a
+    caller's config is refused unless it equals the default, which
+    perfbench passes positionally."""
+    cfg = SystemConfig(arrival_p=0.4, servers=(UNIT,), buffer=10)
+    default = IndexIterationConfig(0.1, 1e-6, 100_000)
+    assert np.array_equal(build_index_table(cfg, 4, default, None).entries,
+                          build_index_table(cfg, 4).entries)
+    with pytest.raises(ValueError, match="iter_cfg and n are retired"):
+        build_index_table(cfg, 4, iter_cfg)
 
 
 def test_build_index_table_solves_an_overloaded_queue():
