@@ -21,7 +21,7 @@ p = 0.4
 print("threshold k(lam) from relative value iteration:")
 v = None
 for lam in np.arange(0.0, 200.0, 25.0):
-    sol = single_queue_rvi(float(lam), server, p, n=80, tol=1e-9, v_init=v)
+    sol = single_queue_rvi(float(lam), server, p, n=80, v_init=v)
     v = sol.v
     k, interval = active_interval(sol.policy, upto=40)
     print(f"  lam={lam:6.1f}: k={k:2d}  interval={interval}  "

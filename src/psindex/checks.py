@@ -30,7 +30,6 @@ STRUCT_SLACK = 1e-9
 CHAIN_GRID = [(float(q), float(p)) for q in np.arange(0.1, 1.0, 0.1)
               for p in np.arange(0.1, 1.0, 0.1) if q > p]
 CHAIN_K_MAX = 40  # the chains 0..40 of the chain checks
-THRESHOLD_K_MAX = 60  # the thresholds 0..60 of the cost checks
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ def check_threshold_cost_curve(cfg: SystemConfig) -> CheckResult:
     lams = np.arange(-20.0, 20.0 + 1e-9, 0.25)
     for s in cfg.servers:
         beta, _ = threshold.optimal_threshold_costs(
-            lams, s.cost_c, s.q, cfg.arrival_p, THRESHOLD_K_MAX)
+            lams, s.cost_c, s.q, cfg.arrival_p)
         d1 = np.diff(beta)
         d2 = np.diff(d1)
         unit = beta[4:] - beta[:-4]  # grid step is 0.25
@@ -176,7 +175,7 @@ def check_value_solver_consistency(cfg: SystemConfig) -> CheckResult:
     lams = [-5.0, 0.0, 2.5, 10.0]
     for s in cfg.servers:
         betas, args = threshold.optimal_threshold_costs(
-            lams, s.cost_c, s.q, cfg.arrival_p, THRESHOLD_K_MAX)
+            lams, s.cost_c, s.q, cfg.arrival_p)
         for lam, beta_min, k in zip(lams, betas.tolist(), args.tolist()):
             sol = whittle.solve_value(lam, k, s, cfg.arrival_p, max(k + 1, 1))
             worst = max(worst, abs(sol.beta - beta_min))
@@ -200,8 +199,7 @@ def check_single_queue_structure(cfg: SystemConfig) -> CheckResult:
         v_warm = None
         prev_k = None
         for lam in lams:
-            sol = dp.single_queue_rvi(float(lam), s, cfg.arrival_p, n,
-                                      tol=1e-10, v_init=v_warm)
+            sol = dp.single_queue_rvi(float(lam), s, cfg.arrival_p, n, v_warm)
             v_warm = sol.v
             k, interval = dp.active_interval(sol.policy, upto=half)
             if not interval:

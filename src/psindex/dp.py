@@ -8,16 +8,17 @@ half. joint_rvi solves the full bank on the product state space and is
 the exact benchmark the index policy is measured against;
 brute_force_policy_search cross-checks it by sheer enumeration on
 spaces small enough to afford that. Both relative value iterations
-supply only their sweep and read-out; one driver owns the stop rule
+supply only their sweep, read-out, tolerance and sweep limit, each
+stated once in the solver; one driver owns the stop rule
 (span <= tol, a non-finite span, values that repeat an earlier sweep,
-the sweep limit) and its argument checks. A joint solve still short of
-tol after 300 sweeps also takes an aggregation correction every 10
-sweeps (_Aggregation): a small Poisson system on product blocks of
-states, built from the per-server kernels, whose solution removes the
-slow part of the error the plain sweeps leave. The aggregation builds
-its block maps once per solve and reads its greedy policy from the
-expected values of the sweep it follows. The first correction that
-does not pay is undone, and plain sweeps finish the solve.
+the sweep limit). A joint solve still short of tol after 300 sweeps
+also takes an aggregation correction every 10 sweeps (_Aggregation):
+a small Poisson system on product blocks of states, built from the
+per-server kernels, whose solution removes the slow part of the error
+the plain sweeps leave. The aggregation builds its block maps once per
+solve and reads its greedy policy from the expected values of the
+sweep it follows. The first correction that does not pay is undone,
+and plain sweeps finish the solve.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ def _relative_value_iteration(name: str, sweep, v: np.ndarray, tol: float,
     one. Values that a correction replaced are not a sweep's, so every
     correction starts the search afresh.
     """
-    if not (0.0 < tol < np.inf):
-        raise ValueError("tol must be positive and finite")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
     saved, saved_sweep, gap, offered = None, 0, 1, 0
     last_span = math.inf
     for sweeps in range(1, max_sweeps + 1):
@@ -124,23 +121,22 @@ class SingleQueueSolution:
 
 
 def single_queue_rvi(lam: float, server: ServerParams, arrival_p: float,
-                     n: int, tol: float = 1e-9, max_sweeps: int = 100_000,
-                     v_init: np.ndarray | None = None) -> SingleQueueSolution:
+                     n: int, v_init: np.ndarray | None = None
+                     ) -> SingleQueueSolution:
     """Relative value iteration for one queue under charge lam.
 
     Jacobi sweeps with normalisation at state 0, stopping when the span
-    of the update difference drops below tol; the average cost is the
-    midpoint of that difference's range. The greedy tie at equal action
-    values goes to active. v_init, when given, has shape (n + 1,).
+    of the update difference drops to 1e-10 (a ConvergenceError after
+    100 000 sweeps); the average cost is the midpoint of that
+    difference's range. The greedy tie at equal action values goes to
+    active. v_init, when given, has shape (n + 1,).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    pa, pb = transition_kernel(server.q, arrival_p, n)  # checks n >= 1
     v = (np.zeros(n + 1) if v_init is None
          else np.array(v_init, dtype=np.float64))
     if v.shape != (n + 1,):
         raise ValueError(f"v_init must have shape ({n + 1},), "
                          f"not {v.shape}")
-    pa, pb = transition_kernel(server.q, arrival_p, n)
     cost_a = server.cost_c * np.arange(n + 1, dtype=np.float64)
     cost_p = cost_a + lam
 
@@ -149,7 +145,7 @@ def single_queue_rvi(lam: float, server: ServerParams, arrival_p: float,
         return tv, tv - tv[0]
 
     v, diff, sweeps, span = _relative_value_iteration(
-        "relative value iteration", sweep, v, tol, max_sweeps)
+        "relative value iteration", sweep, v, tol=1e-10, max_sweeps=100_000)
     return SingleQueueSolution(
         lam=lam, n=n, v=v, beta=float(0.5 * (diff.max() + diff.min())),
         policy=cost_a + pa @ v <= cost_p + pb @ v, sweeps=sweeps, span=span)
@@ -372,13 +368,13 @@ class _Aggregation:
         self.lu, self.piv = (lu, piv) if info == 0 else (None, None)
 
 
-def joint_rvi(cfg: SystemConfig, tol: float = 1e-9,
-              max_sweeps: int = 200_000) -> JointSolution:
+def joint_rvi(cfg: SystemConfig) -> JointSolution:
     """Optimal average cost for the whole bank by relative value iteration.
 
     Synchronous sweeps of V <- cost + min_i E^i[V] - V[ref]; at the fixed
     point V[ref] (all empty) is the optimal average cost. Ties go to the
-    lowest server index. tol is absolute; |V| reaches 1.7e6 on
+    lowest server index. The stop at span 1e-9 is absolute (a
+    ConvergenceError after 200 000 sweeps); |V| reaches 1.7e6 on
     heavy-traffic, where 1e-9 is 4 ulps, so reordered arithmetic (BLAS
     build, threads) moves the sweep count by a few.
 
@@ -392,7 +388,7 @@ def joint_rvi(cfg: SystemConfig, tol: float = 1e-9,
     sweeps finish the solve. A solve that converges within 300 sweeps
     (tiny, gap, fig3 at buffer 12) is the plain iteration bit for bit.
     Exponential in the server count: heavy-traffic's 10 201 states take
-    1 259 sweeps and about 0.4 s on a 2-core VM with one BLAS thread,
+    1 259 sweeps and about 0.5 s on a 2-core VM with one BLAS thread,
     against 3 361 plain sweeps and 1.0 s, with the same policy on every
     state.
     """
@@ -414,8 +410,8 @@ def joint_rvi(cfg: SystemConfig, tol: float = 1e-9,
         return tv, tv
 
     v, _, sweeps, span = _relative_value_iteration(
-        "joint relative value iteration", sweep, np.zeros(shape), tol,
-        max_sweeps, agg)
+        "joint relative value iteration", sweep, np.zeros(shape), tol=1e-9,
+        max_sweeps=200_000, correct=agg)
     policy = np.argmin(np.stack(_expected_values(v, ops)), axis=0)
     return JointSolution(v=v - v[ref], beta=float(v[ref]),
                          policy=policy.astype(np.int64),
@@ -491,33 +487,28 @@ def joint_policy_average_cost(cfg: SystemConfig, policy) -> float:
     return float(pi @ holding)
 
 
-def brute_force_policy_search(cfg: SystemConfig,
-                              max_policies: int = 100_000) -> BruteForceResult:
+def brute_force_policy_search(cfg: SystemConfig) -> BruteForceResult:
     """Enumerate every stationary server assignment and keep the best.
 
     The policy space has num_servers ** num_states members; anything
-    beyond max_policies is refused with the size spelled out. Ties on
+    beyond 100 000 is refused with the size spelled out. Ties on
     average cost keep the first policy in lexicographic order, which
     prefers lower server indices.
     """
     states = tuple(itertools.product(range(cfg.buffer + 1),
                                      repeat=cfg.num_servers))
-    count = cfg.num_servers ** len(states)
-    if count > max_policies:
+    count, limit = cfg.num_servers ** len(states), 100_000
+    if count > limit:
         raise ValueError(
             f"refusing to enumerate {cfg.num_servers}**{len(states)} = "
-            f"{count} policies (limit {max_policies})")
-    best_beta = np.inf
-    best_assign = None
-    evaluations = []
+            f"{count} policies (limit {limit})")
+    best_beta, best_assign, evaluations = np.inf, None, []
     for assign in itertools.product(range(cfg.num_servers),
                                     repeat=len(states)):
-        policy = dict(zip(states, assign))
-        beta = joint_policy_average_cost(cfg, policy)
+        beta = joint_policy_average_cost(cfg, dict(zip(states, assign)))
         evaluations.append((assign, beta))
         if beta < best_beta - 1e-12:
-            best_beta = beta
-            best_assign = assign
+            best_beta, best_assign = beta, assign
     return BruteForceResult(best_policy=dict(zip(states, best_assign)),
                             best_beta=float(best_beta),
                             evaluations=tuple(evaluations),

@@ -19,6 +19,7 @@ from scipy.linalg.blas import dtrsm
 from .model import transition_kernel
 
 STATIONARY_TOL = 1e-10
+K_MAX = 60  # optimal_threshold_costs tries the thresholds -1..K_MAX
 
 
 def threshold_rows(active: np.ndarray, passive: np.ndarray,
@@ -156,10 +157,13 @@ def _ladder_stats(k_max: int, q: float, p: float) -> np.ndarray:
     The two rows come from one stationary_ladder over
     transition_kernel(q, p, k_max + 1).
     """
-    if k_max < 0:
-        return np.empty((2, 0))
     laws = stationary_ladder(*transition_kernel(q, p, k_max + 1))
     return np.vstack((np.arange(k_max + 2) @ laws, np.diagonal(laws, -1)))
+
+
+def _check_threshold(k: int) -> None:
+    if k < -1:
+        raise ValueError(f"threshold k must be >= -1, got {k}")
 
 
 def cumulative_active_mass(k: int, q: float, p: float) -> float:
@@ -168,6 +172,7 @@ def cumulative_active_mass(k: int, q: float, p: float) -> float:
     Equals 1 - pi(k+1); it is non-decreasing in k, which is the
     stationary-mass monotonicity behind index monotonicity.
     """
+    _check_threshold(k)
     if k == -1:
         return 1.0
     return 1.0 - float(_ladder_stats(k, q, p)[1, k])
@@ -181,33 +186,33 @@ def threshold_average_cost(k: int, lam: float, cost_c: float, q: float,
     cost_c * E[length] + lam * pi(k+1). For k = -1 the queue stays
     empty and pays lam every slot.
     """
+    _check_threshold(k)
     if k == -1:
         return float(lam)
     mean_len, top = _ladder_stats(k, q, p)[:, k]
     return float(cost_c * mean_len + lam * top)
 
 
-def optimal_threshold_cost(lam: float, cost_c: float, q: float, p: float,
-                           k_max: int = 60) -> tuple[float, int]:
-    """Minimise the threshold average cost over k in {-1, ..., k_max}.
+def optimal_threshold_cost(lam: float, cost_c: float, q: float,
+                           p: float) -> tuple[float, int]:
+    """Minimise the threshold average cost over k in {-1, ..., K_MAX}.
 
     A minimum over affine-in-lam functions, hence concave and
     non-decreasing in lam with slope at most 1 (the k = -1 line).
     Returns (best cost, argmin k); ties go to the smaller k.
     """
-    best, arg = optimal_threshold_costs([lam], cost_c, q, p, k_max)
+    best, arg = optimal_threshold_costs([lam], cost_c, q, p)
     return float(best[0]), int(arg[0])
 
 
 def optimal_threshold_costs(lams: np.ndarray, cost_c: float, q: float,
-                            p: float, k_max: int = 60
-                            ) -> tuple[np.ndarray, np.ndarray]:
+                            p: float) -> tuple[np.ndarray, np.ndarray]:
     """optimal_threshold_cost at every charge in lams, one pass over k.
 
     A chain beats the best so far only below it by more than 1e-15.
     """
     lams = np.asarray(lams, dtype=float)
-    means, tops = _ladder_stats(k_max, q, p)
+    means, tops = _ladder_stats(K_MAX, q, p)
     costs = cost_c * means[:, None] + lams * tops[:, None]
     best, arg = lams.copy(), np.full(lams.shape, -1)
     for k, c in enumerate(costs):
@@ -229,6 +234,7 @@ def dominance_check(k: int, q: float, p: float) -> bool:
     chains are slices of one transition_kernel(q, p, k+2), and
     tail_dominance makes the comparison, also for k = -1.
     """
+    _check_threshold(k)
     return bool(tail_dominance(*transition_kernel(q, p, k + 2))[k + 1])
 
 

@@ -206,12 +206,16 @@ def solve_value(lam: float, threshold_x: int, server: ServerParams,
     return _FixedThresholdSystem(server, arrival_p, threshold_x, n).solve(lam)
 
 
+def _index_system(x: int, server: ServerParams, arrival_p: float, n: int):
+    if x < 0:  # threshold -1's system would give state 0's index
+        raise ValueError("x must be >= 0")
+    return _FixedThresholdSystem(server, arrival_p, x, n)
+
+
 def index_residual(lam: float, x: int, server: ServerParams,
                    arrival_p: float, n: int) -> float:
     """Balance gap at state x under charge lam; zero at the index."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    return _FixedThresholdSystem(server, arrival_p, x, n).gap(lam)
+    return _index_system(x, server, arrival_p, n).gap(lam)
 
 
 def compute_index(x: int, server: ServerParams, arrival_p: float, n: int,
@@ -224,7 +228,7 @@ def compute_index(x: int, server: ServerParams, arrival_p: float, n: int,
     bisect_index is the fallback reference in that case.
     """
     cfg = iter_cfg or IndexIterationConfig()
-    system = _FixedThresholdSystem(server, arrival_p, x, n)
+    system = _index_system(x, server, arrival_p, n)
     lam = cfg.lambda0
     gap = system.gap(lam)
     for _ in range(cfg.max_iter):
@@ -252,7 +256,7 @@ def bisect_index(x: int, server: ServerParams, arrival_p: float,
     stays valid for any continuous gap. A root on a window end is
     returned as that end.
     """
-    system = _FixedThresholdSystem(server, arrival_p, x, n)
+    system = _index_system(x, server, arrival_p, n)
     a, b, span = -50.0, 50.0, 100.0
     for _ in range(40):
         fa, fb = system.gap(a), system.gap(b)

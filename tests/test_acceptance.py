@@ -110,8 +110,7 @@ def structure_sweep():
         value_bad = 0
         gain_bad = 0
         for lam in LAM_GRID:
-            sol = single_queue_rvi(float(lam), server, p, SWEEP_N,
-                                   tol=1e-10, v_init=v)
+            sol = single_queue_rvi(float(lam), server, p, SWEEP_N, v_init=v)
             v = sol.v
             k, interval = active_interval(sol.policy, upto=SWEEP_UPTO)
             ks.append(k)
@@ -156,7 +155,7 @@ def index_ladder():
     def active_at(lam, x):
         nonlocal v
         sol = single_queue_rvi(float(lam), LADDER_SERVER, 0.4, LADDER_N,
-                               tol=1e-10, v_init=v)
+                               v_init=v)
         v = sol.v
         return bool(sol.policy[x])
 

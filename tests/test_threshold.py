@@ -108,11 +108,12 @@ def test_threshold_average_cost_matches_direct_expectation(k, q, p):
 
 
 def test_optimal_threshold_cost_is_the_explicit_minimum():
+    """Over the never-active rule and thresholds 0..60."""
     for lam in np.arange(-4.0, 12.0, 0.8):
-        cost, k = optimal_threshold_cost(float(lam), 1.0, 0.5, 0.4, 30)
+        cost, k = optimal_threshold_cost(float(lam), 1.0, 0.5, 0.4)
         explicit = [float(lam)] + [
             threshold_average_cost(j, float(lam), 1.0, 0.5, 0.4)
-            for j in range(0, 31)]
+            for j in range(0, 61)]
         assert cost == pytest.approx(min(explicit), abs=1e-12)
         # Ties resolve to the smallest k: nothing below k may match it.
         for j in range(-1, k):
@@ -126,9 +127,20 @@ def test_negative_charge_prefers_staying_passive():
     assert (cost, k) == (-5.0, -1)
 
 
-@pytest.mark.parametrize("k_max", [-1, -2])
-def test_no_threshold_to_try_leaves_the_never_active_rule(k_max):
-    assert optimal_threshold_cost(2.5, 1.0, 0.5, 0.4, k_max) == (2.5, -1)
+@pytest.mark.parametrize("k", [-2, -3, -100])
+@pytest.mark.parametrize("call", [
+    lambda k: threshold.cumulative_active_mass(k, 0.5, 0.4),
+    lambda k: threshold.threshold_average_cost(k, 1.0, 1.0, 0.5, 0.4),
+    lambda k: threshold.dominance_check(k, 0.5, 0.4)],
+    ids=["cumulative_active_mass", "threshold_average_cost",
+         "dominance_check"])
+def test_a_threshold_below_the_never_active_rule_is_refused(call, k):
+    """k = -1 is the lowest threshold. Below it the first two met an
+    empty ladder's IndexError, and dominance_check a message about a
+    truncation n its caller never passed."""
+    with pytest.raises(ValueError,
+                       match=rf"^threshold k must be >= -1, got {k}$"):
+        call(k)
 
 
 @pytest.mark.parametrize("k,q,p", GRID)

@@ -65,6 +65,20 @@ def test_index_of_the_empty_state_closed_form(server, want):
     assert bisect_index(0, server, 0.4, 40) == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("x", [-1, -2])
+@pytest.mark.parametrize("route", [
+    lambda x: index_residual(0.0, x, UNIT, 0.4, 10),
+    lambda x: compute_index(x, UNIT, 0.4, 10),
+    lambda x: bisect_index(x, UNIT, 0.4, 10)],
+    ids=["index_residual", "compute_index", "bisect_index"])
+def test_every_index_route_refuses_a_state_below_zero(route, x):
+    """Threshold -1 is a value system solve_value accepts, and its
+    balance rows sit at state 0: compute_index(-1, ...) and
+    bisect_index(-1, ...) returned state 0's index, 0.8."""
+    with pytest.raises(ValueError, match=r"^x must be >= 0$"):
+        route(x)
+
+
 def test_compute_index_leaves_negligible_residual():
     for x in range(0, 5):
         lam = compute_index(x, UNIT, 0.4, 40)
