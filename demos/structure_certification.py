@@ -9,8 +9,8 @@ convexity, index agreement) and prints each verdict.
 import numpy as np
 
 from psindex import (ServerParams, SystemConfig, active_interval,
-                     cumulative_active_mass, optimal_threshold_cost,
-                     single_queue_rvi)
+                     optimal_threshold_costs, single_queue_rvi,
+                     threshold_chains)
 from psindex.checks import run_property_suite
 
 server = ServerParams(q=0.55, cost_c=30.0)
@@ -30,13 +30,14 @@ for lam in np.arange(0.0, 200.0, 25.0):
 # The same thresholds fall out of the stationary chain costs, with no
 # dynamic programming involved.
 print("\nbest fixed threshold by stationary chain evaluation:")
-for lam in (25.0, 100.0, 175.0):
-    cost, k = optimal_threshold_cost(lam, server.cost_c, server.q, p)
+lams = (25.0, 100.0, 175.0)
+costs, args = optimal_threshold_costs(lams, server.cost_c, server.q, p)
+for lam, cost, k in zip(lams, costs, args):
     print(f"  lam={lam:6.1f}: argmin k={k:2d}  cost={cost:9.4f}")
 
 # Raising the threshold keeps more stationary mass on the active
 # states, the monotonicity behind a well-defined index.
-masses = [cumulative_active_mass(k, 0.55, 0.4) for k in range(8)]
+masses = 1.0 - threshold_chains(0.55, 0.4, 7).top[1:]
 print("\nstationary active mass by threshold:",
       " ".join(f"{m:.4f}" for m in masses))
 

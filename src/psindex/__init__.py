@@ -11,9 +11,8 @@ from .model import (ConvergenceError, LyapunovCertificate, ServerParams,
                     SystemConfig, ValidationReport, lyapunov_certificate,
                     lyapunov_margin, passive_kernel, transition_kernel,
                     validate_config)
-from .threshold import (cumulative_active_mass, dominance_check,
-                        optimal_threshold_cost, stationary_distribution,
-                        threshold_average_cost)
+from .threshold import (optimal_threshold_costs, stationary_distribution,
+                        threshold_chains)
 from .whittle import (IndexIterationConfig, IndexTable, ValueSolution,
                       bisect_index, build_index_table, compute_index,
                       index_residual, solve_value)
@@ -29,8 +28,8 @@ __all__ = [
     "SystemConfig", "ValidationReport", "lyapunov_certificate",
     "lyapunov_margin", "passive_kernel", "transition_kernel",
     "validate_config",
-    "cumulative_active_mass", "dominance_check", "optimal_threshold_cost",
-    "stationary_distribution", "threshold_average_cost",
+    "optimal_threshold_costs", "stationary_distribution",
+    "threshold_chains",
     "IndexIterationConfig", "IndexTable", "ValueSolution", "bisect_index",
     "build_index_table", "compute_index", "index_residual", "solve_value",
     "BruteForceResult", "JointSolution", "SingleQueueSolution",

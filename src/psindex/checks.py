@@ -120,19 +120,19 @@ def check_passive_shift_monotone() -> CheckResult:
 def check_stationary_mass_monotone() -> CheckResult:
     """The active mass 1 - pi(k+1) must not fall as k grows.
 
-    It is threshold.cumulative_active_mass over CHAIN_GRID: the top
-    masses of chains 0..CHAIN_K_MAX are one slice of a (q, p)'s ladder.
+    It reads the top masses of chains -1..CHAIN_K_MAX of each (q, p) in
+    CHAIN_GRID from one threshold.threshold_chains record.
     """
     worst = 0.0
     for q, p in CHAIN_GRID:
-        mass = 1.0 - threshold._ladder_stats(CHAIN_K_MAX, q, p)[1]
+        mass = 1.0 - threshold.threshold_chains(q, p, CHAIN_K_MAX).top
         worst = min(worst, float(np.min(np.diff(mass), initial=0.0)))
     return CheckResult("stationary_mass_monotone", worst >= -1e-12,
                        f"min mass increment {worst:.3e}")
 
 
 def check_chain_dominance() -> CheckResult:
-    """threshold.dominance_check over CHAIN_GRID and k = 0..CHAIN_K_MAX.
+    """Chain k+1 dominates chain k on CHAIN_GRID, k = 0..CHAIN_K_MAX.
 
     threshold.tail_dominance gives every k of a (q, p) from one kernel.
     """

@@ -7,11 +7,16 @@ stop one step above the threshold. The convention k = -1 means never
 active, whose recurrent class is the single state {0}. Every chain is
 threshold_rows of model.transition_kernel. stationary_ladder solves
 every threshold chain of one kernel at once by cut balance, and
-stationary_distribution is the general GTH solve that dp's joint
-policy chains use.
+threshold_chains reads from it the one record, over k = -1..K, of the
+chains' mean lengths and top masses that every single-queue figure
+uses, the never-active rule as its first row. tail_dominance orders
+consecutive chains, and stationary_distribution is the general GTH
+solve that dp's joint policy chains use.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
@@ -151,105 +156,71 @@ def _cut_balance(up: np.ndarray, cum_act: np.ndarray,
     return laws
 
 
-def _ladder_stats(k_max: int, q: float, p: float) -> np.ndarray:
-    """Mean queue length and top mass pi(k+1) of chains k = 0..k_max.
+class ThresholdChains(NamedTuple):
+    """Figures of the threshold chains k = -1..K of one (q, p).
 
-    The two rows come from one stationary_ladder over
-    transition_kernel(q, p, k_max + 1).
+    Entry k+1 belongs to chain k: mean is its mean queue length L_k and
+    top its mass pi_k(k+1) on the one passive state, so 1 - top is the
+    active mass. Entry 0 is the never-active rule, whose queue stays at
+    0: mean 0 and top 1.
     """
+    mean: np.ndarray
+    top: np.ndarray
+
+
+def threshold_chains(q: float, p: float, k_max: int) -> ThresholdChains:
+    """The chains k = -1..k_max from one stationary_ladder.
+
+    The ladder runs over transition_kernel(q, p, k_max + 1) and is
+    solved afresh on each call.
+    """
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     laws = stationary_ladder(*transition_kernel(q, p, k_max + 1))
-    return np.vstack((np.arange(k_max + 2) @ laws, np.diagonal(laws, -1)))
-
-
-def _check_threshold(k: int) -> None:
-    if k < -1:
-        raise ValueError(f"threshold k must be >= -1, got {k}")
-
-
-def cumulative_active_mass(k: int, q: float, p: float) -> float:
-    """Stationary probability of the active states {0, ..., k}.
-
-    Equals 1 - pi(k+1); it is non-decreasing in k, which is the
-    stationary-mass monotonicity behind index monotonicity.
-    """
-    _check_threshold(k)
-    if k == -1:
-        return 1.0
-    return 1.0 - float(_ladder_stats(k, q, p)[1, k])
-
-
-def threshold_average_cost(k: int, lam: float, cost_c: float, q: float,
-                           p: float) -> float:
-    """Long-run average cost of threshold k with passivity charge lam.
-
-    The only passive recurrent state is k+1, so the cost decomposes as
-    cost_c * E[length] + lam * pi(k+1). For k = -1 the queue stays
-    empty and pays lam every slot.
-    """
-    _check_threshold(k)
-    if k == -1:
-        return float(lam)
-    mean_len, top = _ladder_stats(k, q, p)[:, k]
-    return float(cost_c * mean_len + lam * top)
-
-
-def optimal_threshold_cost(lam: float, cost_c: float, q: float,
-                           p: float) -> tuple[float, int]:
-    """Minimise the threshold average cost over k in {-1, ..., K_MAX}.
-
-    A minimum over affine-in-lam functions, hence concave and
-    non-decreasing in lam with slope at most 1 (the k = -1 line).
-    Returns (best cost, argmin k); ties go to the smaller k.
-    """
-    best, arg = optimal_threshold_costs([lam], cost_c, q, p)
-    return float(best[0]), int(arg[0])
+    return ThresholdChains(
+        np.concatenate(([0.0], np.arange(k_max + 2) @ laws)),
+        np.concatenate(([1.0], np.diagonal(laws, -1))))
 
 
 def optimal_threshold_costs(lams: np.ndarray, cost_c: float, q: float,
                             p: float) -> tuple[np.ndarray, np.ndarray]:
-    """optimal_threshold_cost at every charge in lams, one pass over k.
+    """Minimise the threshold average cost over k in {-1, ..., K_MAX}.
 
-    A chain beats the best so far only below it by more than 1e-15.
+    Chain k costs cost_c * L_k + lam * pi_k(k+1) on average, since k+1
+    is its only passive recurrent state. A minimum over affine-in-lam
+    functions, hence concave and non-decreasing in lam with slope at
+    most 1 (the k = -1 line, which costs lam). Returns the best cost
+    and its argmin k at every charge in lams, one pass over k: a chain
+    beats the best so far only below it by more than 1e-15, so ties go
+    to the smaller k.
     """
-    lams = np.asarray(lams, dtype=float)
-    means, tops = _ladder_stats(K_MAX, q, p)
-    costs = cost_c * means[:, None] + lams * tops[:, None]
-    best, arg = lams.copy(), np.full(lams.shape, -1)
-    for k, c in enumerate(costs):
+    chains = threshold_chains(q, p, K_MAX)
+    costs = (cost_c * chains.mean[:, None]
+             + np.asarray(lams, dtype=float) * chains.top[:, None])
+    best, arg = costs[0].copy(), np.full(costs.shape[1], -1)
+    for k, c in enumerate(costs[1:]):
         better = c < best - 1e-15
         best[better] = c[better]
         arg[better] = k
     return best, arg
 
 
-def dominance_check(k: int, q: float, p: float) -> bool:
-    """Certify that raising the threshold enlarges the queue stochastically.
-
-    Embeds the threshold-k chain in the (k+3)-state space of the
-    threshold-(k+1) chain by zero-padding the unreachable top row, and
-    compares cumulative transition mass through the lower-triangular
-    all-ones matrix U: (P @ U)[x, j] is the probability of moving from
-    x to a state >= j, so P1 U <= P2 U + 1e-12 elementwise says the
-    larger threshold pushes every state upward at least as hard. Both
-    chains are slices of one transition_kernel(q, p, k+2), and
-    tail_dominance makes the comparison, also for k = -1.
-    """
-    _check_threshold(k)
-    return bool(tail_dominance(*transition_kernel(q, p, k + 2))[k + 1])
-
-
 def tail_dominance(active: np.ndarray, passive: np.ndarray) -> np.ndarray:
-    """dominance_check's verdicts for k = -1..n-2 of one kernel over 0..n.
+    """Whether chain k+1 dominates chain k, for k = -1..n-2 of one kernel.
 
-    Entry k+1 holds threshold k. The padded chain k and chain k+1
-    share the active rows 0..k, so P1 U <= P2 U + 1e-12 comes down to
-    two rows. Row k+1 holds passive
-    row k+1 in chain k and active row k+1 in chain k+1: its passive
-    tail sums must not exceed the active ones. Row k+2 is zero in the
-    padded chain and passive row k+2 in chain k+1, whose tail sums must
-    be non-negative. A passive row stops at its own state and an active
-    row one above, so the tail sums of whole kernel rows, one reverse
-    cumulative sum each, are those of the chains' rows.
+    The kernel runs over states 0..n, and entry k+1 holds threshold k.
+    Chain k is zero-padded to the k+3 states of chain k+1 and the two
+    are compared through the lower-triangular all-ones matrix U:
+    (P @ U)[x, j] is the probability of moving from x to a state >= j,
+    so P1 U <= P2 U + 1e-12 elementwise says the larger threshold
+    pushes every state upward at least as hard. The chains share the
+    active rows 0..k, so this comes down to two rows. Row k+1 holds
+    passive row k+1 in chain k and active row k+1 in chain k+1: its
+    passive tail sums must not exceed the active ones. Row k+2 is zero
+    in the padded chain and passive row k+2 in chain k+1, whose tail
+    sums must be non-negative. A passive row stops at its own state and
+    an active row one above, so the tail sums of whole kernel rows, one
+    reverse cumulative sum each, are those of the chains' rows.
     """
     def tails(m):
         return np.cumsum(m[:, ::-1], axis=1)[:, ::-1]

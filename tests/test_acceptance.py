@@ -14,12 +14,12 @@ from psindex import (CmuPolicy, IndexIterationConfig, RandomPolicy,
                      ServerParams, SystemConfig, WhittlePolicy,
                      active_interval, admission_gain_profile, bisect_index,
                      brute_force_policy_search, build_index_table, compare,
-                     compute_index, cumulative_active_mass,
-                     DepartureSampler, dominance_check,
+                     compute_index, DepartureSampler,
                      joint_policy_average_cost, joint_rvi,
-                     optimal_threshold_cost, passive_kernel,
+                     optimal_threshold_costs, passive_kernel,
                      policy_reachable_states, simulate, single_queue_rvi,
-                     solve_value, threshold_average_cost)
+                     solve_value, threshold_chains, transition_kernel)
+from psindex.threshold import tail_dominance
 
 HORIZON = 1_000_000
 BURN_IN = 10_000
@@ -249,14 +249,10 @@ def test_criterion_07_mass_and_dominance():
         for p in grid:
             if q <= p:
                 continue
-            prev = None
-            for k in range(0, 41):
-                mass = cumulative_active_mass(k, q, p)
-                if prev is not None and mass < prev - 1e-12:
-                    mass_bad += 1
-                prev = mass
-                if not dominance_check(k, q, p):
-                    dom_bad += 1
+            mass = 1.0 - threshold_chains(q, p, 40).top[1:]  # k = 0..40
+            mass_bad += int(np.sum(mass[1:] < mass[:-1] - 1e-12))
+            dominated = tail_dominance(*transition_kernel(q, p, 42))[1:]
+            dom_bad += int(np.sum(~dominated))
     ok = mass_bad == 0 and dom_bad == 0
     assert verdict(7, "stationary mass and dominance", ok,
                    f"36 (q,p) pairs, k <= 40: {mass_bad} mass drops, "
@@ -283,10 +279,11 @@ def test_criterion_09_solver_cross_consistency(two_server_tiny):
     worst = 0.0
     for server in (ServerParams(q=0.5, cost_c=1.0),
                    ServerParams(q=0.55, cost_c=30.0)):
+        chains = threshold_chains(server.q, 0.4, 12)
         for k in (0, 1, 3, 7, 12):
             for lam in (-5.0, 0.0, 2.5, 10.0):
-                want = threshold_average_cost(k, lam, server.cost_c,
-                                              server.q, 0.4)
+                want = float(server.cost_c * chains.mean[k + 1]
+                             + lam * chains.top[k + 1])
                 for n in (k + 1, max(2 * k, 40)):
                     got = solve_value(lam, k, server, 0.4, n).beta
                     worst = max(worst, abs(got - want))
@@ -347,8 +344,7 @@ def test_criterion_11_cost_curve_shape():
     worst_d2 = -np.inf
     worst_unit = -np.inf
     for cost_c, q in servers:
-        beta = np.array([optimal_threshold_cost(float(l), cost_c, q, 0.4)[0]
-                         for l in lams])
+        beta, _ = optimal_threshold_costs(lams, cost_c, q, 0.4)
         d1 = np.diff(beta)
         worst_d1 = min(worst_d1, float(np.min(d1)))
         worst_d2 = max(worst_d2, float(np.max(np.diff(d1))))

@@ -118,6 +118,21 @@ def test_stationary_mass_monotone_check():
     assert res.passed
 
 
+def test_stationary_mass_monotone_check_covers_the_never_active_rule(
+        monkeypatch):
+    """The check starts at k = -1: a never-active row that kept all of
+    its mass active, as the old branch for k = -1 had it, fails."""
+    real = checks.threshold.threshold_chains
+
+    def active_at_minus_one(*args):
+        chains = real(*args)
+        return chains._replace(top=np.concatenate(([0.0], chains.top[1:])))
+    monkeypatch.setattr(checks.threshold, "threshold_chains",
+                        active_at_minus_one)
+    res = checks.check_stationary_mass_monotone()
+    assert not res.passed
+
+
 def test_chain_dominance_check():
     assert checks.check_chain_dominance().passed
 

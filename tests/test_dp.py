@@ -13,7 +13,7 @@ import pytest
 from psindex import (ConvergenceError, ServerParams, SystemConfig,
                      active_interval, admission_gain_profile, bisect_index,
                      brute_force_policy_search, joint_policy_average_cost,
-                     joint_rvi, optimal_threshold_cost,
+                     joint_rvi, optimal_threshold_costs,
                      policy_reachable_states, single_queue_rvi,
                      transition_kernel)
 from psindex import dp
@@ -58,7 +58,7 @@ def test_rvi_threshold_counts_indices_below_the_charge(lam):
 @pytest.mark.parametrize("lam", [-2.0, 0.5, 2.0, 5.0, 12.0])
 def test_rvi_beta_equals_best_threshold_cost(lam):
     sol = single_queue_rvi(lam, UNIT, 0.4, 40)
-    want, _ = optimal_threshold_cost(lam, 1.0, 0.5, 0.4)
+    (want,), _ = optimal_threshold_costs([lam], 1.0, 0.5, 0.4)
     assert sol.beta == pytest.approx(want, abs=1e-7)
 
 

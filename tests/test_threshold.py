@@ -4,11 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from psindex import (ServerParams, cumulative_active_mass, dominance_check,
-                     optimal_threshold_cost, stationary_distribution,
-                     threshold_average_cost, transition_kernel)
+from psindex import (ServerParams, optimal_threshold_costs,
+                     stationary_distribution, threshold_chains,
+                     transition_kernel)
 from psindex import threshold
-from psindex.threshold import stationary_ladder, threshold_rows
+from psindex.checks import CHAIN_GRID, CHAIN_K_MAX
+from psindex.threshold import stationary_ladder, tail_dominance, \
+    threshold_rows
 from psindex.whittle import _FixedThresholdSystem
 
 from conftest import binom_row, power_stationary
@@ -76,98 +78,96 @@ def test_stationary_distribution_matches_power_iteration(k, q, p):
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_cumulative_active_mass_frozen():
-    assert cumulative_active_mass(0, 0.5, 0.4) == pytest.approx(5.0 / 9.0,
-                                                                abs=1e-12)
+def _average_cost(chains, k, lam, cost_c):
+    """Chain k's long-run average cost at charge lam, read off a record."""
+    return float(cost_c * chains.mean[k + 1] + lam * chains.top[k + 1])
 
 
-@pytest.mark.parametrize("q,p", [(0.5, 0.4), (0.55, 0.4), (0.9, 0.5),
-                                 (0.3, 0.2)])
-def test_cumulative_active_mass_monotone_in_k(q, p):
-    masses = [cumulative_active_mass(k, q, p) for k in range(0, 25)]
-    assert all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))
+def test_threshold_chains_frozen():
+    chains = threshold_chains(0.5, 0.4, 0)
+    assert 1.0 - chains.top[1] == pytest.approx(5.0 / 9.0, abs=1e-12)
+    assert _average_cost(chains, 0, 0.0, 1.0) == pytest.approx(4.0 / 9.0,
+                                                               abs=1e-12)
+    assert _average_cost(chains, 0, 1.0, 1.0) == pytest.approx(8.0 / 9.0,
+                                                               abs=1e-12)
+    assert _average_cost(chains, -1, -3.0, 1.0) == -3.0
 
 
-def test_threshold_average_cost_frozen():
-    assert threshold_average_cost(0, 0.0, 1.0, 0.5, 0.4) == pytest.approx(
-        4.0 / 9.0, abs=1e-12)
-    assert threshold_average_cost(0, 1.0, 1.0, 0.5, 0.4) == pytest.approx(
-        8.0 / 9.0, abs=1e-12)
-    assert threshold_average_cost(-1, -3.0, 1.0, 0.5, 0.4) == -3.0
+@pytest.mark.parametrize("q,p", CHAIN_GRID + [(0.5, 0.4), (0.55, 0.4)])
+def test_active_mass_is_zero_at_the_never_active_rule_and_never_falls(q, p):
+    """1 - top is 0 at k = -1, whose only state 0 is passive, and is
+    non-decreasing over k = -1..CHAIN_K_MAX. The never-active rule used
+    to have a branch of its own that gave 1."""
+    mass = 1.0 - threshold_chains(q, p, CHAIN_K_MAX).top
+    assert mass[0] == 0.0
+    assert np.all(mass[1:] >= mass[:-1] - 1e-12)
+
+
+@pytest.mark.parametrize("k_max", [-1, -2, -100])
+def test_a_record_without_chain_0_is_refused(k_max):
+    """The message names k_max, not the kernel's n = k_max + 1."""
+    with pytest.raises(ValueError,
+                       match=rf"^k_max must be >= 0, got {k_max}$"):
+        threshold_chains(0.5, 0.4, k_max)
 
 
 @pytest.mark.parametrize("k,q,p", GRID)
-def test_threshold_average_cost_matches_direct_expectation(k, q, p):
+def test_average_cost_matches_direct_expectation(k, q, p):
     """Cross-check against an explicitly assembled stationary expectation."""
     lam, cost_c = 1.7, 3.0
     pi = power_stationary(_chain(k, q, p))
     states = np.arange(k + 2)
     want = cost_c * float(states @ pi) + lam * float(pi[k + 1])
-    got = threshold_average_cost(k, lam, cost_c, q, p)
+    got = _average_cost(threshold_chains(q, p, k), k, lam, cost_c)
     assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_optimal_threshold_cost_is_the_explicit_minimum():
+def test_optimal_threshold_costs_are_the_explicit_minimum():
     """Over the never-active rule and thresholds 0..60."""
-    for lam in np.arange(-4.0, 12.0, 0.8):
-        cost, k = optimal_threshold_cost(float(lam), 1.0, 0.5, 0.4)
-        explicit = [float(lam)] + [
-            threshold_average_cost(j, float(lam), 1.0, 0.5, 0.4)
-            for j in range(0, 61)]
+    lams = np.arange(-4.0, 12.0, 0.8)
+    best, arg = optimal_threshold_costs(lams, 1.0, 0.5, 0.4)
+    chains = threshold_chains(0.5, 0.4, 60)
+    for lam, cost, k in zip(lams.tolist(), best.tolist(), arg.tolist()):
+        explicit = [_average_cost(chains, j, lam, 1.0)
+                    for j in range(-1, 61)]
+        assert explicit[0] == lam
         assert cost == pytest.approx(min(explicit), abs=1e-12)
         # Ties resolve to the smallest k: nothing below k may match it.
-        for j in range(-1, k):
-            below = (float(lam) if j == -1
-                     else threshold_average_cost(j, float(lam), 1.0, 0.5, 0.4))
+        for below in explicit[: k + 1]:
             assert below > cost - 1e-15
 
 
 def test_negative_charge_prefers_staying_passive():
-    cost, k = optimal_threshold_cost(-5.0, 1.0, 0.5, 0.4)
-    assert (cost, k) == (-5.0, -1)
-
-
-@pytest.mark.parametrize("k", [-2, -3, -100])
-@pytest.mark.parametrize("call", [
-    lambda k: threshold.cumulative_active_mass(k, 0.5, 0.4),
-    lambda k: threshold.threshold_average_cost(k, 1.0, 1.0, 0.5, 0.4),
-    lambda k: threshold.dominance_check(k, 0.5, 0.4)],
-    ids=["cumulative_active_mass", "threshold_average_cost",
-         "dominance_check"])
-def test_a_threshold_below_the_never_active_rule_is_refused(call, k):
-    """k = -1 is the lowest threshold. Below it the first two met an
-    empty ladder's IndexError, and dominance_check a message about a
-    truncation n its caller never passed."""
-    with pytest.raises(ValueError,
-                       match=rf"^threshold k must be >= -1, got {k}$"):
-        call(k)
+    best, arg = optimal_threshold_costs([-5.0], 1.0, 0.5, 0.4)
+    assert (best.tolist(), arg.tolist()) == ([-5.0], [-1])
 
 
 @pytest.mark.parametrize("k,q,p", GRID)
-def test_dominance_check_holds_on_grid(k, q, p):
-    assert dominance_check(k, q, p)
+def test_tail_dominance_holds_on_grid(k, q, p):
+    assert tail_dominance(*transition_kernel(q, p, k + 2))[k + 1]
 
 
 @pytest.mark.parametrize("q,p", PAIRS)
-def test_dominance_check_matches_two_separate_chains(q, p):
+def test_tail_dominance_matches_two_separate_chains(q, p):
+    dominated = tail_dominance(*transition_kernel(q, p, 21))
     for k in range(0, 20):
         lo = np.zeros((k + 3, k + 3))
         lo[: k + 2, : k + 2] = _chain(k, q, p)
         hi = _chain(k + 1, q, p)
         up = np.tril(np.ones((k + 3, k + 3)))
         want = bool(np.all(lo @ up <= hi @ up + 1e-12))
-        assert dominance_check(k, q, p) == want
+        assert dominated[k + 1] == want
 
 
 @pytest.mark.parametrize("q,p", PAIRS)
-def test_dominance_check_covers_the_never_active_rule(q, p):
+def test_tail_dominance_covers_the_never_active_rule(q, p):
     """k = -1 keeps the queue at 0: its padded chain is passive row 0
     on {0, 1}, which chain 0 dominates."""
     lo = np.zeros((2, 2))
     lo[0, 0] = 1.0
     up = np.tril(np.ones((2, 2)))
     assert np.all(lo @ up <= _chain(0, q, p) @ up + 1e-12)
-    assert dominance_check(-1, q, p)
+    assert tail_dominance(*transition_kernel(q, p, 1))[0]
 
 
 @pytest.mark.parametrize("q,p", [(0.5, 0.4), (0.55, 0.4), (0.9, 0.5)])
@@ -238,10 +238,10 @@ def test_ladder_rescales_past_float_range(q, p):
     unscaled recursion overflows; (0.1, 0.9) piles the mass on top.
     Every chain from k = 0 to 250 comes from one ladder, and the
     ladder's residual guard has passed on every one of them."""
-    stats = threshold._ladder_stats(250, q, p)
-    assert stats.shape == (2, 251)
-    assert np.isfinite(stats).all()
-    assert np.min(np.diff(1.0 - stats[1])) >= -1e-12
+    chains = threshold_chains(q, p, 250)
+    assert chains.mean.shape == chains.top.shape == (252,)
+    assert np.isfinite(chains.mean).all() and np.isfinite(chains.top).all()
+    assert np.min(np.diff(1.0 - chains.top)) >= -1e-12
     laws = stationary_ladder(*transition_kernel(q, p, 255))
     assert np.isfinite(laws).all()
     assert np.allclose(laws.sum(axis=0), 1.0, rtol=0.0, atol=1e-14)
@@ -249,15 +249,15 @@ def test_ladder_rescales_past_float_range(q, p):
 
 def test_ladder_resolves_a_top_mass_of_1e_248():
     """At (0.98, 0.02), k = 127, the top mass is about 1e-248."""
-    assert cumulative_active_mass(127, 0.98, 0.02) == 1.0
-    top = threshold._ladder_stats(127, 0.98, 0.02)[1, 127]
+    top = threshold_chains(0.98, 0.02, 127).top[128]
+    assert 1.0 - top == 1.0
     assert 0.0 < top < 1e-240
 
 
 def test_general_solve_resolves_the_ladders_top_mass():
     """GTH keeps relative accuracy where an LU solve of pi (P - I) = 0
     read 2.9e-17 for a top mass of 8.6e-249."""
-    top = threshold._ladder_stats(127, 0.98, 0.02)[1, 127]
+    top = threshold_chains(0.98, 0.02, 127).top[128]
     pi = stationary_distribution(_chain(127, 0.98, 0.02))
     assert pi[-1] == pytest.approx(top, rel=1e-12, abs=0.0)
 
@@ -325,19 +325,20 @@ def test_ladder_checks_the_laws_it_solves(monkeypatch, edit, phrase):
 
 def test_chain_figures_do_not_depend_on_earlier_calls():
     def figures():
-        return [threshold_average_cost(k, 1.7, 3.0, 0.55, 0.4)
+        return [[a.tolist() for a in threshold_chains(0.55, 0.4, k)]
                 for k in (0, 40, 62, 63, 126, 127)]
     cold = figures()
-    threshold._ladder_stats(250, 0.55, 0.4)
+    threshold_chains(0.55, 0.4, 250)
     assert figures() == cold
 
 
 @pytest.mark.parametrize("k_max", [0, 63, 64, 250])
-def test_ladder_stats_are_one_ladder_over_the_calls_kernel(k_max):
+def test_threshold_chains_are_one_ladder_over_the_calls_kernel(k_max):
     """The mean lengths and top masses of chains 0..k_max, bit for bit
-    as a fresh ladder over transition_kernel(q, p, k_max + 1) reads."""
+    as a fresh ladder over transition_kernel(q, p, k_max + 1) reads,
+    after the never-active rule's (0, 1)."""
     q, p = 0.55, 0.4
     laws = stationary_ladder(*transition_kernel(q, p, k_max + 1))
-    means, tops = threshold._ladder_stats(k_max, q, p)
-    assert means.tolist() == (np.arange(k_max + 2) @ laws).tolist()
-    assert tops.tolist() == np.diagonal(laws, -1).tolist()
+    means, tops = threshold_chains(q, p, k_max)
+    assert means.tolist() == [0.0] + (np.arange(k_max + 2) @ laws).tolist()
+    assert tops.tolist() == [1.0] + np.diagonal(laws, -1).tolist()

@@ -10,7 +10,7 @@ from scipy.linalg import lu_factor, lu_solve
 from psindex import (ConvergenceError, IndexIterationConfig, IndexTable,
                      ServerParams, bisect_index, build_index_table,
                      compute_index, index_residual, solve_value,
-                     threshold_average_cost, SystemConfig)
+                     SystemConfig, threshold_chains)
 from psindex import whittle
 from psindex.cli import load_config
 from psindex.model import transition_kernel
@@ -35,7 +35,8 @@ def test_solve_value_frozen_reference_case():
 @pytest.mark.parametrize("lam", [-5.0, 0.0, 2.5, 10.0])
 def test_solve_value_beta_equals_chain_average_cost(server, k, lam):
     """The linear solve and the stationary chain are independent routes."""
-    want = threshold_average_cost(k, lam, server.cost_c, server.q, 0.4)
+    chains = threshold_chains(server.q, 0.4, k)
+    want = server.cost_c * chains.mean[k + 1] + lam * chains.top[k + 1]
     for n in (k + 1, max(2 * k, 40)):
         sol = solve_value(lam, k, server, 0.4, n)
         assert sol.beta == pytest.approx(want, abs=1e-8)
