@@ -7,7 +7,7 @@ import pytest
 
 from psindex import (ConvergenceError, ServerParams, SystemConfig,
                      passive_kernel)
-from psindex import checks, dp, whittle
+from psindex import checks, dp, threshold, whittle
 from psindex.cli import load_config
 
 CFG = SystemConfig(arrival_p=0.4,
@@ -169,6 +169,36 @@ def test_value_solver_consistency_check():
 def test_single_queue_structure_check():
     res = checks.check_single_queue_structure(CFG)
     assert res.passed
+
+
+# A near-critical q > p server (the slow config sweep's bank 44).
+NEAR_CRITICAL = ServerParams(q=0.9570566099427856, cost_c=1.7132581526448034)
+NEAR_CRITICAL_P = 0.9164792086296265
+
+
+def test_value_is_not_convex_on_a_near_critical_server():
+    """At lam = 14.5 the optimal threshold is 2, and the values of that
+    threshold policy rise by 2.5288, 20.4903, 17.9984 over states 0..3,
+    whether the system stops at state 3 or at 60: V is not convex on
+    the recurrent range. The RVI at n = 120, 240 and 480 finds the same
+    policy and values, so single_queue_structure's FAIL is no truncation
+    artifact."""
+    lam, want = 14.5, [2.5288, 20.4903, 17.9984]
+    s, p = NEAR_CRITICAL, NEAR_CRITICAL_P
+    _, arg = threshold.optimal_threshold_costs([lam], s.cost_c, s.q, p)
+    assert arg.tolist() == [2]
+    for n in (3, 60):
+        v = whittle.solve_value(lam, 2, s, p, n).v
+        np.testing.assert_allclose(np.diff(v[:4]), want, atol=5e-5)
+    for n in (120, 240, 480):
+        sol = dp.single_queue_rvi(lam, s, p, n, None)
+        assert dp.active_interval(sol.policy, upto=n // 2) == (2, True)
+        np.testing.assert_allclose(np.diff(sol.v[:4]), want, atol=5e-5)
+    res = checks.check_single_queue_structure(
+        SystemConfig(arrival_p=p, servers=(s,), buffer=11))
+    assert not res.passed
+    assert res.detail == ("value structure broken at q=0.9570566099427856, "
+                          "lam=14.5")
 
 
 def test_index_agreement_check():

@@ -10,9 +10,10 @@ runs with `-m slow`.
 
 Known defect: the index table aborts on some banks with a server whose
 capacity q does not exceed the arrival rate p (the closed-form gap line
-loses its slope there). Such a bank may fail `indices` and `compare`,
-and only with `error: index table aborted at server i`, where server i
-has p >= q; a bank whose every server has q > p must build its table.
+loses its slope there). Such a bank may fail `indices`, `compare` and
+`simulate --policy whittle`, and only with `error: index table aborted
+at server i`, where server i has p >= q; a bank whose every server has
+q > p must build its table.
 """
 
 import csv
@@ -29,6 +30,7 @@ SEED = 2026
 HORIZON, BURN_IN, SEEDS = 3000, 500, 2  # 100 checkpoints of 25 slots
 X_MAX = 40  # the CLI's default, written out so the row counts can use it
 EXACT_STATES = 400  # exact runs only where the joint grid is this small
+POLICIES = ("cmu", "whittle", "random")
 
 
 def _banks(count: int, max_buffer: int) -> list[dict]:
@@ -68,28 +70,31 @@ def _check_bank(bank: dict, tmp_path, capsys) -> None:
     num, buffer = len(bank["servers"]), bank["buffer"]
     states = (buffer + 1) ** num
     heavy = [s["q"] <= bank["arrival_p"] for s in bank["servers"]]
-    runs = {"validate": (), "indices": (),
-            "simulate": ("--policy", "cmu", "--horizon", str(HORIZON)),
-            "compare": ("--horizon", str(HORIZON), "--seeds", str(SEEDS))}
+    runs = {"validate": ("validate",), "indices": ("indices",),
+            **{policy: ("simulate", "--policy", policy,
+                        "--horizon", str(HORIZON)) for policy in POLICIES},
+            "compare": ("compare", "--horizon", str(HORIZON),
+                        "--seeds", str(SEEDS))}
     if states <= EXACT_STATES:
-        runs["exact"] = ()
+        runs["exact"] = ("exact",)
     results = {}
-    for command, extra in runs.items():
-        out = tmp_path / command
+    for name, (command, *extra) in runs.items():
         code, text = _run(capsys, command, "--config", str(cfg),
-                          "--out", str(out), *extra)
-        assert code in (0, 1), (command, code, text)
-        assert "Traceback" not in text, (command, text)
+                          "--out", str(tmp_path / name), *extra)
+        assert code in (0, 1), (name, code, text)
+        assert "Traceback" not in text, (name, text)
         errors = [line for line in text.splitlines()
                   if line.startswith("error: ")]
         if code == 1:
-            assert errors, (command, text)
-        results[command] = code, errors
+            assert errors, (name, text)
+        results[name] = code, errors
 
     assert results["validate"][0] == 0
-    assert results["simulate"][0] == 0
-    assert _rows(tmp_path / "simulate" / "report.csv") == 1
-    assert _rows(tmp_path / "simulate" / "series.csv") == 100
+    assert results["cmu"][0] == results["random"][0] == 0
+    for policy in POLICIES:
+        if results[policy][0] == 0:
+            assert _rows(tmp_path / policy / "report.csv") == 1
+            assert _rows(tmp_path / policy / "series.csv") == 100
 
     code, errors = results["indices"]
     if code == 0:
@@ -101,8 +106,10 @@ def _check_bank(bank: dict, tmp_path, capsys) -> None:
         assert errors[0].startswith(head), errors
         server = int(errors[0][len(head):].split(",")[0])
         assert heavy[server], errors
-    # compare builds the same table first, so it fails exactly as indices.
+    # compare and the Whittle simulation build the same table first, so
+    # they fail exactly as indices.
     assert results["compare"] == results["indices"]
+    assert results["whittle"] == results["indices"]
     if code == 0:
         policies = 3 + (states <= EXACT_STATE_LIMIT)
         assert _rows(tmp_path / "compare" / "comparison.csv") == \
