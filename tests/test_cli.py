@@ -276,6 +276,7 @@ def test_config_errors_use_the_usage_exit_code(tmp_path, capsys):
     ("whittle: {tol: .nan}", r"unknown keys in 'whittle': \['tol'\]"),
     ("whittle: {tol: .inf}", r"unknown keys in 'whittle': \['tol'\]"),
     ("whittle: {x_max: 0}", "whittle.x_max must be >= 1"),
+    ("whittle: false", "section 'whittle' must be a mapping"),
     ("whittle: {gamma: 0.2}", r"unknown keys in 'whittle': \['gamma'\]"),
     ("whittle: {max_iter: 1000}",
      r"unknown keys in 'whittle': \['max_iter'\]"),
@@ -414,8 +415,9 @@ RVI_INF = "relative value iteration span is inf at sweep 1: the values are " \
 
 @pytest.mark.parametrize("bank", sorted(HUGE_COSTS))
 @pytest.mark.parametrize("command", [
-    "indices", "exact", "properties", "compare", "simulate --policy whittle",
-    "simulate --policy cmu", "simulate --policy random"])
+    "validate", "indices", "exact", "properties", "compare",
+    "simulate --policy whittle", "simulate --policy cmu",
+    "simulate --policy random"])
 def test_huge_costs_fail_cleanly_without_numpy_warnings(tmp_path, capsys,
                                                         bank, command):
     path = tmp_path / "huge.yaml"
@@ -427,7 +429,9 @@ def test_huge_costs_fail_cleanly_without_numpy_warnings(tmp_path, capsys,
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     out, err = capsys.readouterr()
     name = command.split()[-1]
-    if name in ("cmu", "random"):
+    if name == "validate":
+        assert (code, out, err) == (0, "configuration ok\n", "")
+    elif name in ("cmu", "random"):
         assert code == 0 and err == ""
         assert out.startswith("avg_cost inf, drops 0; wrote ")
     elif name == "exact":

@@ -157,13 +157,43 @@ def test_load_config_loads_or_raises_a_config_error(tmp_path_factory, text):
         pass
 
 
-@search(60)
-@given(text=config_files)
-def test_validate_exits_0_1_or_2_without_a_traceback(tmp_path_factory, text):
+def _bank_files(max_servers, max_buffer):
+    """YAML of a bank that `validate` may accept, each cost anywhere
+    from 0 to 1e300."""
+    server = st.fixed_dictionaries({"q": rates,
+                                    "cost_c": st.floats(0.0, 1e300)})
+    return st.builds(
+        lambda p, servers, buffer: yaml.safe_dump(
+            {"arrival_p": p, "servers": servers, "buffer": buffer}),
+        rates, st.lists(server, min_size=1, max_size=max_servers),
+        st.integers(1, max_buffer))
+
+
+def _exits_0_1_or_2_without_a_traceback(tmp_path_factory, text, *argv):
     path = tmp_path_factory.mktemp("config") / "bank.yaml"
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["validate", "--config", str(path)])
+        code = main([*argv, "--config", str(path),
+                     "--out", str(path.parent)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@search(60)
+@given(text=config_files)
+def test_validate_exits_0_1_or_2_without_a_traceback(tmp_path_factory, text):
+    _exits_0_1_or_2_without_a_traceback(tmp_path_factory, text, "validate")
+
+
+@search(60)
+@given(text=st.one_of(config_files, _bank_files(3, 20)))
+def test_indices_exits_0_1_or_2_without_a_traceback(tmp_path_factory, text):
+    _exits_0_1_or_2_without_a_traceback(tmp_path_factory, text, "indices",
+                                        "--x-max", "5")
+
+
+@search(60)
+@given(text=_bank_files(2, 4))
+def test_exact_exits_0_1_or_2_without_a_traceback(tmp_path_factory, text):
+    _exits_0_1_or_2_without_a_traceback(tmp_path_factory, text, "exact")

@@ -706,8 +706,11 @@ def test_the_compiled_loop_builds_no_numpy_generator(monkeypatch):
 def test_numpy_and_wide_seeds_give_the_numpy_streams(seed, policy,
                                                      slot_loop):
     """NumPy integers, and seeds of two to five 32-bit words, give the
-    reports of SeedSequence(seed)'s streams on both kernels."""
+    reports of SeedSequence(seed)'s streams on both kernels, and on the
+    compiled one both rules run compiled at every seed."""
     rule = _cmu(TWO) if policy == "cmu" else RandomPolicy(2)
+    if slot_loop == "compiled":
+        assert sim._SlotLoop(TWO, rule, seed).compiled is not None
     report = simulate(TWO, rule, horizon=4_000, burn_in=500, seed=seed)
     want = _slot_by_slot(TWO, rule, 4_000, 500, seed)
     assert (report.avg_cost, report.mean_lengths, report.drop_count) == want
