@@ -17,8 +17,10 @@ a small Poisson system on product blocks of states, built from the
 per-server kernels, whose solution removes the slow part of the error
 the plain sweeps leave. The aggregation builds its block maps once per
 solve and reads its greedy policy from the expected values of the
-sweep it follows. The first correction that does not pay is undone,
-and plain sweeps finish the solve.
+sweep it follows. The sweeps and the aggregation apply their
+per-server matrices to the value grid through one routine, _apply.
+The first correction that does not pay is undone, and plain sweeps
+finish the solve.
 """
 
 from __future__ import annotations
@@ -205,30 +207,22 @@ def _per_server_operators(cfg: SystemConfig):
             for s in cfg.servers]
 
 
+def _apply(t: np.ndarray, mats) -> np.ndarray:
+    """t with mats[j] applied from the left to axis j, which then has
+    mats[j].shape[0] entries: one matmul per axis on a reshaped view of
+    the C-contiguous t, batched over the axes before j."""
+    shape = list(t.shape)
+    for j, m in enumerate(mats):
+        t = (t.reshape(-1, shape[j]) @ m.T if j == len(mats) - 1
+             else np.matmul(m, t.reshape(math.prod(shape[:j]), shape[j], -1)))
+        shape[j] = m.shape[0]
+    return t.reshape(shape)
+
+
 def _expected_values(v: np.ndarray, ops) -> list[np.ndarray]:
-    """E^i[V | state] for each candidate active server i, one matmul
-    per server on a reshaped view of the C-contiguous V."""
-    n, last = v.shape[0], v.ndim - 1
-    outs = []
-    for i in range(len(ops)):
-        w = v
-        for j, (pa, pb) in enumerate(ops):
-            k = pa if j == i else pb
-            w = (w.reshape(-1, n) @ k.T if j == last
-                 else np.matmul(k, w.reshape(n ** j, n, -1)))
-        outs.append(w.reshape(v.shape))
-    return outs
-
-
-def _contract(t: np.ndarray, mats) -> np.ndarray:
-    """t with each axis j contracted against the rows of mats[j].
-
-    Each step contracts the leading axis and appends the result's, so
-    the axes end in their own order: shape (mats[0].shape[1], ...).
-    """
-    for m in mats:
-        t = t.reshape(m.shape[0], -1).T @ m
-    return t.reshape([m.shape[1] for m in mats])
+    """E^i[V | state] for each candidate active server i."""
+    return [_apply(v, [pa if j == i else pb for j, (pa, pb) in enumerate(ops)])
+            for i in range(len(ops))]
 
 
 def _block_indicator(n: int, k: int) -> np.ndarray:
@@ -263,8 +257,10 @@ class _Aggregation:
     block 0, so delta takes that block's column and the system is
     square. It is factored in place, once per policy. ind maps each
     axis's states to its blocks; the block sizes and every server's
-    block-sum pairs are built from it once. mu is the argmin of the
-    expected values the sweep left in `expected`, ties to the lowest.
+    block-sum pairs are built from it once. D r, W y and D P_mu W are
+    each one _apply of these maps, transposed where they sum over
+    states. mu is the argmin of the expected values the sweep left in
+    `expected`, ties to the lowest.
     """
 
     def __init__(self, ops, ind):
@@ -325,14 +321,14 @@ class _Aggregation:
             self._factor(policy)
         if self.lu is None:
             return None
-        rhs = _contract(diff, [self.ind] * self.dims).ravel()
+        rhs = _apply(diff, [self.ind.T] * self.dims).ravel()
         rhs /= self.sizes
         y = dgetrs(self.lu, self.piv, rhs, trans=1, overwrite_b=1)[0]
         y[0] = 0.0  # entry 0 was delta; y is pinned to 0 there
         if not np.isfinite(y).all():
             return None
-        return _contract(y.reshape((self.ind.shape[1],) * self.dims),
-                         [self.ind.T] * self.dims)
+        return _apply(y.reshape((self.ind.shape[1],) * self.dims),
+                      [self.ind] * self.dims)
 
     def operator(self, policy):
         """D·P_policy·W, written into `system` in row-major block order:
@@ -350,9 +346,9 @@ class _Aggregation:
         acc = a.reshape((ga,) * 2 * dims)
         order = [*range(0, 2 * dims, 2), *range(1, 2 * dims, 2)]
         for i in range(dims):
-            t = _contract((policy == i).astype(np.float64),
-                          [act if j == i else pas
-                           for j, (act, pas) in enumerate(self.pairs)])
+            t = _apply((policy == i).astype(np.float64),
+                       [act.T if j == i else pas.T
+                        for j, (act, pas) in enumerate(self.pairs)])
             acc += t.reshape((ga, ga) * dims).transpose(order)
         a /= self.sizes[:, None]
         return a

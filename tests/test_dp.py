@@ -371,6 +371,32 @@ def test_expected_values_match_the_dense_kronecker_products(num, buffer):
         assert np.allclose(w.ravel(), want, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("maps", ["kernels", "sums", "spreads", "pairs"])
+@pytest.mark.parametrize("num", [1, 2, 3])
+def test_apply_equals_einsum(num, maps):
+    """Each matrix from the left on its own axis, as einsum writes it:
+    the square kernels of a sweep, and the aggregation's n×ga block maps
+    (ind.T summing states into blocks, ind spreading blocks to states,
+    and each server's ga²×n block-sum pairs, active on axis 0)."""
+    n = 9
+    cfg = SystemConfig(arrival_p=0.35, servers=THREE_Q[:num], buffer=n - 1)
+    ops = dp._per_server_operators(cfg)
+    ind = dp._block_indicator(n, 4)
+    pairs = dp._Aggregation(ops, ind).pairs
+    mats = {"kernels": [pb for _, pb in ops],
+            "sums": [ind.T] * num,
+            "spreads": [ind] * num,
+            "pairs": [pair[j > 0].T for j, pair in enumerate(pairs)]}[maps]
+    t = np.random.default_rng(num).random([m.shape[1] for m in mats])
+    want = np.einsum(t, list(range(num)),
+                     *itertools.chain.from_iterable(
+                         (m, [num + j, j]) for j, m in enumerate(mats)),
+                     [num + j for j in range(num)])
+    got = dp._apply(t, mats)
+    assert got.shape == want.shape == tuple(m.shape[0] for m in mats)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 def _tensordot_expected_values(v, ops):
     """The product operator as first written: tensordot, then moveaxis."""
     outs = []
