@@ -324,6 +324,7 @@ def _assert_same_solution(sol, want):
 
 
 FIG3 = load_config(ROOT / "configs/fig3.yaml").system
+HEAVY = load_config(ROOT / "perfbench/heavy-traffic.yaml").system
 
 
 @pytest.mark.parametrize("server", FIG3.servers, ids=lambda s: f"q{s.q}")
@@ -345,9 +346,13 @@ def test_rvi_equals_its_own_loop_bit_for_bit(server):
 
 @pytest.mark.parametrize("bank", ["tiny", "gap", "fig3-buffer12"])
 def test_joint_rvi_equals_its_own_loop_bit_for_bit(bank):
+    """Solves within _AGG_START sweeps take no correction and say so."""
     cfg = (replace(FIG3, buffer=12) if bank == "fig3-buffer12"
            else load_config(ROOT / f"configs/{bank}.yaml").system)
-    _assert_same_solution(joint_rvi(cfg), _joint_loop(cfg, 1e-9))
+    sol = joint_rvi(cfg)
+    _assert_same_solution(sol, _joint_loop(cfg, 1e-9))
+    assert sol.sweeps < dp._AGG_START
+    assert (sol.corrections, sol.undone) == (0, False)
 
 
 THREE_Q = (ServerParams(q=0.6, cost_c=2.0), ServerParams(q=0.5, cost_c=1.0),
@@ -419,6 +424,121 @@ def test_joint_rvi_policy_matches_the_tensordot_operator(config, monkeypatch):
     assert got.beta == pytest.approx(want.beta, abs=1e-12)
 
 
+@pytest.mark.parametrize("n,count", [(63, 1), (64, 2), (101, 3), (121, 3)])
+def test_row_blocks_skip_only_exact_zeros(n, count):
+    """The blocks tile the rows, at least _BLOCK_ROWS each, and every
+    entry they skip, from column k on in rows r0..r1-1, is exactly 0.0
+    in the active and passive kernels, the active kernel's clamped last
+    row included. Column k - 1 is nonzero in a row before r1, so k is
+    the least that skips no mass."""
+    for q, p in [(0.55, 0.9), (0.05, 0.35), (0.95, 0.6)]:
+        for m in transition_kernel(q, p, n - 1):
+            blocks = dp._row_blocks(m)
+            assert len(blocks) == count
+            assert [r0 for r0, _, _ in blocks] == \
+                [0] + [r1 for _, r1, _ in blocks[:-1]]
+            assert blocks[-1][1] == n
+            for r0, r1, k in blocks:
+                assert r1 - r0 >= dp._BLOCK_ROWS
+                assert np.all(m[r0:r1, k:] == 0.0)
+                assert m[:r1, k - 1].any()
+            if count > 1:
+                assert blocks[0][2] < n
+
+
+@pytest.mark.parametrize("num,buffer", [(1, 120), (2, 63), (2, 100),
+                                        (3, 64)])
+def test_blocked_expected_values_equal_einsum(num, buffer):
+    """Kernels of two and three row blocks on the last axis alone, on a
+    leading and the last, and on a batched leading axis, against one
+    plain einsum per axis (no BLAS) on a random value table."""
+    cfg = SystemConfig(arrival_p=0.35, servers=THREE_Q[:num], buffer=buffer)
+    ops = dp._per_server_operators(cfg)
+    assert len(ops[0].plans[0][1]) == min(3, (buffer + 1) // 32)
+    v = np.random.default_rng(buffer).random((buffer + 1,) * num) * 1e3
+    axes = list(range(num))
+    for i, got in enumerate(dp._expected_values(v, ops)):
+        want = v
+        for j, (pa, pb) in enumerate(ops):
+            want = np.einsum(pa if j == i else pb, [num, j], want, axes,
+                             [num if a == j else a for a in axes])
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("num", [1, 2, 3, 4])
+def test_greedy_is_argmin_with_ties_to_the_lowest(num):
+    """Small integer tables tie often, and -0.0 ties with 0.0."""
+    rng = np.random.default_rng(num)
+    expected = [rng.integers(-2, 3, size=(9, 11)) * 0.5 for _ in range(num)]
+    expected[0][0, 0], expected[-1][0, 0] = 0.0, -0.0
+    stacked = np.stack(expected)
+    if num > 1:
+        least = np.sort(stacked, axis=0)
+        assert (least[0] == least[1]).any()
+    got = dp._greedy(expected)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.argmin(stacked, axis=0))
+
+
+def _single_product_expected_values(v, ops):
+    """The expected values as one _apply per candidate: every kernel
+    one matmul, what a kernel of one row block takes."""
+    return [dp._apply(v, [pa if j == i else pb
+                          for j, (pa, pb) in enumerate(ops)])
+            for i in range(len(ops))]
+
+
+@pytest.mark.parametrize("bank", ["tiny", "gap", "fig3", "fig4", "fig5",
+                                  "heavy"])
+def test_kernels_under_two_blocks_take_the_single_product(bank,
+                                                          monkeypatch):
+    """Under 2 * _BLOCK_ROWS states each kernel is one block, and the
+    solve is the single-product solve bit for bit: fig3-5 at buffer 12
+    plain, heavy-traffic at buffer 30 with corrections."""
+    cfg = (replace(HEAVY, buffer=30) if bank == "heavy"
+           else load_config(ROOT / f"configs/{bank}.yaml").system)
+    if bank.startswith("fig"):
+        cfg = replace(cfg, buffer=12)
+    got = joint_rvi(cfg)
+    monkeypatch.setattr(dp, "_expected_values",
+                        _single_product_expected_values)
+    want = joint_rvi(cfg)
+    _assert_same_solution(got, (want.v, want.beta, want.policy, want.sweeps,
+                                want.span))
+    assert (got.corrections, got.undone) == (want.corrections, want.undone)
+    assert (got.corrections > 0) == (bank == "heavy")
+
+
+def _random_banks():
+    """Ten seeded two-server banks of buffer 64 to 120, each kernel two
+    or three row blocks, p and q ~ U(0.02, 0.98), costs ~ U(0.1, 10)."""
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        p = float(rng.uniform(0.02, 0.98))
+        servers = tuple(ServerParams(q=float(rng.uniform(0.02, 0.98)),
+                                     cost_c=float(rng.uniform(0.1, 10.0)))
+                        for _ in range(2))
+        yield SystemConfig(arrival_p=p, servers=servers,
+                           buffer=int(rng.integers(64, 121)))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("cfg", [*_random_banks(), replace(FIG3, buffer=63),
+                                 HEAVY],
+                         ids=[*(f"random{i}" for i in range(10)),
+                              "fig3-buffer63", "heavy"])
+def test_blocked_sweeps_keep_the_tensordot_optimum(cfg, monkeypatch):
+    """The blocked products reorder the sums, and the absolute stop at
+    span 1e-9 lets that move beta by a few ulps: |delta beta| reaches
+    3.1e-12 at beta = 108 on random8. The policy is the same on every
+    state."""
+    got = joint_rvi(cfg)
+    monkeypatch.setattr(dp, "_expected_values", _tensordot_expected_values)
+    want = joint_rvi(cfg)
+    assert np.array_equal(got.policy, want.policy)
+    assert got.beta == pytest.approx(want.beta, rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize("k", [1, 3, 4])
 @pytest.mark.parametrize("num,buffer", [(1, 20), (2, 12), (3, 5)])
 def test_aggregated_operator_matches_the_dense_kronecker_products(num, buffer,
@@ -446,9 +566,6 @@ def test_aggregated_operator_matches_the_dense_kronecker_products(num, buffer,
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
-HEAVY = load_config(ROOT / "perfbench/heavy-traffic.yaml").system
-
-
 def test_heavy_traffic_corrections_keep_the_plain_optimum():
     """Aggregation corrections change the path, not the answer: the
     policy on every state, beta within tol, and values closer to the
@@ -463,6 +580,7 @@ def test_heavy_traffic_corrections_keep_the_plain_optimum():
     assert abs(sol.beta - beta) <= 1e-9
     assert float(np.abs(sol.v - v).max()) < 0.5 * margin
     assert sol.sweeps < sweeps
+    assert sol.corrections > 0 and not sol.undone
 
 
 def test_harmful_corrections_are_undone(monkeypatch):
@@ -480,6 +598,7 @@ def test_harmful_corrections_are_undone(monkeypatch):
     assert np.array_equal(sol.policy, policy)
     assert sol.v.tobytes() == v.tobytes()
     assert (sol.sweeps, sol.span) == (sweeps + dp._AGG_PERIOD, span)
+    assert (sol.corrections, sol.undone) == (1, True)
 
 
 def test_each_sweep_evaluates_the_expected_values_once(monkeypatch):
