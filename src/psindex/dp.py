@@ -17,16 +17,16 @@ a small Poisson system on product blocks of states, built from the
 per-server kernels, whose solution removes the slow part of the error
 the plain sweeps leave. The aggregation builds its block maps once per
 solve and reads its greedy policy from the expected values of the
-sweep it follows. The aggregation applies its block maps to the value
-grid through one routine, _apply; the sweeps apply the per-server
-kernels through _apply_kernels, which multiplies a kernel of 64 states
-or more in row blocks and skips the zero upper blocks that its lower
-triangular (passive) or lower Hessenberg (active) shape leaves. The
-aggregation and the final read-out take the greedy policy from one
-strict-< scan, _greedy, ties to the lowest server. The first correction
-that does not pay is undone, and plain sweeps finish the solve; the
-solution counts the corrections applied and says whether one was
-undone.
+sweep it follows. The sweeps' kernels and the aggregation's block maps
+reach the value grid through one routine, _apply, each matrix by a
+plan built once per solve (_plan): a kernel of 64 states or more is
+multiplied in row blocks that skip the zero upper blocks its lower
+triangular (passive) or lower Hessenberg (active) shape leaves, and
+every other matrix in one product. The aggregation and the final
+read-out take the greedy policy from one strict-< scan, _greedy, ties
+to the lowest server. The first correction that does not pay is
+undone, and plain sweeps finish the solve; the solution counts the
+corrections applied and says whether one was undone.
 """
 
 from __future__ import annotations
@@ -210,94 +210,67 @@ class JointSolution:
         self.policy.setflags(write=False)
 
 
-def _apply(t: np.ndarray, mats) -> np.ndarray:
-    """t with mats[j] applied from the left to axis j, which then has
-    mats[j].shape[0] entries: one matmul per axis on a reshaped view of
-    the C-contiguous t, batched over the axes before j."""
-    shape = list(t.shape)
-    for j, m in enumerate(mats):
-        t = (t.reshape(-1, shape[j]) @ m.T if j == len(mats) - 1
-             else np.matmul(m, t.reshape(math.prod(shape[:j]), shape[j], -1)))
-        shape[j] = m.shape[0]
-    return t.reshape(shape)
-
-
-# A sweep multiplies each kernel in row blocks of at least _BLOCK_ROWS
-# rows, and at most _MAX_BLOCKS of them. A kernel under 2 * _BLOCK_ROWS
-# states is one block: _apply's single matmul.
+# _plan(m, kernel=True) splits a sweep's kernel of 2 * _BLOCK_ROWS
+# states or more into row blocks of at least _BLOCK_ROWS rows, at most
+# _MAX_BLOCKS of them; every other matrix is one block, one matmul.
 _BLOCK_ROWS = 32
 _MAX_BLOCKS = 3
 
 
-def _row_blocks(m: np.ndarray) -> tuple[tuple[int, int, int], ...]:
-    """Row blocks (r0, r1, k) of the square kernel m, where k is one past
-    the last nonzero column of m's rows before r1: rows r0..r1-1 read
-    no column from k on. Passive kernels are lower triangular and active
-    ones lower Hessenberg, so k is about r1, but it is read from m's own
-    nonzero pattern."""
-    n = len(m)
-    count = min(_MAX_BLOCKS, max(1, n // _BLOCK_ROWS))
-    edges = [n * b // count for b in range(count + 1)]
-    blocks = []
-    for r0, r1 in zip(edges, edges[1:]):
-        cols = np.flatnonzero(m[:r1].any(axis=0))
-        blocks.append((r0, r1, int(cols[-1]) + 1 if cols.size else 0))
-    return tuple(blocks)
+def _plan(m: np.ndarray, kernel: bool = False):
+    """(m, row blocks, m.T), how _apply multiplies m. A block (r0, r1, k)
+    says rows r0..r1-1 read no column from k on, k read from m's own
+    nonzero pattern: about r1, as passive kernels are lower triangular
+    and active ones lower Hessenberg. Several blocks take a C-contiguous
+    m.T for the last axis's column blocks; one block, (0, rows, cols),
+    takes no scan and the view m.T."""
+    rows, cols = m.shape
+    count = min(_MAX_BLOCKS, rows // _BLOCK_ROWS) if kernel else 1
+    if count < 2:
+        return m, ((0, rows, cols),), m.T
+    edges = [rows * b // count for b in range(count + 1)]
+    blocks = tuple((r0, r1, 1 + int(np.flatnonzero(m[:r1].any(axis=0))[-1]))
+                   for r0, r1 in zip(edges, edges[1:]))
+    return m, blocks, np.ascontiguousarray(m.T)
 
 
-class _KernelPair(tuple):
-    """One server's (active, passive) kernels, the pair transition_kernel
-    returns, with a sweep's plan for each: (m, m's row blocks, m.T),
-    m.T made C-contiguous for the last axis's column blocks when there
-    is more than one block. Built once per solve."""
-
-    def __new__(cls, pair):
-        self = super().__new__(cls, pair)
-        self.plans = tuple(
-            (m, b, m.T if len(b) == 1 else np.ascontiguousarray(m.T))
-            for m, b in zip(pair, map(_row_blocks, pair)))
-        return self
-
-
-def _per_server_operators(cfg: SystemConfig) -> list[_KernelPair]:
-    return [_KernelPair(transition_kernel(s.q, cfg.arrival_p, cfg.buffer))
-            for s in cfg.servers]
-
-
-def _apply_kernels(t: np.ndarray, plans) -> np.ndarray:
-    """_apply for a sweep's square kernels, each given by its plan
-    (m, blocks, mt). A kernel of one block is _apply's single matmul.
-    Otherwise each block multiplies only its first k columns, into its
-    rows of one output: by m's rows on a leading axis, and by mt's
-    columns on the last."""
-    shape = t.shape
+def _apply(t: np.ndarray, plans) -> np.ndarray:
+    """t with each plan's matrix m applied from the left to its axis j,
+    which then has m.shape[0] entries: matmuls on a reshaped view of the
+    C-contiguous t, batched over the axes before j. A plan of one block
+    is one matmul; otherwise each (square) block multiplies only its
+    first k columns, into its rows of one output: by m's rows on a
+    leading axis, and by mt's columns on the last."""
+    shape = list(t.shape)
     for j, (m, blocks, mt) in enumerate(plans):
-        if j == len(plans) - 1:
-            a = t.reshape(-1, shape[j])
-            if len(blocks) == 1:
-                t = a @ mt
-                continue
-            t = np.empty_like(a)
-            for r0, r1, k in blocks:
-                np.matmul(a[:, :k], mt[:k, r0:r1], out=t[:, r0:r1])
+        last = j == len(plans) - 1
+        a = (t.reshape(-1, shape[j]) if last
+             else t.reshape(math.prod(shape[:j]), shape[j], -1))
+        if len(blocks) == 1:
+            t = a @ mt if last else np.matmul(m, a)
         else:
-            a = t.reshape(math.prod(shape[:j]), shape[j], -1)
-            if len(blocks) == 1:
-                t = np.matmul(m, a)
-                continue
             t = np.empty_like(a)
             for r0, r1, k in blocks:
-                np.matmul(m[r0:r1, :k], a[:, :k], out=t[:, r0:r1])
+                if last:
+                    np.matmul(a[:, :k], mt[:k, r0:r1], out=t[:, r0:r1])
+                else:
+                    np.matmul(m[r0:r1, :k], a[:, :k], out=t[:, r0:r1])
+        shape[j] = m.shape[0]
     return t.reshape(shape)
 
 
-def _expected_values(v: np.ndarray, ops) -> list[np.ndarray]:
+def _kernel_plans(cfg: SystemConfig) -> list[tuple]:
+    """Each server's (active, passive) kernel plans, once per solve."""
+    return [tuple(_plan(m, kernel=True)
+                  for m in transition_kernel(s.q, cfg.arrival_p, cfg.buffer))
+            for s in cfg.servers]
+
+
+def _expected_values(v: np.ndarray, plans) -> list[np.ndarray]:
     """E^i[V | state] for each candidate active server i: its active
-    kernel on axis i and the passive ones elsewhere, through
-    _apply_kernels."""
-    return [_apply_kernels(v, [pair.plans[j != i]
-                               for j, pair in enumerate(ops)])
-            for i in range(len(ops))]
+    kernel on axis i and the passive ones elsewhere."""
+    return [_apply(v, [pair[j != i] for j, pair in enumerate(plans)])
+            for i in range(len(plans))]
 
 
 def _greedy(expected) -> np.ndarray:
@@ -344,23 +317,26 @@ class _Aggregation:
     swept next in place of Tv. y is 0 at the reference state's block,
     block 0, so delta takes that block's column and the system is
     square. It is factored in place, once per policy. ind maps each
-    axis's states to its blocks; the block sizes and every server's
-    block-sum pairs are built from it once. D r, W y and D P_mu W are
-    each one _apply of these maps, transposed where they sum over
-    states. mu is the argmin of the expected values the sweep left in
-    `expected`, ties to the lowest. `corrections` counts the corrections
-    applied, and `undone` says whether one was undone.
+    axis's states to its blocks; the block sizes and the one-block plans
+    of ind.T, of ind and of every server's block-sum pairs are built
+    from it once. D r, W y and D P_mu W are each one _apply of these
+    maps, transposed where they sum over states. mu is the argmin of the
+    expected values the sweep left in `expected`, ties to the lowest.
+    `corrections` counts the corrections applied, and `undone` says
+    whether one was undone.
     """
 
-    def __init__(self, ops, ind):
+    def __init__(self, plans, ind):
         n, ga = ind.shape
-        self.dims, self.ind = len(ops), ind
+        self.dims, self.ga = len(plans), ga
+        self.sums = [_plan(ind.T)] * self.dims
+        self.spreads = [_plan(ind)] * self.dims
         self.sizes = functools.reduce(np.multiply.outer,
                                       [ind.sum(axis=0)] * self.dims).ravel()
         # Row x pairs x's block with its kernel row's block sums, active
         # then passive: the (ga, ga) factor that state x adds on its axis.
-        self.pairs = [[(ind[:, :, None] * (k @ ind)[:, None]).reshape(
-            n, ga * ga) for k in pair] for pair in ops]
+        self.pairs = [[_plan((ind[:, :, None] * (k @ ind)[:, None]).reshape(
+            n, ga * ga).T) for k, _, _ in pair] for pair in plans]
         self.system = np.empty((len(self.sizes),) * 2)
         self.expected = self.policy = self.lu = self.piv = None
         self.early = self.deadline = self.mark = None
@@ -414,14 +390,13 @@ class _Aggregation:
             self._factor(policy)
         if self.lu is None:
             return None
-        rhs = _apply(diff, [self.ind.T] * self.dims).ravel()
+        rhs = _apply(diff, self.sums).ravel()
         rhs /= self.sizes
         y = dgetrs(self.lu, self.piv, rhs, trans=1, overwrite_b=1)[0]
         y[0] = 0.0  # entry 0 was delta; y is pinned to 0 there
         if not np.isfinite(y).all():
             return None
-        return _apply(y.reshape((self.ind.shape[1],) * self.dims),
-                      [self.ind] * self.dims)
+        return _apply(y.reshape((self.ga,) * self.dims), self.spreads)
 
     def operator(self, policy):
         """D·P_policy·W, written into `system` in row-major block order:
@@ -433,15 +408,14 @@ class _Aggregation:
         states that choose i, each axis contracts against its server's
         block-sum pairs.
         """
-        ga, dims = self.ind.shape[1], self.dims
+        ga, dims = self.ga, self.dims
         a = self.system
         a.fill(0.0)
         acc = a.reshape((ga,) * 2 * dims)
         order = [*range(0, 2 * dims, 2), *range(1, 2 * dims, 2)]
         for i in range(dims):
             t = _apply((policy == i).astype(np.float64),
-                       [act.T if j == i else pas.T
-                        for j, (act, pas) in enumerate(self.pairs)])
+                       [pair[j != i] for j, pair in enumerate(self.pairs)])
             acc += t.reshape((ga, ga) * dims).transpose(order)
         a /= self.sizes[:, None]
         return a
@@ -476,8 +450,8 @@ def joint_rvi(cfg: SystemConfig) -> JointSolution:
     as fast as the plain sweeps did before it is undone, and plain
     sweeps finish the solve. A solve that converges within 300 sweeps
     (tiny, gap, fig3 at buffer 12) is the plain iteration bit for bit.
-    Kernels of 64 states or more are multiplied in row blocks
-    (_row_blocks), which reorders the sums but skips only exact zeros.
+    Kernels of 64 states or more are multiplied in row blocks (_plan),
+    which reorders the sums but skips only exact zeros.
     Exponential in the server count: heavy-traffic's 10 201 states take
     1 250 sweeps (95 corrections, none undone) and about 0.25 s on a
     2-core VM with one BLAS thread, against 3 361 plain sweeps and
@@ -487,14 +461,14 @@ def joint_rvi(cfg: SystemConfig) -> JointSolution:
     n = cfg.buffer + 1
     shape = (n,) * cfg.num_servers
     cost = sum(s.cost_c * g for s, g in zip(cfg.servers, np.indices(shape)))
-    ops = _per_server_operators(cfg)
+    plans = _kernel_plans(cfg)
     per_axis = 1
     while (per_axis + 1) ** cfg.num_servers <= _AGG_GROUPS:
         per_axis += 1
-    agg = _Aggregation(ops, _block_indicator(n, -(-n // per_axis)))
+    agg = _Aggregation(plans, _block_indicator(n, -(-n // per_axis)))
 
     def sweep(v):
-        agg.expected = _expected_values(v, ops)
+        agg.expected = _expected_values(v, plans)
         tv = functools.reduce(np.minimum, agg.expected)
         tv += cost
         tv -= v[ref]
@@ -504,7 +478,7 @@ def joint_rvi(cfg: SystemConfig) -> JointSolution:
         "joint relative value iteration", sweep, np.zeros(shape), tol=1e-9,
         max_sweeps=200_000, correct=agg)
     return JointSolution(v=v - v[ref], beta=float(v[ref]),
-                         policy=_greedy(_expected_values(v, ops)),
+                         policy=_greedy(_expected_values(v, plans)),
                          reference=ref, sweeps=sweeps, span=span,
                          corrections=agg.corrections, undone=agg.undone)
 
@@ -528,10 +502,11 @@ def _policy_chain(cfg: SystemConfig, policy):
     Returns the states in np.ndindex order, the matrix whose row s is
     the product law under action policy[s], and the mask of states
     reachable from all-empty (the first state). The matrix for action
-    i is the Kronecker product of the per-server operators, active at
+    i is the Kronecker product of the per-server kernels, active at
     i and passive elsewhere, whose row-major order is np.ndindex's.
     """
-    ops = _per_server_operators(cfg)
+    kernels = [transition_kernel(s.q, cfg.arrival_p, cfg.buffer)
+               for s in cfg.servers]
     states = list(np.ndindex(*(cfg.buffer + 1,) * cfg.num_servers))
     action = np.array([policy[s] for s in states])
     if not np.isin(action, np.arange(cfg.num_servers)).all():
@@ -542,7 +517,7 @@ def _policy_chain(cfg: SystemConfig, policy):
         rows = action == i
         pmat[rows] = functools.reduce(
             np.kron, [pa if j == i else pb
-                      for j, (pa, pb) in enumerate(ops)])[rows]
+                      for j, (pa, pb) in enumerate(kernels)])[rows]
     reach = np.zeros(len(states), dtype=bool)
     reach[0] = True
     while True:

@@ -301,16 +301,17 @@ def _joint_loop(cfg, tol):
     ref = (0,) * cfg.num_servers
     shape = (cfg.buffer + 1,) * cfg.num_servers
     cost = sum(s.cost_c * g for s, g in zip(cfg.servers, np.indices(shape)))
-    ops = dp._per_server_operators(cfg)
+    plans = dp._kernel_plans(cfg)
     v = np.zeros(shape)
     for sweep in range(1, 200_001):
-        tv = functools.reduce(np.minimum, dp._expected_values(v, ops))
+        tv = functools.reduce(np.minimum, dp._expected_values(v, plans))
         tv += cost
         tv -= v[ref]
         span = float(np.ptp(tv - v))
         v = tv
         if span <= tol:
-            policy = np.argmin(np.stack(dp._expected_values(v, ops)), axis=0)
+            policy = np.argmin(np.stack(dp._expected_values(v, plans)),
+                               axis=0)
             return v - v[ref], float(v[ref]), policy, sweep, span
     raise AssertionError("the joint loop did not converge")
 
@@ -364,51 +365,65 @@ def test_expected_values_match_the_dense_kronecker_products(num, buffer):
     """Each candidate's reshaped matmuls against the dense product
     operator the fixed-policy chain builds, on a random value table."""
     cfg = SystemConfig(arrival_p=0.35, servers=THREE_Q[:num], buffer=buffer)
-    ops = dp._per_server_operators(cfg)
+    plans = dp._kernel_plans(cfg)
     v = np.random.default_rng(7).random((buffer + 1,) * num) * 1e3
-    got = dp._expected_values(v, ops)
+    got = dp._expected_values(v, plans)
     assert len(got) == num
     for i, w in enumerate(got):
-        dense = functools.reduce(np.kron, [pa if j == i else pb
-                                           for j, (pa, pb) in enumerate(ops)])
+        dense = functools.reduce(np.kron, [pair[j != i][0]
+                                           for j, pair in enumerate(plans)])
         want = dense @ v.ravel()
         assert w.shape == v.shape
         assert np.allclose(w.ravel(), want, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("maps", ["kernels", "sums", "spreads", "pairs"])
-@pytest.mark.parametrize("num", [1, 2, 3])
-def test_apply_equals_einsum(num, maps):
-    """Each matrix from the left on its own axis, as einsum writes it:
-    the square kernels of a sweep, and the aggregation's n×ga block maps
-    (ind.T summing states into blocks, ind spreading blocks to states,
-    and each server's ga²×n block-sum pairs, active on axis 0)."""
-    n = 9
-    cfg = SystemConfig(arrival_p=0.35, servers=THREE_Q[:num], buffer=n - 1)
-    ops = dp._per_server_operators(cfg)
-    ind = dp._block_indicator(n, 4)
-    pairs = dp._Aggregation(ops, ind).pairs
-    mats = {"kernels": [pb for _, pb in ops],
-            "sums": [ind.T] * num,
-            "spreads": [ind] * num,
-            "pairs": [pair[j > 0].T for j, pair in enumerate(pairs)]}[maps]
-    t = np.random.default_rng(num).random([m.shape[1] for m in mats])
-    want = np.einsum(t, list(range(num)),
-                     *itertools.chain.from_iterable(
-                         (m, [num + j, j]) for j, m in enumerate(mats)),
-                     [num + j for j in range(num)])
-    got = dp._apply(t, mats)
-    assert got.shape == want.shape == tuple(m.shape[0] for m in mats)
-    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+@pytest.mark.parametrize("maps,num,buffer", [
+    *((maps, num, 8) for maps in ["kernels", "sums", "spreads", "pairs"]
+      for num in [1, 2, 3]),
+    ("blocked", 1, 120), ("blocked", 2, 63), ("blocked", 2, 100),
+    ("blocked", 3, 64)])
+def test_apply_equals_einsum(maps, num, buffer):
+    """Each plan's matrix from the left on its own axis, as one plain
+    einsum per axis (no BLAS) writes it, on a random table: the square
+    kernels of a sweep, passive everywhere and each candidate's, of one
+    row block at n = 9 and of two and three ("blocked") on the last
+    axis alone, on a leading and the last, and on a batched leading
+    axis; and the aggregation's n×ga block maps (ind.T summing states
+    into blocks, ind spreading blocks to states, and each server's
+    ga²×n block-sum pairs, active on axis 0)."""
+    n = buffer + 1
+    cfg = SystemConfig(arrival_p=0.35, servers=THREE_Q[:num], buffer=buffer)
+    plans = dp._kernel_plans(cfg)
+    assert len(plans[0][0][1]) == min(3, max(1, n // 32))
+    if maps in ("kernels", "blocked"):
+        cases = [[pair[1] for pair in plans],
+                 *([pair[j != i] for j, pair in enumerate(plans)]
+                   for i in range(num))]
+    else:
+        agg = dp._Aggregation(plans, dp._block_indicator(n, 4))
+        cases = [{"sums": agg.sums, "spreads": agg.spreads,
+                  "pairs": [pair[j > 0] for j, pair in enumerate(agg.pairs)]
+                  }[maps]]
+    rng = np.random.default_rng(buffer if maps == "blocked" else num)
+    axes = list(range(num))
+    for case in cases:
+        mats = [m for m, _, _ in case]
+        t = want = rng.random([m.shape[1] for m in mats]) * 1e3
+        for j, m in enumerate(mats):
+            want = np.einsum(m, [num, j], want, axes,
+                             [num if a == j else a for a in axes])
+        got = dp._apply(t, case)
+        assert got.shape == want.shape == tuple(m.shape[0] for m in mats)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
-def _tensordot_expected_values(v, ops):
+def _tensordot_expected_values(v, plans):
     """The product operator as first written: tensordot, then moveaxis."""
     outs = []
-    for i in range(len(ops)):
+    for i in range(len(plans)):
         w = v
-        for j, (pa, pb) in enumerate(ops):
-            k = pa if j == i else pb
+        for j, pair in enumerate(plans):
+            k = pair[j != i][0]
             w = np.moveaxis(np.tensordot(k, w, axes=(1, j)), 0, j)
         outs.append(w)
     return outs
@@ -430,10 +445,15 @@ def test_row_blocks_skip_only_exact_zeros(n, count):
     entry they skip, from column k on in rows r0..r1-1, is exactly 0.0
     in the active and passive kernels, the active kernel's clamped last
     row included. Column k - 1 is nonzero in a row before r1, so k is
-    the least that skips no mass."""
+    the least that skips no mass. A one-block plan's m.T is a view of
+    m: a contiguous copy changed gap's bits at n = 26; several blocks
+    take a contiguous copy."""
     for q, p in [(0.55, 0.9), (0.05, 0.35), (0.95, 0.6)]:
         for m in transition_kernel(q, p, n - 1):
-            blocks = dp._row_blocks(m)
+            plan_m, blocks, mt = dp._plan(m, kernel=True)
+            assert plan_m is m and np.array_equal(mt, m.T)
+            assert np.shares_memory(mt, m) == (count == 1)
+            assert mt.flags.c_contiguous == (count > 1)
             assert len(blocks) == count
             assert [r0 for r0, _, _ in blocks] == \
                 [0] + [r1 for _, r1, _ in blocks[:-1]]
@@ -444,25 +464,6 @@ def test_row_blocks_skip_only_exact_zeros(n, count):
                 assert m[:r1, k - 1].any()
             if count > 1:
                 assert blocks[0][2] < n
-
-
-@pytest.mark.parametrize("num,buffer", [(1, 120), (2, 63), (2, 100),
-                                        (3, 64)])
-def test_blocked_expected_values_equal_einsum(num, buffer):
-    """Kernels of two and three row blocks on the last axis alone, on a
-    leading and the last, and on a batched leading axis, against one
-    plain einsum per axis (no BLAS) on a random value table."""
-    cfg = SystemConfig(arrival_p=0.35, servers=THREE_Q[:num], buffer=buffer)
-    ops = dp._per_server_operators(cfg)
-    assert len(ops[0].plans[0][1]) == min(3, (buffer + 1) // 32)
-    v = np.random.default_rng(buffer).random((buffer + 1,) * num) * 1e3
-    axes = list(range(num))
-    for i, got in enumerate(dp._expected_values(v, ops)):
-        want = v
-        for j, (pa, pb) in enumerate(ops):
-            want = np.einsum(pa if j == i else pb, [num, j], want, axes,
-                             [num if a == j else a for a in axes])
-        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("num", [1, 2, 3, 4])
@@ -480,12 +481,12 @@ def test_greedy_is_argmin_with_ties_to_the_lowest(num):
     assert np.array_equal(got, np.argmin(stacked, axis=0))
 
 
-def _single_product_expected_values(v, ops):
+def _single_product_expected_values(v, plans):
     """The expected values as one _apply per candidate: every kernel
-    one matmul, what a kernel of one row block takes."""
-    return [dp._apply(v, [pa if j == i else pb
-                          for j, (pa, pb) in enumerate(ops)])
-            for i in range(len(ops))]
+    one matmul, the one-block plan any matrix but a kernel takes."""
+    return [dp._apply(v, [dp._plan(pair[j != i][0])
+                          for j, pair in enumerate(plans)])
+            for i in range(len(plans))]
 
 
 @pytest.mark.parametrize("bank", ["tiny", "gap", "fig3", "fig4", "fig5",
@@ -546,19 +547,19 @@ def test_aggregated_operator_matches_the_dense_kronecker_products(num, buffer,
     """D·P·W of a random policy against the dense product chain, on
     block sides that divide buffer + 1 and sides that do not."""
     cfg = SystemConfig(arrival_p=0.35, servers=THREE_Q[:num], buffer=buffer)
-    ops = dp._per_server_operators(cfg)
+    plans = dp._kernel_plans(cfg)
     shape = (buffer + 1,) * num
     policy = np.random.default_rng(11).integers(num, size=shape)
     dense = np.empty((policy.size, policy.size))
     for i in range(num):
         rows = policy.ravel() == i
         dense[rows] = functools.reduce(
-            np.kron, [pa if j == i else pb
-                      for j, (pa, pb) in enumerate(ops)])[rows]
+            np.kron, [pair[j != i][0]
+                      for j, pair in enumerate(plans)])[rows]
     ind = dp._block_indicator(buffer + 1, k)
     w = functools.reduce(np.kron, [ind] * num)
     want = (w.T @ dense @ w) / w.sum(axis=0)[:, None]
-    agg = dp._Aggregation(ops, ind)
+    agg = dp._Aggregation(plans, ind)
     agg.system.fill(np.nan)
     got = agg.operator(policy)
     assert got is agg.system
@@ -573,7 +574,7 @@ def test_heavy_traffic_corrections_keep_the_plain_optimum():
     choice can differ. They also take fewer sweeps."""
     v, beta, policy, sweeps, _ = _joint_loop(HEAVY, 1e-9)
     values = np.sort(np.stack(dp._expected_values(
-        v, dp._per_server_operators(HEAVY))), axis=0)
+        v, dp._kernel_plans(HEAVY))), axis=0)
     margin = float((values[1] - values[0]).min())
     sol = joint_rvi(HEAVY)
     assert np.array_equal(sol.policy, policy)
@@ -608,7 +609,7 @@ def test_each_sweep_evaluates_the_expected_values_once(monkeypatch):
     calls = []
     evaluate = dp._expected_values
     monkeypatch.setattr(dp, "_expected_values",
-                        lambda v, ops: calls.append(v) or evaluate(v, ops))
+                        lambda v, plans: calls.append(v) or evaluate(v, plans))
     sol = joint_rvi(cfg)
     assert sol.sweeps > dp._AGG_START + dp._AGG_PERIOD
     assert len(calls) == sol.sweeps + 1
