@@ -9,24 +9,25 @@ the exact benchmark the index policy is measured against;
 brute_force_policy_search cross-checks it by sheer enumeration on
 spaces small enough to afford that. Both relative value iterations
 supply only their sweep, read-out, tolerance and sweep limit, each
-stated once in the solver; one driver owns the stop rule
-(span <= tol, a non-finite span, values that repeat an earlier sweep,
-the sweep limit). A joint solve still short of tol after 300 sweeps
-also takes an aggregation correction every 10 sweeps (_Aggregation):
-a small Poisson system on product blocks of states, built from the
+stated once in the solver; one driver owns the stop rule (span <= tol,
+a non-finite span, values that repeat an earlier sweep, the sweep
+limit). A joint solve whose span falls but fails to halve from sweep 30
+to 60, or that is still short of tol after 300 sweeps, takes an
+aggregation correction every 10 sweeps from then on (_Aggregation): a
+small Poisson system on product blocks of states, built from the
 per-server kernels, whose solution removes the slow part of the error
 the plain sweeps leave. The aggregation builds its block maps once per
-solve and reads its greedy policy from the expected values of the
-sweep it follows. The sweeps' kernels and the aggregation's block maps
-reach the value grid through one routine, _apply, each matrix by a
-plan built once per solve (_plan): a kernel of 64 states or more is
-multiplied in row blocks that skip the zero upper blocks its lower
-triangular (passive) or lower Hessenberg (active) shape leaves, and
-every other matrix in one product. The aggregation and the final
-read-out take the greedy policy from one strict-< scan, _greedy, ties
-to the lowest server. The first correction that does not pay is
-undone, and plain sweeps finish the solve; the solution counts the
-corrections applied and says whether one was undone.
+solve and reads its greedy policy from the expected values of the sweep
+it follows. The sweeps' kernels and the aggregation's block maps reach
+the value grid through one routine, _apply, each matrix by a plan built
+once per solve (_plan): a kernel of 64 states or more is multiplied in
+row blocks that skip the zero upper blocks its lower triangular
+(passive) or lower Hessenberg (active) shape leaves, and every other
+matrix in one product. The aggregation and the final read-out take the
+greedy policy from one strict-< scan, _greedy, ties to the lowest
+server. The first correction that does not pay is undone, and plain
+sweeps finish the solve; the solution counts the corrections applied,
+names the sweep of the first and says whether one was undone.
 """
 
 from __future__ import annotations
@@ -204,6 +205,7 @@ class JointSolution:
     span: float
     corrections: int = 0  # aggregation corrections applied
     undone: bool = False  # whether one was undone
+    started: int = 0      # sweep of the first correction, 0 if none
 
     def __post_init__(self):
         self.v.setflags(write=False)
@@ -293,10 +295,13 @@ def _block_indicator(n: int, k: int) -> np.ndarray:
         np.float64)
 
 
-# Aggregation corrections start once a joint solve has run _AGG_START
-# plain sweeps and come every _AGG_PERIOD sweeps after that, on product
-# blocks of at most _AGG_GROUPS groups (the system then stays within
-# 0.25 MB). The first undone correction ends them for the solve.
+# Aggregation corrections start at sweep _AGG_EARLY of a joint solve
+# whose plain span fails to halve from _AGG_EARLY // 2 to there, else
+# once it has run _AGG_START plain sweeps, and come every _AGG_PERIOD
+# sweeps after that, on product blocks of at most _AGG_GROUPS groups
+# (the system then stays within 0.25 MB). The first undone correction
+# ends them for the solve.
+_AGG_EARLY = 60
 _AGG_START = 300
 _AGG_PERIOD = 10
 _AGG_GROUPS = 169
@@ -322,8 +327,8 @@ class _Aggregation:
     from it once. D r, W y and D P_mu W are each one _apply of these
     maps, transposed where they sum over states. mu is the argmin of the
     expected values the sweep left in `expected`, ties to the lowest.
-    `corrections` counts the corrections applied, and `undone` says
-    whether one was undone.
+    `corrections` counts the corrections applied, `started` is the
+    sweep of the first, and `undone` says whether one was undone.
     """
 
     def __init__(self, plans, ind):
@@ -341,30 +346,38 @@ class _Aggregation:
         self.expected = self.policy = self.lu = self.piv = None
         self.early = self.deadline = self.mark = None
         self.done = self.undone = False
-        self.corrections = 0
+        self.corrections = self.started = 0
 
     def __call__(self, sweeps, v, diff, v_next, span):
         """The values to sweep next at a correction, else None.
 
-        Corrections must pay: each must leave the span below half the
-        span at the last mark within the sweeps the plain iteration took
-        to halve it from sweep _AGG_START // 2 to _AGG_START, and never
-        above _AGG_GROWTH times it (a correction can raise the span for
-        a few sweeps). A mark keeps a span and the plain sweep's values
-        there, and the first correction that fails this is undone to
-        them; plain sweeps then run the rest of the solve. The first
-        correction sets a mark, and so does each halving. Corrections
-        never start while the plain span is not falling.
+        Corrections start at sweep _AGG_EARLY if the plain span there is
+        below its value at _AGG_EARLY // 2 but above half of it, and
+        else at _AGG_START, if the solve gets there: a span that halves
+        by _AGG_EARLY keeps the plain iteration for longer. The pace is
+        the time the plain sweeps took to halve the span from sweep
+        start // 2 to the start, read from those two spans. Corrections
+        must pay: each must leave the span below half the span at the
+        last mark within that pace, and never above _AGG_GROWTH times it
+        (a correction can raise the span for a few sweeps). A mark keeps
+        a span and the plain sweep's values there, and the first
+        correction that fails this is undone to them; plain sweeps then
+        run the rest of the solve. The first correction sets a mark, and
+        so does each halving. Corrections never start while the plain
+        span is not falling.
         """
-        if sweeps == _AGG_START // 2:
+        if sweeps in (_AGG_EARLY // 2, _AGG_START // 2):
             self.early = span
-        if sweeps < _AGG_START or sweeps % _AGG_PERIOD or self.done:
+        if sweeps % _AGG_PERIOD or self.done:
             return None
-        if sweeps == _AGG_START:
+        if self.deadline is None:
+            if not (sweeps == _AGG_EARLY and span < self.early < 2 * span
+                    or sweeps == _AGG_START):
+                return None
             if not span < self.early:  # no pace to keep: never start
                 self.done = True
                 return None
-            self.deadline = ((_AGG_START - _AGG_START // 2) * math.log(2)
+            self.deadline = ((sweeps - sweeps // 2) * math.log(2)
                              / math.log(self.early / span))
         if self.mark is not None:
             mark_span, mark_values, mark_sweeps = self.mark
@@ -378,6 +391,8 @@ class _Aggregation:
         step = self.step(diff)
         if step is None:
             return None
+        if not self.corrections:
+            self.started = sweeps
         self.corrections += 1
         return v + step
 
@@ -441,21 +456,24 @@ def joint_rvi(cfg: SystemConfig) -> JointSolution:
     heavy-traffic, where 1e-9 is 4 ulps, so reordered arithmetic (BLAS
     build, threads) moves the sweep count by a few.
 
-    A solve that has not converged after _AGG_START = 300 sweeps is slow,
-    and from then on every 10th sweep is followed by an aggregation
-    correction (_Aggregation) on blocks of equal side per axis, as many
-    as fit in _AGG_GROUPS. Each sweep hands the aggregation its expected
-    values, so E^i[V] is evaluated once per sweep and once more for the
-    returned policy. The first correction that does not halve the span
-    as fast as the plain sweeps did before it is undone, and plain
-    sweeps finish the solve. A solve that converges within 300 sweeps
-    (tiny, gap, fig3 at buffer 12) is the plain iteration bit for bit.
-    Kernels of 64 states or more are multiplied in row blocks (_plan),
-    which reorders the sums but skips only exact zeros.
-    Exponential in the server count: heavy-traffic's 10 201 states take
-    1 250 sweeps (95 corrections, none undone) and about 0.25 s on a
-    2-core VM with one BLAS thread, against 3 361 plain sweeps and
-    1.0 s, with the same policy on every state.
+    A solve is slow if its span falls but fails to halve from sweep 30
+    to _AGG_EARLY = 60, or if it has not converged after _AGG_START =
+    300 sweeps, and from sweep 60 or 300 on every 10th sweep is
+    followed by an aggregation correction (_Aggregation) on blocks of
+    equal side per axis, as many as fit in _AGG_GROUPS. Each sweep hands
+    the aggregation its expected values, so E^i[V] is evaluated once per
+    sweep and once more for the returned policy. The first correction
+    that does not halve the span as fast as the plain sweeps did before
+    the start is undone, and plain sweeps finish the solve. A solve that
+    converges within 300 sweeps and halves its span from sweep 30 to 60
+    (tiny, gap, fig3 at buffer 12, fig3-5 at buffer 30) is the plain
+    iteration bit for bit. Kernels of 64 states or more are multiplied
+    in row blocks (_plan), which reorders the sums but skips only exact
+    zeros. Exponential in the server count: heavy-traffic's 10 201
+    states take 980 sweeps (92 corrections from sweep 60, none undone)
+    and about 0.17 s on a 2-core VM with one BLAS thread, against
+    1 250 sweeps and 0.21 s with corrections from sweep 300 and 3 361
+    plain sweeps and 1.0 s, with the same policy on every state.
     """
     ref = (0,) * cfg.num_servers
     n = cfg.buffer + 1
@@ -480,7 +498,8 @@ def joint_rvi(cfg: SystemConfig) -> JointSolution:
     return JointSolution(v=v - v[ref], beta=float(v[ref]),
                          policy=_greedy(_expected_values(v, plans)),
                          reference=ref, sweeps=sweeps, span=span,
-                         corrections=agg.corrections, undone=agg.undone)
+                         corrections=agg.corrections, undone=agg.undone,
+                         started=agg.started)
 
 
 # ---------------------------------------------------------------- #

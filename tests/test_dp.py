@@ -345,15 +345,39 @@ def test_rvi_equals_its_own_loop_bit_for_bit(server):
         warm = cold.v
 
 
-@pytest.mark.parametrize("bank", ["tiny", "gap", "fig3-buffer12"])
+@pytest.mark.parametrize("bank", ["tiny", "gap", "fig3-buffer12",
+                                  "fig3-buffer30", "fig4-buffer30",
+                                  "fig5-buffer30"])
 def test_joint_rvi_equals_its_own_loop_bit_for_bit(bank):
-    """Solves within _AGG_START sweeps take no correction and say so."""
-    cfg = (replace(FIG3, buffer=12) if bank == "fig3-buffer12"
-           else load_config(ROOT / f"configs/{bank}.yaml").system)
+    """Solves within _AGG_START sweeps whose plain span more than halves
+    from sweep _AGG_EARLY // 2 to _AGG_EARLY take no correction and say
+    so: tiny converges before _AGG_EARLY, fig3-5 at buffer 30 after."""
+    name, _, buffer = bank.partition("-buffer")
+    cfg = load_config(ROOT / f"configs/{name}.yaml").system
+    if buffer:
+        cfg = replace(cfg, buffer=int(buffer))
     sol = joint_rvi(cfg)
     _assert_same_solution(sol, _joint_loop(cfg, 1e-9))
     assert sol.sweeps < dp._AGG_START
     assert (sol.corrections, sol.undone) == (0, False)
+
+
+# Its plain span halves within the 30 sweeps to _AGG_EARLY, but the
+# solve runs past _AGG_START (2 067 plain sweeps).
+FAST_EARLY = SystemConfig(arrival_p=0.8383, buffer=27,
+                          servers=(ServerParams(q=0.4127, cost_c=2.1166),
+                                   ServerParams(q=0.5546, cost_c=5.9252)))
+
+
+@pytest.mark.parametrize("cfg,started", [
+    (load_config(ROOT / "configs/tiny.yaml").system, 0),
+    (load_config(ROOT / "configs/gap.yaml").system, 0),
+    (replace(FIG3, buffer=12), 0), (FAST_EARLY, dp._AGG_START)],
+    ids=["tiny", "gap", "fig3-buffer12", "fast-early"])
+def test_started_names_the_sweep_of_the_first_correction(cfg, started):
+    sol = joint_rvi(cfg)
+    assert sol.started == started
+    assert (sol.corrections > 0) == (started > 0)
 
 
 THREE_Q = (ServerParams(q=0.6, cost_c=2.0), ServerParams(q=0.5, cost_c=1.0),
@@ -540,6 +564,44 @@ def test_blocked_sweeps_keep_the_tensordot_optimum(cfg, monkeypatch):
     assert got.beta == pytest.approx(want.beta, rel=1e-12, abs=1e-12)
 
 
+def _population():
+    """150 seeded banks of one to three servers, buffer 1 to 300, 100
+    and 20 by server count, p and q ~ U(0.02, 0.98), costs ~
+    U(0.1, 10)."""
+    rng = np.random.default_rng(43)
+    for _ in range(150):
+        num = int(rng.integers(1, 4))
+        p = float(rng.uniform(0.02, 0.98))
+        servers = tuple(ServerParams(q=float(rng.uniform(0.02, 0.98)),
+                                     cost_c=float(rng.uniform(0.1, 10.0)))
+                        for _ in range(num))
+        cap = {1: 300, 2: 100, 3: 20}[num]
+        yield SystemConfig(arrival_p=p, servers=servers,
+                           buffer=int(rng.integers(1, cap + 1)))
+
+
+@pytest.mark.slow
+def test_corrections_keep_the_plain_optimum_on_a_population():
+    """On the 144 banks whose plain solve takes more than _AGG_EARLY
+    sweeps, joint_rvi keeps the plain loop's policy on every state, and
+    both betas lie in their own last difference's range, as the optimum
+    does, so they differ by at most the two spans. Bounds set from the
+    first run: the sweep count is at most 3.5 times the plain one (the
+    worst was 3.46, 381 -> 1 320), with a median of at most 0.8 (0.77)."""
+    ratios = []
+    for cfg in _population():
+        v, beta, policy, sweeps, span = _joint_loop(cfg, 1e-9)
+        if sweeps <= dp._AGG_EARLY:
+            continue
+        sol = joint_rvi(cfg)
+        assert np.array_equal(sol.policy, policy), cfg
+        assert abs(sol.beta - beta) <= sol.span + span, cfg
+        ratios.append(sol.sweeps / sweeps)
+        assert ratios[-1] <= 3.5, cfg
+    assert len(ratios) == 144
+    assert float(np.median(ratios)) <= 0.8
+
+
 @pytest.mark.parametrize("k", [1, 3, 4])
 @pytest.mark.parametrize("num,buffer", [(1, 20), (2, 12), (3, 5)])
 def test_aggregated_operator_matches_the_dense_kronecker_products(num, buffer,
@@ -584,6 +646,23 @@ def test_heavy_traffic_corrections_keep_the_plain_optimum():
     assert sol.corrections > 0 and not sol.undone
 
 
+def test_a_slow_early_span_starts_the_corrections_early(monkeypatch):
+    """Heavy-traffic at buffer 30 fails to halve its plain span from
+    sweep _AGG_EARLY // 2 to _AGG_EARLY, so corrections start there and
+    keep the plain optimum in fewer sweeps than the same solve with
+    corrections from _AGG_START (_AGG_EARLY past the solve)."""
+    cfg = replace(HEAVY, buffer=30)
+    v, beta, policy, sweeps, _ = _joint_loop(cfg, 1e-9)
+    sol = joint_rvi(cfg)
+    assert sol.started == dp._AGG_EARLY
+    assert np.array_equal(sol.policy, policy)
+    assert abs(sol.beta - beta) <= 1e-9
+    monkeypatch.setattr(dp, "_AGG_EARLY", 2 * sweeps)
+    late = joint_rvi(cfg)
+    assert late.started == dp._AGG_START
+    assert sol.sweeps < late.sweeps < sweeps
+
+
 def test_harmful_corrections_are_undone(monkeypatch):
     """Corrections a hundred times too large grow the span past the
     guard, and the first is undone to the plain sweep's values and ends
@@ -611,7 +690,7 @@ def test_each_sweep_evaluates_the_expected_values_once(monkeypatch):
     monkeypatch.setattr(dp, "_expected_values",
                         lambda v, plans: calls.append(v) or evaluate(v, plans))
     sol = joint_rvi(cfg)
-    assert sol.sweeps > dp._AGG_START + dp._AGG_PERIOD
+    assert sol.corrections > 0
     assert len(calls) == sol.sweeps + 1
 
 

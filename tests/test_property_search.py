@@ -197,3 +197,15 @@ def test_indices_exits_0_1_or_2_without_a_traceback(tmp_path_factory, text):
 @given(text=_bank_files(2, 4))
 def test_exact_exits_0_1_or_2_without_a_traceback(tmp_path_factory, text):
     _exits_0_1_or_2_without_a_traceback(tmp_path_factory, text, "exact")
+
+
+@search(60)
+@given(text=_bank_files(3, 20),
+       policy=st.sampled_from(["whittle", "cmu", "random"]))
+def test_simulate_exits_0_1_or_2_without_a_traceback(tmp_path_factory, text,
+                                                     policy):
+    """A horizon above the default burn-in of 10 000 slots."""
+    x_max = ["--x-max", "5"] if policy == "whittle" else []
+    _exits_0_1_or_2_without_a_traceback(
+        tmp_path_factory, text, "simulate", "--policy", policy,
+        "--horizon", "20000", *x_max)
