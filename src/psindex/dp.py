@@ -23,10 +23,10 @@ the value grid through one routine, _apply, each matrix by a plan built
 once per solve (_plan): a kernel of 64 states or more is multiplied in
 row blocks that skip the zero upper blocks its lower triangular
 (passive) or lower Hessenberg (active) shape leaves, and every other
-matrix in one product. The aggregation and the final read-out take the
-greedy policy from one strict-< scan, _greedy, ties to the lowest
-server. The first correction that does not pay is undone, and plain
-sweeps finish the solve; the solution counts the corrections applied,
+matrix in one product. One strict-< scan, _greedy, ties to the lowest
+server, gives the greedy policy here and the Whittle and Cmu decision
+tables in policies. The first correction that does not pay is undone,
+and plain sweeps finish the solve; the solution counts the corrections,
 names the sweep of the first and says whether one was undone.
 """
 
@@ -275,17 +275,16 @@ def _expected_values(v: np.ndarray, plans) -> list[np.ndarray]:
             for i in range(len(plans))]
 
 
-def _greedy(expected) -> np.ndarray:
+def _greedy(expected) -> tuple[np.ndarray, np.ndarray]:
     """The candidate of least expected value at each state, ties to the
-    lowest server: np.argmin over the stacked candidates on finite
-    values, by strict-< scans that stack nothing."""
+    lowest server, and that value: np.argmin and np.min over the stacked
+    candidates on finite values, by strict-< scans that stack nothing."""
     best, policy = expected[0], np.zeros(expected[0].shape, dtype=np.int64)
     for i, e in enumerate(expected[1:], 1):
         lower = e < best
         np.copyto(policy, i, where=lower)
-        if i < len(expected) - 1:
-            best = np.where(lower, e, best)
-    return policy
+        best = np.where(lower, e, best)
+    return policy, best
 
 
 def _block_indicator(n: int, k: int) -> np.ndarray:
@@ -400,7 +399,7 @@ class _Aggregation:
         """W y for the last sweep's difference diff, under the greedy
         policy of its expected values, or None if the aggregated system
         is singular or y is not finite."""
-        policy = _greedy(self.expected)
+        policy = _greedy(self.expected)[0]
         if self.policy is None or not np.array_equal(policy, self.policy):
             self._factor(policy)
         if self.lu is None:
@@ -496,7 +495,7 @@ def joint_rvi(cfg: SystemConfig) -> JointSolution:
         "joint relative value iteration", sweep, np.zeros(shape), tol=1e-9,
         max_sweeps=200_000, correct=agg)
     return JointSolution(v=v - v[ref], beta=float(v[ref]),
-                         policy=_greedy(_expected_values(v, plans)),
+                         policy=_greedy(_expected_values(v, plans))[0],
                          reference=ref, sweeps=sweeps, span=span,
                          corrections=agg.corrections, undone=agg.undone,
                          started=agg.started)

@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dp import JointSolution
+from .dp import JointSolution, _greedy
 from .model import ServerParams, SystemConfig
 from .whittle import IndexTable
 
@@ -37,31 +37,23 @@ def _argmin_table(rows) -> bytes:
 
     rows[i][x] is server i's score at queue length x. Byte k of the
     result is the choice in the state whose mixed-radix code is k
-    (C order, server 0 most significant). Scores are compared with a
-    strict < in server order, as the selectors compare them, so ties
-    and NaNs resolve the same way. The servers after the first give
-    the same argmin in every x0-slice, so it is computed once and each
-    slice only compares it with server 0's score: no full-grid float
+    (C order, server 0 most significant). Ties and NaNs resolve as in
+    the selectors' strict < in server order. The servers after the
+    first give the same choice in every x0-slice, so dp._greedy scans
+    them once, behind an infinite stand-in for server 0, and each slice
+    only compares their least score with server 0's: no full-grid float
     array is ever built.
     """
     rows = [np.asarray(r, dtype=float) for r in rows]
     num, size = len(rows), len(rows[0])
     shape = (size,) * (num - 1)
-    rest = np.zeros(shape, dtype=np.uint8)
-    rest_val = np.full(shape, np.inf)
-    for i in range(1, num):
-        axis = [1] * (num - 1)
-        axis[i - 1] = size
-        val = np.broadcast_to(rows[i].reshape(axis), shape)
-        better = val < rest_val
-        rest[better] = i
-        rest_val = np.where(better, val, rest_val)
-    step = rest.size
-    out = bytearray(size * step)
-    for x0, score in enumerate(rows[0]):
-        out[x0 * step:(x0 + 1) * step] = np.where(rest_val < score, rest,
-                                                  0).tobytes()
-    return bytes(out)
+    choice, value = _greedy(
+        [np.broadcast_to(np.inf, shape)]
+        + [np.broadcast_to(rows[i].reshape((size,) + (1,) * (num - 1 - i)),
+                           shape) for i in range(1, num)])
+    choice = choice.astype(np.uint8)
+    return b"".join(np.where(value < score, choice, 0).tobytes()
+                    for score in rows[0])
 
 
 class _DecisionTable:
@@ -187,7 +179,7 @@ class RandomPolicy:
 
 
 class ExactPolicy(_DecisionTable):
-    """Looks up the optimal action computed by joint value iteration."""
+    """Reads each state's action off joint value iteration's policy array."""
 
     name = "exact"
 
@@ -197,15 +189,8 @@ class ExactPolicy(_DecisionTable):
         self.buffer = solution.policy.shape[0] - 1
 
     def selector(self, rng: np.random.Generator):
-        pol = self._policy.tolist()
-
-        def select(state):
-            node = pol
-            for x in state:
-                node = node[x]
-            return node
-
-        return select
+        item = self._policy.item
+        return lambda state: item(*state)
 
     def _build_decisions(self, cfg: SystemConfig) -> bytes:
         return self._policy.astype(np.uint8).tobytes()

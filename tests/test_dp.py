@@ -500,9 +500,10 @@ def test_greedy_is_argmin_with_ties_to_the_lowest(num):
     if num > 1:
         least = np.sort(stacked, axis=0)
         assert (least[0] == least[1]).any()
-    got = dp._greedy(expected)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, np.argmin(stacked, axis=0))
+    choice, value = dp._greedy(expected)
+    assert choice.dtype == np.int64
+    assert np.array_equal(choice, np.argmin(stacked, axis=0))
+    assert np.array_equal(value, np.min(stacked, axis=0))
 
 
 def _single_product_expected_values(v, plans):

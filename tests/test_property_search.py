@@ -19,8 +19,8 @@ from hypothesis import assume, find, given, settings, strategies as st
 from hypothesis.errors import NoSuchExample
 
 from psindex import (CmuPolicy, ConvergenceError, RandomPolicy,
-                     ServerParams, SystemConfig, build_index_table, sim,
-                     simulate, stationary_distribution)
+                     ServerParams, SystemConfig, build_index_table, policies,
+                     sim, simulate, stationary_distribution)
 from psindex.cli import ConfigError, load_config, main
 from psindex.model import passive_kernel, transition_kernel
 from psindex.threshold import stationary_ladder, threshold_rows
@@ -93,6 +93,25 @@ def test_a_one_server_table_to_20_builds_for_every_q_and_p():
     except NoSuchExample:
         return
     raise AssertionError(f"the table of (q, p, c) = {case} aborts")
+
+
+# One to four servers' score rows of one length, small integers so
+# that most draws tie.
+score_rows = st.tuples(st.integers(1, 4), st.integers(1, 8)).flatmap(
+    lambda shape: st.lists(st.lists(st.integers(-2, 2), min_size=shape[1],
+                                    max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0]))
+
+
+@search(60)
+@given(rows=score_rows)
+def test_the_argmin_table_is_np_argmin_over_the_grid(rows):
+    """np.argmin over the stacked full grid, ties to the lowest server."""
+    states = np.indices((len(rows[0]),) * len(rows))
+    grid = np.stack([np.asarray(r, dtype=float)[x]
+                     for r, x in zip(rows, states)])
+    want = np.argmin(grid, axis=0).astype(np.uint8).tobytes()
+    assert policies._argmin_table(rows) == want
 
 
 banks = st.builds(
@@ -209,3 +228,13 @@ def test_simulate_exits_0_1_or_2_without_a_traceback(tmp_path_factory, text,
     _exits_0_1_or_2_without_a_traceback(
         tmp_path_factory, text, "simulate", "--policy", policy,
         "--horizon", "20000", *x_max)
+
+
+@search(60)
+@given(text=_bank_files(3, 20))
+def test_compare_exits_0_1_or_2_without_a_traceback(tmp_path_factory, text):
+    """Two seeds, the fewest compare's intervals take, each above the
+    default burn-in of 10 000 slots."""
+    _exits_0_1_or_2_without_a_traceback(
+        tmp_path_factory, text, "compare", "--horizon", "20000", "--seeds",
+        "2", "--x-max", "5")
