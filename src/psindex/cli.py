@@ -105,13 +105,42 @@ def _number(kind, value, key: str):
     raise ConfigError(f"'{key}' must be {what}, got {value!r}")
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that refuses a key written twice in one mapping.
+
+    Only the keys written in the mapping are compared, so a key that a
+    << merge brings in may be written once more. They are compared as
+    the mapping is composed: by the time the constructor reaches a
+    mapping it may already have flattened the mapping's merges into it.
+    """
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key_node, _ in node.value:
+            if (isinstance(key_node, yaml.ScalarNode)
+                    and key_node.tag != "tag:yaml.org,2002:merge"):
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise ConfigError(f"repeated key {key!r} at line "
+                                      f"{key_node.start_mark.line + 1}")
+                seen.add(key)
+        return node
+
+
 def load_config(path: str | Path) -> LoadedConfig:
-    """Parse a YAML configuration file into typed options."""
+    """Parse a YAML configuration file into typed options.
+
+    PyYAML decodes the bytes itself, so a file that is not UTF-8 (or
+    UTF-16 with a byte-order mark) is a parse error, and so is a value
+    that its constructor refuses with ValueError (2001-02-30, a
+    timestamp past the month's end).
+    """
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        raw = yaml.load(Path(path).read_bytes(), _ConfigLoader)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}")
-    except yaml.YAMLError as e:
+    except (yaml.YAMLError, ValueError) as e:
         raise ConfigError(f"cannot parse config: {e}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")

@@ -8,8 +8,9 @@ simulator can hand the random rule its own generator stream.
 The deterministic rules (Whittle, Cmu, exact) are pure functions of
 the joint state, so each also gives its whole decision table:
 decisions(cfg) holds one byte per joint state, the server the selector
-picks there. The simulator's compiled slot loop reads the table; its
-Python kernel calls the selector.
+picks there. The simulator's compiled slot loop reads the table, or
+draws RandomPolicy's stream itself; its Python kernel calls the
+selector.
 """
 
 from __future__ import annotations
@@ -152,29 +153,18 @@ class RandomPolicy:
     def __init__(self, num_servers: int):
         self.num_servers = num_servers
 
-    def choices(self, rng: np.random.Generator):
-        """draw(k) -> the next k choices, as rng.integers(num, size=k).
+    def selector(self, rng: np.random.Generator):
+        """One rng.integers(num) per call, drawn _BLOCK at a time.
 
         rng.integers(num, size=k) yields the same values as k scalar
-        rng.integers(num) calls, so however the draws are split into
-        blocks, the stream is one scalar draw per slot. The simulator's
-        compiled slot loop does not call this: it draws the same
-        scalar stream itself, numpy's bounded draw reproduced in C, so
-        a rule with choices promises exactly these draws.
+        calls, so the stream is one scalar draw per slot, the one the
+        compiled slot loop draws in C for a RandomPolicy. The selector is
+        next() on the endless chain of blocks, drawn when reached; the
+        state it is called with lands in next's default, which an
+        endless iterator never returns. No Python frame runs per call.
         """
         num = self.num_servers
-        return lambda k: rng.integers(num, size=k)
-
-    def selector(self, rng: np.random.Generator):
-        """One choice per call, drawn in blocks of _BLOCK by choices(rng).
-
-        The selector is next() on the endless chain of blocks, drawn when
-        reached; the state it is called with lands in next's default,
-        which an endless iterator never returns. No Python frame runs
-        per call.
-        """
-        draw = self.choices(rng)
-        blocks = iter(lambda: draw(_BLOCK).tolist(), None)
+        blocks = iter(lambda: rng.integers(num, size=_BLOCK).tolist(), None)
         return partial(next, chain.from_iterable(blocks))
 
 

@@ -23,20 +23,20 @@ sums as they are.
 
 Each kernel reads one face of a policy. The compiled kernel reads a
 decision table, decisions(cfg), by the state's mixed-radix code
-(server 0 most significant), or draws the random rule's
+(server 0 most significant), or draws a RandomPolicy's
 Generator.integers(num) once per slot on the policy stream in C. The
 Python kernel asks every policy its selector(rng) once per slot, empty
-slots included, the random rule's selector drawing the same stream
-through choices, a block at a time. One loop object holds the state in the
-arrays that advance() of _slotloop.c updates in place, and picks its
-kernel once. A table or the random rule runs compiled; the system C
-compiler builds that kernel on the first call, at most once per
-process, and it is used only when its seeding and draws reproduce
-numpy's. The Python kernel is its reference and the fallback: it runs
-when no compiler built the loop or the self-test failed, and for any
-other policy (a wrapper, a grid too large for a table). Both kernels
-give bit-identical reports; the test suite checks the flow identity
-next = current - departures + admissions slot by slot on each.
+slots included, RandomPolicy's selector drawing the same stream a
+block at a time. One loop object holds the state in the arrays that
+advance() of _slotloop.c updates in place, and picks its kernel once.
+A table or RandomPolicy runs compiled; the system C compiler builds
+that kernel on the first call, at most once per process, and it is
+used only when its seeding and draws reproduce numpy's. The Python
+kernel is its reference and the fallback: it runs when no compiler
+built the loop or the self-test failed, and for any other policy (a
+wrapper, a RandomPolicy subclass, a grid too large for a table). Both
+kernels give bit-identical reports; the test suite checks the flow
+identity next = current - departures + admissions slot by slot on each.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .model import SystemConfig, passive_kernel
+from .policies import RandomPolicy
 
 _CHUNK = 1 << 16
 
@@ -251,15 +252,15 @@ class _SlotLoop:
     state is the three arrays advance() of _slotloop.c updates in
     place: x, the queue lengths; counts, the state code and the drops;
     acc, the cost sum and then one length sum per server. The kernel is
-    picked once. A decision table, or the random rule (a policy with
-    choices), runs compiled when the loop was built: gen holds the
-    streams as seed() of _slotloop.c seeds them, which advance() draws
-    from and updates in place, the random rule's choices included, and
-    no numpy Generator is built. Otherwise the Python kernel runs, the
-    reference and the fallback: streams holds the children as numpy
-    Generators, the departure and arrival uniforms are drawn in numpy
-    blocks, the policy's selector is asked once per slot, no table is
-    built, and counts[0] stays at zero.
+    picked once. A decision table, or a RandomPolicy (no subclass: it
+    may replace the selector), runs compiled when the loop was built:
+    gen holds the streams as seed() of _slotloop.c seeds them, which
+    advance() draws from and updates in place, the random choices
+    included, and no numpy Generator is built. Otherwise the Python
+    kernel runs, the reference and the fallback: streams holds the
+    children as numpy Generators, the departure and arrival uniforms
+    are drawn in numpy blocks, the policy's selector is asked once per
+    slot, no table is built, and counts[0] stays at zero.
     """
 
     def __init__(self, cfg: SystemConfig, policy, seed: int):
@@ -270,7 +271,7 @@ class _SlotLoop:
         self.acc = np.zeros(num + 1)
         self.bank = bank = _bank(cfg)
         table_of = getattr(policy, "decisions", None)
-        draws = hasattr(policy, "choices")
+        draws = type(policy) is RandomPolicy
         lib = _slot_loop() if table_of or draws else None
         dec = table_of(cfg) if lib and table_of else None
         if dec is None and not draws:

@@ -91,12 +91,56 @@ def test_load_config_defaults_optional_sections(tmp_path, sections):
      "whittle: []\n", "section 'whittle' must be a mapping"),
     ("arrival_p: 0.4\nbuffer: 5\nservers:\n  - {q: 0.5, cost_c: 1.0}\n"
      "sim: ''\n", "section 'sim' must be a mapping"),
+    ("arrival_p: 0.4\nbuffer: 2\nbuffer: 3\n"
+     "servers:\n  - {q: 0.5, cost_c: 1.0}\n",
+     "repeated key 'buffer' at line 3"),
+    ("arrival_p: 0.4\nbuffer: 5\nservers:\n  - {q: 0.5, cost_c: 1.0}\n"
+     "whittle:\n  x_max: 5\n  x_max: 6\n", "repeated key 'x_max' at line 7"),
+    ("arrival_p: 0.4\nbuffer: 5\n"
+     "servers:\n  - {q: 0.6, cost_c: 2.0, q: 0.7}\n",
+     "repeated key 'q' at line 4"),
 ])
 def test_load_config_rejects_malformed_files(tmp_path, text, phrase):
     path = tmp_path / "bad.yaml"
     path.write_text(text)
     with pytest.raises(ConfigError, match=phrase):
         load_config(path)
+
+
+def test_load_config_lets_a_written_key_override_a_merged_one(tmp_path):
+    # Only the keys written in one mapping are compared, so a key that
+    # a << merge brings in may be written once more.
+    import yaml
+    from psindex.cli import _ConfigLoader
+    path = tmp_path / "merged.yaml"
+    path.write_text("arrival_p: 0.4\nbuffer: 5\n"
+                    "servers:\n  - &a {q: 0.5, cost_c: 1.0}\n"
+                    "  - {<<: *a, q: 0.6}\n")
+    servers = load_config(path).system.servers
+    assert [(s.q, s.cost_c) for s in servers] == [(0.5, 1.0), (0.6, 1.0)]
+    # n merges x and is merged by m, which the constructor reaches
+    # first (n is nested deeper) and so flattens n in place before
+    # constructing n itself.
+    text = "x: &x {k: 1}\na: {b: &n {<<: *x, k: 2}}\nm: {<<: *n, j: 3}\n"
+    assert yaml.load(text, _ConfigLoader) == {
+        "x": {"k": 1}, "a": {"b": {"k": 2}}, "m": {"k": 2, "j": 3}}
+
+
+@pytest.mark.parametrize("data,phrase", [
+    (b"\xff\xfe: 1", "unacceptable character"),
+    (b"arrival_p: 0.4  # caf\xe9\n", "unacceptable character"),
+    (b"arrival_p: 0.4\nbuffer: 2001-02-30\n", "day is out of range"),
+], ids=["utf16-bom", "latin-1", "impossible-date"])
+def test_a_config_pyyaml_cannot_load_exits_2_without_traceback(
+        tmp_path, capsys, data, phrase):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match="cannot parse config: " + phrase):
+        load_config(path)
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot parse config: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("text,phrase", [

@@ -449,14 +449,35 @@ def test_the_compiled_loop_runs_for_tables_and_the_random_rule(
                                                 seed=built.seed))
     runs = {"table": (_cmu(TWO), {}), "random": (RandomPolicy(2), {}),
             "checkpoints": (_cmu(TWO), {"checkpoints": 4}),
-            "selector": (_SelectorOnly(_cmu(TWO)), {})}
+            "selector": (_SelectorOnly(_cmu(TWO)), {}),
+            "choices": (_ServerZero(), {}),
+            "subclass": (_ServerZeroRandom(2), {})}
     slots = {}
     for name, (policy, kw) in runs.items():
         blocks.clear()
         simulate(TWO, policy, horizon=5_000, burn_in=1_000, seed=2, **kw)
         slots[name] = sum(blocks)
     assert slots == {"table": 5_000, "random": 5_000, "checkpoints": 5_000,
-                     "selector": 0}
+                     "selector": 0, "choices": 0, "subclass": 0}
+
+
+def test_the_kernels_agree_on_rules_the_compiled_loop_does_not_draw(
+        monkeypatch):
+    """A duck-typed rule with a choices method, and a RandomPolicy
+    subclass with its own selector, each pick server 0 in every slot:
+    both kernels run their selectors and give the same report, in
+    which server 1 never holds a job."""
+    _compiled()
+    cfg = SystemConfig(arrival_p=0.6, buffer=20,
+                       servers=(ServerParams(q=0.6, cost_c=1.0),
+                                ServerParams(q=0.5, cost_c=1.0)))
+    rules = [_ServerZero(), _ServerZeroRandom(2)]
+    compiled = [simulate(cfg, r, horizon=50_000, burn_in=1_000, seed=3)
+                for r in rules]
+    monkeypatch.setattr(sim, "_slot_loop", lambda: None)
+    assert [simulate(cfg, r, horizon=50_000, burn_in=1_000, seed=3)
+            for r in rules] == compiled
+    assert [r.mean_lengths[1] for r in compiled] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("cfg", [TWO, EDGE], ids=["two", "buffer1"])
@@ -482,6 +503,26 @@ class _SelectorOnly:
     def selector(self, rng):
         self.selectors += 1
         return self.inner.selector(rng)
+
+
+class _ServerZero:
+    """A duck-typed rule that always picks server 0, through its
+    selector and through a choices(rng) draw(k) that no kernel reads."""
+
+    name = "server0"
+
+    def choices(self, rng):
+        return lambda k: np.zeros(k, np.int64)
+
+    def selector(self, rng):
+        return lambda state: 0
+
+
+class _ServerZeroRandom(RandomPolicy):
+    """A RandomPolicy whose selector always picks server 0."""
+
+    def selector(self, rng):
+        return lambda state: 0
 
 
 def _flow_step(before, departures, after, arrived, buffer):
