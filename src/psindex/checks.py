@@ -190,13 +190,17 @@ def check_single_queue_structure(cfg: SystemConfig) -> CheckResult:
     Sweeps the charge grid per server, asserting the greedy active set
     is a downward-closed interval, the threshold never decreases in
     lam, V is non-decreasing with non-decreasing increments on the
-    recurrent range, and the admission gain is monotone.
+    recurrent range (a convexity the model can break: defect 9 in
+    ROADMAP.md), and the admission gain is monotone. Each RVI starts
+    at the previous charge's values; the first charge, -20, lies below
+    every index (state 0's is c p / q > 0), so the first starts at the
+    never-active rule's exact values, or at zeros where c x overflows.
     """
     lams = np.arange(-20.0, 20.0 + 1e-9, 0.5)
     n = 120
     half = n // 2
     for s in cfg.servers:
-        v_warm = None
+        v_warm = dp._never_active_values(s, n)
         prev_k = None
         for lam in lams:
             sol = dp.single_queue_rvi(float(lam), s, cfg.arrival_p, n, v_warm)
@@ -212,15 +216,15 @@ def check_single_queue_structure(cfg: SystemConfig) -> CheckResult:
                                    f"lam={lam:g}")
             prev_k = k
             top = max(k + 1, 1)
-            dv = np.diff(sol.v[: top + 1])
-            monotone = dv.size == 0 or np.min(dv) >= -STRUCT_SLACK
-            convex = dv.size < 2 or np.min(np.diff(dv)) >= -STRUCT_SLACK
+            dv = sol.v[1:top + 1] - sol.v[:top]
+            monotone = dv.size == 0 or dv.min() >= -STRUCT_SLACK
+            convex = dv.size < 2 or (dv[1:] - dv[:-1]).min() >= -STRUCT_SLACK
             if not (monotone and convex):
                 return CheckResult("single_queue_structure", False,
                                    f"value structure broken at q={s.q}, "
                                    f"lam={lam:g}")
             gain = dp.admission_gain_profile(sol.v, s.q, cfg.arrival_p)
-            if np.min(np.diff(gain[:half])) < -STRUCT_SLACK:
+            if (gain[1:half] - gain[:half - 1]).min() < -STRUCT_SLACK:
                 return CheckResult("single_queue_structure", False,
                                    f"admission gain not monotone at q={s.q}, "
                                    f"lam={lam:g}")

@@ -28,6 +28,11 @@ server, gives the greedy policy here and the Whittle and Cmu decision
 tables in policies. The first correction that does not pay is undone,
 and plain sweeps finish the solve; the solution counts the corrections,
 names the sweep of the first and says whether one was undone.
+
+Below every index the never-active rule is optimal; its relative
+values, one triangular solve on the passive kernel
+(_never_active_values), are single-queue RVI's fixed point there, and
+the property suite's structure check starts from them.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .model import ConvergenceError, ServerParams, SystemConfig, \
@@ -160,6 +166,26 @@ def single_queue_rvi(lam: float, server: ServerParams, arrival_p: float,
         policy=cost_a + pa @ v <= cost_p + pb @ v, sweeps=sweeps, span=span)
 
 
+def _never_active_values(server: ServerParams, n: int) -> np.ndarray | None:
+    """Relative values of the never-active rule on states 0..n.
+
+    Passive, state 0 is absorbing and its charge is the average cost,
+    so v[0] = 0 and v solves (I - P) v = c x on 1..n, P the passive
+    kernel without row and column 0: a lower triangular M-matrix with a
+    non-negative right-hand side, which forward substitution solves
+    componentwise accurately. Below every index the rule is optimal,
+    and these values are relative value iteration's fixed point. None
+    when c x or the solution is not finite.
+    """
+    rhs = server.cost_c * np.arange(1.0, n + 1.0)
+    if not np.isfinite(rhs).all():
+        return None
+    v = np.zeros(n + 1)
+    v[1:] = dtrsm(1.0, np.eye(n) - passive_kernel(server.q, n)[1:, 1:],
+                  rhs, lower=1)
+    return v if np.isfinite(v).all() else None
+
+
 def active_interval(policy: np.ndarray, upto: int | None = None
                     ) -> tuple[int, bool]:
     """Largest active state and whether the active set is {0, ..., k}.
@@ -187,7 +213,7 @@ def admission_gain_profile(v: np.ndarray, q: float, p: float) -> np.ndarray:
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie in (0,1)")
     n = len(v) - 1
-    return p * (passive_kernel(q, n)[1:n, :n] @ np.diff(v))
+    return p * (passive_kernel(q, n)[1:n, :n] @ (v[1:] - v[:-1]))
 
 
 # ---------------------------------------------------------------- #

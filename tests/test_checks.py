@@ -171,6 +171,26 @@ def test_single_queue_structure_check():
     assert res.passed
 
 
+def test_the_structure_check_starts_at_the_never_active_values(monkeypatch):
+    """Each server's first charge, -20, lies below every index, where
+    the never-active rule's values are RVI's fixed point: started there,
+    fig3's 243 solves take at most 300 sweeps in all and the first charge
+    at most 10 per server. From zeros they took 1 519, the first charges
+    385, 423 and 471."""
+    sweeps = []
+    real = dp.single_queue_rvi
+
+    def counted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        sweeps.append(sol.sweeps)
+        return sol
+    monkeypatch.setattr(dp, "single_queue_rvi", counted)
+    assert checks.check_single_queue_structure(FIG3).passed
+    assert len(sweeps) == 3 * 81
+    assert sum(sweeps) <= 300
+    assert max(sweeps[::81]) <= 10
+
+
 # A near-critical q > p server (the slow config sweep's bank 44).
 NEAR_CRITICAL = ServerParams(q=0.9570566099427856, cost_c=1.7132581526448034)
 NEAR_CRITICAL_P = 0.9164792086296265

@@ -15,12 +15,13 @@ from psindex import (ConvergenceError, ServerParams, SystemConfig,
                      brute_force_policy_search, joint_policy_average_cost,
                      joint_rvi, optimal_threshold_costs,
                      policy_reachable_states, single_queue_rvi,
-                     transition_kernel)
+                     solve_value, transition_kernel)
 from psindex import dp
 from psindex.cli import load_config
 
 from conftest import (enum_departures, enum_next_state, enum_row,
                       power_stationary)
+from test_acceptance import TRIPLES
 
 ROOT = Path(__file__).resolve().parent.parent
 UNIT = ServerParams(q=0.5, cost_c=1.0)
@@ -113,6 +114,41 @@ def test_rvi_stops_at_a_floating_point_fixed_point():
                              r"\|v\| \d\.\d{3}e\+30\d$") as exc:
         single_queue_rvi(1.0, server, 0.3, 120)
     assert exc.value.residual == 1.0
+
+
+# (server, arrival_p) of every shipped bank and of the acceptance triples.
+SHIPPED = [load_config(path).system
+           for path in (*sorted((ROOT / "configs").glob("*.yaml")),
+                        ROOT / "perfbench/heavy-traffic.yaml")]
+START_SERVERS = ([(s, cfg.arrival_p) for cfg in SHIPPED for s in cfg.servers]
+                 + [(ServerParams(q=q, cost_c=c), p) for q, p, c in TRIPLES])
+
+
+@pytest.mark.parametrize("server,p", START_SERVERS,
+                         ids=lambda a: f"{a.q}-{a.cost_c}"
+                         if isinstance(a, ServerParams) else f"p{a}")
+def test_never_active_values_are_the_fixed_point_below_every_index(server, p):
+    """Below every index the never-active rule is optimal, so its exact
+    relative values are RVI's fixed point: started there, RVI stays
+    all passive and moves them by rounding only, and they are the
+    guarded LU solve of threshold -1 at every charge."""
+    start = dp._never_active_values(server, 120)
+    scale = np.abs(start).max()
+    for lam in (-20.0, -1.0, 0.0):
+        sol = single_queue_rvi(lam, server, p, 120, v_init=start)
+        assert sol.sweeps <= 10
+        assert not sol.policy.any()
+        assert np.abs(sol.v - start).max() <= 1e-14 * scale
+        exact = solve_value(lam, -1, server, p, 120).v
+        assert np.abs(start - exact).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("cost_c", [1e308, math.inf])
+def test_never_active_values_refuse_costs_past_the_float_range(cost_c):
+    """c x overflows: no start, and the caller sweeps from zeros."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert dp._never_active_values(
+            ServerParams(q=0.6, cost_c=cost_c), 120) is None
 
 
 def test_active_interval_classification():
