@@ -5,40 +5,55 @@ scheduling policy against exact dynamic programming and myopic or
 random baselines in a slotted simulator, and certifies the structural
 properties (threshold optimality, indexability, monotone stationary
 mass, drift stability) that justify the index heuristic.
+
+Importing the package loads only the stdlib-only config layer (the
+bank, its validation and the index knobs). Every other exported name
+is imported from its module on first access (PEP 562) and then kept
+here, so checking a configuration never pays for numpy or scipy.
 """
 
-from .model import (ConvergenceError, LyapunovCertificate, ServerParams,
-                    SystemConfig, ValidationReport, lyapunov_certificate,
-                    lyapunov_margin, passive_kernel, transition_kernel,
-                    validate_config)
-from .threshold import (optimal_threshold_costs, stationary_distribution,
-                        threshold_chains)
-from .whittle import (IndexIterationConfig, IndexTable, ValueSolution,
-                      bisect_index, build_index_table, compute_index,
-                      index_residual, solve_value)
-from .dp import (BruteForceResult, JointSolution, SingleQueueSolution,
-                 active_interval, admission_gain_profile,
-                 brute_force_policy_search, joint_policy_average_cost,
-                 joint_rvi, policy_reachable_states, single_queue_rvi)
-from .policies import CmuPolicy, ExactPolicy, RandomPolicy, WhittlePolicy
-from .sim import ComparisonTable, DepartureSampler, SimReport, compare, simulate
+import importlib
 
-__all__ = [
-    "ConvergenceError", "LyapunovCertificate", "ServerParams",
-    "SystemConfig", "ValidationReport", "lyapunov_certificate",
-    "lyapunov_margin", "passive_kernel", "transition_kernel",
-    "validate_config",
-    "optimal_threshold_costs", "stationary_distribution",
-    "threshold_chains",
-    "IndexIterationConfig", "IndexTable", "ValueSolution", "bisect_index",
-    "build_index_table", "compute_index", "index_residual", "solve_value",
-    "BruteForceResult", "JointSolution", "SingleQueueSolution",
-    "active_interval", "admission_gain_profile",
-    "brute_force_policy_search", "joint_policy_average_cost", "joint_rvi",
-    "policy_reachable_states", "single_queue_rvi",
-    "CmuPolicy", "ExactPolicy", "RandomPolicy", "WhittlePolicy",
-    "ComparisonTable", "DepartureSampler", "SimReport", "compare",
-    "simulate",
-]
+from .config import (ConvergenceError, IndexIterationConfig, ServerParams,
+                     SystemConfig, ValidationReport, validate_config)
+
+# The module that defines each exported name, in the order of __all__.
+_HOME = {
+    "ConvergenceError": "config", "LyapunovCertificate": "model",
+    "ServerParams": "config", "SystemConfig": "config",
+    "ValidationReport": "config", "lyapunov_certificate": "model",
+    "lyapunov_margin": "model", "passive_kernel": "model",
+    "transition_kernel": "model", "validate_config": "config",
+    "optimal_threshold_costs": "threshold",
+    "stationary_distribution": "threshold",
+    "threshold_chains": "threshold",
+    "IndexIterationConfig": "config", "IndexTable": "whittle",
+    "ValueSolution": "whittle", "bisect_index": "whittle",
+    "build_index_table": "whittle", "compute_index": "whittle",
+    "index_residual": "whittle", "solve_value": "whittle",
+    "BruteForceResult": "dp", "JointSolution": "dp",
+    "SingleQueueSolution": "dp", "active_interval": "dp",
+    "admission_gain_profile": "dp", "brute_force_policy_search": "dp",
+    "joint_policy_average_cost": "dp", "joint_rvi": "dp",
+    "policy_reachable_states": "dp", "single_queue_rvi": "dp",
+    "CmuPolicy": "policies", "ExactPolicy": "policies",
+    "RandomPolicy": "policies", "WhittlePolicy": "policies",
+    "ComparisonTable": "sim", "DepartureSampler": "sim",
+    "SimReport": "sim", "compare": "sim", "simulate": "sim",
+}
+
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

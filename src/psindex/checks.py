@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp, threshold, whittle
-from .model import ConvergenceError, SystemConfig, passive_kernel, \
-    transition_kernel
+from .config import ConvergenceError, SystemConfig
+from .model import passive_kernel, transition_kernel
 
 STRUCT_SLACK = 1e-9
 

@@ -7,24 +7,31 @@ structural property suite. The index table's roots are checked at
 one fixed tolerance, which no option changes. All artifacts are
 comma-delimited text with a header row; floats carry 12 significant
 digits, which makes reruns byte-identical.
+
+At import this module loads the standard library, PyYAML and the
+stdlib-only config layer alone. A command imports numpy and the
+solver modules it runs only after its config has loaded and passed
+validation, so `validate` and every refused config never import them.
+The solver functions are looked up on their modules at call time.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from . import checks, dp, sim, whittle
-from .model import ConvergenceError, ServerParams, SystemConfig, \
-    validate_config
-from .policies import CmuPolicy, ExactPolicy, RandomPolicy, WhittlePolicy
+from .config import ConvergenceError, IndexIterationConfig, ServerParams, \
+    SystemConfig, validate_config
+
+if typing.TYPE_CHECKING:
+    from . import dp, sim, whittle
 
 EXACT_STATE_LIMIT = 2500
 
@@ -40,9 +47,9 @@ class WhittleOptions:
     x_max: int = 40
     # Not options: read by perfbench/workloads.py, always these values.
     truncation_n = None
-    tol = whittle.IndexIterationConfig.tol
-    gamma = whittle.IndexIterationConfig.gamma
-    max_iter = whittle.IndexIterationConfig.max_iter
+    tol = IndexIterationConfig.tol
+    gamma = IndexIterationConfig.gamma
+    max_iter = IndexIterationConfig.max_iter
 
     def __post_init__(self):
         if self.x_max < 1:
@@ -236,7 +243,8 @@ def write_exact(solution: dp.JointSolution, cfg: SystemConfig,
     _write_csv(policy_path,
                [f"x_{i + 1}" for i in range(cfg.num_servers)] + ["server"],
                ([str(v) for v in state] + [str(int(solution.policy[state]))]
-                for state in np.ndindex(*solution.policy.shape)))
+                for state in itertools.product(
+                    *map(range, solution.policy.shape))))
     _write_csv(summary_path, ["beta", "sweeps", "span", "reference"],
                [[fmt(solution.beta), str(solution.sweeps), fmt(solution.span),
                  " ".join(str(v) for v in solution.reference)]])
@@ -254,6 +262,8 @@ def write_properties(results, path: str | Path) -> None:
 
 
 def _build_table(loaded: LoadedConfig) -> whittle.IndexTable:
+    from . import whittle
+
     return whittle.build_index_table(loaded.system, loaded.whittle.x_max)
 
 
@@ -277,6 +287,9 @@ def cmd_indices(loaded: LoadedConfig, args, out_dir: Path) -> int:
 
 
 def cmd_simulate(loaded: LoadedConfig, args, out_dir: Path) -> int:
+    from . import sim
+    from .policies import CmuPolicy, RandomPolicy, WhittlePolicy
+
     system = loaded.system
     if args.policy == "whittle":
         policy = WhittlePolicy(_build_table(loaded),
@@ -298,6 +311,10 @@ def cmd_simulate(loaded: LoadedConfig, args, out_dir: Path) -> int:
 
 
 def cmd_compare(loaded: LoadedConfig, args, out_dir: Path) -> int:
+    from . import dp, sim
+    from .policies import CmuPolicy, ExactPolicy, RandomPolicy, \
+        WhittlePolicy
+
     system = loaded.system
     policies = [WhittlePolicy(_build_table(loaded),
                               max_state=system.buffer),
@@ -321,6 +338,8 @@ def cmd_compare(loaded: LoadedConfig, args, out_dir: Path) -> int:
 
 
 def cmd_exact(loaded: LoadedConfig, args, out_dir: Path) -> int:
+    from . import dp
+
     system = loaded.system
     states = (system.buffer + 1) ** system.num_servers
     if states > EXACT_STATE_LIMIT:
@@ -337,6 +356,8 @@ def cmd_exact(loaded: LoadedConfig, args, out_dir: Path) -> int:
 
 
 def cmd_properties(loaded: LoadedConfig, args, out_dir: Path) -> int:
+    from . import checks
+
     results = checks.run_property_suite(loaded.system)
     path = out_dir / "properties.csv"
     write_properties(results, path)
@@ -409,6 +430,10 @@ def run_command(args: argparse.Namespace) -> int:
             raise ValueError(f"seed must be >= 0, got {args.seed}")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        if args.command == "validate":
+            return cmd_validate(loaded, args, out_dir)
+        import numpy as np
+
         # The solvers' guards report non-finite values as error or FAIL lines.
         with np.errstate(over="ignore", invalid="ignore"):
             return COMMANDS[args.command](loaded, args, out_dir)

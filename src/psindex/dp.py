@@ -46,8 +46,8 @@ import numpy as np
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .model import ConvergenceError, ServerParams, SystemConfig, \
-    passive_kernel, transition_kernel
+from .config import ConvergenceError, ServerParams, SystemConfig
+from .model import passive_kernel, transition_kernel
 from .threshold import stationary_distribution
 
 # ---------------------------------------------------------------- #

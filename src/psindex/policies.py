@@ -20,8 +20,8 @@ from itertools import chain
 
 import numpy as np
 
+from .config import ServerParams, SystemConfig
 from .dp import JointSolution, _greedy
-from .model import ServerParams, SystemConfig
 from .whittle import IndexTable
 
 # Random selections drawn per generator call: a bounded block, so the

@@ -51,7 +51,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import stdtrit
 
-from .model import SystemConfig, passive_kernel
+from .config import SystemConfig
+from .model import passive_kernel
 from .policies import RandomPolicy
 
 _CHUNK = 1 << 16

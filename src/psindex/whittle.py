@@ -27,28 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .model import ConvergenceError, ServerParams, SystemConfig, \
-    transition_kernel
+from .config import ConvergenceError, IndexIterationConfig, \
+    ServerParams, SystemConfig
+from .model import transition_kernel
 
 VALUE_RESIDUAL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class IndexIterationConfig:
-    """Knobs of compute_index; tol also bounds every table root's gap."""
-
-    gamma: float = 0.1
-    tol: float = 1e-6
-    max_iter: int = 100_000
-    lambda0: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must lie in (0, 1]")
-        if not (0.0 < self.tol < np.inf):
-            raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -264,7 +247,7 @@ def bisect_index(x: int, server: ServerParams, arrival_p: float,
             return a
         if fb == 0.0:
             return b
-        if fa * fb < 0.0:
+        if (fa < 0.0) != (fb < 0.0):
             break
         span *= 2.0
         a, b = a - span / 2.0, b + span / 2.0
@@ -275,7 +258,7 @@ def bisect_index(x: int, server: ServerParams, arrival_p: float,
         fm = system.gap(mid)
         if fm == 0.0:
             return mid
-        if fa * fm < 0.0:
+        if (fa < 0.0) != (fm < 0.0):
             b = mid
         else:
             a, fa = mid, fm

@@ -1,6 +1,7 @@
 """Command-line surface: config parsing, artifact files, exit codes."""
 
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import psindex
 from psindex import (CmuPolicy, ComparisonTable, IndexTable, JointSolution,
                      ServerParams, SimReport, SystemConfig, simulate)
 from psindex import checks, sim, whittle
@@ -555,17 +557,20 @@ def test_a_retired_tol_override_is_refused_before_any_work(
 
 def test_cold_import_of_the_cli_leaves_scipy_stats_out():
     """scipy.stats takes most of a cold start; the kernel calls the
-    binomial ufunc directly, so no psindex module may import it."""
+    binomial ufunc directly, so no psindex module may import it. The
+    CLI loads the solvers only for a command, so the probe imports
+    them all itself."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    probe = "import sys, psindex.cli; print('scipy.stats' in sys.modules)"
+    probe = ("import sys, psindex.checks, psindex.cli, psindex.sim; "
+             "print('scipy.stats' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
 
 
 # The top-level modules psindex's own code asks for while psindex.cli
-# loads, and the modules that import adds beyond those already loaded at
-# start-up or by psindex's dependencies.
+# and every solver module load, and the modules those imports add
+# beyond those already loaded at start-up or by psindex's dependencies.
 _IMPORT_PROBE = """
 import builtins, json, sys
 real = builtins.__import__
@@ -580,7 +585,7 @@ def spy(name, globals=None, locals=None, fromlist=(), level=0):
 builtins.__import__ = spy
 import numpy, scipy.linalg, scipy.special, yaml
 deps = set(sys.modules)
-import psindex.cli
+import psindex.cli, psindex.checks, psindex.sim
 print(json.dumps({"asked": sorted(asked),
                   "added": sorted(set(sys.modules) - deps)}))
 """
@@ -589,16 +594,88 @@ print(json.dumps({"asked": sorted(asked),
 def test_cold_import_of_the_cli_leaves_the_slot_loop_builder_out():
     """ctypes, subprocess and tempfile serve only the compiled slot
     loop's builder, which imports them on the first simulation, so
-    `import psindex.cli` asks for none of them. numpy itself loads
-    ctypes and subprocess, so sys.modules alone cannot show this."""
+    importing psindex.cli and the solver modules asks for none of them.
+    numpy itself loads ctypes and subprocess, so sys.modules alone
+    cannot show this."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
     seen = json.loads(out.splitlines()[-1])
     builder = {"ctypes", "subprocess", "tempfile"}
-    assert "numpy" in seen["asked"]  # the spy sees psindex's imports
+    assert "yaml" in seen["asked"]  # the spy sees psindex's imports
     assert builder.isdisjoint(seen["asked"])
     assert builder.isdisjoint(seen["added"])
+
+
+# Each probe runs in a fresh interpreter with argv [work directory,
+# every shipped config...]; after it, no numpy or scipy module may be
+# loaded.
+_CONFIG_PATH_PROBES = {
+    "import-psindex": "import psindex",
+    "import-cli": "import psindex.cli",
+    "load-and-validate": """
+from psindex import cli, validate_config
+for path in sys.argv[2:]:
+    assert validate_config(cli.load_config(path).system).ok, path
+""",
+    "validate-command": """
+from psindex import cli
+for path in sys.argv[2:]:
+    assert cli.main(["validate", "--config", path]) == 0, path
+""",
+    "refused-config": """
+from pathlib import Path
+from psindex import cli
+bad = Path(sys.argv[1], "bad.yaml")
+bad.write_text("arrival_p: [\\n")
+violating = Path(sys.argv[1], "violating.yaml")
+violating.write_text("arrival_p: 1.5\\nbuffer: 3\\nservers:\\n"
+                     "  - {q: 0.5, cost_c: 1.0}\\n")
+for command in cli.COMMANDS:
+    assert cli.main([command, "--config", str(bad)]) == 2, command
+    assert cli.main([command, "--config", str(violating)]) == 1, command
+assert cli.main(["indices", "--config", sys.argv[2], "--x-max", "0"]) == 1
+""",
+}
+_SHIPPED_CONFIGS = [str(p) for p in sorted(SRC.parent.glob("configs/*.yaml"))
+                    + [SRC.parent / "perfbench" / "heavy-traffic.yaml"]]
+
+
+@pytest.mark.parametrize("probe", list(_CONFIG_PATH_PROBES.values()),
+                         ids=list(_CONFIG_PATH_PROBES))
+def test_the_config_path_imports_no_numerical_stack(probe, tmp_path):
+    """Loading and validating a config, and refusing a bad one, need the
+    stdlib and PyYAML alone; numpy and scipy would take most of the cold
+    start, so nothing on that path may import them."""
+    script = (f"import json, sys\n{probe}\nprint(json.dumps(sorted("
+              "m for m in sys.modules "
+              "if m.partition('.')[0] in ('numpy', 'scipy'))))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), *_SHIPPED_CONFIGS],
+        env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == []
+
+
+def test_every_export_is_the_object_its_module_defines():
+    """The package imports the config layer eagerly and every other
+    name in __all__ on first access, keeping it; model and whittle
+    re-export the config layer's names as the same objects."""
+    from psindex import config, model
+
+    for name in psindex.__all__:
+        value = getattr(psindex, name)
+        assert getattr(importlib.import_module(value.__module__),
+                       name) is value
+        assert vars(psindex)[name] is value
+    assert set(psindex.__all__) | {"__all__"} <= set(dir(psindex))
+    for name in ("ConvergenceError", "ServerParams", "SystemConfig",
+                 "ValidationReport", "validate_config"):
+        assert getattr(model, name) is getattr(config, name)
+    assert whittle.IndexIterationConfig is config.IndexIterationConfig
+    with pytest.raises(AttributeError, match="no_such_name"):
+        psindex.no_such_name
 
 
 def test_simulate_command_writes_report_and_series(config_path, tmp_path,

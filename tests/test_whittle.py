@@ -152,6 +152,20 @@ def test_bisection_returns_a_root_on_a_window_end(monkeypatch, root):
     assert bisect_index(3, HEAVY, 0.4, 40) == root
 
 
+@pytest.mark.parametrize("cost_c", [1e-320, 1e-310])
+def test_bisection_reads_signs_when_the_gap_product_underflows(cost_c):
+    """With a tiny cost every gap near the root is tiny, and the product
+    of two of them rounds to 0.0, which read as no sign change: the
+    bracket moved away from the root (state 0 gave 1.5e-3 at 1e-320 and
+    1.8e-13 at 1e-310). Sixty halvings of [-50, 50] leave every cell
+    within half the last bracket of the table's closed-form root."""
+    cfg = SystemConfig(0.4, (ServerParams(q=0.5, cost_c=cost_c),), 3)
+    table = build_index_table(cfg, 10)
+    for x in range(11):
+        ref = bisect_index(x, cfg.servers[0], cfg.arrival_p, x + 1)
+        assert abs(ref - table.entries[0, x]) <= 100.0 / 2.0**61
+
+
 def test_bisect_index_scan_keeps_the_residual_guard(monkeypatch):
     monkeypatch.setattr(whittle, "VALUE_RESIDUAL_TOL", 0.0)
     with pytest.raises(RuntimeError, match="residual"):
