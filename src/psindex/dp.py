@@ -21,13 +21,15 @@ solve and reads its greedy policy from the expected values of the sweep
 it follows. The sweeps' kernels and the aggregation's block maps reach
 the value grid through one routine, _apply, each matrix by a plan built
 once per solve (_plan): a kernel of 64 states or more is multiplied in
-row blocks that skip the zero upper blocks its lower triangular
-(passive) or lower Hessenberg (active) shape leaves, and every other
-matrix in one product. One strict-< scan, _greedy, ties to the lowest
-server, gives the greedy policy here and the Whittle and Cmu decision
-tables in policies. The first correction that does not pay is undone,
-and plain sweeps finish the solve; the solution counts the corrections,
-names the sweep of the first and says whether one was undone.
+row blocks, each over its band of columns, which skips the zero upper
+blocks its lower triangular (passive) or lower Hessenberg (active)
+shape leaves and the leading columns that hold at most 2^-60 of every
+row's mass in the block, and every other matrix in one product. One
+strict-< scan, _greedy, ties to the lowest server, gives the greedy
+policy here and the Whittle and Cmu decision tables in policies. The
+first correction that does not pay is undone, and plain sweeps finish
+the solve; the solution counts the corrections, names the sweep of the
+first and says whether one was undone.
 
 Below every index the never-active rule is optimal; its relative
 values, one triangular solve on the passive kernel
@@ -240,24 +242,34 @@ class JointSolution:
 
 # _plan(m, kernel=True) splits a sweep's kernel of 2 * _BLOCK_ROWS
 # states or more into row blocks of at least _BLOCK_ROWS rows, at most
-# _MAX_BLOCKS of them; every other matrix is one block, one matmul.
+# _MAX_BLOCKS of them, each multiplied over its band of columns: the
+# leading columns that hold at most _TAIL of every row's mass in the
+# block are dropped, so each axis's product moves by at most
+# _TAIL * max|V| (1.5e-12 at heavy-traffic's 1.7e6, against joint
+# RVI's stop at 1e-9). Every other matrix is one block, one matmul.
 _BLOCK_ROWS = 32
 _MAX_BLOCKS = 3
+_TAIL = 2.0 ** -60
 
 
 def _plan(m: np.ndarray, kernel: bool = False):
-    """(m, row blocks, m.T), how _apply multiplies m. A block (r0, r1, k)
-    says rows r0..r1-1 read no column from k on, k read from m's own
-    nonzero pattern: about r1, as passive kernels are lower triangular
-    and active ones lower Hessenberg. Several blocks take a C-contiguous
-    m.T for the last axis's column blocks; one block, (0, rows, cols),
-    takes no scan and the view m.T."""
+    """(m, row blocks, m.T), how _apply multiplies m. A block
+    (r0, r1, lo, k) says rows r0..r1-1 are read over columns lo..k-1.
+    k is read from m's own nonzero pattern: about r1, as passive
+    kernels are lower triangular and active ones lower Hessenberg. lo
+    is the most leading columns whose cumulative mass stays at or below
+    _TAIL in every row of the block: Binomial departures leave a tail
+    that decays like q^d/d!, subnormal at small q. Several blocks take
+    a C-contiguous m.T for the last axis's column blocks; one block,
+    (0, rows, 0, cols), takes no scan and the view m.T."""
     rows, cols = m.shape
     count = min(_MAX_BLOCKS, rows // _BLOCK_ROWS) if kernel else 1
     if count < 2:
-        return m, ((0, rows, cols),), m.T
+        return m, ((0, rows, 0, cols),), m.T
     edges = [rows * b // count for b in range(count + 1)]
-    blocks = tuple((r0, r1, 1 + int(np.flatnonzero(m[:r1].any(axis=0))[-1]))
+    mass = np.cumsum(m, axis=1) <= _TAIL
+    blocks = tuple((r0, r1, int(mass[r0:r1].sum(axis=1).min()),
+                    1 + int(np.flatnonzero(m[:r1].any(axis=0))[-1]))
                    for r0, r1 in zip(edges, edges[1:]))
     return m, blocks, np.ascontiguousarray(m.T)
 
@@ -267,7 +279,7 @@ def _apply(t: np.ndarray, plans) -> np.ndarray:
     which then has m.shape[0] entries: matmuls on a reshaped view of the
     C-contiguous t, batched over the axes before j. A plan of one block
     is one matmul; otherwise each (square) block multiplies only its
-    first k columns, into its rows of one output: by m's rows on a
+    band, columns lo..k-1, into its rows of one output: by m's rows on a
     leading axis, and by mt's columns on the last."""
     shape = list(t.shape)
     for j, (m, blocks, mt) in enumerate(plans):
@@ -278,11 +290,11 @@ def _apply(t: np.ndarray, plans) -> np.ndarray:
             t = a @ mt if last else np.matmul(m, a)
         else:
             t = np.empty_like(a)
-            for r0, r1, k in blocks:
+            for r0, r1, lo, k in blocks:
                 if last:
-                    np.matmul(a[:, :k], mt[:k, r0:r1], out=t[:, r0:r1])
+                    np.matmul(a[:, lo:k], mt[lo:k, r0:r1], out=t[:, r0:r1])
                 else:
-                    np.matmul(m[r0:r1, :k], a[:, :k], out=t[:, r0:r1])
+                    np.matmul(m[r0:r1, lo:k], a[:, lo:k], out=t[:, r0:r1])
         shape[j] = m.shape[0]
     return t.reshape(shape)
 
@@ -493,12 +505,15 @@ def joint_rvi(cfg: SystemConfig) -> JointSolution:
     converges within 300 sweeps and halves its span from sweep 30 to 60
     (tiny, gap, fig3 at buffer 12, fig3-5 at buffer 30) is the plain
     iteration bit for bit. Kernels of 64 states or more are multiplied
-    in row blocks (_plan), which reorders the sums but skips only exact
-    zeros. Exponential in the server count: heavy-traffic's 10 201
-    states take 980 sweeps (92 corrections from sweep 60, none undone)
-    and about 0.17 s on a 2-core VM with one BLAS thread, against
-    1 250 sweeps and 0.21 s with corrections from sweep 300 and 3 361
-    plain sweeps and 1.0 s, with the same policy on every state.
+    in row blocks over their bands (_plan), which reorders the sums and
+    drops the leading columns that hold at most _TAIL = 2^-60 of each
+    block row's mass: each axis's product moves by at most 2^-60 times
+    max|V|, 1.5e-12 on heavy-traffic, under 1/600 of the stop. Exponential
+    in the server count: heavy-traffic's 10 201 states take 980 sweeps
+    (92 corrections from sweep 60, none undone) and about 0.14 s on a
+    2-core VM with one BLAS thread (0.17-0.21 s before the bands),
+    against 1 250 sweeps with corrections from sweep 300 and 3 361 plain
+    sweeps, with the same policy on every state.
     """
     ref = (0,) * cfg.num_servers
     n = cfg.buffer + 1

@@ -437,25 +437,42 @@ def test_expected_values_match_the_dense_kronecker_products(num, buffer):
         assert np.allclose(w.ravel(), want, rtol=1e-13, atol=0.0)
 
 
+# The CI's one-server bank, whose kernels at 121 states hold subnormal
+# departure tails: 96 active entries and 95 passive.
+SUBNORMAL = SystemConfig(arrival_p=0.6161, buffer=120,
+                         servers=(ServerParams(q=0.0427, cost_c=0.1552),))
+
+
 @pytest.mark.parametrize("maps,num,buffer", [
     *((maps, num, 8) for maps in ["kernels", "sums", "spreads", "pairs"]
       for num in [1, 2, 3]),
     ("blocked", 1, 120), ("blocked", 2, 63), ("blocked", 2, 100),
-    ("blocked", 3, 64)])
+    ("blocked", 3, 64), ("subnormal", 1, 120)])
 def test_apply_equals_einsum(maps, num, buffer):
     """Each plan's matrix from the left on its own axis, as one plain
     einsum per axis (no BLAS) writes it, on a random table: the square
     kernels of a sweep, passive everywhere and each candidate's, of one
     row block at n = 9 and of two and three ("blocked") on the last
     axis alone, on a leading and the last, and on a batched leading
-    axis; and the aggregation's n×ga block maps (ind.T summing states
-    into blocks, ind spreading blocks to states, and each server's
-    ga²×n block-sum pairs, active on axis 0)."""
+    axis; the kernels of SUBNORMAL, whose every subnormal entry lies
+    left of its block's band; and the aggregation's n×ga block maps
+    (ind.T summing states into blocks, ind spreading blocks to states,
+    and each server's ga²×n block-sum pairs, active on axis 0)."""
     n = buffer + 1
-    cfg = SystemConfig(arrival_p=0.35, servers=THREE_Q[:num], buffer=buffer)
+    cfg = (SUBNORMAL if maps == "subnormal" else
+           SystemConfig(arrival_p=0.35, servers=THREE_Q[:num], buffer=buffer))
     plans = dp._kernel_plans(cfg)
     assert len(plans[0][0][1]) == min(3, max(1, n // 32))
-    if maps in ("kernels", "blocked"):
+    if maps == "subnormal":
+        tiny = np.finfo(np.float64).tiny
+        counts = []
+        for m, blocks, _ in plans[0]:
+            sub = (m > 0.0) & (m < tiny)
+            counts.append(int(sub.sum()))
+            for r0, r1, lo, _ in blocks:
+                assert not sub[r0:r1, lo:].any()
+        assert counts == [96, 95]
+    if maps in ("kernels", "blocked", "subnormal"):
         cases = [[pair[1] for pair in plans],
                  *([pair[j != i] for j, pair in enumerate(plans)]
                    for i in range(num))]
@@ -500,14 +517,17 @@ def test_joint_rvi_policy_matches_the_tensordot_operator(config, monkeypatch):
 
 
 @pytest.mark.parametrize("n,count", [(63, 1), (64, 2), (101, 3), (121, 3)])
-def test_row_blocks_skip_only_exact_zeros(n, count):
-    """The blocks tile the rows, at least _BLOCK_ROWS each, and every
-    entry they skip, from column k on in rows r0..r1-1, is exactly 0.0
-    in the active and passive kernels, the active kernel's clamped last
-    row included. Column k - 1 is nonzero in a row before r1, so k is
-    the least that skips no mass. A one-block plan's m.T is a view of
-    m: a contiguous copy changed gap's bits at n = 26; several blocks
-    take a contiguous copy."""
+def test_row_blocks_read_each_kernel_over_its_band(n, count):
+    """The blocks tile the rows, at least _BLOCK_ROWS each, and block
+    (r0, r1, lo, k) reads columns lo..k-1 of rows r0..r1-1 in the
+    active and passive kernels, the active kernel's clamped last row
+    included. Every entry from column k on is exactly 0.0, and column
+    k - 1 is nonzero in a row before r1, so k is the least that skips
+    no mass. The columns before lo hold at most _TAIL of each row's
+    mass, and column lo takes some row past it, so lo is the largest
+    such. A one-block plan is (0, rows, 0, cols), and its m.T is a view
+    of m: a contiguous copy changed gap's bits at n = 26; several
+    blocks take a contiguous copy."""
     for q, p in [(0.55, 0.9), (0.05, 0.35), (0.95, 0.6)]:
         for m in transition_kernel(q, p, n - 1):
             plan_m, blocks, mt = dp._plan(m, kernel=True)
@@ -515,15 +535,21 @@ def test_row_blocks_skip_only_exact_zeros(n, count):
             assert np.shares_memory(mt, m) == (count == 1)
             assert mt.flags.c_contiguous == (count > 1)
             assert len(blocks) == count
-            assert [r0 for r0, _, _ in blocks] == \
-                [0] + [r1 for _, r1, _ in blocks[:-1]]
+            assert [b[0] for b in blocks] == \
+                [0] + [b[1] for b in blocks[:-1]]
             assert blocks[-1][1] == n
-            for r0, r1, k in blocks:
+            if count == 1:
+                assert blocks == ((0, n, 0, n),)
+            for r0, r1, lo, k in blocks:
                 assert r1 - r0 >= dp._BLOCK_ROWS
                 assert np.all(m[r0:r1, k:] == 0.0)
                 assert m[:r1, k - 1].any()
+                assert max(math.fsum(row[:lo])
+                           for row in m[r0:r1]) <= dp._TAIL
+                assert max(math.fsum(row[:lo + 1])
+                           for row in m[r0:r1]) > dp._TAIL
             if count > 1:
-                assert blocks[0][2] < n
+                assert blocks[0][3] < n
 
 
 @pytest.mark.parametrize("num", [1, 2, 3, 4])
@@ -590,10 +616,11 @@ def _random_banks():
                          ids=[*(f"random{i}" for i in range(10)),
                               "fig3-buffer63", "heavy"])
 def test_blocked_sweeps_keep_the_tensordot_optimum(cfg, monkeypatch):
-    """The blocked products reorder the sums, and the absolute stop at
-    span 1e-9 lets that move beta by a few ulps: |delta beta| reaches
-    3.1e-12 at beta = 108 on random8. The policy is the same on every
-    state."""
+    """The blocked products reorder the sums and drop each block's
+    leading columns of at most _TAIL of every row's mass, and the
+    absolute stop at span 1e-9 lets that move beta by a few ulps:
+    |delta beta| reaches 3.1e-12 at beta = 108 on random8. The policy
+    is the same on every state."""
     got = joint_rvi(cfg)
     monkeypatch.setattr(dp, "_expected_values", _tensordot_expected_values)
     want = joint_rvi(cfg)
