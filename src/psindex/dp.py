@@ -16,10 +16,13 @@ to 60, or that is still short of tol after 300 sweeps, takes an
 aggregation correction every 10 sweeps from then on (_Aggregation): a
 small Poisson system on product blocks of states, built from the
 per-server kernels, whose solution removes the slow part of the error
-the plain sweeps leave. The aggregation builds its block maps once per
-solve and reads its greedy policy from the expected values of the sweep
-it follows. The sweeps' kernels and the aggregation's block maps reach
-the value grid through one routine, _apply, each matrix by a plan built
+the plain sweeps leave. Each state's move reaches few blocks once its
+leading blocks of at most 1e-8 of the mass are dropped, so the system
+is banded, and a banded LU solves it in bordered form. The aggregation
+builds its block maps and band layout once per solve and reads its
+greedy policy from the expected values of the sweep it follows. The
+sweeps' kernels and the aggregation's block maps reach the value grid
+through one routine, _apply, each matrix by a plan built
 once per solve (_plan): a kernel of 64 states or more is multiplied in
 row blocks, each over its band of columns, which skips the zero upper
 blocks its lower triangular (passive) or lower Hessenberg (active)
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .config import ConvergenceError, ServerParams, SystemConfig
 from .model import passive_kernel, transition_kernel
@@ -335,14 +338,16 @@ def _block_indicator(n: int, k: int) -> np.ndarray:
 # Aggregation corrections start at sweep _AGG_EARLY of a joint solve
 # whose plain span fails to halve from _AGG_EARLY // 2 to there, else
 # once it has run _AGG_START plain sweeps, and come every _AGG_PERIOD
-# sweeps after that, on product blocks of at most _AGG_GROUPS groups
-# (the system then stays within 0.25 MB). The first undone correction
-# ends them for the solve.
+# sweeps after that, on product blocks of at most _AGG_GROUPS groups.
+# The first undone correction ends them for the solve. The coarse
+# system drops each state's leading blocks that hold at most _AGG_TAIL
+# of its move's mass on an axis, which leaves it banded.
 _AGG_EARLY = 60
 _AGG_START = 300
 _AGG_PERIOD = 10
-_AGG_GROUPS = 169
+_AGG_GROUPS = 676
 _AGG_GROWTH = 4.0
+_AGG_TAIL = 1e-8
 
 
 class _Aggregation:
@@ -351,36 +356,89 @@ class _Aggregation:
 
     The states fall into product blocks, W maps each state to its block
     and D averages over a block. With mu the greedy policy of the
-    values v a sweep started from, and r = Tv - v its difference,
+    values v a sweep started from, r = Tv - v its difference and
+    Q = D P_mu W,
 
-        [D(I - P_mu)W, 1; e_ref, 0] [y; delta] = [D r; 0]
+        [I - Q, 1; e_ref, 0] [y; delta] = [D r; 0]
 
     solves for the slow, block-wise part of v's error, and v + W y is
     swept next in place of Tv. y is 0 at the reference state's block,
-    block 0, so delta takes that block's column and the system is
-    square. It is factored in place, once per policy. ind maps each
-    axis's states to its blocks; the block sizes and the one-block plans
-    of ind.T, of ind and of every server's block-sum pairs are built
-    from it once. D r, W y and D P_mu W are each one _apply of these
-    maps, transposed where they sum over states. mu is the argmin of the
-    expected values the sweep left in `expected`, ties to the lowest.
-    `corrections` counts the corrections applied, `started` is the
-    sweep of the first, and `undone` says whether one was undone.
+    block 0, so delta takes that block's column. ind maps each axis's
+    states to its blocks; the block sizes and the one-block plans of
+    ind.T and of ind are built from it once, and D r and W y are each
+    one _apply of them. mu is the argmin of the expected values the
+    sweep left in `expected`, ties to the lowest. `corrections` counts
+    the corrections applied, `started` is the sweep of the first, and
+    `undone` says whether one was undone.
+
+    On an axis a state's move reaches at most one block above its own
+    and, once the leading blocks holding at most _AGG_TAIL of its mass
+    are dropped, `reach` blocks below. `cols` holds, per block, the
+    `width` = min(reach + 2, ga) consecutive blocks its windows read,
+    clipped to the grid, and `windows` every server's active and passive
+    block sums of each state over them, as (ga, width, side) arrays.
+    In row-major block order Q is then banded, within kl = reach * ku
+    below the diagonal and ku = (ga^N - 1) / (ga - 1) above it (each at
+    most G - 2, G the block count). The system is solved in bordered
+    form: M = (I - Q) without row and column 0 is factored in place in
+    the Fortran-ordered band `band`, once per policy, z1 = M^-1 1 with
+    it, and then for each r
+
+        z = M^-1 (D r)[1:],  delta = ((D r)[0] - a0 z) / (1 - a0 z1),
+        y = (0, z - delta z1),
+
+    a0 = (I - Q)[0, 1:]. One block (G = 1) leaves y = 0.
     """
 
     def __init__(self, plans, ind):
         n, ga = ind.shape
+        side = int(ind[:, 0].sum())
         self.dims, self.ga = len(plans), ga
         self.sums = [_plan(ind.T)] * self.dims
         self.spreads = [_plan(ind)] * self.dims
         self.sizes = functools.reduce(np.multiply.outer,
                                       [ind.sum(axis=0)] * self.dims).ravel()
-        # Row x pairs x's block with its kernel row's block sums, active
-        # then passive: the (ga, ga) factor that state x adds on its axis.
-        self.pairs = [[_plan((ind[:, :, None] * (k @ ind)[:, None]).reshape(
-            n, ga * ga).T) for k, _, _ in pair] for pair in plans]
-        self.system = np.empty((len(self.sizes),) * 2)
+        block_sums = [[k @ ind for k, _, _ in pair] for pair in plans]
+        for m in itertools.chain(*block_sums):
+            m[np.cumsum(m, axis=1) <= _AGG_TAIL] = 0.0
+        block = np.arange(n) // side
+        reach = max(int((block - (m > 0).argmax(axis=1)).max())
+                    for m in itertools.chain(*block_sums))
+        width = min(reach + 2, ga)
+        self.cols = (np.clip(np.arange(ga) - reach, 0, ga - width)[:, None]
+                     + np.arange(width))
+        # windows[s][a][g, d, t]: block cols[g, d]'s share of the move of
+        # state g * side + t, 0 past the last state.
+        pad = np.zeros((ga * side - n, ga))
+        self.windows = [
+            [np.ascontiguousarray(np.take_along_axis(
+                np.vstack([m, pad]).reshape(ga, side, ga),
+                self.cols[:, None], axis=2).transpose(0, 2, 1))
+             for m in pair] for pair in block_sums]
+        # The policy, padded with -1 to ga * side states per axis.
+        self.padded = np.full((ga * side,) * self.dims, -1)
+        groups = len(self.sizes)
+        self.band = None
+        if groups > 1:
+            stride = ga ** np.arange(self.dims - 1, -1, -1)
+            self.ku = min(int(stride.sum()), groups - 2)
+            self.kl = min(reach * int(stride.sum()), groups - 2)
+            rows = 2 * self.kl + self.ku + 1
+            idx = np.indices((ga, width) * self.dims).reshape(
+                2 * self.dims, -1)
+            # A full-width window also reads blocks no move reaches.
+            to = self.cols[idx[::2], idx[1::2]]
+            near = ((to - idx[::2] >= -reach) & (to <= idx[::2] + 1)).all(0)
+            g, h = stride @ idx[::2], stride @ to
+            self.into_band = np.flatnonzero(near & (g > 0) & (h > 0))
+            self.band_at = ((h[self.into_band] - 1) * rows + self.kl
+                            + self.ku + g[self.into_band] - h[self.into_band])
+            self.into_top = np.flatnonzero(near & (g == 0) & (h > 0))
+            self.top_at = h[self.into_top] - 1
+            self.band = np.zeros((rows, groups - 1), order="F")
+            self.top = np.zeros(groups - 1)
         self.expected = self.policy = self.lu = self.piv = None
+        self.z1 = self.schur = None
         self.early = self.deadline = self.mark = None
         self.done = self.undone = False
         self.corrections = self.started = 0
@@ -435,52 +493,67 @@ class _Aggregation:
 
     def step(self, diff):
         """W y for the last sweep's difference diff, under the greedy
-        policy of its expected values, or None if the aggregated system
-        is singular or y is not finite."""
+        policy of its expected values, or None if M is singular or y is
+        not finite."""
         policy = _greedy(self.expected)[0]
-        if self.policy is None or not np.array_equal(policy, self.policy):
-            self._factor(policy)
-        if self.lu is None:
-            return None
         rhs = _apply(diff, self.sums).ravel()
         rhs /= self.sizes
-        y = dgetrs(self.lu, self.piv, rhs, trans=1, overwrite_b=1)[0]
-        y[0] = 0.0  # entry 0 was delta; y is pinned to 0 there
-        if not np.isfinite(y).all():
-            return None
+        y = np.zeros_like(rhs)
+        if self.band is not None:
+            if self.policy is None or not np.array_equal(policy,
+                                                         self.policy):
+                self._factor(policy)
+            if self.lu is None:
+                return None
+            z = dgbtrs(self.lu, self.kl, self.ku, rhs[1:], self.piv)[0]
+            delta = (rhs[0] - self.top @ z) / self.schur
+            y[1:] = z - delta * self.z1
+            if not np.isfinite(y).all():
+                return None
         return _apply(y.reshape((self.ga,) * self.dims), self.spreads)
 
     def operator(self, policy):
-        """D·P_policy·W, written into `system` in row-major block order:
-        entry (g, h) is the chance of a move into block h, averaged over
-        the states of block g.
+        """Q = D·P_policy·W over the windows, shape (ga, width) * N:
+        entry (g_1, d_1, ..., g_N, d_N) is the chance of a move from
+        block (g_1, ..., g_N) into block (cols[g_1, d_1], ...), averaged
+        over the states of the first.
 
         P_policy is never formed. Row x of the active-i operator is the
-        outer product of the per-server rows, so under the mask of
-        states that choose i, each axis contracts against its server's
-        block-sum pairs.
+        outer product of the per-server rows, so the padded mask of
+        states that choose i contracts axis by axis against its server's
+        windows, one batched matmul per axis.
         """
         ga, dims = self.ga, self.dims
-        a = self.system
-        a.fill(0.0)
-        acc = a.reshape((ga,) * 2 * dims)
-        order = [*range(0, 2 * dims, 2), *range(1, 2 * dims, 2)]
+        width = self.cols.shape[1]
+        self.padded[tuple(map(slice, policy.shape))] = policy
+        total = 0.0
         for i in range(dims):
-            t = _apply((policy == i).astype(np.float64),
-                       [pair[j != i] for j, pair in enumerate(self.pairs)])
-            acc += t.reshape((ga, ga) * dims).transpose(order)
-        a /= self.sizes[:, None]
-        return a
+            t = (self.padded == i).astype(np.float64)
+            for j, pair in enumerate(self.windows):
+                w = pair[j != i]
+                t = np.matmul(w, t.reshape((ga * width) ** j, ga,
+                                           w.shape[2], -1))
+            total = total + t
+        total = total.reshape((ga, width) * dims)
+        total /= self.sizes.reshape((ga, 1) * dims)
+        return total
 
     def _factor(self, policy):
-        a = self.operator(policy)
-        np.negative(a, out=a)
-        a.flat[:: len(a) + 1] += 1.0
-        a[:, 0] = 1.0
-        # a.T is Fortran-ordered, so getrf factors it in place.
-        lu, piv, info = dgetrf(a.T, overwrite_a=1)
+        q = self.operator(policy).ravel()
+        band = self.band
+        band.fill(0.0)
+        # band.T is C-contiguous: its flat index is column * rows + row.
+        band.T.reshape(-1)[self.band_at] = -q[self.into_band]
+        band[self.kl + self.ku] += 1.0
+        self.top[self.top_at] = -q[self.into_top]
+        lu, piv, info = dgbtrf(band, self.kl, self.ku, overwrite_ab=1)
         self.policy = policy
-        self.lu, self.piv = (lu, piv) if info == 0 else (None, None)
+        self.lu = self.piv = None
+        if info == 0:
+            self.lu, self.piv = lu, piv
+            self.z1 = dgbtrs(lu, self.kl, self.ku, np.ones(band.shape[1]),
+                             piv)[0]
+            self.schur = 1.0 - self.top @ self.z1
 
 
 def joint_rvi(cfg: SystemConfig) -> JointSolution:
@@ -509,10 +582,10 @@ def joint_rvi(cfg: SystemConfig) -> JointSolution:
     drops the leading columns that hold at most _TAIL = 2^-60 of each
     block row's mass: each axis's product moves by at most 2^-60 times
     max|V|, 1.5e-12 on heavy-traffic, under 1/600 of the stop. Exponential
-    in the server count: heavy-traffic's 10 201 states take 980 sweeps
-    (92 corrections from sweep 60, none undone) and about 0.14 s on a
-    2-core VM with one BLAS thread (0.17-0.21 s before the bands),
-    against 1 250 sweeps with corrections from sweep 300 and 3 361 plain
+    in the server count: heavy-traffic's 10 201 states take 637 sweeps
+    (58 corrections from sweep 60 on 26 x 26 blocks, none undone) and
+    about 0.11 s on a 2-core VM with one BLAS thread (980 sweeps and
+    0.17 s on 13 x 13 blocks with a dense system), against 3 361 plain
     sweeps, with the same policy on every state.
     """
     ref = (0,) * cfg.num_servers
