@@ -584,9 +584,8 @@ def joint_rvi(cfg: SystemConfig) -> JointSolution:
     max|V|, 1.5e-12 on heavy-traffic, under 1/600 of the stop. Exponential
     in the server count: heavy-traffic's 10 201 states take 637 sweeps
     (58 corrections from sweep 60 on 26 x 26 blocks, none undone) and
-    about 0.11 s on a 2-core VM with one BLAS thread (980 sweeps and
-    0.17 s on 13 x 13 blocks with a dense system), against 3 361 plain
-    sweeps, with the same policy on every state.
+    about 0.11 s on a 2-core VM with one BLAS thread, against 3 361
+    plain sweeps, with the same policy on every state.
     """
     ref = (0,) * cfg.num_servers
     n = cfg.buffer + 1

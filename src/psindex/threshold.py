@@ -8,10 +8,12 @@ active, whose recurrent class is the single state {0}. Every chain is
 threshold_rows of model.transition_kernel. stationary_ladder solves
 every threshold chain of one kernel at once by cut balance, and
 threshold_chains reads from it the one record, over k = -1..K, of the
-chains' mean lengths and top masses that every single-queue figure
-uses, the never-active rule as its first row. tail_dominance orders
-consecutive chains, and stationary_distribution is the general GTH
-solve that dp's joint policy chains use.
+chains' mean lengths, top masses and empty masses that every
+single-queue figure uses, the never-active rule as its first row.
+flow_balance_indices reads the Whittle indices of a server with p >= q
+off that record. tail_dominance orders consecutive chains, and
+stationary_distribution is the general GTH solve that dp's joint
+policy chains use.
 """
 
 from __future__ import annotations
@@ -159,13 +161,15 @@ def _cut_balance(up: np.ndarray, cum_act: np.ndarray,
 class ThresholdChains(NamedTuple):
     """Figures of the threshold chains k = -1..K of one (q, p).
 
-    Entry k+1 belongs to chain k: mean is its mean queue length L_k and
+    Entry k+1 belongs to chain k: mean is its mean queue length L_k,
     top its mass pi_k(k+1) on the one passive state, so 1 - top is the
-    active mass. Entry 0 is the never-active rule, whose queue stays at
-    0: mean 0 and top 1.
+    active mass, and empty its mass pi_k(0) on the empty queue. Entry 0
+    is the never-active rule, whose queue stays at 0: mean 0, top 1 and
+    empty 1.
     """
     mean: np.ndarray
     top: np.ndarray
+    empty: np.ndarray
 
 
 def threshold_chains(q: float, p: float, k_max: int) -> ThresholdChains:
@@ -179,7 +183,36 @@ def threshold_chains(q: float, p: float, k_max: int) -> ThresholdChains:
     laws = stationary_ladder(*transition_kernel(q, p, k_max + 1))
     return ThresholdChains(
         np.concatenate(([0.0], np.arange(k_max + 2) @ laws)),
-        np.concatenate(([1.0], np.diagonal(laws, -1))))
+        np.concatenate(([1.0], np.diagonal(laws, -1))),
+        np.concatenate(([1.0], laws[0])))
+
+
+def flow_balance_indices(cost_c: float, q: float, p: float,
+                         x_max: int) -> np.ndarray:
+    """Whittle indices of states 0..x_max of a server with p >= q.
+
+    Moving the threshold from x - 1 to x raises the mean queue length by
+    L_x - L_{x-1} and the active mass 1 - pi(top) by some da; the index
+    is the marginal productivity rate c (L_x - L_{x-1}) / da (Nino-Mora,
+    Adv. Appl. Prob. 33, 2001). Flow balance, p (1 - pi(top)) =
+    q (1 - pi(0)) (arrivals join only while active, and a busy server
+    completes q jobs a slot on average), gives da = (q / p)
+    (pi_{x-1}(0) - pi_x(0)), so
+
+        lam(x) = p c (L_x - L_{x-1}) / (q (pi_{x-1}(0) - pi_x(0))),
+
+    read off one threshold_chains record, chain -1 the never-active
+    rule: lam(0) = c p / q. Where p >= q, pi_x(0) falls geometrically
+    and the ladder holds it to its relative accuracy, so its differences
+    keep their digits where those of the top masses cancel. Where q > p,
+    pi_x(0) settles at 1 - p / q and its differences cancel instead, so
+    q > p raises ValueError.
+    """
+    if q > p:
+        raise ValueError(f"flow balance indices need p >= q, got q={q!r} > "
+                         f"p={p!r}")
+    chains = threshold_chains(q, p, x_max)
+    return p * cost_c * np.diff(chains.mean) / (q * -np.diff(chains.empty))
 
 
 def optimal_threshold_costs(lams: np.ndarray, cost_c: float, q: float,

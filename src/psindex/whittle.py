@@ -9,9 +9,10 @@ Index tables take it in closed form from two back-solves on one LU.
 Every value system is sliced from a per-server kernel that holds the
 model's read-only transition_kernel negated with the unit diagonal
 added: a table row builds one over the states all its cells visit, and
-every other caller one over the states of its single system. The
-residual guard's message gives the largest value and its ulp, the
-float floor the residual is measured against.
+every other caller one over the states of its single system. Each solve
+returns fresh arrays; no buffer is shared between calls. The residual
+guard's message gives the largest value and its ulp, the float floor
+the residual is measured against.
 Two independent routes find it iteratively and serve as oracles: the
 paper's incremental fixed-point scheme (compute_index) and a bisection
 (bisect_index) that brackets the root by the gap's signs at the two
@@ -21,7 +22,6 @@ ends of a growing window.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +63,7 @@ class _ServerKernel:
     def __init__(self, server: ServerParams, arrival_p: float, n: int):
         self.active, self.passive = transition_kernel(server.q, arrival_p, n)
         size = n + 1
-        neg = np.empty((2, size, size))
-        np.negative(self.active, out=neg[0])
-        np.negative(self.passive, out=neg[1])
+        neg = -np.stack((self.active, self.passive))
         neg.reshape(2, -1)[:, :: size + 1] += 1.0
         if not np.isfinite(neg).all():
             raise ValueError("array must not contain infs or NaNs")
@@ -92,7 +90,9 @@ class _FixedThresholdSystem:
     build_index_table does once per server row. The balance rows are
     read-only views of the model's cached kernel. The matrix stays
     C-ordered: the residual products run on it, and their rounding,
-    which the 1e-9 guard reads, depends on that layout.
+    which the 1e-9 guard reads, depends on that layout. The system
+    holds only the matrix, its LU and the right-hand sides b0 and b1;
+    every solve allocates its own vectors.
     """
 
     def __init__(self, server: ServerParams, arrival_p: float,
@@ -113,11 +113,7 @@ class _FixedThresholdSystem:
         a[: n + 1, n + 1] = 1.0
         a[n + 1] = 0.0
         a[n + 1, 0] = 1.0  # pins V(0) = 0
-        # Right-hand sides b0 and b1, then the right-hand side, solution
-        # and residual of _refined_solve, in one allocation.
-        vectors = np.zeros((5, m))
-        self._b0, self._b1 = vectors[0], vectors[1]
-        self._b, self._u, self._r = vectors[2], vectors[3], vectors[4]
+        self._b0, self._b1 = np.zeros(m), np.zeros(m)
         self._b0[: n + 1] = kernel.cost[: n + 1]
         self._b1[k: n + 1] = 1.0
         self._a = a
@@ -131,7 +127,7 @@ class _FixedThresholdSystem:
         self.passive_row = kernel.passive[x, : n + 1]
 
     def _refined_solve(self, lam: float) -> np.ndarray:
-        """Solve a u = b0 + lam * b1 in buffers the next call reuses.
+        """Solve a u = b0 + lam * b1 into a fresh array.
 
         One refinement step follows the LU solve, and the residual guard
         covers the result; a NaN residual fails it too, so getrs needs
@@ -139,18 +135,10 @@ class _FixedThresholdSystem:
         carrying the residual; its message gives max |v| and that
         value's ulp, so an abort at the float floor reads as one.
         """
-        b, u, r = self._b, self._u, self._r
-        np.multiply(self._b1, lam, out=b)
-        b += self._b0
-        u[:] = b
-        dgetrs(self._lu, self._piv, u, overwrite_b=1)
-        np.matmul(self._a, u, out=r)
-        np.subtract(b, r, out=r)
-        dgetrs(self._lu, self._piv, r, overwrite_b=1)  # one refinement step
-        u += r
-        np.matmul(self._a, u, out=r)
-        r -= b
-        resid = float(np.abs(r, out=r).max())
+        b = self._b1 * lam + self._b0
+        u = dgetrs(self._lu, self._piv, b)[0]
+        u += dgetrs(self._lu, self._piv, b - self._a @ u)[0]  # refinement
+        resid = float(np.abs(self._a @ u - b).max())
         if not resid <= VALUE_RESIDUAL_TOL:
             v_max = float(np.abs(u[: self.n + 1]).max())
             raise ConvergenceError(f"value system residual {resid:.3e} "
@@ -160,7 +148,7 @@ class _FixedThresholdSystem:
         return u
 
     def solve(self, lam: float) -> ValueSolution:
-        u = self._refined_solve(lam).copy()
+        u = self._refined_solve(lam)
         return ValueSolution(lam=lam, threshold_x=self.threshold_x, n=self.n,
                              v=u[: self.n + 1], beta=float(u[self.n + 1]))
 
@@ -335,18 +323,6 @@ def _closed_form_index(system: _FixedThresholdSystem) -> float:
     return lam
 
 
-def _row_systems(server: ServerParams, arrival_p: float,
-                 x_max: int) -> Iterator[_FixedThresholdSystem]:
-    """The value system of each cell x = 0..x_max of a server's row.
-
-    Cell x lives on states 0..x+1, so one kernel over states
-    0..x_max+1 serves the whole row.
-    """
-    kernel = _ServerKernel(server, arrival_p, x_max + 1)
-    for x in range(x_max + 1):
-        yield _FixedThresholdSystem(server, arrival_p, x, x + 1, kernel)
-
-
 def build_index_table(cfg: SystemConfig, x_max: int,
                       iter_cfg: IndexIterationConfig | None = None,
                       n: int | None = None) -> IndexTable:
@@ -356,9 +332,11 @@ def build_index_table(cfg: SystemConfig, x_max: int,
     against the fixed IndexIterationConfig.tol. Cell x is solved on
     states 0..x+1, the states the threshold-x policy visits from empty,
     which is exact for any truncation, so the table does not depend on
-    the buffer. iter_cfg (None or IndexIterationConfig()) and n (None)
-    are retired. A failed cell aborts the whole table with a
-    ConvergenceError naming the offending (server, state).
+    the buffer, and one kernel over states 0..x_max+1 serves a server's
+    whole row. iter_cfg (None or IndexIterationConfig()) and n (None)
+    are retired. A failed cell, whether its system is singular or its
+    root fails a guard, aborts the whole table with a ConvergenceError
+    naming the offending (server, state).
     """
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
@@ -367,10 +345,11 @@ def build_index_table(cfg: SystemConfig, x_max: int,
                          "states 0..x+1 to IndexIterationConfig.tol")
     entries = np.zeros((cfg.num_servers, x_max + 1))
     for i, server in enumerate(cfg.servers):
-        cells = _row_systems(server, cfg.arrival_p, x_max)
-        for x, system in enumerate(cells):
+        kernel = _ServerKernel(server, cfg.arrival_p, x_max + 1)
+        for x in range(x_max + 1):
             try:
-                entries[i, x] = _closed_form_index(system)
+                entries[i, x] = _closed_form_index(_FixedThresholdSystem(
+                    server, cfg.arrival_p, x, x + 1, kernel))
             except ConvergenceError as e:
                 raise ConvergenceError(
                     f"index table aborted at server {i}, state {x}: {e}",

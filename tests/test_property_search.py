@@ -23,7 +23,8 @@ from psindex import (CmuPolicy, ConvergenceError, RandomPolicy,
                      sim, simulate, stationary_distribution)
 from psindex.cli import ConfigError, load_config, main
 from psindex.model import passive_kernel, transition_kernel
-from psindex.threshold import stationary_ladder, threshold_rows
+from psindex.threshold import (flow_balance_indices, stationary_ladder,
+                               threshold_rows)
 
 
 def search(max_examples):
@@ -93,6 +94,19 @@ def test_a_one_server_table_to_20_builds_for_every_q_and_p():
     except NoSuchExample:
         return
     raise AssertionError(f"the table of (q, p, c) = {case} aborts")
+
+
+@search(60)
+@given(q=rates, p=rates, c=st.floats(0.01, 100.0))
+def test_flow_balance_indices_to_40_are_finite_and_rise_where_p_is_q_or_more(
+        q, p, c):
+    """The route the gap-line table lacks where p >= q: every row is
+    finite and non-decreasing, and state 0's index is c p / q."""
+    q, p = min(q, p), max(q, p)
+    lam = flow_balance_indices(c, q, p, 40)
+    assert np.isfinite(lam).all()
+    assert (np.diff(lam) >= 0.0).all()
+    assert abs(lam[0] - c * p / q) <= 1e-15 * (c * p / q)
 
 
 # One to four servers' score rows of one length, small integers so

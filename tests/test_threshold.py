@@ -86,6 +86,8 @@ def _average_cost(chains, k, lam, cost_c):
 def test_threshold_chains_frozen():
     chains = threshold_chains(0.5, 0.4, 0)
     assert 1.0 - chains.top[1] == pytest.approx(5.0 / 9.0, abs=1e-12)
+    assert chains.empty[1] == pytest.approx(5.0 / 9.0, abs=1e-12)
+    assert chains.empty[0] == 1.0
     assert _average_cost(chains, 0, 0.0, 1.0) == pytest.approx(4.0 / 9.0,
                                                                abs=1e-12)
     assert _average_cost(chains, 0, 1.0, 1.0) == pytest.approx(8.0 / 9.0,
@@ -334,11 +336,24 @@ def test_chain_figures_do_not_depend_on_earlier_calls():
 
 @pytest.mark.parametrize("k_max", [0, 63, 64, 250])
 def test_threshold_chains_are_one_ladder_over_the_calls_kernel(k_max):
-    """The mean lengths and top masses of chains 0..k_max, bit for bit
-    as a fresh ladder over transition_kernel(q, p, k_max + 1) reads,
-    after the never-active rule's (0, 1)."""
+    """The mean lengths, top masses and empty masses of chains
+    0..k_max, bit for bit as a fresh ladder over
+    transition_kernel(q, p, k_max + 1) reads, after the never-active
+    rule's (0, 1, 1)."""
     q, p = 0.55, 0.4
     laws = stationary_ladder(*transition_kernel(q, p, k_max + 1))
-    means, tops = threshold_chains(q, p, k_max)
+    means, tops, empties = threshold_chains(q, p, k_max)
     assert means.tolist() == [0.0] + (np.arange(k_max + 2) @ laws).tolist()
     assert tops.tolist() == [1.0] + np.diagonal(laws, -1).tolist()
+    assert empties.tolist() == [1.0] + laws[0].tolist()
+
+
+def test_flow_balance_indices_refuse_a_server_with_q_above_p():
+    """Where q > p the empty masses settle at 1 - p / q and their
+    differences cancel, so the route refuses the server."""
+    with pytest.raises(ValueError, match=r"^flow balance indices need "
+                       r"p >= q, got q=0\.55 > p=0\.4$"):
+        threshold.flow_balance_indices(30.0, 0.55, 0.4, 10)
+    lam = threshold.flow_balance_indices(3.0, 0.5, 0.5, 10)  # q = p holds
+    assert lam[0] == 3.0
+    assert (np.diff(lam) > 0.0).all()

@@ -300,7 +300,9 @@ def test_a_table_row_is_the_kernel_assembly_bit_for_bit(q, p, x_max):
     0..x_max+1, has the matrix, right-hand sides, balance rows and LU of
     transition_kernel + threshold_rows at its own n = x + 1."""
     server = ServerParams(q=q, cost_c=3.5)
-    cells = list(whittle._row_systems(server, p, x_max))
+    kernel = whittle._ServerKernel(server, p, x_max + 1)
+    cells = [whittle._FixedThresholdSystem(server, p, x, x + 1, kernel)
+             for x in range(x_max + 1)]
     assert len(cells) == x_max + 1
     for x, system in enumerate(cells):
         assert (system.threshold_x, system.n) == (x, x + 1)
@@ -338,6 +340,24 @@ def test_a_singular_pivot_raises_a_convergence_error(monkeypatch):
     monkeypatch.setattr(whittle, "dgetrf", singular)
     with pytest.raises(ConvergenceError, match="singular: pivot 2"):
         whittle._FixedThresholdSystem(HEAVY, 0.4, 3, 4)
+
+
+def test_a_singular_cell_aborts_the_table_naming_its_server_and_state(
+        monkeypatch):
+    """Cell x's system has x + 3 unknowns, so a factorisation that
+    reports a zero pivot on every system larger than 4 x 4 first fails
+    at state 2, and the table's message names that cell."""
+    factor = whittle.dgetrf
+
+    def singular_above_4(a):
+        lu, piv, info = factor(a)
+        return lu, piv, 2 if len(a) > 4 else info
+    monkeypatch.setattr(whittle, "dgetrf", singular_above_4)
+    with pytest.raises(ConvergenceError) as err:
+        build_index_table(FIG3, 5)
+    assert str(err.value).startswith(
+        "index table aborted at server 0, state 2: value system is "
+        "singular")
 
 
 @pytest.mark.parametrize("build,block,row", [
