@@ -25,17 +25,14 @@ _HOME = {
     "lyapunov_margin": "model", "passive_kernel": "model",
     "transition_kernel": "model", "validate_config": "config",
     "optimal_threshold_costs": "threshold",
-    "stationary_distribution": "threshold",
     "threshold_chains": "threshold",
     "IndexIterationConfig": "config", "IndexTable": "whittle",
     "ValueSolution": "whittle", "bisect_index": "whittle",
     "build_index_table": "whittle", "compute_index": "whittle",
     "index_residual": "whittle", "solve_value": "whittle",
-    "BruteForceResult": "dp", "JointSolution": "dp",
-    "SingleQueueSolution": "dp", "active_interval": "dp",
-    "admission_gain_profile": "dp", "brute_force_policy_search": "dp",
-    "joint_policy_average_cost": "dp", "joint_rvi": "dp",
-    "policy_reachable_states": "dp", "single_queue_rvi": "dp",
+    "JointSolution": "dp", "SingleQueueSolution": "dp",
+    "active_interval": "dp", "admission_gain_profile": "dp",
+    "joint_rvi": "dp", "single_queue_rvi": "dp",
     "CmuPolicy": "policies", "ExactPolicy": "policies",
     "RandomPolicy": "policies", "WhittlePolicy": "policies",
     "ComparisonTable": "sim", "DepartureSampler": "sim",

@@ -5,9 +5,9 @@ and exposes the greedy policy, whose active set should be a downward
 closed interval (threshold structure); it reads
 model.transition_kernel, and the admission-gain profile its passive
 half. joint_rvi solves the full bank on the product state space and is
-the exact benchmark the index policy is measured against;
-brute_force_policy_search cross-checks it by sheer enumeration on
-spaces small enough to afford that. Both relative value iterations
+the exact benchmark the index policy is measured against; the test
+suite's enumeration oracle cross-checks it on spaces small enough to
+afford that. Both relative value iterations
 supply only their sweep, read-out, tolerance and sweep limit, each
 stated once in the solver; one driver owns the stop rule (span <= tol,
 a non-finite span, values that repeat an earlier sweep, the sweep
@@ -21,13 +21,16 @@ leading blocks of at most 1e-8 of the mass are dropped, so the system
 is banded, and a banded LU solves it in bordered form. The aggregation
 builds its block maps and band layout once per solve and reads its
 greedy policy from the expected values of the sweep it follows. The
-sweeps' kernels and the aggregation's block maps reach the value grid
-through one routine, _apply, each matrix by a plan built
-once per solve (_plan): a kernel of 64 states or more is multiplied in
-row blocks, each over its band of columns, which skips the zero upper
-blocks its lower triangular (passive) or lower Hessenberg (active)
-shape leaves and the leading columns that hold at most 2^-60 of every
-row's mass in the block, and every other matrix in one product. One
+sweeps' kernels, the aggregation's block maps and the policy's read-out
+reach the value grid through products bound once per solve
+(_Products), each matrix split by one row-block rule (_plan): a kernel
+of 64 states or more is multiplied in row blocks, each over its band
+of columns, which skips the zero upper blocks its lower triangular
+(passive) or lower Hessenberg (active) shape leaves and the leading
+columns that hold at most 2^-60 of every row's mass in the block, and
+every other matrix in one product. Every operand and output view is
+built with the plan, into two scratch tables the candidates share and
+one output each, so a sweep issues only matmuls. One
 strict-< scan, _greedy, ties to the lowest server, gives the greedy
 policy here and the Whittle and Cmu decision tables in policies. The
 first correction that does not pay is undone, and plain sweeps finish
@@ -53,7 +56,6 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .config import ConvergenceError, ServerParams, SystemConfig
 from .model import passive_kernel, transition_kernel
-from .threshold import stationary_distribution
 
 # ---------------------------------------------------------------- #
 # relative value iteration                                         #
@@ -256,7 +258,7 @@ _TAIL = 2.0 ** -60
 
 
 def _plan(m: np.ndarray, kernel: bool = False):
-    """(m, row blocks, m.T), how _apply multiplies m. A block
+    """(m, row blocks, m.T), how _Products multiplies m. A block
     (r0, r1, lo, k) says rows r0..r1-1 are read over columns lo..k-1.
     k is read from m's own nonzero pattern: about r1, as passive
     kernels are lower triangular and active ones lower Hessenberg. lo
@@ -277,29 +279,73 @@ def _plan(m: np.ndarray, kernel: bool = False):
     return m, blocks, np.ascontiguousarray(m.T)
 
 
-def _apply(t: np.ndarray, plans) -> np.ndarray:
-    """t with each plan's matrix m applied from the left to its axis j,
-    which then has m.shape[0] entries: matmuls on a reshaped view of the
-    C-contiguous t, batched over the axes before j. A plan of one block
-    is one matmul; otherwise each (square) block multiplies only its
-    band, columns lo..k-1, into its rows of one output: by m's rows on a
-    leading axis, and by mt's columns on the last."""
-    shape = list(t.shape)
-    for j, (m, blocks, mt) in enumerate(plans):
-        last = j == len(plans) - 1
-        a = (t.reshape(-1, shape[j]) if last
-             else t.reshape(math.prod(shape[:j]), shape[j], -1))
-        if len(blocks) == 1:
-            t = a @ mt if last else np.matmul(m, a)
-        else:
-            t = np.empty_like(a)
-            for r0, r1, lo, k in blocks:
-                if last:
-                    np.matmul(a[:, lo:k], mt[lo:k, r0:r1], out=t[:, r0:r1])
+class _Products:
+    """Chains of matrix products on tables of one shape, bound once.
+
+    Each chain applies one plan (m, blocks, mt) per axis j, in axis
+    order, from the left: axis j then has m.shape[0] entries. Each
+    product is matmuls on a reshaped view of a C-contiguous table,
+    batched over the axes before j, one per row block (r0, r1, lo, k),
+    which multiplies only its band, columns lo..k-1, into its rows of
+    the product: by m's rows on a leading axis, and by mt's columns on
+    the last. Every view is built here. A chain's last axis writes the
+    chain's own output, each earlier axis one of two scratch tables
+    that all chains share, in turn, and only the first axis reads the
+    table a call passes, through its column bands, sliced on each call.
+    A call is then only matmuls into fixed views, and it returns the
+    outputs, which the next call overwrites.
+    """
+
+    def __init__(self, shape: tuple[int, ...], chains):
+        def axis(table, dims, j):  # table as the matmul operand of axis j
+            return table.reshape((-1, dims[j]) if j == len(dims) - 1
+                                 else (math.prod(dims[:j]), dims[j], -1))
+
+        self.chains = chains
+        self.trail = len(shape) == 1  # the first axis is also the last
+        self.lead = (-1, shape[0]) if self.trail else (1, shape[0], -1)
+        tables = []  # each chain's table shapes: its input, then per axis
+        for plans in chains:
+            seq = [tuple(shape)]
+            for j, (m, _, _) in enumerate(plans):
+                seq.append(seq[-1][:j] + (m.shape[0],) + seq[-1][j + 1:])
+            tables.append(seq)
+        # Axis j writes scratch table j % 2, the last axis the output.
+        scratch = [np.empty(max([math.prod(seq[j]) for seq in tables
+                                 for j in range(1 + parity, len(seq) - 1, 2)],
+                                default=0))
+                   for parity in (0, 1)]
+        self.outs = [np.empty(seq[-1]) for seq in tables]
+        self.steps = []  # per chain: the first axis's products, the rest's
+        for plans, seq, out in zip(chains, tables, self.outs):
+            head, body, a = [], [], None  # None: the call's table
+            for j, (m, blocks, mt) in enumerate(plans):
+                last = j == len(plans) - 1
+                t = out if last else scratch[j % 2][:math.prod(seq[j + 1])]
+                t = axis(t, seq[j + 1], j)
+                for r0, r1, lo, k in blocks:
+                    band = mt[lo:k, r0:r1] if last else m[r0:r1, lo:k]
+                    if a is None:
+                        head.append((band, slice(lo, k), t[:, r0:r1]))
+                    elif last:
+                        body.append((a[:, lo:k], band, t[:, r0:r1]))
+                    else:
+                        body.append((band, a[:, lo:k], t[:, r0:r1]))
+                if not last:
+                    a = axis(t, seq[j + 1], j + 1)
+            self.steps.append((head, body))
+
+    def __call__(self, t: np.ndarray) -> list[np.ndarray]:
+        a = t.reshape(self.lead)
+        for head, body in self.steps:
+            for m, cols, out in head:
+                if self.trail:
+                    np.matmul(a[:, cols], m, out=out)
                 else:
-                    np.matmul(m[r0:r1, lo:k], a[:, lo:k], out=t[:, r0:r1])
-        shape[j] = m.shape[0]
-    return t.reshape(shape)
+                    np.matmul(m, a[:, cols], out=out)
+            for left, right, out in body:
+                np.matmul(left, right, out=out)
+        return self.outs
 
 
 def _kernel_plans(cfg: SystemConfig) -> list[tuple]:
@@ -309,11 +355,12 @@ def _kernel_plans(cfg: SystemConfig) -> list[tuple]:
             for s in cfg.servers]
 
 
-def _expected_values(v: np.ndarray, plans) -> list[np.ndarray]:
-    """E^i[V | state] for each candidate active server i: its active
-    kernel on axis i and the passive ones elsewhere."""
-    return [_apply(v, [pair[j != i] for j, pair in enumerate(plans)])
-            for i in range(len(plans))]
+def _candidates(plans, shape: tuple[int, ...]) -> _Products:
+    """The products that give E^i[V | state] for each candidate active
+    server i on value tables of `shape`: its active kernel on axis i and
+    the passive ones elsewhere."""
+    return _Products(shape, [[pair[j != i] for j, pair in enumerate(plans)]
+                             for i in range(len(plans))])
 
 
 def _greedy(expected) -> tuple[np.ndarray, np.ndarray]:
@@ -364,10 +411,13 @@ class _Aggregation:
     solves for the slow, block-wise part of v's error, and v + W y is
     swept next in place of Tv. y is 0 at the reference state's block,
     block 0, so delta takes that block's column. ind maps each axis's
-    states to its blocks; the block sizes and the one-block plans of
-    ind.T and of ind are built from it once, and D r and W y are each
-    one _apply of them. mu is the argmin of the expected values the
-    sweep left in `expected`, ties to the lowest. `corrections` counts
+    states to its blocks; the block sizes and the products `sums` and
+    `spreads`, the one-block plans of ind.T and of ind bound to the
+    value grid and the block grid, are built from it once, and D r and
+    W y are each one call of them. mu is the argmin of the expected
+    values the sweep left in `expected`, ties to the lowest; they may
+    be the sweep's bound outputs, which the next sweep overwrites, as
+    the correction that reads them comes before it. `corrections` counts
     the corrections applied, `started` is the sweep of the first, and
     `undone` says whether one was undone.
 
@@ -394,8 +444,8 @@ class _Aggregation:
         n, ga = ind.shape
         side = int(ind[:, 0].sum())
         self.dims, self.ga = len(plans), ga
-        self.sums = [_plan(ind.T)] * self.dims
-        self.spreads = [_plan(ind)] * self.dims
+        self.sums = _Products((n,) * self.dims, [[_plan(ind.T)] * self.dims])
+        self.spreads = _Products((ga,) * self.dims, [[_plan(ind)] * self.dims])
         self.sizes = functools.reduce(np.multiply.outer,
                                       [ind.sum(axis=0)] * self.dims).ravel()
         block_sums = [[k @ ind for k, _, _ in pair] for pair in plans]
@@ -494,9 +544,10 @@ class _Aggregation:
     def step(self, diff):
         """W y for the last sweep's difference diff, under the greedy
         policy of its expected values, or None if M is singular or y is
-        not finite."""
+        not finite. W y is the output of `spreads`, which the next step
+        overwrites."""
         policy = _greedy(self.expected)[0]
-        rhs = _apply(diff, self.sums).ravel()
+        rhs = self.sums(diff)[0].ravel()
         rhs /= self.sizes
         y = np.zeros_like(rhs)
         if self.band is not None:
@@ -510,7 +561,7 @@ class _Aggregation:
             y[1:] = z - delta * self.z1
             if not np.isfinite(y).all():
                 return None
-        return _apply(y.reshape((self.ga,) * self.dims), self.spreads)
+        return self.spreads(y.reshape((self.ga,) * self.dims))[0]
 
     def operator(self, policy):
         """Q = D·P_policy·W over the windows, shape (ga, width) * N:
@@ -521,7 +572,9 @@ class _Aggregation:
         P_policy is never formed. Row x of the active-i operator is the
         outer product of the per-server rows, so the padded mask of
         states that choose i contracts axis by axis against its server's
-        windows, one batched matmul per axis.
+        windows, one batched matmul per axis; on the last axis, whose
+        mask has one column, it is one (rows x side) @ (side x width)
+        product per block.
         """
         ga, dims = self.ga, self.dims
         width = self.cols.shape[1]
@@ -531,8 +584,12 @@ class _Aggregation:
             t = (self.padded == i).astype(np.float64)
             for j, pair in enumerate(self.windows):
                 w = pair[j != i]
-                t = np.matmul(w, t.reshape((ga * width) ** j, ga,
-                                           w.shape[2], -1))
+                t = t.reshape((ga * width) ** j, ga, w.shape[2], -1)
+                if j < dims - 1:
+                    t = np.matmul(w, t)
+                else:  # one (rows x side) @ (side x width) per block
+                    t = np.matmul(t[..., 0].transpose(1, 0, 2),
+                                  w.transpose(0, 2, 1)).transpose(1, 0, 2)
             total = total + t
         total = total.reshape((ga, width) * dims)
         total /= self.sizes.reshape((ga, 1) * dims)
@@ -566,40 +623,44 @@ def joint_rvi(cfg: SystemConfig) -> JointSolution:
     heavy-traffic, where 1e-9 is 4 ulps, so reordered arithmetic (BLAS
     build, threads) moves the sweep count by a few.
 
-    A solve is slow if its span falls but fails to halve from sweep 30
-    to _AGG_EARLY = 60, or if it has not converged after _AGG_START =
-    300 sweeps, and from sweep 60 or 300 on every 10th sweep is
-    followed by an aggregation correction (_Aggregation) on blocks of
-    equal side per axis, as many as fit in _AGG_GROUPS. Each sweep hands
-    the aggregation its expected values, so E^i[V] is evaluated once per
-    sweep and once more for the returned policy. The first correction
-    that does not halve the span as fast as the plain sweeps did before
-    the start is undone, and plain sweeps finish the solve. A solve that
-    converges within 300 sweeps and halves its span from sweep 30 to 60
-    (tiny, gap, fig3 at buffer 12, fig3-5 at buffer 30) is the plain
-    iteration bit for bit. Kernels of 64 states or more are multiplied
-    in row blocks over their bands (_plan), which reorders the sums and
-    drops the leading columns that hold at most _TAIL = 2^-60 of each
-    block row's mass: each axis's product moves by at most 2^-60 times
-    max|V|, 1.5e-12 on heavy-traffic, under 1/600 of the stop. Exponential
-    in the server count: heavy-traffic's 10 201 states take 637 sweeps
-    (58 corrections from sweep 60 on 26 x 26 blocks, none undone) and
-    about 0.11 s on a 2-core VM with one BLAS thread, against 3 361
-    plain sweeps, with the same policy on every state.
+    A solve is slow if its span falls but fails to halve from sweep 30 to
+    _AGG_EARLY = 60, or if it has not converged after _AGG_START = 300
+    sweeps, and from sweep 60 or 300 on every 10th sweep is followed by an
+    aggregation correction (_Aggregation) on blocks of equal side per axis,
+    as many as fit in _AGG_GROUPS. E^i[V] comes from products bound once
+    per solve (_candidates), so a sweep issues only matmuls into fixed
+    views and then builds a fresh Tv. Each sweep hands the aggregation its
+    expected values, so E^i[V] is evaluated once per sweep and once more
+    for the returned policy. The first correction that does not halve the
+    span as fast as the plain sweeps did before the start is undone, and
+    plain sweeps finish the solve. A solve that converges within 300 sweeps
+    and halves its span from sweep 30 to 60 (tiny, gap, fig3 at buffer 12,
+    fig3-5 at buffer 30) is the plain iteration bit for bit. Kernels of 64
+    states or more are multiplied in row blocks over their bands (_plan),
+    which reorders the sums and drops the leading columns that hold at most
+    _TAIL = 2^-60 of each block row's mass: each axis's product moves by at
+    most 2^-60 times max|V|, 1.5e-12 on heavy-traffic, under 1/600 of the
+    stop. Exponential in the server count: heavy-traffic's 10 201 states
+    take 637 sweeps (58 corrections from sweep 60 on 26 x 26 blocks, none
+    undone) and about 0.10 s on a 2-core VM with one BLAS thread, against
+    3 361 plain sweeps, with the same policy on every state.
     """
     ref = (0,) * cfg.num_servers
     n = cfg.buffer + 1
     shape = (n,) * cfg.num_servers
     cost = sum(s.cost_c * g for s, g in zip(cfg.servers, np.indices(shape)))
     plans = _kernel_plans(cfg)
+    expected = _candidates(plans, shape)
     per_axis = 1
     while (per_axis + 1) ** cfg.num_servers <= _AGG_GROUPS:
         per_axis += 1
     agg = _Aggregation(plans, _block_indicator(n, -(-n // per_axis)))
 
     def sweep(v):
-        agg.expected = _expected_values(v, plans)
-        tv = functools.reduce(np.minimum, agg.expected)
+        agg.expected = expected(v)
+        # A fresh tv even from one candidate: Brent's guard keeps it.
+        tv = (functools.reduce(np.minimum, agg.expected) if len(plans) > 1
+              else agg.expected[0].copy())
         tv += cost
         tv -= v[ref]
         return tv, tv
@@ -608,105 +669,7 @@ def joint_rvi(cfg: SystemConfig) -> JointSolution:
         "joint relative value iteration", sweep, np.zeros(shape), tol=1e-9,
         max_sweeps=200_000, correct=agg)
     return JointSolution(v=v - v[ref], beta=float(v[ref]),
-                         policy=_greedy(_expected_values(v, plans))[0],
+                         policy=_greedy(expected(v))[0],
                          reference=ref, sweeps=sweeps, span=span,
                          corrections=agg.corrections, undone=agg.undone,
                          started=agg.started)
-
-
-# ---------------------------------------------------------------- #
-# enumeration benchmark                                            #
-# ---------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class BruteForceResult:
-    best_policy: dict
-    best_beta: float
-    evaluations: tuple  # (policy assignment, beta) per enumerated policy
-    states: tuple
-
-
-def _policy_chain(cfg: SystemConfig, policy):
-    """Joint one-slot matrix of a fixed policy and its reachable class.
-
-    Returns the states in np.ndindex order, the matrix whose row s is
-    the product law under action policy[s], and the mask of states
-    reachable from all-empty (the first state). The matrix for action
-    i is the Kronecker product of the per-server kernels, active at
-    i and passive elsewhere, whose row-major order is np.ndindex's.
-    """
-    kernels = [transition_kernel(s.q, cfg.arrival_p, cfg.buffer)
-               for s in cfg.servers]
-    states = list(np.ndindex(*(cfg.buffer + 1,) * cfg.num_servers))
-    action = np.array([policy[s] for s in states])
-    if not np.isin(action, np.arange(cfg.num_servers)).all():
-        raise ValueError("policy actions must be server indices "
-                         f"0..{cfg.num_servers - 1}")
-    pmat = np.empty((len(states), len(states)))
-    for i in range(cfg.num_servers):
-        rows = action == i
-        pmat[rows] = functools.reduce(
-            np.kron, [pa if j == i else pb
-                      for j, (pa, pb) in enumerate(kernels)])[rows]
-    reach = np.zeros(len(states), dtype=bool)
-    reach[0] = True
-    while True:
-        grown = reach | (pmat[reach] > 0.0).any(axis=0)
-        if np.array_equal(grown, reach):
-            return states, pmat, reach
-        reach = grown
-
-
-def policy_reachable_states(cfg: SystemConfig, policy) -> tuple:
-    """States reachable from all-empty under a fixed policy.
-
-    They form the policy's single recurrent class, since every queue
-    can always drain back to empty. Actions outside this set cannot
-    influence the average cost.
-    """
-    states, _, reach = _policy_chain(cfg, policy)
-    return tuple(s for s, r in zip(states, reach) if r)
-
-
-def joint_policy_average_cost(cfg: SystemConfig, policy) -> float:
-    """Average holding cost of a fixed stationary policy, started empty.
-
-    `policy` maps each joint state tuple to the active server. Only the
-    states reachable from all-empty matter; they form one recurrent
-    class because every queue can always drain, and
-    threshold.stationary_distribution solves it under its guards.
-    """
-    states, pmat, reach = _policy_chain(cfg, policy)
-    pi = stationary_distribution(pmat[np.ix_(reach, reach)])
-    holding = np.array([sum(s.cost_c * x for s, x in zip(cfg.servers, st))
-                        for st, r in zip(states, reach) if r])
-    return float(pi @ holding)
-
-
-def brute_force_policy_search(cfg: SystemConfig) -> BruteForceResult:
-    """Enumerate every stationary server assignment and keep the best.
-
-    The policy space has num_servers ** num_states members; anything
-    beyond 100 000 is refused with the size spelled out. Ties on
-    average cost keep the first policy in lexicographic order, which
-    prefers lower server indices.
-    """
-    states = tuple(itertools.product(range(cfg.buffer + 1),
-                                     repeat=cfg.num_servers))
-    count, limit = cfg.num_servers ** len(states), 100_000
-    if count > limit:
-        raise ValueError(
-            f"refusing to enumerate {cfg.num_servers}**{len(states)} = "
-            f"{count} policies (limit {limit})")
-    best_beta, best_assign, evaluations = np.inf, None, []
-    for assign in itertools.product(range(cfg.num_servers),
-                                    repeat=len(states)):
-        beta = joint_policy_average_cost(cfg, dict(zip(states, assign)))
-        evaluations.append((assign, beta))
-        if beta < best_beta - 1e-12:
-            best_beta, best_assign = beta, assign
-    return BruteForceResult(best_policy=dict(zip(states, best_assign)),
-                            best_beta=float(best_beta),
-                            evaluations=tuple(evaluations),
-                            states=states)

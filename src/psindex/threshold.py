@@ -11,9 +11,7 @@ threshold_chains reads from it the one record, over k = -1..K, of the
 chains' mean lengths, top masses and empty masses that every
 single-queue figure uses, the never-active rule as its first row.
 flow_balance_indices reads the Whittle indices of a server with p >= q
-off that record. tail_dominance orders consecutive chains, and
-stationary_distribution is the general GTH solve that dp's joint
-policy chains use.
+off that record, and tail_dominance orders consecutive chains.
 """
 
 from __future__ import annotations
@@ -35,44 +33,6 @@ def threshold_rows(active: np.ndarray, passive: np.ndarray,
     return np.vstack((active[: k + 1], passive[k + 1:]))
 
 
-def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Solve pi P = pi, sum(pi) = 1 directly for a stochastic matrix P.
-
-    P must be irreducible on its states, as a threshold chain is for
-    q, p in (0,1) and a joint policy chain on its reachable class; the
-    solution is then unique. GTH elimination (Grassmann, Taksar &
-    Heyman, Oper. Res. 33, 1985) censors the states out from the last:
-    each step divides by the mass leaving state k for the states below,
-    a sum of non-negative terms, and adds non-negative products, and
-    pi is back-substituted from pi(0) = 1. Nothing is subtracted, so
-    every entry keeps its relative accuracy however small it is.
-    """
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("transition matrix must be square")
-    if not np.isfinite(P).all():
-        raise ValueError("matrix entries must be finite")
-    if (P < 0.0).any() or not np.abs(P.sum(axis=1) - 1.0).max() <= 1e-10:
-        raise ValueError("rows must be probability vectors")
-    n = len(P)
-    a = np.array(P, dtype=float)
-    for k in range(n - 1, 0, -1):
-        down = a[k, :k].sum()
-        if not down > 0.0:
-            raise ValueError("malformed chain, stationary solve failed: "
-                             f"state {k} leaves for no lower state")
-        a[:k, k] /= down
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
-    pi = np.ones(n)
-    for k in range(1, n):
-        pi[k] = pi[:k] @ a[:k, k]
-    if (pi < -STATIONARY_TOL).any():
-        raise ValueError("stationary solve produced negative mass")
-    pi /= pi.sum()
-    if not np.abs(pi @ P - pi).max() <= STATIONARY_TOL:
-        raise ValueError("stationary residual exceeds tolerance")
-    return pi
-
-
 def stationary_ladder(active: np.ndarray, passive: np.ndarray) -> np.ndarray:
     """Stationary laws of every threshold chain of one kernel over 0..K.
 
@@ -90,10 +50,14 @@ def stationary_ladder(active: np.ndarray, passive: np.ndarray) -> np.ndarray:
     small entries keep their relative accuracy. Every chain shares the
     active rows, so all K are one upper-triangular system.
 
-    Keeps stationary_distribution's guards and messages: finite,
-    non-negative rows summing to 1 within 1e-10 on every chain, a
-    positive up-step from every active state (the chains' irreducibility),
-    no negative mass, and |pi P - pi| <= STATIONARY_TOL on every chain.
+    Guards, each a ValueError: entries that are not finite ("matrix
+    entries must be finite"); a negative entry, or a row of some chain
+    whose sum is more than 1e-10 from 1 ("rows must be probability
+    vectors"); an active state with no up-step, which leaves its chains
+    reducible ("malformed chain, stationary solve failed: no up-step
+    from state j"); negative mass ("stationary solve produced negative
+    mass"); and |pi P - pi| above STATIONARY_TOL on some chain
+    ("stationary residual exceeds tolerance").
     """
     n = len(active) - 1
     act, pas = active[:n], passive[1:]  # row k of pas tops chain k

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from psindex import (ServerParams, SystemConfig, model, sim,
-                     stationary_distribution)
+from psindex import ServerParams, SystemConfig, model, sim
+
+from oracles import stationary_distribution
 
 
 def enum_next_state(x: int, q: float, p: float, active: bool,

@@ -13,13 +13,14 @@ import conftest
 from psindex import (CmuPolicy, IndexIterationConfig, RandomPolicy,
                      ServerParams, SystemConfig, WhittlePolicy,
                      active_interval, admission_gain_profile, bisect_index,
-                     brute_force_policy_search, build_index_table, compare,
-                     compute_index, DepartureSampler,
-                     joint_policy_average_cost, joint_rvi,
-                     optimal_threshold_costs, passive_kernel,
-                     policy_reachable_states, simulate, single_queue_rvi,
+                     build_index_table, compare, compute_index,
+                     DepartureSampler, joint_rvi, optimal_threshold_costs,
+                     passive_kernel, simulate, single_queue_rvi,
                      solve_value, threshold_chains, transition_kernel)
 from psindex.threshold import tail_dominance
+
+from oracles import (brute_force_policy_search, joint_policy_average_cost,
+                     policy_reachable_states)
 
 HORIZON = 1_000_000
 BURN_IN = 10_000

@@ -12,15 +12,15 @@ import pytest
 
 from psindex import (ConvergenceError, ServerParams, SystemConfig,
                      active_interval, admission_gain_profile, bisect_index,
-                     brute_force_policy_search, joint_policy_average_cost,
-                     joint_rvi, optimal_threshold_costs,
-                     policy_reachable_states, single_queue_rvi,
+                     joint_rvi, optimal_threshold_costs, single_queue_rvi,
                      solve_value, transition_kernel)
 from psindex import dp
 from psindex.cli import load_config
 
 from conftest import (enum_departures, enum_next_state, enum_row,
                       power_stationary)
+from oracles import (brute_force_policy_search, joint_policy_average_cost,
+                     policy_reachable_states)
 from test_acceptance import TRIPLES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -337,17 +337,15 @@ def _joint_loop(cfg, tol):
     ref = (0,) * cfg.num_servers
     shape = (cfg.buffer + 1,) * cfg.num_servers
     cost = sum(s.cost_c * g for s, g in zip(cfg.servers, np.indices(shape)))
-    plans = dp._kernel_plans(cfg)
+    expected = dp._candidates(dp._kernel_plans(cfg), shape)
     v = np.zeros(shape)
     for sweep in range(1, 200_001):
-        tv = functools.reduce(np.minimum, dp._expected_values(v, plans))
-        tv += cost
+        tv = functools.reduce(np.minimum, expected(v)) + cost
         tv -= v[ref]
         span = float(np.ptp(tv - v))
         v = tv
         if span <= tol:
-            policy = np.argmin(np.stack(dp._expected_values(v, plans)),
-                               axis=0)
+            policy = np.argmin(np.stack(expected(v)), axis=0)
             return v - v[ref], float(v[ref]), policy, sweep, span
     raise AssertionError("the joint loop did not converge")
 
@@ -422,12 +420,12 @@ THREE_Q = (ServerParams(q=0.6, cost_c=2.0), ServerParams(q=0.5, cost_c=1.0),
 
 @pytest.mark.parametrize("num,buffer", [(1, 20), (2, 12), (3, 5)])
 def test_expected_values_match_the_dense_kronecker_products(num, buffer):
-    """Each candidate's reshaped matmuls against the dense product
+    """Each candidate's bound matmuls against the dense product
     operator the fixed-policy chain builds, on a random value table."""
     cfg = SystemConfig(arrival_p=0.35, servers=THREE_Q[:num], buffer=buffer)
     plans = dp._kernel_plans(cfg)
     v = np.random.default_rng(7).random((buffer + 1,) * num) * 1e3
-    got = dp._expected_values(v, plans)
+    got = dp._candidates(plans, v.shape)(v)
     assert len(got) == num
     for i, w in enumerate(got):
         dense = functools.reduce(np.kron, [pair[j != i][0]
@@ -457,7 +455,9 @@ def test_apply_equals_einsum(maps, num, buffer):
     axis; the kernels of SUBNORMAL, whose every subnormal entry lies
     left of its block's band; and the aggregation's n×ga block maps
     (ind.T summing states into blocks, ind spreading blocks to
-    states)."""
+    states). Each runs on bound products: the kernels' chains share
+    one pair of scratch tables, and two calls on fresh tables write
+    the same outputs, each call's products those of its own table."""
     n = buffer + 1
     cfg = (SUBNORMAL if maps == "subnormal" else
            SystemConfig(arrival_p=0.35, servers=THREE_Q[:num], buffer=buffer))
@@ -473,42 +473,51 @@ def test_apply_equals_einsum(maps, num, buffer):
                 assert not sub[r0:r1, lo:].any()
         assert counts == [96, 95]
     if maps in ("kernels", "blocked", "subnormal"):
-        cases = [[pair[1] for pair in plans],
-                 *([pair[j != i] for j, pair in enumerate(plans)]
-                   for i in range(num))]
+        products = dp._Products(
+            (n,) * num, [[pair[1] for pair in plans],
+                         *dp._candidates(plans, (n,) * num).chains])
     else:
         agg = dp._Aggregation(plans, dp._block_indicator(n, 4))
-        cases = [getattr(agg, maps)]
+        products = getattr(agg, maps)
     rng = np.random.default_rng(buffer if maps == "blocked" else num)
     axes = list(range(num))
-    for case in cases:
-        mats = [m for m, _, _ in case]
-        t = want = rng.random([m.shape[1] for m in mats]) * 1e3
-        for j, m in enumerate(mats):
-            want = np.einsum(m, [num, j], want, axes,
-                             [num if a == j else a for a in axes])
-        got = dp._apply(t, case)
-        assert got.shape == want.shape == tuple(m.shape[0] for m in mats)
-        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    outs = None
+    for _ in range(2):
+        t = rng.random([m.shape[1] for m, _, _ in products.chains[0]]) * 1e3
+        got = products(t)
+        assert outs is None or all(a is b for a, b in zip(got, outs))
+        outs = got
+        for case, out in zip(products.chains, got, strict=True):
+            mats = [m for m, _, _ in case]
+            want = t
+            for j, m in enumerate(mats):
+                want = np.einsum(m, [num, j], want, axes,
+                                 [num if a == j else a for a in axes])
+            assert out.shape == want.shape == tuple(m.shape[0]
+                                                    for m in mats)
+            assert np.allclose(out, want, rtol=1e-13, atol=0.0)
 
 
-def _tensordot_expected_values(v, plans):
-    """The product operator as first written: tensordot, then moveaxis."""
-    outs = []
-    for i in range(len(plans)):
-        w = v
-        for j, pair in enumerate(plans):
-            k = pair[j != i][0]
-            w = np.moveaxis(np.tensordot(k, w, axes=(1, j)), 0, j)
-        outs.append(w)
-    return outs
+def _tensordot_candidates(plans, shape):
+    """A stand-in for dp._candidates: the product operator as first
+    written, tensordot, then moveaxis, on every call."""
+    def expected(v):
+        outs = []
+        for i in range(len(plans)):
+            w = v
+            for j, pair in enumerate(plans):
+                k = pair[j != i][0]
+                w = np.moveaxis(np.tensordot(k, w, axes=(1, j)), 0, j)
+            outs.append(w)
+        return outs
+    return expected
 
 
 @pytest.mark.parametrize("config", ["configs/tiny.yaml", "configs/gap.yaml"])
 def test_joint_rvi_policy_matches_the_tensordot_operator(config, monkeypatch):
     cfg = load_config(ROOT / config).system
     got = joint_rvi(cfg)
-    monkeypatch.setattr(dp, "_expected_values", _tensordot_expected_values)
+    monkeypatch.setattr(dp, "_candidates", _tensordot_candidates)
     want = joint_rvi(cfg)
     assert np.array_equal(got.policy, want.policy)
     assert got.beta == pytest.approx(want.beta, abs=1e-12)
@@ -566,12 +575,12 @@ def test_greedy_is_argmin_with_ties_to_the_lowest(num):
     assert np.array_equal(value, np.min(stacked, axis=0))
 
 
-def _single_product_expected_values(v, plans):
-    """The expected values as one _apply per candidate: every kernel
-    one matmul, the one-block plan any matrix but a kernel takes."""
-    return [dp._apply(v, [dp._plan(pair[j != i][0])
-                          for j, pair in enumerate(plans)])
-            for i in range(len(plans))]
+def _single_product_candidates(plans, shape):
+    """A stand-in for dp._candidates whose every kernel is one matmul,
+    the one-block plan any matrix but a kernel takes."""
+    return dp._Products(shape, [[dp._plan(pair[j != i][0])
+                                 for j, pair in enumerate(plans)]
+                                for i in range(len(plans))])
 
 
 @pytest.mark.parametrize("bank", ["tiny", "gap", "fig3", "fig4", "fig5",
@@ -586,8 +595,7 @@ def test_kernels_under_two_blocks_take_the_single_product(bank,
     if bank.startswith("fig"):
         cfg = replace(cfg, buffer=12)
     got = joint_rvi(cfg)
-    monkeypatch.setattr(dp, "_expected_values",
-                        _single_product_expected_values)
+    monkeypatch.setattr(dp, "_candidates", _single_product_candidates)
     want = joint_rvi(cfg)
     _assert_same_solution(got, (want.v, want.beta, want.policy, want.sweeps,
                                 want.span))
@@ -620,7 +628,7 @@ def test_blocked_sweeps_keep_the_tensordot_optimum(cfg, monkeypatch):
     |delta beta| reaches 3.1e-12 at beta = 108 on random8. The policy
     is the same on every state."""
     got = joint_rvi(cfg)
-    monkeypatch.setattr(dp, "_expected_values", _tensordot_expected_values)
+    monkeypatch.setattr(dp, "_candidates", _tensordot_candidates)
     want = joint_rvi(cfg)
     assert np.array_equal(got.policy, want.policy)
     assert got.beta == pytest.approx(want.beta, rel=1e-12, abs=1e-12)
@@ -756,8 +764,8 @@ def test_heavy_traffic_corrections_keep_the_plain_optimum():
     plain loop's than half its smallest decision margin, so no greedy
     choice can differ. They also take fewer sweeps."""
     v, beta, policy, sweeps, _ = _joint_loop(HEAVY, 1e-9)
-    values = np.sort(np.stack(dp._expected_values(
-        v, dp._kernel_plans(HEAVY))), axis=0)
+    values = np.sort(np.stack(dp._candidates(
+        dp._kernel_plans(HEAVY), v.shape)(v)), axis=0)
     margin = float((values[1] - values[0]).min())
     sol = joint_rvi(HEAVY)
     assert np.array_equal(sol.policy, policy)
@@ -807,12 +815,67 @@ def test_each_sweep_evaluates_the_expected_values_once(monkeypatch):
     of the sweep they follow; only the read-out evaluates them again."""
     cfg = replace(HEAVY, buffer=30)
     calls = []
-    evaluate = dp._expected_values
-    monkeypatch.setattr(dp, "_expected_values",
-                        lambda v, plans: calls.append(v) or evaluate(v, plans))
+    bind = dp._candidates
+
+    def counted(plans, shape):
+        expected = bind(plans, shape)
+        return lambda v: calls.append(v) or expected(v)
+
+    monkeypatch.setattr(dp, "_candidates", counted)
     sol = joint_rvi(cfg)
     assert sol.corrections > 0
     assert len(calls) == sol.sweeps + 1
+
+
+@pytest.mark.parametrize("cfg", [replace(HEAVY, buffer=30), SUBNORMAL],
+                         ids=["heavy-buffer30", "subnormal"])
+def test_a_solve_hands_out_no_array_it_writes_again(cfg, monkeypatch):
+    """Every array a sweep or a correction returns is its own, apart
+    from the bound products' outputs and scratch tables, which the
+    next sweep overwrites: Brent's guard keeps the values by reference.
+    On one server (SUBNORMAL) the least expected value is the one
+    candidate's output itself, so the sweep copies it. The solution's
+    v and policy stay as they were through a later solve of another
+    bank."""
+    built = []
+
+    class Recorded(dp._Products):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def shared(a):
+        return any(np.may_share_memory(a, out)
+                   for products in built
+                   for head, body in products.steps
+                   for *_, out in head + body)
+
+    drive = dp._relative_value_iteration
+    seen = []
+
+    def checked(name, sweep, v, tol, max_sweeps, correct):
+        def checked_sweep(v):
+            tv, v_next = sweep(v)
+            seen.append(shared(tv) or shared(v_next))
+            return tv, v_next
+
+        def checked_correct(*args):
+            v_next = correct(*args)
+            seen.append(v_next is not None and shared(v_next))
+            return v_next
+
+        return drive(name, checked_sweep, v, tol, max_sweeps,
+                     checked_correct)
+
+    monkeypatch.setattr(dp, "_Products", Recorded)
+    monkeypatch.setattr(dp, "_relative_value_iteration", checked)
+    sol = joint_rvi(cfg)
+    assert len(built) == 3 and not any(seen)
+    assert sol.corrections > 0 or cfg is SUBNORMAL
+    v, policy = sol.v.copy(), sol.policy.copy()
+    joint_rvi(load_config(ROOT / "configs/gap.yaml").system)
+    assert sol.v.tobytes() == v.tobytes()
+    assert sol.policy.tobytes() == policy.tobytes()
 
 
 def test_corrections_that_stall_are_undone():

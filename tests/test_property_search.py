@@ -20,11 +20,13 @@ from hypothesis.errors import NoSuchExample
 
 from psindex import (CmuPolicy, ConvergenceError, RandomPolicy,
                      ServerParams, SystemConfig, build_index_table, policies,
-                     sim, simulate, stationary_distribution)
+                     sim, simulate)
 from psindex.cli import ConfigError, load_config, main
 from psindex.model import passive_kernel, transition_kernel
 from psindex.threshold import (flow_balance_indices, stationary_ladder,
                                threshold_rows)
+
+from oracles import stationary_distribution
 
 
 def search(max_examples):

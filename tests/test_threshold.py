@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from psindex import (ServerParams, optimal_threshold_costs,
-                     stationary_distribution, threshold_chains,
-                     transition_kernel)
+                     threshold_chains, transition_kernel)
 from psindex import threshold
 from psindex.checks import CHAIN_GRID, CHAIN_K_MAX
 from psindex.threshold import stationary_ladder, tail_dominance, \
@@ -14,6 +13,7 @@ from psindex.threshold import stationary_ladder, tail_dominance, \
 from psindex.whittle import _FixedThresholdSystem
 
 from conftest import binom_row, power_stationary
+from oracles import stationary_distribution
 
 PAIRS = ((0.5, 0.4), (0.55, 0.4), (0.95, 0.4), (0.45, 0.3), (0.2, 0.1))
 GRID = [(k, q, p) for k in (0, 1, 3, 7, 15) for q, p in PAIRS]
